@@ -214,8 +214,7 @@ def _sqrt_product(a, b):
 # ---------------------------------------------------------------------------
 
 
-def verify_commuting_square(ladder: DegreeLadder, m, n,
-                            tolerances: numerics.Tolerances | None = None):
+def verify_commuting_square(ladder: DegreeLadder, m, n):
     """Squared form of the two comparison identities:
 
       deg(m) = (deg(m)/deg(n)) deg(n)
@@ -233,20 +232,19 @@ def verify_commuting_square(ladder: DegreeLadder, m, n,
         ladder.csq(m, n) * ratio * ladder.csq(n, ladder.base) * degn,
     )
     residual = max(plain, tilde, key=lambda x: float(abs(x)))
-    tol = (tolerances or numerics.DEFAULT_TOLERANCES).exact_identity
+    tol = numerics.DEFAULT_TOLERANCES.exact_identity
     ok = residual == 0 if ladder.exact else float(abs(residual)) <= tol
     return ok, residual
 
 
-def verify_cocycle(ladder: DegreeLadder,
-                   tolerances: numerics.Tolerances | None = None):
+def verify_cocycle(ladder: DegreeLadder):
     """c(m,n) c(n,k) = c(m,k) over every triple, in squared form."""
     worst = Fraction(0) if ladder.exact else 0.0
     for k, n, m in combinations_with_replacement(ladder.levels, 3):
         res = _rel_residual(ladder.csq(m, n) * ladder.csq(n, k), ladder.csq(m, k))
         if float(abs(res)) > float(abs(worst)):
             worst = res
-    tol = (tolerances or numerics.DEFAULT_TOLERANCES).exact_identity
+    tol = numerics.DEFAULT_TOLERANCES.exact_identity
     ok = worst == 0 if ladder.exact else float(abs(worst)) <= tol
     return ok, worst
 

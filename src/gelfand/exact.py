@@ -15,12 +15,26 @@ def fr(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-def frac_matrix(rows):
-    return [[fr(x) for x in row] for row in rows]
-
-
 def identity(n):
     return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+
+def unit_vector(i, n):
+    """The i-th standard basis vector of Q^n, as a tuple."""
+    v = [Fraction(0)] * n
+    v[i] = Fraction(1)
+    return tuple(v)
+
+
+def monomials(nvars, degree):
+    """Exponent tuples of the degree-``degree`` monomials in ``nvars``
+    variables, heads descending (x0^d first)."""
+    if nvars == 1:
+        return [(degree,)]
+    out = []
+    for head in range(degree, -1, -1):
+        out.extend((head,) + rest for rest in monomials(nvars - 1, degree - head))
+    return out
 
 
 def transpose(a):
@@ -30,10 +44,6 @@ def transpose(a):
 def mat_mul(a, b):
     cols = transpose(b)
     return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
-
-
-def mat_vec(a, v):
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
 
 
 def dot(u, v):

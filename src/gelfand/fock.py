@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import numerics
-from .exact import gram_schmidt_norms
+from .exact import gram_schmidt_norms, monomials
 
 
 @dataclass(frozen=True)
@@ -64,19 +64,7 @@ def heis_inv(g: HeisenbergPoint) -> HeisenbergPoint:
 def multi_indices(n: int, cutoff: int):
     """All multi-indices with |m| <= cutoff in degree-major order, heads
     descending within a degree (the CSV row/column order)."""
-
-    def level(nv, d):
-        if nv == 1:
-            return [(d,)]
-        out = []
-        for head in range(d, -1, -1):
-            out.extend((head,) + rest for rest in level(nv - 1, d - head))
-        return out
-
-    out = []
-    for d in range(cutoff + 1):
-        out.extend(level(n, d))
-    return tuple(out)
+    return tuple(m for d in range(cutoff + 1) for m in monomials(n, d))
 
 
 @lru_cache(maxsize=None)
@@ -247,8 +235,7 @@ def coefficient_series(t: float, left, right, g: HeisenbergPoint) -> complex:
 # ---------------------------------------------------------------------------
 
 
-def coefficient_inner_product(t: float, pair_left, pair_right,
-                              tolerances: numerics.Tolerances | None = None) -> complex:
+def coefficient_inner_product(t: float, pair_left, pair_right) -> complex:
     """L^2 pairing of two matrix coefficients over C^n (the group modulo its
     center), by Gauss-Hermite product quadrature.
 
@@ -264,14 +251,13 @@ def coefficient_inner_product(t: float, pair_left, pair_right,
         raise ValueError("plane-product quadrature is limited to n <= 2")
     if t == 0:
         raise ValueError("t must be nonzero")
-    tol = (tolerances or numerics.DEFAULT_TOLERANCES).quadrature_agreement
     total = 1.0 + 0.0j
     for j in range(n):
-        total *= _coordinate_pairing(t, l1[j], m1[j], l2[j], m2[j], tol)
+        total *= _coordinate_pairing(t, l1[j], m1[j], l2[j], m2[j])
     return total
 
 
-def _coordinate_pairing(t, l1, m1, l2, m2, tol):
+def _coordinate_pairing(t, l1, m1, l2, m2):
     """integral_C d_{l1 m1}(alpha(w)) conj(d_{l2 m2}(alpha(w))) dw.
 
     Substituting u = alpha(w) makes the Gaussian weight exactly the Hermite
@@ -286,22 +272,12 @@ def _coordinate_pairing(t, l1, m1, l2, m2, tol):
                 u = complex(x, y)
                 acc += wx * wy * _displacement_polypart(l1, m1, u) * \
                     _displacement_polypart(l2, m2, u).conjugate()
-        return acc / abs(t)
+        return acc / abs(t), 0.0
 
     # pairings are bounded by the diagonal value ~ pi/|t| (Cauchy-Schwarz),
     # so agreement is judged against that scale; a vanishing integral would
     # otherwise never stabilize in purely relative terms
-    floor = 1.0 / abs(t)
-    prev = None
-    order = 8
-    while order <= 256:
-        cur = at_order(order)
-        if prev is not None and abs(cur - prev) <= tol * max(abs(cur), abs(prev), floor):
-            return cur
-        prev = cur
-        order *= 2
-    raise numerics.QuadratureError("coefficient pairing did not converge",
-                                   residual=abs(cur - prev))
+    return numerics._doubling(at_order, max_order=256, floor=1.0 / abs(t))
 
 
 # ---------------------------------------------------------------------------
@@ -384,11 +360,6 @@ class RegularFunction:
             p = sum(float(c) * t ** i for i, c in enumerate(coeffs))
             total += damp * p * coefficient_series(t, m, mprime, g)
         return total
-
-
-def regular_function_eval(f: RegularFunction, t: float, g: HeisenbergPoint) -> complex:
-    """Value of a regular function at a central parameter and group point."""
-    return f.eval(t, g)
 
 
 def regular_gram(n: int, monomial_terms):

@@ -103,27 +103,33 @@ def gauss_jacobi(order: int, alpha: float, beta: float) -> QuadratureRule:
     return rule
 
 
-def _doubling(values_at_order, start=8, max_order=512, tolerances=None):
-    """Run ``values_at_order`` at doubling orders until two successive results
-    agree to the configured relative tolerance."""
-    tol = (tolerances or DEFAULT_TOLERANCES).quadrature_agreement
+def _doubling(values_at_order, max_order=512, floor=1e-300):
+    """Run ``values_at_order`` at orders 8, 16, ... up to ``max_order`` until
+    two successive values agree to ``quadrature_agreement`` relative to the
+    larger of them and ``floor``.
+
+    ``values_at_order`` returns ``(value, mass)``; the integrand's absolute
+    mass joins the scale, so an integral that cancels to zero still
+    converges.
+    """
+    tol = DEFAULT_TOLERANCES.quadrature_agreement
     prev = None
-    order = start
+    order = 8
     while order <= max_order:
-        cur = values_at_order(order)
+        cur, mass = values_at_order(order)
         if prev is not None:
-            scale = max(abs(prev), abs(cur), 1e-300)
+            scale = max(abs(prev), abs(cur), mass, floor)
             if abs(cur - prev) <= tol * scale:
                 return cur
         prev = cur
         order *= 2
     raise QuadratureError(
         f"quadrature did not converge below rel. {tol} by order {max_order}",
-        residual=abs(cur - prev) / max(abs(cur), 1e-300),
+        residual=abs(cur - prev) / scale,
     )
 
 
-def half_line_moment(k: int, tolerances: Tolerances | None = None):
+def half_line_moment(k: int):
     """integral_0^inf t^k e^{-2t} dt by Gauss-Laguerre, with exact companion
     k!/2^{k+1}."""
     if k < 0:
@@ -132,24 +138,25 @@ def half_line_moment(k: int, tolerances: Tolerances | None = None):
     def at_order(order):
         rule = gauss_laguerre(order)
         # weight e^{-t} is built in; leftover integrand t^k e^{-t}
-        return sum(w * (x ** k) * math.exp(-x) for x, w in zip(rule.nodes, rule.weights))
+        return sum(w * (x ** k) * math.exp(-x) for x, w in zip(rule.nodes, rule.weights)), 0.0
 
     exact = Fraction(math.factorial(k), 2 ** (k + 1))
-    return _doubling(at_order, tolerances=tolerances), exact
+    return _doubling(at_order), exact
 
 
-def gamma_moment(k: int, tolerances: Tolerances | None = None):
+def gamma_moment(k: int):
     """Full-line weighted moment integral_R e^{-2|t|} |t|^k dt with exact
     companion k!/2^k."""
-    quad, half = half_line_moment(k, tolerances)
+    quad, half = half_line_moment(k)
     return 2.0 * quad, 2 * half
 
 
-def gaussian_plane_integral(f, scale: float, tolerances: Tolerances | None = None):
+def gaussian_plane_integral(f, scale: float):
     """integral_C f(w) e^{-scale*|w|^2} dw (Lebesgue on C ~ R^2).
 
     ``f`` must be polynomially bounded; the rule is a Gauss-Hermite product
-    with nodes rescaled by 1/sqrt(scale), run through the doubling protocol.
+    with nodes rescaled by 1/sqrt(scale), run through the doubling protocol
+    with agreement judged against the integrand's own absolute mass.
     """
     if scale <= 0:
         raise ValueError("scale must be positive")
@@ -170,20 +177,7 @@ def gaussian_plane_integral(f, scale: float, tolerances: Tolerances | None = Non
                 mass += wi * wj * abs(val)
         return total / scale, mass / scale
 
-    # agreement is judged against the integrand's own absolute mass, so an
-    # integral that cancels to zero still converges
-    tol = (tolerances or DEFAULT_TOLERANCES).quadrature_agreement
-    prev = None
-    order = 8
-    while order <= 256:
-        cur, mass = at_order(order)
-        if prev is not None:
-            if abs(cur - prev) <= tol * max(abs(prev), abs(cur), mass, 1e-300):
-                return cur
-        prev = cur
-        order *= 2
-    raise QuadratureError("gaussian_plane_integral did not converge",
-                          residual=abs(cur - prev))
+    return _doubling(at_order, max_order=256)
 
 
 def sphere_surface_area(n_ambient: int) -> float:

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import dot, fr
+from .exact import unit_vector as _eps
 
 FAMILIES = ("A", "B", "C", "D")
 
@@ -49,12 +50,6 @@ class DominantWeight:
             raise ValueError("coefficient count must equal the rank")
         if any((not isinstance(k, int)) or k < 0 for k in self.coeffs):
             raise ValueError("dominant weights need nonnegative integer coefficients")
-
-
-def _eps(i, n):
-    v = [Fraction(0)] * n
-    v[i] = Fraction(1)
-    return tuple(v)
 
 
 def _vec_add(u, v):

@@ -24,7 +24,8 @@ from itertools import combinations
 from math import comb
 
 from . import numerics
-from .exact import MultiPoly, dot, fr, nullspace, solve
+from .exact import MultiPoly, dot, fr, monomials, nullspace, solve
+from .exact import unit_vector as _eps
 
 # ---------------------------------------------------------------------------
 # restricted pair data
@@ -40,12 +41,6 @@ class RestrictedPairData:
     positive_roots: tuple  # (vector, multiplicity) pairs
     doubled_indices: frozenset  # i with 2*psi_i a restricted root
     class_one_weights: tuple  # exact epsilon vectors
-
-
-def _eps(i, n):
-    v = [Fraction(0)] * n
-    v[i] = Fraction(1)
-    return tuple(v)
 
 
 def _restricted_roots(rtype: str, rank: int, mults: dict):
@@ -186,10 +181,6 @@ def _solve_class_one(simple, doubled):
     return tuple(out)
 
 
-def class_one_fundamental_weights(pair: RestrictedPairData):
-    return pair.class_one_weights
-
-
 def cartan_helgason_filter(pair: RestrictedPairData, lam) -> bool:
     """Is ``lam`` (restricted epsilon coordinates) a nonnegative integer
     combination of the class-1 generators?"""
@@ -225,15 +216,6 @@ def harmonic_dimension(n_ambient: int, degree: int) -> int:
     if degree == 1:
         return n_ambient
     return comb(n_ambient + degree - 1, degree) - comb(n_ambient + degree - 3, degree - 2)
-
-
-def _monomials(n, d):
-    if n == 1:
-        return [(d,)]
-    out = []
-    for head in range(d, -1, -1):
-        out.extend((head,) + rest for rest in _monomials(n - 1, d - head))
-    return out
 
 
 def laplacian(p: MultiPoly) -> MultiPoly:
@@ -275,8 +257,8 @@ def harmonic_basis(n_ambient: int, degree: int) -> HarmonicSpace:
     """Kernel of the Laplacian on degree-d forms, with its exact sphere Gram."""
     if n_ambient < 1 or degree < 0:
         raise ValueError("need ambient dimension >= 1 and degree >= 0")
-    monos = _monomials(n_ambient, degree)
-    lower = _monomials(n_ambient, degree - 2) if degree >= 2 else []
+    monos = monomials(n_ambient, degree)
+    lower = monomials(n_ambient, degree - 2) if degree >= 2 else []
     lower_index = {m: i for i, m in enumerate(lower)}
     # Laplacian as a matrix from degree-d to degree-(d-2) coefficients
     rows = [[Fraction(0)] * len(monos) for _ in lower]
@@ -302,7 +284,7 @@ def zonal_vector(space: HarmonicSpace, axis: int = 0) -> MultiPoly:
     if not 0 <= axis < space.ambient_dim:
         raise ValueError("axis is not one of the ambient coordinates")
     others = [i for i in range(space.ambient_dim) if i != axis]
-    monos = _monomials(space.ambient_dim, space.degree)
+    monos = monomials(space.ambient_dim, space.degree)
     # kernel of every rotation generator L_ij = x_i d_j - x_j d_i among the
     # non-axis coordinates, stacked into one monomial-coordinate matrix
     big = []

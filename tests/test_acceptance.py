@@ -1,252 +1,93 @@
-"""Acceptance gate: every exit criterion at its stated tolerance, one
-printed pass/fail line per criterion.
+"""Acceptance gate: every exit criterion runs its ``gelfand verify`` suite,
+so each identity is defined once, in the suite.  A criterion passes when
+every case of its report passes within the criterion's time limit; one
+``ACCEPTANCE <n> <name>: PASS/FAIL`` line is printed per criterion.
 
 Run with ``pytest tests/test_acceptance.py -s`` to see the lines as they
-complete; each criterion is also an ordinary assertion.
+complete.
 """
 
-import math
-import random
 import time
-from fractions import Fraction
 
-import numpy as np
+from gelfand import cli
 
-from gelfand import charring, dirlim, fock, nilpf, numerics, rootsys, symmpair, tables
-from gelfand.exact import MultiPoly, det
+# criterion 3 adds the index pairs (4,2) and (8,8) to the suite's four; they
+# stay within the protected degree range of the Fock model
+CRITERION_3_PAIRS = (((0,), (0,)), ((1,), (0,)), ((2,), (1,)), ((3,), (3,)),
+                     ((4,), (2,)), ((8,), (8,)))
+
+# number -> (name, suite, config overrides, suite keyword arguments, time limit in s)
+CRITERIA = {
+    1: ("weighted-moment identity", "gamma", {}, {}, 1.0),
+    2: ("regular-function norms", "regnorms", {}, {}, 1.0),
+    3: ("orthogonality and formal degree", "fock-orthogonality", {},
+        {"pairs": CRITERION_3_PAIRS}, 60.0),
+    4: ("representation property", "fock-representation", {}, {}, None),
+    5: ("pfaffian classification", "pfaffian", {"seed": 424242}, {}, None),
+    6: ("Weyl dimension vs weight count", "weyl", {}, {}, 30.0),
+    7: ("multiplicity-free rows", "carcano", {}, {}, None),
+    8: ("highest-weight-set stability", "xstability", {}, {}, None),
+    9: ("ladder algebra", "ladders", {}, {}, None),
+    10: ("zonal projection constants", "zonal", {"rank": 5}, {}, None),
+}
 
 
-def _report(name, ok, detail=""):
-    line = f"ACCEPTANCE {name}: {'PASS' if ok else 'FAIL'}"
-    if detail:
-        line += f"  [{detail}]"
+def _criterion(number):
+    name, suite, overrides, suite_args, limit = CRITERIA[number]
+    start = time.perf_counter()
+    report = cli.run_suite(suite, {**cli.DEFAULTS, **overrides}, **suite_args)
+    elapsed = time.perf_counter() - start
+    failed = [c.case_id for c in report.cases if c.status != "pass"]
+    ok = not failed and (limit is None or elapsed < limit)
+    detail = f"{len(report.cases) - len(failed)}/{len(report.cases)} '{suite}' cases " \
+             f"passed, {elapsed:.2f}s"
+    if limit is not None:
+        detail += f" (limit {limit:g}s)"
+    if failed:
+        detail += "; failed: " + ", ".join(failed)
+    line = f"ACCEPTANCE {number} {name}: {'PASS' if ok else 'FAIL'}  [{detail}]"
     print(line, flush=True)
     assert ok, line
 
 
+# one test per criterion, named as before so test histories line up
+
+
 def test_criterion_1_gamma_identity():
-    start = time.perf_counter()
-    worst = 0.0
-    for n in range(13):
-        quad, exact = numerics.gamma_moment(n)
-        assert exact == Fraction(math.factorial(n), 2 ** n)
-        worst = max(worst, abs(quad - float(exact)) / float(exact))
-    elapsed = time.perf_counter() - start
-    _report("1 weighted-moment identity",
-            worst <= 1e-10 and elapsed < 1.0,
-            f"worst rel err {worst:.2e}, {elapsed:.2f}s")
+    _criterion(1)
 
 
 def test_criterion_2_regular_function_norms():
-    start = time.perf_counter()
-    worst = 0.0
-    for total in range(13):
-        for n in range(total + 1):
-            exact, quad = fock.regular_norm_sq(n, total - n)
-            worst = max(worst, abs(quad - float(exact)) / float(exact))
-    assert fock.regular_norm_sq(1, 0)[0] == Fraction(1, 2)
-    assert fock.regular_norm_sq(1, 3)[0] == Fraction(3, 2)
-    elapsed = time.perf_counter() - start
-    _report("2 regular-function norms",
-            worst <= 1e-10 and elapsed < 1.0,
-            f"worst rel err {worst:.2e}, includes 1/2 and 3/2, {elapsed:.2f}s")
+    _criterion(2)
 
 
 def test_criterion_3_orthogonality_and_formal_degree():
-    # indices stay within the protected degree range (cutoff 16, buffer half)
-    start = time.perf_counter()
-    pairs = [((0,), (0,)), ((1,), (0,)), ((2,), (1,)), ((3,), (3,)),
-             ((4,), (2,)), ((8,), (8,))]
-    worst_off = 0.0
-    scaled = []
-    for t in (0.5, 1.0, 2.0):
-        for i, p in enumerate(pairs):
-            for q in pairs[i + 1:]:
-                worst_off = max(worst_off, abs(fock.coefficient_inner_product(t, p, q)))
-            val = fock.coefficient_inner_product(t, p, p)
-            scaled.append(val.real * abs(t))
-    mean = sum(scaled) / len(scaled)
-    spread = max(abs(v - mean) for v in scaled) / abs(mean)
-    elapsed = time.perf_counter() - start
-    _report("3 orthogonality and formal degree",
-            worst_off < 1e-8 and spread <= 1e-6 and elapsed < 60.0,
-            f"off-diag {worst_off:.2e}, degree-constancy spread {spread:.2e}, "
-            f"{elapsed:.1f}s")
+    _criterion(3)
 
 
 def test_criterion_4_representation_property():
-    t, cutoff = 1.0, 20
-    g = fock.HeisenbergPoint(0.15, (0.3 + 0.4j,))
-    h = fock.HeisenbergPoint(-0.4, (-0.3 - 0.4j,))
-    u = fock.fock_operator(1, t, g, cutoff).matrix
-    v = fock.fock_operator(1, t, h, cutoff).matrix
-    w = fock.fock_operator(1, t, fock.heis_mul(g, h), cutoff).matrix
-    keep = [i for i, m in enumerate(fock.multi_indices(1, cutoff)) if sum(m) <= 10]
-    residual = float(np.linalg.norm((u @ v - w)[np.ix_(keep, keep)], 2))
-    z = 0.81
-    op = fock.fock_operator(1, t, fock.HeisenbergPoint(z, (0j,)), cutoff)
-    central_exact = np.array_equal(
-        op.matrix, complex(math.cos(t * z), math.sin(t * z)) * np.eye(cutoff + 1))
-    _report("4 representation property",
-            residual < 1e-6 and central_exact,
-            f"group-law residual {residual:.2e} on degrees <= 10, central exact")
+    _criterion(4)
 
 
 def test_criterion_5_pfaffians():
-    t = MultiPoly.variable(1, 0)
-    powers_ok = all(
-        nilpf.pfaffian_polynomial(nilpf.build_heisenberg(n, "C")).poly == t ** n
-        for n in range(1, 5)
-    )
-    rng = random.Random(424242)
-    sq_ok = True
-    for n in (2, 4, 6, 8, 10):
-        m = [[Fraction(0)] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                x = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-                m[i][j], m[j][i] = x, -x
-        sq_ok = sq_ok and nilpf.pfaffian(m) ** 2 == det(m)
-    free_ok = not nilpf.is_generically_square_integrable(nilpf.build_free_two_step(3))
-    alg = nilpf.build_heisenberg(2, "C")
-    cov_ok = True
-    for _ in range(5):
-        s = [[Fraction(rng.randint(-3, 3)) for _ in range(4)] for _ in range(4)]
-        d = det(s)
-        if d == 0:
-            continue
-        moved = nilpf.transform_v_basis(alg, s)
-        cov_ok = cov_ok and (
-            nilpf.pfaffian_polynomial(moved).poly
-            == nilpf.pfaffian_polynomial(alg).poly.scale(d)
-        )
-    _report("5 pfaffian classification",
-            powers_ok and sq_ok and free_ok and cov_ok,
-            "t^n exact, Pf^2 = det to 10x10, free rank-3 flat, covariance exact")
+    _criterion(5)
 
 
 def test_criterion_6_weyl_vs_weight_count():
-    start = time.perf_counter()
-    checked = 0
-    for family in ("A", "B", "C", "D"):
-        for rank in range(1 if family != "D" else 2, 4):
-            rs = rootsys.build_root_system(family, rank)
-            for coeffs in _grid(rank, 2):
-                w = rootsys.DominantWeight(family, rank, coeffs)
-                total = sum(charring.weight_system(rs, w).values())
-                assert total == rootsys.weyl_dimension(rs, w), (family, rank, coeffs)
-                checked += 1
-    elapsed = time.perf_counter() - start
-    _report("6 Weyl dimension vs weight count",
-            elapsed < 30.0, f"{checked} weights exact, {elapsed:.1f}s")
-
-
-def _grid(rank, bound):
-    if rank == 0:
-        yield ()
-        return
-    for head in range(bound + 1):
-        for tail in _grid(rank - 1, bound):
-            yield (head,) + tail
+    _criterion(6)
 
 
 def test_criterion_7_multiplicity_free_rows():
-    rows = [("kac:1", 2), ("kac:2", 1), ("kac:3", 1), ("kac:5", 2),
-            ("kac:6", 2), ("kac:8", 2)]
-    all_free = True
-    for rid, rank in rows:
-        ok, _ = charring.is_multiplicity_free_polynomial_action(
-            tables.group_datum(rid, rank), 4)
-        all_free = all_free and ok
-    control = charring.GroupDatum(
-        (charring.Factor(charring.GL, 2),),
-        charring.Construction("dsum", parts=(
-            charring.Construction("standard", (0,)),
-            charring.Construction("standard", (0,)))),
-        torus_mode="su", su_flags=(True,))
-    neg_ok, violation = charring.is_multiplicity_free_polynomial_action(control, 1)
-    control_ok = (not neg_ok) and violation["degree"] == 1
-    sp = tables.group_datum("kac:3", 2)
-    sp_ok = True
-    for q in range(5):
-        dec = charring.sym_power_decompose(sp, q)
-        sp_ok = sp_ok and len(dec.entries) == 1 and dec.entries[0][1] == 1
-        sp_ok = sp_ok and dec.entries[0][0][0] == (q, 0)
-    _report("7 multiplicity-free rows",
-            all_free and control_ok and sp_ok,
-            "six rows free to degree 4, doubled-standard control fails in "
-            "degree 1, rank-2 symplectic powers single")
+    _criterion(7)
 
 
 def test_criterion_8_highest_weight_stability():
-    ok_all = True
-    for rid, small, big in [("jaw:2", 2, 3), ("jaw:3", 2, 3), ("jaw:5a", 6, 8)]:
-        for d in range(5):
-            ok, missing = charring.check_stability(
-                tables.group_datum(rid, small), tables.group_datum(rid, big), d)
-            ok_all = ok_all and ok
-    _report("8 highest-weight-set stability", ok_all,
-            "rows jaw:2, jaw:3, jaw:5a at one rank step, degrees <= 4")
+    _criterion(8)
 
 
 def test_criterion_9_ladder_algebra():
-    exact_ok = True
-    for d in range(5):
-        L = dirlim.un_polynomial_ladder(d)
-        for m in L.levels:
-            for n in L.levels:
-                if m >= n:
-                    ok, res = dirlim.verify_commuting_square(L, m, n)
-                    exact_ok = exact_ok and ok and res == 0
-        ok, res = dirlim.verify_cocycle(L)
-        exact_ok = exact_ok and ok and res == 0
-        for m in L.levels:
-            for n in L.levels:
-                if m > n:
-                    exact_ok = exact_ok and (
-                        L.csq(m, n) == dirlim.un_csq_by_enumeration(d, n, m))
-    sphere_worst = 0.0
-    for d in range(1, 5):
-        Ls = dirlim.sphere_ladder(d, levels=(2, 3, 4, 5), method="quadrature")
-        _, res = dirlim.verify_cocycle(Ls)
-        sphere_worst = max(sphere_worst, abs(float(res)))
-    L = dirlim.un_polynomial_ladder(3, levels=(1, 2, 3))
-    f = dirlim.LadderedFunction.make("un-poly", 1, {0: Fraction(2), 1: Fraction(1)},
-                                     kind="invariant")
-    base = dirlim.limit_inner_product(L, f, f)
-    promo_exact = all(
-        dirlim.limit_inner_product(L, dirlim.apply_nu(L, f, m), dirlim.apply_nu(L, f, m)) == base
-        for m in (2, 3))
-    Ls = dirlim.sphere_ladder(2, levels=(2, 3, 4), method="quadrature")
-    g = dirlim.LadderedFunction.make("sphere", 2, {0: 1.0, 1: 0.5}, kind="invariant")
-    v0 = dirlim.limit_inner_product(Ls, g, g)
-    v1 = dirlim.limit_inner_product(Ls, dirlim.apply_nu(Ls, g, 4), dirlim.apply_nu(Ls, g, 4))
-    sphere_promo = abs(v1 - v0) <= 1e-9 * abs(v0)
-    Lh = dirlim.heisenberg_ladder(1.0, d=1, levels=(1, 2), method="quadrature")
-    h = dirlim.LadderedFunction.make("heisenberg", 1, {0: 1.0}, kind="invariant")
-    w0 = dirlim.limit_inner_product(Lh, h, h)
-    w1 = dirlim.limit_inner_product(Lh, dirlim.apply_nu(Lh, h, 2), dirlim.apply_nu(Lh, h, 2))
-    heis_promo = abs(w1 - w0) <= 1e-9 * abs(w0)
-    _report("9 ladder algebra",
-            exact_ok and sphere_worst <= 1e-9 and promo_exact and sphere_promo
-            and heis_promo,
-            f"exact residuals 0, sphere cocycle {sphere_worst:.2e}, promotion "
-            "exact / within 1e-9")
+    _criterion(9)
 
 
 def test_criterion_10_zonal_constants():
-    self_ok = all(symmpair.zonal_projection_csq(n, n, d) == 1
-                  for n in range(2, 6) for d in range(5))
-    range_ok = True
-    worst = 0.0
-    for m in range(2, 6):
-        for n in range(2, m):
-            for d in range(1, 5):
-                csq = symmpair.zonal_projection_csq(m, n, d)
-                range_ok = range_ok and 0 < csq <= 1
-                quad = symmpair.zonal_projection_constant(m, n, d, "quadrature")
-                geg = symmpair.zonal_projection_constant(m, n, d, "gegenbauer")
-                worst = max(worst, abs(quad - geg))
-    _report("10 zonal projection constants",
-            self_ok and range_ok and worst <= 1e-10,
-            f"self-projection exactly 1, constants in (0,1], route gap {worst:.2e}")
+    _criterion(10)

@@ -137,7 +137,7 @@ def test_sphere_exact_ladder_zero_residuals():
 def test_sphere_quadrature_cocycle_within_1e9():
     for d in (1, 2, 3, 4):
         L = sphere_ladder(d, levels=(2, 3, 4, 5), method="quadrature")
-        ok, res = verify_cocycle(L, tolerances=None)
+        ok, res = verify_cocycle(L)
         assert abs(float(res)) <= 1e-9, (d, res)
 
 

@@ -249,7 +249,7 @@ def test_regular_gram_full_rank_density_proxy():
 
 def test_regular_function_eval_wrapper():
     f = fock.RegularFunction.from_term(1, (1,), (0,), (0,))
-    got = fock.regular_function_eval(f, 0.3, heis_identity(1))
+    got = f.eval(0.3, heis_identity(1))
     assert abs(got - math.exp(-0.3)) < 1e-15
 
 

@@ -86,6 +86,13 @@ def test_exit_codes(tmp_path):
     assert cli.main(["verify", "nope"]) == 2
     assert cli.main(["verify"]) == 2
     assert cli.main(["list-suites"]) == 0
+    # no cases, or a row that cannot be resolved, is a configuration error
+    for argv in (["weyl", "--rank", "0"], ["zonal", "--rank", "1"],
+                 ["gamma", "--max-k", "-1"],
+                 ["carcano", "--row", "kac:2", "--rank", "0"],
+                 ["xstability", "--row", "jaw:2", "--rank", "3,2"],
+                 ["carcano", "--row", "kac:99"]):
+        assert cli.main(["verify", *argv]) == 2, argv
 
 
 def test_flag_form_of_suite(capsys):
