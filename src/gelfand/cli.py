@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import random
 import sys
 import time
 from dataclasses import dataclass
@@ -24,6 +25,7 @@ import numpy as np
 
 from . import dirlim, fock, nilpf, numerics, rootsys, symmpair, tables
 from . import charring
+from .exact import MultiPoly, det
 
 REPORT_VERSION = "1"
 
@@ -199,15 +201,11 @@ def _suite_fock_representation(cfg, rec):
 
 
 def _suite_pfaffian(cfg, rec):
+    rng = random.Random(cfg["seed"])
     spec = cfg.get("algebra")
     if spec:
-        alg = tables.algebra(spec)
-        poly = nilpf.pfaffian_polynomial(alg)
-        rec.check(f"pfaffian-poly-{spec}", True, "computed", repr(poly.poly), "exact")
-        rec.check(f"square-integrable-{spec}", True, "classified",
-                  str(nilpf.is_generically_square_integrable(alg)), "exact")
+        _algebra_cases(tables.algebra(spec), spec, rng, rec)
         return
-    from .exact import MultiPoly, det
 
     t = MultiPoly.variable(1, 0)
     for n in range(1, 5):
@@ -216,9 +214,6 @@ def _suite_pfaffian(cfg, rec):
             return poly == t ** n, repr(poly)
         rec.run(f"heisenberg-pfaffian-n{n}", f"t^{n}", "exact", thunk)
 
-    import random as _random
-
-    rng = _random.Random(cfg["seed"])
     for n in (2, 4, 6, 8, 10):
         def thunk(n=n):
             m = [[Fraction(0)] * n for _ in range(n)]
@@ -253,6 +248,35 @@ def _suite_pfaffian(cfg, rec):
         return True, f"Pf scales by det = {', '.join(dets)}"
 
     rec.run("basis-change-covariance", "Pf -> det(a) Pf", "exact", covariance)
+
+
+def _algebra_cases(alg, spec, rng, rec):
+    """The symbolic Pfaffian of ``alg`` and its square-integrability verdict,
+    each checked against the exact B(t) at seeded rational centre points."""
+    t = nilpf.sample_centre_point(rng, alg.dim_z)
+
+    def poly_case():
+        pf = nilpf.pfaffian_polynomial(alg)(t)
+        b = nilpf.b_form(alg, t)
+        if pf != nilpf.pfaffian(b):
+            return False, f"Pf(t) = {pf} differs from Pf(B(t)) at t = {t}"
+        if pf * pf != det(b):
+            return False, f"Pf(t)^2 != det B(t) at t = {t}"
+        return True, f"Pf(t) = {pf} at the seeded centre point"
+
+    rec.run(f"pfaffian-poly-{spec}", "Pf(t) = Pf(B(t)), Pf(t)^2 = det B(t)",
+            "exact", poly_case)
+
+    points = [nilpf.sample_centre_point(rng, alg.dim_z) for _ in range(3)]
+
+    def classification_case():
+        claimed = nilpf.is_generically_square_integrable(alg)
+        nonzero = sum(det(nilpf.b_form(alg, p)) != 0 for p in points)
+        actual = f"classified {claimed}; det B(t) != 0 at {nonzero}/{len(points)} points"
+        return claimed == (nonzero > 0), actual
+
+    rec.run(f"square-integrable-{spec}", "agrees with det B(t) at seeded points",
+            "exact", classification_case)
 
 
 def _suite_weyl(cfg, rec):

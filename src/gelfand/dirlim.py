@@ -350,24 +350,31 @@ def heisenberg_ladder(t, d: int = 1, levels=(1, 2), method: str = "exact") -> De
 
 
 def ladder_to_json(ladder: DegreeLadder) -> str:
+    """Float ladders store ``deg`` and ``c`` as numbers; exact ladders store
+    ``"exact": true`` with ``deg`` and ``csq`` as "p/q" strings, so they
+    read back as the same Fractions."""
     levels = list(ladder.levels)
-    c = [[ladder.c(m, n) if m >= n else None for n in levels] for m in levels]
-    doc = {
-        "backend": ladder.backend,
-        "levels": levels,
-        "deg": [float(ladder.deg(n)) for n in levels],
-        "c": c,
-    }
+    doc = {"backend": ladder.backend, "levels": levels}
+    if ladder.exact:
+        doc["exact"] = True
+        doc["deg"] = [str(ladder.deg(n)) for n in levels]
+        doc["csq"] = [[str(ladder.csq(m, n)) if m >= n else None for n in levels]
+                      for m in levels]
+    else:
+        doc["deg"] = [float(ladder.deg(n)) for n in levels]
+        doc["c"] = [[ladder.c(m, n) if m >= n else None for n in levels] for m in levels]
     return json.dumps(doc, sort_keys=True)
 
 
 def ladder_from_json(text: str) -> DegreeLadder:
     doc = json.loads(text)
     levels = tuple(doc["levels"])
-    degrees = {n: d for n, d in zip(levels, doc["deg"])}
+    exact = doc.get("exact", False)
+    number = Fraction if exact else float
+    degrees = {n: number(d) for n, d in zip(levels, doc["deg"])}
     csq = {}
     for i, m in enumerate(levels):
         for j, n in enumerate(levels):
             if m > n:
-                csq[(m, n)] = doc["c"][i][j] ** 2
-    return make_ladder(doc["backend"], levels, degrees, csq, exact=False)
+                csq[(m, n)] = Fraction(doc["csq"][i][j]) if exact else doc["c"][i][j] ** 2
+    return make_ladder(doc["backend"], levels, degrees, csq, exact=exact)

@@ -266,13 +266,13 @@ def _coordinate_pairing(t, l1, m1, l2, m2):
 
     def at_order(order):
         rule = numerics.gauss_hermite(order)
-        acc = 0.0 + 0.0j
-        for x, wx in zip(rule.nodes, rule.weights):
-            for y, wy in zip(rule.nodes, rule.weights):
-                u = complex(x, y)
-                acc += wx * wy * _displacement_polypart(l1, m1, u) * \
-                    _displacement_polypart(l2, m2, u).conjugate()
-        return acc / abs(t), 0.0
+        x = np.array(rule.nodes)
+        w = np.array(rule.weights)
+        # the whole node grid u = x + iy at once
+        u = x[:, None] + 1j * x[None, :]
+        vals = _displacement_polypart(l1, m1, u) * \
+            _displacement_polypart(l2, m2, u).conjugate()
+        return complex(w @ vals @ w) / abs(t), 0.0
 
     # pairings are bounded by the diagonal value ~ pi/|t| (Cauchy-Schwarz),
     # so agreement is judged against that scale; a vanishing integral would

@@ -362,24 +362,24 @@ def plancherel_density(alg: TwoStepAlgebra, t) -> float:
     return abs(float(pfaffian_polynomial(alg)(t)))
 
 
-def sample_zero_set(alg: TwoStepAlgebra, count: int, seed: int) -> float:
-    """Fraction of seeded rational samples in (-1, 1)^dim_z where the
-    Pfaffian polynomial vanishes exactly.
+def sample_centre_point(rng: random.Random, dim_z: int) -> tuple:
+    """A seeded rational point of (-1, 1)^dim_z with odd/2^11 coordinates:
+    exact and reproducible, but with no atom on the coordinate hyperplanes
+    (a grid with exact zeros would misreport the measure-zero vanishing sets
+    it is probing)."""
+    denom = 2 ** 11
+    return tuple(Fraction(rng.randrange(-denom + 1, denom, 2), denom)
+                 for _ in range(dim_z))
 
-    Coordinates are odd/2^11, so the sampler is exact and reproducible but
-    carries no atom on the coordinate hyperplanes (a grid with exact zeros
-    would misreport the measure-zero vanishing sets it is probing).
-    """
+
+def sample_zero_set(alg: TwoStepAlgebra, count: int, seed: int) -> float:
+    """Fraction of seeded ``sample_centre_point`` samples where the Pfaffian
+    polynomial vanishes exactly."""
     rng = random.Random(seed)
     poly = pfaffian_polynomial(alg)
-    denom = 2 ** 11
     zeros = 0
     for _ in range(count):
-        t = tuple(
-            Fraction(rng.randrange(-denom + 1, denom, 2), denom)
-            for _ in range(alg.dim_z)
-        )
-        if poly(t) == 0:
+        if poly(sample_centre_point(rng, alg.dim_z)) == 0:
             zeros += 1
     return zeros / count
 

@@ -215,9 +215,14 @@ def sphere_product_rule(n_ambient: int, order: int):
 
 
 def integrate_sphere(f, n_ambient: int, order: int) -> float:
-    """Integrate f over S^{N-1} against the normalized measure."""
+    """Integrate f over S^{N-1} against the normalized measure.
+
+    ``f`` is called once with the coordinates as an (N, k) array, so
+    ``x[i]`` is coordinate i at all k rule points, and returns the k values
+    (a scalar is broadcast).
+    """
     pts, wts = sphere_product_rule(n_ambient, order)
-    return float(sum(w * f(p) for p, w in zip(pts, wts)))
+    return float(wts @ np.broadcast_to(f(pts.T), wts.shape))
 
 
 def matrix_exp(a: np.ndarray) -> np.ndarray:

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 from math import comb
 
 from . import numerics
@@ -285,10 +284,12 @@ def zonal_vector(space: HarmonicSpace, axis: int = 0) -> MultiPoly:
         raise ValueError("axis is not one of the ambient coordinates")
     others = [i for i in range(space.ambient_dim) if i != axis]
     monos = monomials(space.ambient_dim, space.degree)
-    # kernel of every rotation generator L_ij = x_i d_j - x_j d_i among the
-    # non-axis coordinates, stacked into one monomial-coordinate matrix
+    # kernel of the adjacent rotation generators L_ij = x_i d_j - x_j d_i
+    # among the non-axis coordinates, stacked into one monomial-coordinate
+    # matrix; they generate so(N-1) as a Lie algebra, so their common kernel
+    # is that of every L_ij
     big = []
-    for i, j in combinations(others, 2):
+    for i, j in zip(others, others[1:]):
         xi = MultiPoly.variable(space.ambient_dim, i)
         xj = MultiPoly.variable(space.ambient_dim, j)
         images = [xi * p.diff(j) - xj * p.diff(i) for p in space.basis]
@@ -374,6 +375,8 @@ def _zonal_constant_quadrature(m_sphere, n_sphere, degree):
 
 
 def _poly_to_callable(p: MultiPoly):
+    """Float evaluator of ``p`` over coordinate rows: ``x[i]`` holds
+    coordinate i, as a number or as an array of points."""
     terms = [(m, float(c)) for m, c in p.terms.items()]
 
     def f(x):

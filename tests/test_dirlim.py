@@ -1,6 +1,7 @@
 """Ladder algebra: scalar maps, commuting squares, cocycles, and the limit
 pairing's invariance under level promotion."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -214,6 +215,28 @@ def test_json_roundtrip():
     ok, res = verify_cocycle(back)
     assert abs(float(res)) < 1e-12
 
+
+@pytest.mark.parametrize("make", [lambda: sphere_ladder(2), lambda: un_polynomial_ladder(3)],
+                         ids=["sphere-2", "un-poly-3"])
+def test_exact_json_roundtrip(make):
+    ladder = make()
+    back = ladder_from_json(ladder_to_json(ladder))
+    assert back.exact
+    assert back == ladder
+    assert all(type(v) is Fraction for v in back.csq_pairs.values())
+    assert verify_cocycle(back) == (True, Fraction(0))
+
+
+
+def test_float_json_keeps_float_fields():
+    ladder = heisenberg_ladder(0.5)
+    assert not ladder.exact
+    text = ladder_to_json(ladder)
+    assert set(json.loads(text)) == {"backend", "levels", "deg", "c"}
+    back = ladder_from_json(text)
+    assert not back.exact
+    assert math.isclose(back.c(2, 1), ladder.c(2, 1), rel_tol=1e-15)
+    assert back.deg(2) == ladder.deg(2)
 
 def test_ladder_validation():
     with pytest.raises(ValueError):

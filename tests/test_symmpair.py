@@ -4,14 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from gelfand import symmpair
-from gelfand.exact import dot
+from gelfand import numerics, symmpair
+from gelfand.exact import MultiPoly, dot
 from gelfand.symmpair import (
     build_symmetric_pair,
     cartan_helgason_filter,
     harmonic_basis,
     harmonic_dimension,
     laplacian,
+    sphere_inner_product,
     sphere_moment,
     zonal_projection_constant,
     zonal_projection_csq,
@@ -153,6 +154,36 @@ def test_zonal_vector_unique_and_positive_at_pole(n, d):
     assert z.eval(pole) > 0
     assert laplacian(z).is_zero()
 
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_zonal_poly_killed_by_every_rotation_of_the_non_axis_coordinates(n):
+    # the kernel is built from the adjacent generators only; this checks the
+    # full set L_ij = x_i d_j - x_j d_i, 1 <= i < j <= n
+    for d in range(5):
+        z = symmpair._zonal_poly(n, d)
+        for i in range(1, n + 1):
+            for j in range(i + 1, n + 1):
+                xi = MultiPoly.variable(n + 1, i)
+                xj = MultiPoly.variable(n + 1, j)
+                assert (xi * z.diff(j) - xj * z.diff(i)).is_zero(), (n, d, i, j)
+
+
+def test_sphere_quadrature_of_zonal_products_matches_exact_at_s5():
+    # S^5: N = 6, order 6, 31104 points, integrands of degree <= 8
+    pts, _ = numerics.sphere_product_rule(6, 6)
+    assert len(pts) == 31104
+    for d in range(5):
+        zm = symmpair._zonal_poly(5, d)
+        fm = symmpair._poly_to_callable(zm)
+        for n in range(2, 6):
+            zn = symmpair._embed(symmpair._zonal_poly(n, d), 6)
+            fn = symmpair._poly_to_callable(zn)
+            for (p, fp), (q, fq) in (((zm, fm), (zn, fn)), ((zm, fm), (zm, fm)),
+                                     ((zn, fn), (zn, fn))):
+                quad = numerics.integrate_sphere(lambda x: fp(x) * fq(x), 6, 6)
+                exact = float(sphere_inner_product(p, q))
+                assert abs(quad - exact) < 1e-12, (d, n, quad, exact)
 
 def test_zonal_axis_out_of_range():
     space = harmonic_basis(3, 2)

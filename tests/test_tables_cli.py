@@ -95,6 +95,38 @@ def test_exit_codes(tmp_path):
         assert cli.main(["verify", *argv]) == 2, argv
 
 
+@pytest.mark.parametrize("spec", ["free:3", "heis:2", "un:3"])
+def test_pfaffian_algebra_cases_pass(spec, capsys):
+    assert cli.main(["verify", "pfaffian", "--algebra", spec]) == 0
+    out = capsys.readouterr().out
+    assert f"PASS pfaffian-poly-{spec}" in out
+    assert f"PASS square-integrable-{spec}" in out
+
+
+_true_pfaffian_polynomial = nilpf.pfaffian_polynomial
+
+
+def _scaled_pfaffian(alg):
+    pf = _true_pfaffian_polynomial(alg)
+    return nilpf.PfaffianPolynomial(pf.dim_z, pf.poly.scale(2))
+
+
+def _zero_pfaffian(alg):
+    pf = _true_pfaffian_polynomial(alg)
+    return nilpf.PfaffianPolynomial(pf.dim_z, pf.poly.scale(0))
+
+
+def _crashing_pfaffian(alg):
+    raise ArithmeticError("deliberate crash")
+
+
+@pytest.mark.parametrize("wrong", [_scaled_pfaffian, _zero_pfaffian, _crashing_pfaffian])
+def test_pfaffian_algebra_cases_catch_a_wrong_pfaffian(wrong, monkeypatch, capsys):
+    monkeypatch.setattr(nilpf, "pfaffian_polynomial", wrong)
+    assert cli.main(["verify", "pfaffian", "--algebra", "heis:2"]) == 1
+    assert "FAIL pfaffian-poly-heis:2" in capsys.readouterr().out
+
+
 def test_flag_form_of_suite(capsys):
     code = cli.main(["verify", "--suite", "gamma", "--max-k", "2"])
     assert code == 0
