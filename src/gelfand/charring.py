@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
-from math import comb, gcd as math_gcd
+from math import comb, lcm
 
 from . import rootsys
 from .exact import dot, fr
@@ -34,30 +34,25 @@ def weight_system(rs: rootsys.RootSystemData, weight: rootsys.DominantWeight):
     recursion.  Returns {epsilon tuple: multiplicity}."""
     if not rootsys.is_dominant(rs, weight.coeffs):
         raise ValueError("weight is not dominant")
-    lam = rootsys.weight_to_eps(rs, weight)
-    return _freudenthal(rs, lam)
+    scale, mults = _freudenthal(rs, rootsys.weight_to_eps(rs, weight))
+    return {tuple(Fraction(x, scale) for x in mu): m for mu, m in mults.items()}
 
 
 def _freudenthal(rs: rootsys.RootSystemData, lam):
-    """Freudenthal recursion over an integerized coordinate lattice.
+    """Freudenthal recursion on the integer lattice.
 
-    The recursion is homogeneous under rescaling all vectors, so clearing
-    denominators once lets the inner loop run on plain integer tuples.
+    Uses |lam+rho|^2 - |mu+rho|^2 = |lam|^2 - |mu|^2 + <lam - mu, 2 rho>;
+    roots and 2 rho are integral, so only the denominators of ``lam`` are
+    cleared.  Returns (scale, {integer tuple: multiplicity}), the keys being
+    the weights multiplied by ``scale``.
     """
-    lam = tuple(map(fr, lam))
-    rho = rs.rho
-    scale = 1
-    for vec in (lam, rho, *rs.positive_roots):
-        for x in vec:
-            d = fr(x).denominator
-            scale = scale * d // math_gcd(scale, d)
+    scale = lcm(*(fr(x).denominator for x in lam))
     lam_i = tuple(int(x * scale) for x in lam)
-    rho_i = tuple(int(x * scale) for x in rho)
-    roots_i = [tuple(int(x * scale) for x in alpha) for alpha in rs.positive_roots]
-    simple_i = [tuple(int(x * scale) for x in psi) for psi in rs.simple_roots]
-
-    lam_rho = tuple(a + b for a, b in zip(lam_i, rho_i))
-    lr_norm = sum(a * a for a in lam_rho)
+    roots_i = [tuple(int(x) * scale for x in alpha) for alpha in rs.positive_roots]
+    simple_i = [tuple(int(x) * scale for x in psi) for psi in rs.simple_roots]
+    # scale * 2 rho, the sum of the scaled positive roots
+    shift = tuple(map(sum, zip(*roots_i)))
+    top = sum(a * (a + c) for a, c in zip(lam_i, shift))
     mults = {lam_i: 1}
     # breadth-first by height; every weight of the module is reachable from
     # a higher weight by subtracting one simple root
@@ -71,17 +66,16 @@ def _freudenthal(rs: rootsys.RootSystemData, lam):
                 if cand in seen_layer or cand in mults:
                     continue
                 seen_layer.add(cand)
-                m = _freudenthal_mult(rho_i, roots_i, lam_rho, lr_norm, mults, cand)
+                m = _freudenthal_mult(shift, roots_i, top, mults, cand)
                 if m > 0:
                     mults[cand] = m
                     next_frontier.append(cand)
         frontier = next_frontier
-    inv = Fraction(1, scale)
-    return {tuple(x * inv for x in mu): m for mu, m in mults.items()}
+    return scale, mults
 
 
-def _freudenthal_mult(rho_i, roots_i, lam_rho, lr_norm, mults, mu):
-    denom = lr_norm - sum((a + b) ** 2 for a, b in zip(mu, rho_i))
+def _freudenthal_mult(shift, roots_i, top, mults, mu):
+    denom = top - sum(a * (a + c) for a, c in zip(mu, shift))
     if denom == 0:
         return 0
     total = 0
@@ -249,70 +243,45 @@ class Factor:
             return w[:-1] + (-w[-1],)
         return w
 
-    def _root_system(self):
+    def _root_type(self):
+        """(family, rank) of the factor's root system; None for a torus."""
         if self.kind == GL:
-            return rootsys.build_root_system("A", self.size - 1) if self.size >= 2 else None
+            return ("A", self.size - 1) if self.size >= 2 else None
         if self.kind == SO:
             if self.size == 2:
                 return None
-            if self.size % 2 == 0:
-                return rootsys.build_root_system("D", self.size // 2)
-            return rootsys.build_root_system("B", self.size // 2)
+            return ("D" if self.size % 2 == 0 else "B", self.size // 2)
         if self.kind == SP:
-            return rootsys.build_root_system("C", self.size)
+            return ("C", self.size)
         return None
 
     def dim(self, w) -> int:
-        rs = self._root_system()
-        if rs is None:
+        # gl weights go to A_{n-1} ambient coordinates unchanged (the Weyl
+        # product only sees differences, so the trace part is harmless)
+        rt = self._root_type()
+        if rt is None:
             return 1
-        return rootsys.weyl_dimension_eps(rs, self._to_amb(w))
+        return rootsys.weyl_dimension_eps(rootsys.build_root_system(*rt), w)
 
     def weight_multiplicities(self, w):
         """Weight system {weight tuple: multiplicity} of the irreducible with
         highest weight ``w``."""
-        rs = self._root_system()
-        if rs is None:
+        rt = self._root_type()
+        if rt is None:
             return {w: 1}
-        sys = _freudenthal_cached(self.kind, self.size, self._amb_key(w))
-        return {self._from_amb(k): m for k, m in sys.items()}
+        # the polynomial-module machinery lives on the integral lattice; a
+        # half-integral (spin) label here would be a caller bug
+        if any(fr(x).denominator != 1 for x in w):
+            raise ValueError(f"non-integral factor weight {w}")
+        return dict(_freudenthal_cached(*rt, tuple(map(int, w))))
 
     def rho_strict(self):
         """A strictly dominant integer functional, used to pick off highest
-        weights in a Weyl-invariant multiset."""
+        weights in a Weyl-invariant multiset (strictly decreasing, so also
+        strictly D-dominant)."""
         if self.kind == U1 or (self.kind == SO and self.size == 2):
             return None
-        r = self.eps_rank
-        if self.kind == GL:
-            return tuple(range(r, 0, -1))
-        if self.kind == SO and self.size % 2 == 0:
-            # strictly D-dominant: decreasing with |last| strictly smaller
-            return tuple(range(r, 0, -1))
-        return tuple(range(r, 0, -1))
-
-    def _to_amb(self, w):
-        # gl weights go to A_{n-1} ambient coordinates unchanged (the Weyl
-        # product only sees differences, so the trace part is harmless)
-        return tuple(map(Fraction, w))
-
-    def _amb_key(self, w):
-        # the polynomial-module machinery lives on the integral lattice; a
-        # half-integral (spin) label here would be a caller bug
-        out = []
-        for x in w:
-            if fr(x).denominator != 1:
-                raise ValueError(f"non-integral factor weight {w}")
-            out.append(int(x))
-        return tuple(out)
-
-    def _from_amb(self, v):
-        out = []
-        for x in v:
-            x = fr(x)
-            if x.denominator != 1:
-                raise ArithmeticError("left the integral weight lattice")
-            out.append(int(x))
-        return tuple(out)
+        return tuple(range(self.eps_rank, 0, -1))
 
 
 def _unit(n, i):
@@ -324,11 +293,9 @@ def _neg_unit(n, i):
 
 
 @lru_cache(maxsize=None)
-def _freudenthal_cached(kind, size, w):
-    f = Factor(kind, size)
-    rs = f._root_system()
-    sys = _freudenthal(rs, tuple(map(Fraction, w)))
-    return {tuple(x for x in k): m for k, m in sys.items()}
+def _freudenthal_cached(family, rank, w):
+    """Weight system of the integral highest weight ``w``, integer keys."""
+    return _freudenthal(rootsys.build_root_system(family, rank), w)[1]
 
 
 @dataclass(frozen=True)
@@ -502,7 +469,7 @@ def decompose_weight_multiset(factors, multiset) -> tuple:
 
 
 def _extract_score(label, rhos):
-    score = Fraction(0)
+    score = 0
     for w, rho in zip(label, rhos):
         if rho is None:
             continue

@@ -148,74 +148,41 @@ def build_free_two_step(n: int) -> TwoStepAlgebra:
     )
 
 
-def _un_basis(n: int):
-    """Orthogonal R-basis of the skew-Hermitian n x n matrices with the form
-    Re tr(A* B): diagonal i E_kk (norm 1), then E_ab - E_ba and
-    i(E_ab + E_ba) for a < b (norm 2).  Matrices are (real, imag) pairs of
-    rational entry grids."""
-    basis = []
-    for k in range(n):
-        re = [[Fraction(0)] * n for _ in range(n)]
-        im = [[Fraction(0)] * n for _ in range(n)]
-        im[k][k] = Fraction(1)
-        basis.append((re, im, Fraction(1), f"d{k + 1}"))
-    for a in range(n):
-        for b in range(a + 1, n):
-            re = [[Fraction(0)] * n for _ in range(n)]
-            im = [[Fraction(0)] * n for _ in range(n)]
-            re[a][b] = Fraction(1)
-            re[b][a] = Fraction(-1)
-            basis.append((re, im, Fraction(2), f"a{a + 1}{b + 1}"))
-            re2 = [[Fraction(0)] * n for _ in range(n)]
-            im2 = [[Fraction(0)] * n for _ in range(n)]
-            im2[a][b] = Fraction(1)
-            im2[b][a] = Fraction(1)
-            basis.append((re2, im2, Fraction(2), f"b{a + 1}{b + 1}"))
-    return basis
-
-
 def build_un_type(n: int) -> TwoStepAlgebra:
-    """Center u(n) over C^n: <[v, w], A> = Re<A v, w> against the orthogonal
-    basis above (the real pairing is what makes the bracket antisymmetric;
-    the basis is orthogonal rather than unit so the constants stay rational,
-    which only rescales the center coordinates)."""
+    """Center u(n) over C^n: <[v, w], A> = Re<A v, w> against an orthogonal
+    R-basis of the skew-Hermitian matrices under Re tr(A* B): diagonal
+    i E_kk (norm 1), then E_ab - E_ba and i(E_ab + E_ba) for a < b (norm 2).
+    The real pairing is what makes the bracket antisymmetric; the basis is
+    orthogonal rather than unit so the constants stay rational, which only
+    rescales the center coordinates.
+
+    The v-basis is e_1, i e_1, e_2, i e_2, ...  For v = u e_c and
+    w = u' e_r with u, u' in {1, i}, Re<A v, w> = Re(A_rc u conj(u')), so
+    only the basis matrices with an entry at (r, c) contribute.
+    """
     if n < 1:
         raise ValueError("need n >= 1")
-    basis = _un_basis(n)
+    # (label, squared norm, {(r, c): (Re A_rc, Im A_rc)})
+    basis = [(f"d{k + 1}", 1, {(k, k): (0, 1)}) for k in range(n)]
+    for a in range(n):
+        for b in range(a + 1, n):
+            basis.append((f"a{a + 1}{b + 1}", 2, {(a, b): (1, 0), (b, a): (-1, 0)}))
+            basis.append((f"b{a + 1}{b + 1}", 2, {(a, b): (0, 1), (b, a): (0, 1)}))
     dim_v = 2 * n
     dim_z = n * n
-
-    def real_vec(idx):
-        # v-basis: e_1, i e_1, e_2, i e_2, ...; return (re, im) column
-        coord, imag = divmod(idx, 2)
-        re = [Fraction(0)] * n
-        im = [Fraction(0)] * n
-        (im if imag else re)[coord] = Fraction(1)
-        return re, im
-
-    def pair(avec, v, w):
-        # Re< A v, w > with first-linear complex inner product
-        are, aim, _, _ = avec
-        vre, vim = v
-        wre, wim = w
-        total = Fraction(0)
-        for r in range(n):
-            avr = sum(are[r][c] * vre[c] - aim[r][c] * vim[c] for c in range(n))
-            avi = sum(are[r][c] * vim[c] + aim[r][c] * vre[c] for c in range(n))
-            total += avr * wre[r] + avi * wim[r]
-        return total
-
     brackets = {}
-    for i in range(dim_v):
-        for j in range(i + 1, dim_v):
-            vec = tuple(
-                pair(bz, real_vec(i), real_vec(j)) / bz[2] for bz in basis
-            )
-            if any(vec):
-                brackets[(i, j)] = vec
+    for z, (_, norm, entries) in enumerate(basis):
+        for (r, c), (re, im) in entries.items():
+            for p in (0, 1):
+                for q in (0, 1):
+                    i, j = 2 * c + p, 2 * r + q
+                    # Re((re + i im) i^(p - q))
+                    val = (re, -im, -re, im)[(p - q) % 4]
+                    if i < j and val:
+                        brackets.setdefault((i, j), [0] * dim_z)[z] = Fraction(val, norm)
     labels_v = [f"{ch}{a + 1}" for a in range(n) for ch in ("x", "y")]
     return build_two_step(dim_v, dim_z, brackets, labels_v,
-                          [bz[3] for bz in basis], require_center_spanned=True)
+                          [label for label, _, _ in basis], require_center_spanned=True)
 
 
 def direct_sum(a: TwoStepAlgebra, b: TwoStepAlgebra) -> TwoStepAlgebra:

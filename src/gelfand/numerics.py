@@ -180,10 +180,6 @@ def gaussian_plane_integral(f, scale: float):
     return _doubling(at_order, max_order=256)
 
 
-def sphere_surface_area(n_ambient: int) -> float:
-    return 2 * math.pi ** (n_ambient / 2) / math.gamma(n_ambient / 2)
-
-
 def sphere_product_rule(n_ambient: int, order: int):
     """Product quadrature on S^{N-1} with the *normalized* measure.
 

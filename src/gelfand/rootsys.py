@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache
 
 from .exact import dot, fr
 from .exact import unit_vector as _eps
@@ -30,7 +31,7 @@ class RootSystemData:
         nn = dot(alpha, alpha)
         return tuple(2 * a / nn for a in alpha)
 
-    @property
+    @cached_property
     def rho(self):
         amb = self.ambient_dim
         acc = [Fraction(0)] * amb
@@ -65,11 +66,12 @@ def _vec_scale(u, c):
     return tuple(a * c for a in u)
 
 
+@lru_cache(maxsize=None)
 def build_root_system(family: str, rank: int) -> RootSystemData:
     """Exact simple roots, positive roots and fundamental weights.
 
     D needs rank >= 2 (D_1 has no root data in this realization); A-C accept
-    any rank >= 1.
+    any rank >= 1.  The result is immutable, so each system is built once.
     """
     if family not in FAMILIES:
         raise ValueError(f"unsupported family {family!r}")

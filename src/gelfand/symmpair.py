@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb
 
 from . import numerics
@@ -202,11 +202,18 @@ class HarmonicSpace:
     ambient_dim: int
     degree: int
     basis: tuple  # MultiPoly, rational coefficients
-    gram: tuple  # exact Gram matrix under the normalized sphere measure
 
     @property
     def dim(self) -> int:
         return len(self.basis)
+
+    @cached_property
+    def gram(self) -> tuple:
+        """Exact Gram matrix under the normalized sphere measure, computed
+        on first read."""
+        return tuple(
+            tuple(sphere_inner_product(p, q) for q in self.basis) for p in self.basis
+        )
 
 
 def harmonic_dimension(n_ambient: int, degree: int) -> int:
@@ -253,7 +260,7 @@ def sphere_inner_product(p: MultiPoly, q: MultiPoly) -> Fraction:
 
 @lru_cache(maxsize=None)
 def harmonic_basis(n_ambient: int, degree: int) -> HarmonicSpace:
-    """Kernel of the Laplacian on degree-d forms, with its exact sphere Gram."""
+    """Kernel of the Laplacian on degree-d forms."""
     if n_ambient < 1 or degree < 0:
         raise ValueError("need ambient dimension >= 1 and degree >= 0")
     monos = monomials(n_ambient, degree)
@@ -271,10 +278,7 @@ def harmonic_basis(n_ambient: int, degree: int) -> HarmonicSpace:
     basis = tuple(
         MultiPoly(n_ambient, {m: c for m, c in zip(monos, vec) if c}) for vec in kernel
     )
-    gram = tuple(
-        tuple(sphere_inner_product(p, q) for q in basis) for p in basis
-    )
-    return HarmonicSpace(n_ambient, degree, basis, gram)
+    return HarmonicSpace(n_ambient, degree, basis)
 
 
 def zonal_vector(space: HarmonicSpace, axis: int = 0) -> MultiPoly:

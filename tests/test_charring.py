@@ -1,7 +1,11 @@
 """Character-ring checks: weight systems, tensor products, symmetric powers,
 multiplicity-freeness, and cross-rank stability of highest-weight sets."""
 
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gelfand import charring, rootsys
 from gelfand.charring import GL, SO, SP, U1, Construction, Factor, GroupDatum
@@ -178,6 +182,40 @@ def test_tensor_rank_mismatch():
     rs = rootsys.build_root_system("A", 2)
     with pytest.raises(ValueError):
         charring.tensor_decompose(rs, dw("A", 2, (1, 0)), dw("A", 1, (1,)))
+
+
+# ---------------------------------------------------------------------------
+# factor weight systems against the root-system ones
+# ---------------------------------------------------------------------------
+
+# (kind, size, family, rank) for gl(2..4), so(3..6), sp(1..3)
+_FACTOR_ROOT_SYSTEMS = (
+    [(GL, n, "A", n - 1) for n in (2, 3, 4)]
+    + [(SO, n, "D" if n % 2 == 0 else "B", n // 2) for n in (3, 4, 5, 6)]
+    + [(SP, n, "C", n) for n in (1, 2, 3)]
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(shape=st.sampled_from(_FACTOR_ROOT_SYSTEMS), data=st.data())
+def test_factor_weight_multiplicities_match_weight_system(shape, data):
+    kind, size, family, rank = shape
+    f = Factor(kind, size)
+    entries = st.integers(min_value=-2 if kind == GL else 0, max_value=2)
+    w = tuple(sorted(data.draw(st.lists(entries, min_size=f.eps_rank,
+                                        max_size=f.eps_rank)), reverse=True))
+    if family == "D" and data.draw(st.booleans()):
+        w = w[:-1] + (-w[-1],)
+    assert f.is_dominant(w)
+    mults = f.weight_multiplicities(w)
+    assert all(isinstance(x, int) for mu in mults for x in mu)
+    assert sum(mults.values()) == f.dim(w)
+    rs = rootsys.build_root_system(family, rank)
+    coeffs = rootsys.eps_to_coeffs(rs, w)
+    expected = charring.weight_system(rs, dw(family, rank, [int(c) for c in coeffs]))
+    # gl weights carry a trace that the A_{n-1} ambient coordinates drop
+    trace = Fraction(sum(w), size) if kind == GL else 0
+    assert {tuple(x - trace for x in mu): m for mu, m in mults.items()} == expected
 
 
 # ---------------------------------------------------------------------------

@@ -73,6 +73,48 @@ def test_un_type_rank_one_is_heisenberg():
     assert a.bracket(0, 1) == (Fraction(1),)
 
 
+def _un_reference_basis(n):
+    """The orthogonal basis of u(n) as (label, complex matrix)."""
+    basis = []
+    for k in range(n):
+        m = [[0j] * n for _ in range(n)]
+        m[k][k] = 1j
+        basis.append((f"d{k + 1}", m))
+    for a in range(n):
+        for b in range(a + 1, n):
+            m = [[0j] * n for _ in range(n)]
+            m[a][b], m[b][a] = 1, -1
+            basis.append((f"a{a + 1}{b + 1}", m))
+            m = [[0j] * n for _ in range(n)]
+            m[a][b] = m[b][a] = 1j
+            basis.append((f"b{a + 1}{b + 1}", m))
+    return basis
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_un_type_constants_match_complex_pairing(n):
+    # reference: Re<A v, w> / |A|^2 over the basis matrices, with v, w
+    # running through e_1, i e_1, e_2, i e_2, ...
+    alg = build_un_type(n)
+    basis = _un_reference_basis(n)
+    assert alg.z_labels == tuple(label for label, _ in basis)
+    vecs = []
+    for c in range(n):
+        for u in (1, 1j):
+            v = [0j] * n
+            v[c] = u
+            vecs.append(v)
+    for i in range(2 * n):
+        for j in range(i + 1, 2 * n):
+            expected = []
+            for _, a in basis:
+                av = [sum(a[r][c] * vecs[i][c] for c in range(n)) for r in range(n)]
+                pairing = sum(x * y.conjugate() for x, y in zip(av, vecs[j])).real
+                norm = sum(abs(x) ** 2 for row in a for x in row)
+                expected.append(Fraction(pairing) / Fraction(norm))
+            assert alg.bracket(i, j) == tuple(expected), (i, j)
+
+
 def test_direct_sum_dims_add():
     a = build_heisenberg(1, "C")
     b = build_heisenberg(2, "C")

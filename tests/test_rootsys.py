@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gelfand import rootsys
+from gelfand import charring, rootsys
 from gelfand.exact import dot, solve
 
 
@@ -140,6 +140,24 @@ def test_stabilized_weights_stay_dominant(family, rank, data):
     out = rootsys.stabilize_weight(w, target)
     rs = rootsys.build_root_system(family, target)
     assert rootsys.is_dominant(rs, out.coeffs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    shape=st.sampled_from([("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3),
+                           ("C", 2), ("C", 3), ("D", 2), ("D", 3)]),
+    data=st.data(),
+)
+def test_brauer_klimyk_conserves_dimension(shape, data):
+    family, rank = shape
+    coeffs = st.lists(st.integers(min_value=0, max_value=2), min_size=rank, max_size=rank)
+    rs = rootsys.build_root_system(family, rank)
+    lam = rootsys.DominantWeight(family, rank, tuple(data.draw(coeffs)))
+    mu = rootsys.DominantWeight(family, rank, tuple(data.draw(coeffs)))
+    parts = charring.tensor_decompose(rs, lam, mu)
+    assert all(m > 0 for m in parts.values())
+    total = sum(m * rootsys.weyl_dimension(rs, nu) for nu, m in parts.items())
+    assert total == rootsys.weyl_dimension(rs, lam) * rootsys.weyl_dimension(rs, mu)
 
 
 def test_stabilization_does_not_shrink_dimension():

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from gelfand import cli, nilpf, tables
+from gelfand import cli, fock, nilpf, numerics, tables
 from gelfand.charring import GL, SO, U1
 
 
@@ -91,8 +91,12 @@ def test_exit_codes(tmp_path):
                  ["gamma", "--max-k", "-1"],
                  ["carcano", "--row", "kac:2", "--rank", "0"],
                  ["xstability", "--row", "jaw:2", "--rank", "3,2"],
-                 ["carcano", "--row", "kac:99"]):
+                 ["carcano", "--row", "kac:99"],
+                 ["fock-orthogonality", "--t", "0"]):
         assert cli.main(["verify", *argv]) == 2, argv
+    cfg = tmp_path / "empty-t.cfg"
+    cfg.write_text("t_values=\n")
+    assert cli.main(["verify", "fock-orthogonality", "--config", str(cfg)]) == 2
 
 
 @pytest.mark.parametrize("spec", ["free:3", "heis:2", "un:3"])
@@ -125,6 +129,24 @@ def test_pfaffian_algebra_cases_catch_a_wrong_pfaffian(wrong, monkeypatch, capsy
     monkeypatch.setattr(nilpf, "pfaffian_polynomial", wrong)
     assert cli.main(["verify", "pfaffian", "--algebra", "heis:2"]) == 1
     assert "FAIL pfaffian-poly-heis:2" in capsys.readouterr().out
+
+
+_true_coefficient_inner_product = fock.coefficient_inner_product
+
+
+def _diagonal_quadrature_failure(t, p, q):
+    if p == q:
+        raise numerics.QuadratureError("deliberate non-convergence")
+    return _true_coefficient_inner_product(t, p, q)
+
+
+def test_fock_orthogonality_diagonal_crash_is_a_failed_case(monkeypatch, capsys):
+    monkeypatch.setattr(fock, "coefficient_inner_product", _diagonal_quadrature_failure)
+    assert cli.main(["verify", "fock-orthogonality", "--t", "1"]) == 1
+    out = capsys.readouterr().out
+    assert "PASS orthogonality-t1.0-((0,), (0,))-((1,), (0,))" in out
+    assert "FAIL diagonal-positive-t1.0-((0,), (0,))" in out
+    assert "FAIL formal-degree-constancy" in out
 
 
 def test_flag_form_of_suite(capsys):
