@@ -18,8 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement
-from math import comb, lcm
+from itertools import combinations, combinations_with_replacement, product
+from math import comb, lcm, prod
+from operator import add, mul, sub
 
 from . import rootsys
 from .exact import dot, fr
@@ -35,62 +36,101 @@ def weight_system(rs: rootsys.RootSystemData, weight: rootsys.DominantWeight):
     if not rootsys.is_dominant(rs, weight.coeffs):
         raise ValueError("weight is not dominant")
     scale, mults = _freudenthal(rs, rootsys.weight_to_eps(rs, weight))
-    return {tuple(Fraction(x, scale) for x in mu): m for mu, m in mults.items()}
+    frac = {x: Fraction(x, scale) for x in {x for mu in mults for x in mu}}
+    return {tuple(map(frac.__getitem__, mu)): m for mu, m in mults.items()}
 
 
 def _freudenthal(rs: rootsys.RootSystemData, lam):
-    """Freudenthal recursion on the integer lattice.
+    """Freudenthal recursion on the dominant weights of the integer lattice.
 
     Uses |lam+rho|^2 - |mu+rho|^2 = |lam|^2 - |mu|^2 + <lam - mu, 2 rho>;
     roots and 2 rho are integral, so only the denominators of ``lam`` are
-    cleared.  Returns (scale, {integer tuple: multiplicity}), the keys being
-    the weights multiplied by ``scale``.
+    cleared.  The weight system is Weyl-invariant, so multiplicities are
+    computed on dominant weights only, each root-string term being read at
+    its dominant conjugate (Moody-Patera), and every dominant weight is
+    expanded over its Weyl orbit at the end.  Returns
+    (scale, {integer tuple: multiplicity}), the keys being the weights
+    multiplied by ``scale``.
     """
+    family = rs.family
     scale = lcm(*(fr(x).denominator for x in lam))
     lam_i = tuple(int(x * scale) for x in lam)
-    roots_i = [tuple(int(x) * scale for x in alpha) for alpha in rs.positive_roots]
-    simple_i = [tuple(int(x) * scale for x in psi) for psi in rs.simple_roots]
-    # scale * 2 rho, the sum of the scaled positive roots
-    shift = tuple(map(sum, zip(*roots_i)))
+    roots_i = [tuple(x * scale for x in alpha) for alpha in rs.integral_positive_roots]
+    shift = tuple(x * scale for x in rs.two_rho)
+    # Stembridge: every dominant weight of the module is reached from lam by
+    # subtracting positive roots through dominant weights
+    dominant = [lam_i]
+    seen = {lam_i}
+    for mu in dominant:
+        for alpha in roots_i:
+            nu = tuple(map(sub, mu, alpha))
+            if nu not in seen and _dominant(family, nu) == nu:
+                seen.add(nu)
+                dominant.append(nu)
+    # every string term mu + k alpha, and so its dominant conjugate, pairs
+    # higher with 2 rho than mu does: its multiplicity is known before mu's
+    dominant.sort(key=lambda mu: sum(map(mul, mu, shift)), reverse=True)
     top = sum(a * (a + c) for a, c in zip(lam_i, shift))
     mults = {lam_i: 1}
-    # breadth-first by height; every weight of the module is reachable from
-    # a higher weight by subtracting one simple root
-    frontier = [lam_i]
-    while frontier:
-        next_frontier = []
-        seen_layer = set()
-        for mu in frontier:
-            for psi in simple_i:
-                cand = tuple(a - b for a, b in zip(mu, psi))
-                if cand in seen_layer or cand in mults:
-                    continue
-                seen_layer.add(cand)
-                m = _freudenthal_mult(shift, roots_i, top, mults, cand)
-                if m > 0:
-                    mults[cand] = m
-                    next_frontier.append(cand)
-        frontier = next_frontier
-    return scale, mults
+    for mu in dominant[1:]:
+        total = 0
+        for alpha in roots_i:
+            nu = tuple(map(add, mu, alpha))
+            while (m := mults.get(_dominant(family, nu))) is not None:
+                total += m * sum(map(mul, nu, alpha))
+                nu = tuple(map(add, nu, alpha))
+        num = 2 * total
+        denom = top - sum(a * (a + c) for a, c in zip(mu, shift))
+        if denom <= 0 or num % denom != 0 or num <= 0:
+            raise ArithmeticError(f"Freudenthal produced a bad multiplicity {num}/{denom}")
+        mults[mu] = num // denom
+    return scale, {nu: m for mu, m in mults.items() for nu in _weyl_orbit(family, mu)}
 
 
-def _freudenthal_mult(shift, roots_i, top, mults, mu):
-    denom = top - sum(a * (a + c) for a, c in zip(mu, shift))
-    if denom == 0:
-        return 0
-    total = 0
-    for alpha in roots_i:
-        shifted = tuple(a + b for a, b in zip(mu, alpha))
-        while True:
-            m = mults.get(shifted)
-            if m is None:
-                break
-            total += m * sum(a * b for a, b in zip(shifted, alpha))
-            shifted = tuple(a + b for a, b in zip(shifted, alpha))
-    num = 2 * total
-    if num % denom != 0 or num < 0:
-        raise ArithmeticError(f"Freudenthal produced a bad multiplicity {num}/{denom}")
-    return num // denom
+def _weyl_orbit(family: str, mu):
+    """Weyl orbit of the dominant ``mu``: its distinct permutations for A,
+    distinct signed permutations for B and C; for D the same with an even
+    number of sign changes, unless ``mu`` has a zero entry."""
+    if family == "A":
+        return _distinct_permutations(mu)
+    parity = sum(x < 0 for x in mu) % 2
+    any_signs = family != "D" or 0 in mu
+    return [
+        nu
+        for p in _distinct_permutations(map(abs, mu))
+        for nu in product(*((x, -x) if x else (0,) for x in p))
+        if any_signs or sum(x < 0 for x in nu) % 2 == parity
+    ]
+
+
+def _distinct_permutations(values):
+    """Each distinct ordering of the multiset ``values`` once, in
+    lexicographic order (next-permutation steps, so the cost follows the
+    number of orderings, not n!)."""
+    a = sorted(values)
+    out = [tuple(a)]
+    while True:
+        i = len(a) - 2
+        while i >= 0 and a[i] >= a[i + 1]:
+            i -= 1
+        if i < 0:
+            return out
+        j = len(a) - 1
+        while a[j] <= a[i]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+        a[i + 1:] = a[:i:-1]
+        out.append(tuple(a))
+
+
+def _dominant(family: str, v):
+    """Dominant Weyl conjugate of ``v`` (no rho shift; singular or not)."""
+    if family == "A":
+        return tuple(sorted(v, reverse=True))
+    out = sorted(map(abs, v), reverse=True)
+    if family == "D" and out[-1] and sum(x < 0 for x in v) % 2:
+        out[-1] = -out[-1]
+    return tuple(out)
 
 
 def _reflect_to_dominant(family: str, vec):
@@ -424,48 +464,42 @@ def _label_dim(factors, label) -> int:
     return d
 
 
-def _label_weight_system(factors, label):
-    systems = [f.weight_multiplicities(w) for f, w in zip(factors, label)]
-    combined = {}
-
-    def rec(i, prefix, mult):
-        if i == len(systems):
-            key = tuple(prefix)
-            combined[key] = combined.get(key, 0) + mult
-            return
-        for w, m in systems[i].items():
-            rec(i + 1, prefix + [w], mult * m)
-
-    rec(0, [], 1)
-    return combined
-
-
 def decompose_weight_multiset(factors, multiset) -> tuple:
     """Peel highest weights off a Weyl-invariant weight multiset.
 
-    The maximizer of the strictly-dominant pairing over what remains is
-    always a highest weight of some constituent; subtract its full weight
-    system and repeat.
+    Only labels dominant in every factor are read.  Taken in decreasing
+    order of the strictly-dominant pairing, each label still present is the
+    highest weight of a constituent; the dominant part of its weight system
+    is subtracted from the labels after it.
     """
-    remaining = {k: v for k, v in multiset.items() if v}
     rhos = [f.rho_strict() for f in factors]
+    remaining = {
+        lab: m for lab, m in multiset.items()
+        if all(f.is_dominant(w) for f, w in zip(factors, lab))
+    }
     entries = []
-    while remaining:
-        best = max(remaining, key=lambda lab: (_extract_score(lab, rhos), lab))
-        for f, w in zip(factors, best):
-            if not f.is_dominant(w):
-                raise ArithmeticError(f"extraction found non-dominant maximizer {best}")
+    for best in sorted(remaining, key=lambda lab: (_extract_score(lab, rhos), lab),
+                       reverse=True):
         mult = remaining[best]
         if mult < 0:
             raise ArithmeticError("negative multiplicity during extraction")
+        if not mult:
+            continue
         entries.append((best, mult))
-        for w, m in _label_weight_system(factors, best).items():
-            newv = remaining.get(w, 0) - mult * m
-            if newv:
-                remaining[w] = newv
-            else:
-                remaining.pop(w, None)
+        parts = [_dominant_multiplicities(f, w).items() for f, w in zip(factors, best)]
+        for combo in product(*parts):
+            key = tuple(w for w, _ in combo)
+            newv = remaining.get(key, 0) - mult * prod(m for _, m in combo)
+            if newv < 0:
+                raise ArithmeticError("negative multiplicity during extraction")
+            remaining[key] = newv
     return tuple(entries)
+
+
+def _dominant_multiplicities(factor, w):
+    """The dominant part of ``factor.weight_multiplicities(w)``."""
+    return {mu: m for mu, m in factor.weight_multiplicities(w).items()
+            if factor.is_dominant(mu)}
 
 
 def _extract_score(label, rhos):

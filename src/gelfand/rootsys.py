@@ -2,8 +2,8 @@
 
 Roots and weights live in the usual orthonormal-coordinate realization
 (ambient R^{l+1} for A_l, R^l otherwise); the invariant form is the Euclidean
-dot product there, so coroot pairings and Weyl dimension products are exact
-Fractions throughout.
+dot product there, so coroot pairings are exact Fractions; roots and 2 rho
+are integral, so Weyl dimension products are taken in integers.
 """
 
 from __future__ import annotations
@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import lcm
+from operator import mul
 
 from .exact import dot, fr
 from .exact import unit_vector as _eps
@@ -38,6 +40,16 @@ class RootSystemData:
         for alpha in self.positive_roots:
             acc = [a + x / 2 for a, x in zip(acc, alpha)]
         return tuple(acc)
+
+    @cached_property
+    def integral_positive_roots(self):
+        """The positive roots as integer tuples (every root is integral)."""
+        return tuple(tuple(int(x) for x in alpha) for alpha in self.positive_roots)
+
+    @cached_property
+    def two_rho(self):
+        """2 rho, the sum of the positive roots, as an integer tuple."""
+        return tuple(map(sum, zip(*self.integral_positive_roots)))
 
 
 @dataclass(frozen=True)
@@ -147,17 +159,21 @@ def eps_to_coeffs(rs: RootSystemData, vec):
 
 
 def weyl_dimension_eps(rs: RootSystemData, lam_eps) -> int:
-    rho = rs.rho
-    num = Fraction(1)
-    den = Fraction(1)
-    lam_rho = _vec_add(tuple(map(fr, lam_eps)), rho)
-    for alpha in rs.positive_roots:
-        num *= dot(lam_rho, alpha)
-        den *= dot(rho, alpha)
-    val = num / den
-    if val.denominator != 1 or val <= 0:
-        raise ValueError(f"Weyl product is not a positive integer: {val}")
-    return int(val)
+    """Product over positive roots of <lam+rho, alpha>/<rho, alpha>, in
+    integers: with s clearing the denominators of lam, each factor is
+    <2s lam + 2s rho, alpha>/<2s rho, alpha>."""
+    lam = tuple(map(fr, lam_eps))
+    s = lcm(*(x.denominator for x in lam))
+    two_rho = tuple(s * x for x in rs.two_rho)
+    top = tuple(int(2 * s * x) + r for x, r in zip(lam, two_rho))
+    num = den = 1
+    for alpha in rs.integral_positive_roots:
+        num *= sum(map(mul, top, alpha))
+        den *= sum(map(mul, two_rho, alpha))
+    val, rem = divmod(num, den)
+    if rem or val <= 0:
+        raise ValueError(f"Weyl product is not a positive integer: {Fraction(num, den)}")
+    return val
 
 
 def weyl_dimension(rs: RootSystemData, weight: DominantWeight) -> int:

@@ -2,12 +2,13 @@
 multiplicity-freeness, and cross-rank stability of highest-weight sets."""
 
 from fractions import Fraction
+from math import comb, lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gelfand import charring, rootsys
+from gelfand import charring, rootsys, tables
 from gelfand.charring import GL, SO, SP, U1, Construction, Factor, GroupDatum
 
 
@@ -98,6 +99,91 @@ def _grid(rank, bound):
     for head in range(bound + 1):
         for tail in _grid(rank - 1, bound):
             yield (head,) + tail
+
+
+# ---------------------------------------------------------------------------
+# the dominant-weight kernel against the full-lattice recursion
+# ---------------------------------------------------------------------------
+
+
+def _full_lattice_freudenthal(rs, lam):
+    """Reference: Freudenthal's recursion on every weight of the module,
+    breadth-first by height from ``lam``, on the same integer lattice and
+    with the same (scale, {integer tuple: multiplicity}) result."""
+    scale = lcm(*(Fraction(x).denominator for x in lam))
+    lam_i = tuple(int(x * scale) for x in lam)
+    roots_i = [tuple(int(x) * scale for x in alpha) for alpha in rs.positive_roots]
+    simple_i = [tuple(int(x) * scale for x in psi) for psi in rs.simple_roots]
+    shift = tuple(map(sum, zip(*roots_i)))
+    top = sum(a * (a + c) for a, c in zip(lam_i, shift))
+    mults = {lam_i: 1}
+    # every weight of the module is reachable from a higher weight by
+    # subtracting one simple root
+    frontier = [lam_i]
+    while frontier:
+        next_frontier = []
+        seen_layer = set()
+        for mu in frontier:
+            for psi in simple_i:
+                cand = tuple(a - b for a, b in zip(mu, psi))
+                if cand in seen_layer or cand in mults:
+                    continue
+                seen_layer.add(cand)
+                denom = top - sum(a * (a + c) for a, c in zip(cand, shift))
+                if denom == 0:
+                    continue
+                total = 0
+                for alpha in roots_i:
+                    shifted = tuple(a + b for a, b in zip(cand, alpha))
+                    while shifted in mults:
+                        total += mults[shifted] * sum(a * b for a, b in zip(shifted, alpha))
+                        shifted = tuple(a + b for a, b in zip(shifted, alpha))
+                assert (2 * total) % denom == 0 and total >= 0
+                if total:
+                    mults[cand] = 2 * total // denom
+                    next_frontier.append(cand)
+        frontier = next_frontier
+    return scale, mults
+
+
+def _assert_kernels_agree(family, rank, lam):
+    rs = rootsys.build_root_system(family, rank)
+    scale, mults = charring._freudenthal(rs, lam)
+    assert (scale, mults) == _full_lattice_freudenthal(rs, lam)
+    assert all(isinstance(x, int) for mu in mults for x in mu)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_dominant_freudenthal_matches_full_lattice(data):
+    family = data.draw(st.sampled_from("ABCD"))
+    rank = data.draw(st.integers(min_value=2 if family == "D" else 1, max_value=3))
+    coeffs = data.draw(st.lists(st.integers(min_value=0, max_value=3),
+                                min_size=rank, max_size=rank).filter(lambda c: sum(c) <= 4))
+    rs = rootsys.build_root_system(family, rank)
+    _assert_kernels_agree(family, rank, rootsys.weight_to_eps(rs, dw(family, rank, coeffs)))
+
+
+@pytest.mark.parametrize("family,rank,coeffs", [
+    # spin weights, scale 2
+    ("B", 2, (0, 1)), ("B", 3, (0, 0, 1)), ("B", 3, (1, 0, 1)), ("B", 3, (0, 1, 3)),
+    ("D", 3, (0, 0, 1)), ("D", 4, (0, 0, 0, 1)), ("D", 4, (1, 0, 0, 1)),
+    # negative last coordinate: (1/2, 1/2, -1/2), (1, 1, -1), (2, 1, 1, -1),
+    # (1, -1), (2, -1)
+    ("D", 3, (0, 1, 0)), ("D", 3, (0, 2, 0)), ("D", 4, (1, 0, 2, 0)),
+    ("D", 2, (2, 0)), ("D", 2, (3, 1)),
+    # fractional ambient coordinates: (2/3, -1/3, -1/3), (1/2, 1/2, -1/2, -1/2)
+    ("A", 2, (1, 0)), ("A", 2, (2, 1)), ("A", 3, (0, 1, 0)), ("A", 3, (2, 0, 1)),
+])
+def test_dominant_freudenthal_special_weights(family, rank, coeffs):
+    rs = rootsys.build_root_system(family, rank)
+    _assert_kernels_agree(family, rank, rootsys.weight_to_eps(rs, dw(family, rank, coeffs)))
+
+
+@pytest.mark.parametrize("lam", [(2, 1, 0), (1, 1, -2), (3, 0, 0)])
+def test_dominant_freudenthal_gl_weights_with_a_trace(lam):
+    # Factor.weight_multiplicities hands full gl weights to the A kernel
+    _assert_kernels_agree("A", 2, lam)
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +359,32 @@ def test_u1_so_sym_power_is_harmonic_ladder():
         assert all(lab[0] == -q for lab, _ in dec.entries)
 
 
+_KAC_JAW_ROWS = [rid for rid in tables.row_ids() if rid.startswith(("kac:", "jaw:"))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(row_id=st.sampled_from(_KAC_JAW_ROWS), r=st.integers(min_value=1, max_value=4),
+       s=st.integers(min_value=1, max_value=4), d=st.integers(min_value=0, max_value=3))
+def test_sym_power_dimension_on_random_rows(row_id, r, s, d):
+    try:
+        datum = tables.group_datum(row_id, r, s)
+    except ValueError:
+        assume(False)  # ranks outside the row's constraints
+    dec = charring.sym_power_decompose(datum, d)
+    n = datum.module_dim
+    assert dec.dimension == comb(n + d - 1, d)
+    assert all(m > 0 for _, m in dec.entries)
+    assert sum(m * charring._label_dim(datum.factors, lab)
+               for lab, m in dec.entries) == comb(n + d - 1, d)
+
+
+def test_decompose_rejects_a_multiset_that_is_not_weyl_invariant():
+    # V(2,0) of U(2) has weights (2,0), (1,1), (0,2); the multiset holds
+    # only the first, so peeling it drives (1,1) negative
+    with pytest.raises(ArithmeticError):
+        charring.decompose_weight_multiset((Factor(GL, 2),), {((2, 0),): 1})
+
+
 def test_sym_power_degree_zero_trivial():
     datum = un_row(3)
     dec = charring.sym_power_decompose(datum, 0)
@@ -424,8 +536,6 @@ JAW_SWEEP = [
 
 @pytest.mark.parametrize("row_id,small,big", JAW_SWEEP)
 def test_jaw_rows_free_and_stable_at_consecutive_ranks(row_id, small, big):
-    from gelfand import tables
-
     a = tables.group_datum(row_id, *small)
     b = tables.group_datum(row_id, *big)
     for datum in (a, b):
