@@ -139,7 +139,7 @@ def _suite_fock_orthogonality(cfg, rec, pairs=(((0,), (0,)), ((1,), (0,)),
     ts = cfg["t_values"]
     if not ts or 0 in ts:
         raise ConfigError(f"fock-orthogonality needs nonzero t values, got {ts}")
-    off_tol, diag_tol = 1e-8, 1e-6
+    off_tol, diag_tol = TOL.orthogonality, TOL.formal_degree
     diag = {}
     for t in ts:
         for i, p in enumerate(pairs):
@@ -199,9 +199,9 @@ def _suite_fock_representation(cfg, rec):
     def unitary():
         op = fock.fock_operator(1, t, g, cutoff)
         res = float(np.linalg.norm(op.matrix.conj().T @ op.matrix - np.eye(cutoff + 1)))
-        return res < 1e-8, f"{res:.3e}"
+        return res < TOL.unitarity, f"{res:.3e}"
 
-    rec.run("unitarity", "< 1e-08", 1e-8, unitary)
+    rec.run("unitarity", f"< {TOL.unitarity}", TOL.unitarity, unitary)
 
 
 def _suite_pfaffian(cfg, rec):
@@ -403,9 +403,10 @@ def _suite_ladders(cfg, rec):
             L = dirlim.sphere_ladder(d, levels=(2, 3, 4, 5), method="quadrature")
             ok, res = dirlim.verify_cocycle(L)
             worst = max(worst, abs(float(res)))
-        return worst <= 1e-9, f"worst cocycle residual {worst:.3e}"
+        return worst <= TOL.sphere_cocycle, f"worst cocycle residual {worst:.3e}"
 
-    rec.run("sphere-ladder-cocycle", "<= 1e-09", 1e-9, sphere_quad)
+    rec.run("sphere-ladder-cocycle", f"<= {TOL.sphere_cocycle}", TOL.sphere_cocycle,
+            sphere_quad)
 
     def promotion():
         f = dirlim.LadderedFunction.make("un-poly", 1, {0: Fraction(2), 1: Fraction(1)},
@@ -422,19 +423,19 @@ def _suite_ladders(cfg, rec):
         v0 = dirlim.limit_inner_product(Ls, g, g)
         v1 = dirlim.limit_inner_product(Ls, dirlim.apply_nu(Ls, g, 4),
                                         dirlim.apply_nu(Ls, g, 4))
-        if abs(v1 - v0) > 1e-9 * abs(v0):
+        if abs(v1 - v0) > TOL.promotion * abs(v0):
             return False, f"sphere promotion drift {abs(v1 - v0):.3e}"
         Lh = dirlim.heisenberg_ladder(1.0, d=1, levels=(1, 2), method="quadrature")
         h = dirlim.LadderedFunction.make("heisenberg", 1, {0: 1.0}, kind="invariant")
         w0 = dirlim.limit_inner_product(Lh, h, h)
         w1 = dirlim.limit_inner_product(Lh, dirlim.apply_nu(Lh, h, 2),
                                         dirlim.apply_nu(Lh, h, 2))
-        if abs(w1 - w0) > 1e-9 * abs(w0):
+        if abs(w1 - w0) > TOL.promotion * abs(w0):
             return False, f"flat-model promotion drift {abs(w1 - w0):.3e}"
         return True, "promotion-invariant on all three backends"
 
-    rec.run("limit-pairing-promotion", "invariant under promotion", "exact / 1e-09",
-            promotion)
+    rec.run("limit-pairing-promotion", "invariant under promotion",
+            f"exact / {TOL.promotion}", promotion)
 
 
 def _suite_zonal(cfg, rec):

@@ -11,14 +11,23 @@ in that basis the ladder matrices are t-independent; the operator for (z,w)
 is the central phase e^{itz} times exp(alpha . a^+ - conj(alpha) . a) with
 alpha = sqrt(t) w for t > 0 and sqrt(|t|) conj(w) for t < 0.
 
+The truncation |m| <= cutoff is invariant under the substitution action
+Gamma(U) of U(n) (a_j^+ -> sum_i U_ij a_i^+), which preserves degree.  So
+with r = |alpha| and U unitary with U e_1 = alpha/r the truncated operator
+is Gamma(U) exp(r(a_1^+ - a_1)) Gamma(U)^*: the same truncated object as the
+exponential of the full truncated generator, computed as one small
+exponential per one-mode chain length and a degree-block substitution
+(Perelomov, Generalized Coherent States and Their Applications, ch. 1).
+
 Truncated generators stay exactly skew-Hermitian, so truncated operators are
-exactly unitary; what truncation limits is the group law, which is only
-reproduced on degrees well below the cutoff and for displacement amplitudes
-|t| |w|^2 small against the cutoff.
+exactly unitary up to rounding; what truncation limits is the group law,
+which is only reproduced on degrees well below the cutoff and for
+displacement amplitudes |t| |w|^2 small against the cutoff.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -174,12 +183,88 @@ def fock_operator(n: int, t: float, g: HeisenbergPoint, cutoff: int) -> FockOper
         raise ValueError(
             f"displacement amplitude {amp:.3g} too large for cutoff {cutoff}"
         )
-    alpha = _alpha(t, g.w)
-    ladders = _ladder_matrices(n, cutoff)
-    gen = np.zeros((dim, dim), dtype=complex)
-    for a_dag, al in zip(ladders, alpha):
-        gen += al * a_dag - np.conjugate(al) * a_dag.T
-    return FockOperator(phase * numerics.matrix_exp(gen), n, t, g, cutoff)
+    alpha = np.array(_alpha(t, g.w))
+    r = math.hypot(*np.abs(alpha))
+    # real divisions: numpy divides complex numbers through 1/r, which
+    # overflows for a subnormal displacement
+    unit = alpha.real / r + 1j * (alpha.imag / r)
+    bounds, parents, chains = _rotation_structure(n, cutoff)
+    # E = exp(r (a_1^+ - a_1)): one exponential per chain length, shared by
+    # every tail of that length
+    mat = np.zeros((dim, dim), dtype=complex)
+    for length, rows in chains:
+        a = _ladder_matrices(1, length - 1)[0]
+        # complex input: scipy's real expm loses unitarity at the 1e-13 level
+        mat[rows[:, :, None], rows[:, None, :]] = numerics.matrix_exp(
+            (r * (a - a.T)).astype(complex))
+    # Gamma(U) E Gamma(U)^*, one degree block at a time
+    blocks = _rotation_blocks(_first_column_unitary(unit), bounds, parents,
+                              _ladder_matrices(n, cutoff))
+    spans = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    for span, gam in zip(spans, blocks):
+        mat[span] = gam @ mat[span]
+    for span, gam in zip(spans, blocks):
+        mat[:, span] = mat[:, span] @ gam.conj().T
+    mat *= phase
+    return FockOperator(mat, n, t, g, cutoff)
+
+
+@lru_cache(maxsize=None)
+def _rotation_structure(n, cutoff):
+    """Index structure of the mode-rotation route at (n, cutoff).
+
+    bounds[d]:bounds[d+1] is the degree-d block of ``multi_indices``.
+    parents[d-1] gives, for each degree-d monomial m in order, its first
+    nonzero mode j, the position of m - e_j inside the degree d-1 block and
+    sqrt(m_j).  chains pairs each length L with the positions of (k, tail),
+    k < L, one row per tail (m_2, ..., m_n) with cutoff - |tail| + 1 = L.
+    """
+    idx = multi_indices(n, cutoff)
+    pos = _index_positions(n, cutoff)
+    degrees = [sum(m) for m in idx]
+    bounds = [degrees.index(d) for d in range(cutoff + 1)] + [len(idx)]
+    parents = []
+    for d in range(1, cutoff + 1):
+        modes, ups, roots = [], [], []
+        for m in idx[bounds[d]:bounds[d + 1]]:
+            j = next(i for i, x in enumerate(m) if x)
+            down = m[:j] + (m[j] - 1,) + m[j + 1:]
+            modes.append(j)
+            ups.append(pos[down] - bounds[d - 1])
+            roots.append(math.sqrt(m[j]))
+        parents.append((np.array(modes), np.array(ups), np.array(roots)))
+    chains = {}
+    for m in idx:
+        if m[0] == 0:
+            length = cutoff - sum(m) + 1
+            chains.setdefault(length, []).append(
+                [pos[(k,) + m[1:]] for k in range(length)])
+    return (tuple(bounds), tuple(parents),
+            tuple((length, np.array(rows)) for length, rows in sorted(chains.items())))
+
+
+def _first_column_unitary(v):
+    """A unitary U with U e_1 = v for a unit vector v: the Householder
+    reflection exchanging e_1 and -w, w = v / phase(v_1), times -phase(v_1)."""
+    phase = cmath.exp(1j * cmath.phase(v[0]))
+    u = v * phase.conjugate()
+    u[0] = 1 + abs(v[0])
+    return -phase * (np.eye(len(v)) - np.outer(u, u.conj()) / u[0].real)
+
+
+def _rotation_blocks(u, bounds, parents, ladders):
+    """Degree blocks of Gamma(U), the substitution a_j^+ -> sum_i U_ij a_i^+,
+    by Gamma|m> = (sum_i U_ij a_i^+) Gamma|m - e_j> / sqrt(m_j) with j the
+    first nonzero mode of m."""
+    blocks = [np.ones((1, 1), dtype=complex)]
+    for d, (modes, ups, roots) in enumerate(parents, start=1):
+        rows = slice(bounds[d], bounds[d + 1])
+        cols = slice(bounds[d - 1], bounds[d])
+        creation = np.stack([a[rows, cols] for a in ladders])
+        # b[j] = (sum_i U_ij a_i^+) Gamma_{d-1}
+        b = np.tensordot(u.T, creation, axes=1) @ blocks[-1]
+        blocks.append(b[modes, :, ups].T / roots)
+    return blocks
 
 
 def matrix_coefficient(t: float, left, right, g: HeisenbergPoint,

@@ -6,9 +6,10 @@ quaternionic Heisenberg, free two-step, unitary-center type).
 Structure constants are exact rationals; the bracket of the basis vectors
 v_i, v_j (i < j) is stored as a vector in the center.  The Pfaffian of the
 matrix B(t), entries linear in the central coordinates t, is computed by
-recursive expansion with exact polynomial arithmetic, so every classification
-statement (vanishing, covariance, square-equals-determinant) is tolerance
-free.
+recursive expansion with exact polynomial arithmetic (a polynomial ring has
+no division); at a rational point it is skew elimination over the rationals.
+Either way every classification statement (vanishing, covariance,
+square-equals-determinant) is tolerance free.
 """
 
 from __future__ import annotations
@@ -254,8 +255,10 @@ def b_form_symbolic(alg: TwoStepAlgebra):
 def pfaffian(mat):
     """Exact Pfaffian of a skew-symmetric matrix of Fractions.
 
-    Odd dimension gives 0 by convention.  Recursive expansion along the
-    first remaining row, memoized on the surviving index set.
+    Odd dimension gives 0 by convention.  Skew elimination over the
+    rationals: pivot on a nonzero entry of row k (swapping its column to
+    k + 1 flips the sign), multiply by the pivot, and take the Schur
+    complement of that 2x2 block; a row with no pivot makes the Pfaffian 0.
     """
     n = len(mat)
     a = [[fr(x) for x in row] for row in mat]
@@ -265,7 +268,26 @@ def pfaffian(mat):
                 raise ValueError("matrix is not skew-symmetric")
     if n % 2 == 1:
         return Fraction(0)
-    return _pf_recursive(a, tuple(range(n)), {}, Fraction(0), Fraction(1))
+    result = Fraction(1)
+    for k in range(0, n, 2):
+        piv = next((j for j in range(k + 1, n) if a[k][j] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != k + 1:
+            a[piv], a[k + 1] = a[k + 1], a[piv]
+            for row in a:
+                row[piv], row[k + 1] = row[k + 1], row[piv]
+            result = -result
+        p = a[k][k + 1]
+        result *= p
+        rk, rk1 = a[k], a[k + 1]
+        for i in range(k + 2, n):
+            ri = a[i]
+            u, v = ri[k] / p, ri[k + 1] / p
+            for j in range(i + 1, n):
+                ri[j] += u * rk1[j] - v * rk[j]
+                a[j][i] = -ri[j]
+    return result
 
 
 def pfaffian_symbolic(mat, nvars: int):

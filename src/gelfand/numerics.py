@@ -32,11 +32,25 @@ class Tolerances:
         mathematics but evaluated through floating-point quadrature.
     truncated_operator: tolerance for operator identities limited by Fock
         cutoff truncation rather than by quadrature.
+    unitarity: bound on the Frobenius residual U^*U - I of a truncated
+        operator.
+    orthogonality: bound on a pairing of distinct Fock matrix coefficients.
+    formal_degree: bound on the relative spread of |t| <c, c> over the
+        diagonal pairings.
+    sphere_cocycle: bound on the cocycle residual of a quadrature sphere
+        ladder.
+    promotion: relative drift allowed in a float limit pairing under
+        promotion.
     """
 
     quadrature_agreement: float = 1e-8
     exact_identity: float = 1e-10
     truncated_operator: float = 1e-6
+    unitarity: float = 1e-8
+    orthogonality: float = 1e-8
+    formal_degree: float = 1e-6
+    sphere_cocycle: float = 1e-9
+    promotion: float = 1e-9
 
 
 DEFAULT_TOLERANCES = Tolerances()

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm as scipy_expm
 
 from gelfand import fock
 from gelfand.fock import (
@@ -167,6 +168,74 @@ def test_two_coordinate_operator_factorizes():
     got = matrix_coefficient(t, (1, 0), (0, 1), g, cutoff=12)
     want = coefficient_series(t, (1, 0), (0, 1), g)
     assert abs(got - want) < 1e-9
+
+
+def _full_generator_expm(n, t, g, cutoff):
+    """The operator as one dense exponential of the truncated generator
+    sum_j alpha_j a_j^+ - conj(alpha_j) a_j, times the central phase."""
+    alpha = fock._alpha(t, g.w)
+    gen = sum(al * a - np.conjugate(al) * a.T
+              for a, al in zip(fock._ladder_matrices(n, cutoff), alpha))
+    return complex(math.cos(t * g.z), math.sin(t * g.z)) * scipy_expm(gen)
+
+
+def _oracle_points(n, t, cutoff, seed):
+    """Seeded points inside the amplitude guard: alpha along the last axis,
+    and alpha with every component nonzero at a small and a near-guard
+    amplitude."""
+    rng = np.random.default_rng(seed)
+    last = np.zeros(n, dtype=complex)
+    last[-1] = 0.6 - 0.3j
+    points = [last]
+    for frac in (0.05, 0.45):
+        w = rng.normal(size=n) + 1j * rng.normal(size=n)
+        points.append(w * math.sqrt(frac * cutoff / abs(t)) / np.linalg.norm(w))
+    return [HeisenbergPoint(float(rng.uniform(-1, 1)), tuple(complex(x) for x in w))
+            for w in points]
+
+
+@pytest.mark.parametrize("t", [0.5, -0.5, 1.0, -1.0, 2.0])
+@pytest.mark.parametrize("n,cutoff", [(1, 10), (1, 30), (2, 8), (2, 16), (3, 5), (3, 8)])
+def test_mode_rotation_matches_full_generator_expm(n, cutoff, t):
+    for g in _oracle_points(n, t, cutoff, seed=97 * n + cutoff):
+        got = fock_operator(n, t, g, cutoff).matrix
+        want = _full_generator_expm(n, t, g, cutoff)
+        assert np.abs(got - want).max() < 1e-12
+
+
+@pytest.mark.parametrize("n,cutoff", [(2, 16), (3, 8)])
+def test_truncated_operator_is_unitary_in_several_modes(n, cutoff):
+    for t in (0.5, -1.0, 2.0):
+        for g in _oracle_points(n, t, cutoff, seed=5):
+            op = fock_operator(n, t, g, cutoff).matrix
+            err = np.linalg.norm(op.conj().T @ op - np.eye(len(op)))
+            assert err < 1e-12
+
+
+def test_chain_exponentials_keep_unitarity_to_rounding():
+    # scipy's expm on a real chain generator drifts to ~1e-13 here (length
+    # 21); on the complex generator the residual stays at a few 1e-15
+    for v in (0.5, 1.0, 2.0):
+        op = fock_operator(1, 1.0, HeisenbergPoint(0.0, (v + 0j,)), 20).matrix
+        assert np.linalg.norm(op.conj().T @ op - np.eye(21)) < 2e-14
+
+
+def test_tiny_displacement_components_match_full_generator_expm():
+    # subnormal displacements, and a subnormal first component of alpha
+    for w in ((1e-320 + 0j,), (0j, 3e-320j, 0j), (1e-310 + 1e-310j, 0.3j),
+              (1e-310 + 0j, 0.3 + 0j, -0.2j)):
+        g = HeisenbergPoint(0.2, w)
+        got = fock_operator(len(w), 1.0, g, 6).matrix
+        assert np.abs(got - _full_generator_expm(len(w), 1.0, g, 6)).max() < 1e-12
+
+
+def test_amplitude_guard_in_three_modes():
+    # |t| |w|^2 = 2 * 2 = 4 > cutoff / 2
+    g = HeisenbergPoint(0.0, (1.0 + 0j, 1.0j, 0j))
+    with pytest.raises(ValueError, match="too large"):
+        fock_operator(3, 2.0, g, 6)
+    # the same point is accepted once the cutoff covers it
+    assert fock_operator(3, 2.0, g, 8).matrix.shape == (165, 165)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from gelfand.exact import MultiPoly, det, poly_matrix_det
 from gelfand.nilpf import (
+    _pf_recursive,
     b_form,
     b_form_symbolic,
     build_free_two_step,
@@ -175,6 +176,68 @@ def test_pfaffian_squares_to_determinant(n):
     for _ in range(4):
         m = _random_skew(n, rng)
         assert pfaffian(m) ** 2 == det(m)
+
+
+def _recursive_pfaffian(m):
+    return _pf_recursive(m, tuple(range(len(m))), {}, Fraction(0), Fraction(1))
+
+
+def _sparse_skew(n, rng, density):
+    m = _random_skew(n, rng)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() >= density:
+                m[i][j] = m[j][i] = Fraction(0)
+    return m
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12])
+def test_elimination_pfaffian_matches_recursive_expansion(n):
+    rng = random.Random(4321 + n)
+    for density in (1.0, 0.6, 0.3):
+        for _ in range(3):
+            m = _sparse_skew(n, rng, density)
+            got = pfaffian(m)
+            assert isinstance(got, Fraction)
+            assert got == _recursive_pfaffian(m)
+            assert got ** 2 == det(m)
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_elimination_pfaffian_pivot_swap(n):
+    # a[0][1] = 0 forces the first pivot onto a later column
+    rng = random.Random(77 + n)
+    for _ in range(4):
+        m = _random_skew(n, rng)
+        m[0][1] = m[1][0] = Fraction(0)
+        assert pfaffian(m) == _recursive_pfaffian(m)
+        assert pfaffian(m) ** 2 == det(m)
+    # a[0][1] = a[0][2] = 0 pushes the first pivot out to column 3
+    m = _random_skew(n, rng)
+    m[0][1] = m[1][0] = Fraction(0)
+    m[0][2] = m[2][0] = Fraction(0)
+    assert pfaffian(m) == _recursive_pfaffian(m)
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8])
+def test_elimination_pfaffian_of_singular_matrices_is_zero(n):
+    rng = random.Random(11 + n)
+    # a zero row: no pivot in the first step
+    m = _random_skew(n, rng)
+    for j in range(n):
+        m[0][j] = m[j][0] = Fraction(0)
+    assert pfaffian(m) == 0 == _recursive_pfaffian(m)
+    if n >= 4:
+        # rows 2 and 3 coupled only to each other and scaled copies of rows
+        # 0 and 1 elsewhere: the Schur complement has a zero row
+        m = _random_skew(n, rng)
+        for j in range(n):
+            if j not in (2, 3):
+                m[2][j], m[j][2] = 2 * m[0][j], -2 * m[0][j]
+                m[3][j], m[j][3] = 2 * m[1][j], -2 * m[1][j]
+        m[2][3], m[3][2] = 4 * m[0][1], -4 * m[0][1]
+        assert det(m) == 0
+        assert pfaffian(m) == 0 == _recursive_pfaffian(m)
 
 
 def test_pfaffian_rejects_non_skew():

@@ -208,6 +208,50 @@ def test_failing_case_carries_expected_actual_tolerance():
     assert case["tolerance"] == "0.1"
 
 
+class _ColumnRecorder:
+    """Records each case's expected and tolerance columns without running
+    its check."""
+
+    def __init__(self):
+        self.columns = {}
+
+    def run(self, case_id, expected, tolerance, thunk):
+        self.columns[case_id] = (str(expected), str(tolerance))
+
+
+def _suite_columns(name):
+    rec = _ColumnRecorder()
+    cli.SUITES[name](dict(cli.DEFAULTS), rec)
+    return rec.columns
+
+
+def test_named_tolerance_columns_are_pinned():
+    orth = _suite_columns("fock-orthogonality")
+    pairings = [v for k, v in orth.items() if k.startswith("orthogonality-")]
+    assert pairings and set(pairings) == {("0", "1e-08")}
+    assert orth["formal-degree-constancy"] == ("relative spread <= 1e-06", "1e-06")
+    rep = _suite_columns("fock-representation")
+    assert rep["representation-property"] == ("< 1e-06", "1e-06")
+    assert rep["unitarity"] == ("< 1e-08", "1e-08")
+    ladders = _suite_columns("ladders")
+    assert ladders["sphere-ladder-cocycle"] == ("<= 1e-09", "1e-09")
+    assert ladders["limit-pairing-promotion"] == ("invariant under promotion",
+                                                  "exact / 1e-09")
+
+
+def test_suites_read_the_named_tolerances(monkeypatch):
+    monkeypatch.setattr(cli, "TOL", numerics.Tolerances(
+        unitarity=2e-8, orthogonality=3e-8, formal_degree=4e-6,
+        sphere_cocycle=5e-9, promotion=6e-9))
+    orth = _suite_columns("fock-orthogonality")
+    assert orth["formal-degree-constancy"] == ("relative spread <= 4e-06", "4e-06")
+    assert {v for k, v in orth.items() if k.startswith("orthogonality-")} == {("0", "3e-08")}
+    assert _suite_columns("fock-representation")["unitarity"] == ("< 2e-08", "2e-08")
+    ladders = _suite_columns("ladders")
+    assert ladders["sphere-ladder-cocycle"] == ("<= 5e-09", "5e-09")
+    assert ladders["limit-pairing-promotion"][1] == "exact / 6e-09"
+
+
 def test_config_file_with_flag_override(tmp_path):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text("max_k = 2\nseed = 5\n")
