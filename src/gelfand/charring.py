@@ -6,7 +6,10 @@ system: Freudenthal weight multiplicities, Brauer-Klimyk tensor products.
 The upper one handles product groups (classical factors plus circle factors)
 acting on a complex module through one of the constructions standard / S^2 /
 Lambda^2 / outer tensor, and decomposes symmetric powers of the dual module,
-which is what degree-d polynomials transform by.
+which is what degree-d polynomials transform by.  Their weight multisets
+come from the complete homogeneous recursion h_d, and each decomposition is
+cached on (factors, construction, degree); the torus mode is left out of
+that key because it only quotients the labels afterwards.
 
 Weights are kept in orthonormal epsilon coordinates: integer tuples for
 unitary factors (full gl weight, one entry per column), integer tuples for
@@ -18,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement, product
+from itertools import accumulate, combinations, combinations_with_replacement, product
 from math import comb, lcm, prod
 from operator import add, mul, sub
 
@@ -241,21 +244,15 @@ class Factor:
 
     def standard_weights(self):
         """Weights of the defining module (the space the factor acts on)."""
+        if self.kind == U1:
+            return [1]  # u1 scaling: weight one per coordinate
+        r = self.eps_rank
+        units = [_unit(r, i, 1) for i in range(r)]
         if self.kind == GL:
-            return [_unit(self.size, i) for i in range(self.size)]
-        if self.kind == SO:
-            r = self.size // 2
-            if self.size % 2 == 0:
-                return [_unit(r, i) for i in range(r)] + [_neg_unit(r, i) for i in range(r)]
-            return (
-                [_unit(r, i) for i in range(r)]
-                + [_neg_unit(r, i) for i in range(r)]
-                + [(0,) * r]
-            )
-        if self.kind == SP:
-            r = self.size
-            return [_unit(r, i) for i in range(r)] + [_neg_unit(r, i) for i in range(r)]
-        return [1]  # u1 scaling: weight one per coordinate
+            return units
+        # so/sp: +-e_i, and the zero weight for odd orthogonal groups
+        units += [_unit(r, i, -1) for i in range(r)]
+        return units + [(0,) * r] if self.kind == SO and self.size % 2 else units
 
     def zero_weight(self):
         return 0 if self.kind == U1 else (0,) * self.eps_rank
@@ -324,12 +321,8 @@ class Factor:
         return tuple(range(self.eps_rank, 0, -1))
 
 
-def _unit(n, i):
-    return tuple(1 if j == i else 0 for j in range(n))
-
-
-def _neg_unit(n, i):
-    return tuple(-1 if j == i else 0 for j in range(n))
+def _unit(n, i, sign):
+    return tuple(sign if j == i else 0 for j in range(n))
 
 
 @lru_cache(maxsize=None)
@@ -433,12 +426,6 @@ def _wadd(a, b):
     return tuple(x + y for x, y in zip(a, b))
 
 
-def _wneg(a):
-    if isinstance(a, int):
-        return -a
-    return tuple(-x for x in a)
-
-
 @dataclass(frozen=True)
 class Decomposition:
     """List of (label, multiplicity) with the total dimension it must carry.
@@ -451,10 +438,7 @@ class Decomposition:
     dimension: int
 
     def multiplicity(self, label) -> int:
-        for lab, m in self.entries:
-            if lab == label:
-                return m
-        return 0
+        return dict(self.entries).get(label, 0)
 
 
 def _label_dim(factors, label) -> int:
@@ -514,28 +498,43 @@ def _extract_score(label, rhos):
 def sym_power_decompose(datum: GroupDatum, d: int) -> Decomposition:
     """Decompose degree-d polynomials on the module under the group.
 
-    Polynomials transform by the d-th symmetric power of the dual module;
-    the result is checked for exact dimension conservation.
+    Polynomials transform by the d-th symmetric power of the dual module,
+    whose weight multiset is the complete homogeneous h_d of the dual
+    coordinate weights.  The result is checked for exact dimension
+    conservation and cached on (factors, construction, d): the torus mode
+    and its flags only quotient labels afterwards (``canonical_label``), so
+    data that differ only there share one ``Decomposition``.
     """
     if d < 0:
         raise ValueError("degree must be >= 0")
-    coords = datum.module_weights()
-    dual = [tuple(_wneg(w) for w in row) for row in coords]
-    multiset: dict = {}
-    for combo in combinations_with_replacement(range(len(coords)), d):
-        acc = [f.zero_weight() for f in datum.factors]
-        for idx in combo:
-            acc = [_wadd(a, w) for a, w in zip(acc, dual[idx])]
-        key = tuple(acc)
-        multiset[key] = multiset.get(key, 0) + 1
-    entries = decompose_weight_multiset(datum.factors, multiset)
+    return _sym_power_cached(datum.factors, datum.construction, d)
+
+
+@lru_cache(maxsize=None)
+def _sym_power_cached(factors, construction, d):
+    """h_d(x_1..x_k) = h_d(x_1..x_{k-1}) + x_k h_{d-1}(x_1..x_k), the
+    coefficient of t^d in prod_i 1/(1 - t e^{w_i}) (Macdonald I.2), on flat
+    integer weights: one slot per circle, eps_rank slots per other factor."""
+    coords = _construction_weights(factors, construction)
+    ends = list(accumulate((f.eps_rank for f in factors), initial=0))
+    h = [{(0,) * ends[-1]: 1}] + [{} for _ in range(d)]
+    for row in coords:
+        w = tuple(-x for f, v in zip(factors, row) for x in ((v,) if f.kind == U1 else v))
+        for lower, upper in zip(h, h[1:]):  # lower already holds this weight
+            for mu, m in lower.items():
+                key = tuple(map(add, mu, w))
+                upper[key] = upper.get(key, 0) + m
+    cuts = list(zip(factors, ends, ends[1:]))
+    multiset = {tuple(key[a] if f.kind == U1 else key[a:b] for f, a, b in cuts): m
+                for key, m in h[d].items()}
+    entries = decompose_weight_multiset(factors, multiset)
     expected = comb(len(coords) + d - 1, d)
-    total = sum(m * _label_dim(datum.factors, lab) for lab, m in entries)
+    total = sum(m * _label_dim(factors, lab) for lab, m in entries)
     if total != expected:
         raise ArithmeticError(
             f"dimension conservation failed: {total} != {expected} at degree {d}"
         )
-    return Decomposition(datum.factors, entries, expected)
+    return Decomposition(factors, entries, expected)
 
 
 # ---------------------------------------------------------------------------

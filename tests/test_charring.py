@@ -2,6 +2,7 @@
 multiplicity-freeness, and cross-rank stability of highest-weight sets."""
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import comb, lcm
 
 import pytest
@@ -391,6 +392,92 @@ def test_sym_power_degree_zero_trivial():
     assert len(dec.entries) == 1
     label, mult = dec.entries[0]
     assert mult == 1 and label[0] == (0, 0, 0)
+
+
+def _enumerated_sym_power_multiset(datum, d):
+    """Weight multiset of S^d of the dual module, one multi-index at a time:
+    the oracle for the h_d recursion."""
+    def add(a, b):
+        return a + b if isinstance(a, int) else tuple(x + y for x, y in zip(a, b))
+
+    dual = [tuple(-w if isinstance(w, int) else tuple(-x for x in w) for w in row)
+            for row in datum.module_weights()]
+    multiset = {}
+    for combo in combinations_with_replacement(dual, d):
+        acc = tuple(f.zero_weight() for f in datum.factors)
+        for row in combo:
+            acc = tuple(map(add, acc, row))
+        multiset[acc] = multiset.get(acc, 0) + 1
+    return multiset
+
+
+def _row_data(row_id):
+    """Each distinct instance of the row at ranks <= 4 within its constraints."""
+    out = {}
+    for r in range(1, 5):
+        for s in (None, 1, 2, 3, 4):
+            try:
+                datum = tables.group_datum(row_id, r, s)
+            except ValueError:
+                continue
+            out.setdefault((datum.factors, datum.construction), datum)
+    return list(out.values())
+
+
+def _doubled_standard(mode):
+    return GroupDatum((Factor(GL, 2),), Construction("dsum", parts=(
+        Construction("standard", (0,)), Construction("standard", (0,)))),
+        torus_mode=mode, su_flags=(True,) if mode == "su" else ())
+
+
+_SMALL_CONSTRUCTIONS = [
+    GroupDatum((), Construction("trivial", (3,))),
+    GroupDatum((Factor(GL, 2), Factor(U1)), Construction("trivial", (2,))),
+    _doubled_standard("su"),
+    GroupDatum((Factor(U1), Factor(SO, 3)), Construction("dsum", parts=(
+        Construction("standard", (1,)), Construction("trivial", (1,))))),
+]
+
+
+def _assert_recursion_matches_enumeration(datum, degrees):
+    for d in degrees:
+        oracle = _enumerated_sym_power_multiset(datum, d)
+        dec = charring.sym_power_decompose(datum, d)
+        assert dec.entries == charring.decompose_weight_multiset(datum.factors, oracle), d
+        assert dec.dimension == sum(oracle.values())
+
+
+@pytest.mark.parametrize("row_id", _KAC_JAW_ROWS)
+def test_sym_power_recursion_matches_enumeration_on_rows(row_id):
+    data = _row_data(row_id)
+    assert data, row_id
+    for datum in data:
+        _assert_recursion_matches_enumeration(datum, range(5))
+
+
+@pytest.mark.parametrize("datum", _SMALL_CONSTRUCTIONS, ids=lambda datum: datum.construction.tag)
+def test_sym_power_recursion_matches_enumeration_on_small_constructions(datum):
+    _assert_recursion_matches_enumeration(datum, range(5))
+
+
+def test_sym_power_cache_shared_across_torus_modes():
+    # torus mode only quotients labels, so it stays out of the cache key;
+    # each datum still reads the shared decomposition in its own terms
+    for n in (1, 3):
+        full, su = un_row(n), sun_row(n)
+        for d in range(4):
+            assert charring.sym_power_decompose(full, d) is charring.sym_power_decompose(su, d)
+        assert charring.highest_weight_set(full, 2) == {((0,) * (n - 1) + (-2,),)}
+        assert charring.highest_weight_set(su, 2) == {((2,) * (n - 1) + (0,),)}
+    # U(1) on C: labels -d never repeat; SU(1) is trivial, so its one label
+    # repeats in degree 1
+    assert charring.is_multiplicity_free_polynomial_action(un_row(1), 2) == (True, None)
+    ok, violation = charring.is_multiplicity_free_polynomial_action(sun_row(1), 2)
+    assert not ok and violation["degree"] == 1
+    assert charring.sym_power_decompose(_doubled_standard("su"), 2) is \
+        charring.sym_power_decompose(_doubled_standard("full"), 2)
+    with pytest.raises(ValueError):
+        charring.sym_power_decompose(un_row(2), -1)
 
 
 # ---------------------------------------------------------------------------

@@ -126,9 +126,11 @@ def _crashing_pfaffian(alg):
 
 @pytest.mark.parametrize("wrong", [_scaled_pfaffian, _zero_pfaffian, _crashing_pfaffian])
 def test_pfaffian_algebra_cases_catch_a_wrong_pfaffian(wrong, monkeypatch, capsys):
+    # a wrong value fails the case; a crash is an error, not a failure
+    status, code = ("ERROR", 3) if wrong is _crashing_pfaffian else ("FAIL", 1)
     monkeypatch.setattr(nilpf, "pfaffian_polynomial", wrong)
-    assert cli.main(["verify", "pfaffian", "--algebra", "heis:2"]) == 1
-    assert "FAIL pfaffian-poly-heis:2" in capsys.readouterr().out
+    assert cli.main(["verify", "pfaffian", "--algebra", "heis:2"]) == code
+    assert f"{status} pfaffian-poly-heis:2" in capsys.readouterr().out
 
 
 _true_coefficient_inner_product = fock.coefficient_inner_product
@@ -142,11 +144,48 @@ def _diagonal_quadrature_failure(t, p, q):
 
 def test_fock_orthogonality_diagonal_crash_is_a_failed_case(monkeypatch, capsys):
     monkeypatch.setattr(fock, "coefficient_inner_product", _diagonal_quadrature_failure)
-    assert cli.main(["verify", "fock-orthogonality", "--t", "1"]) == 1
+    assert cli.main(["verify", "fock-orthogonality", "--t", "1"]) == 3
     out = capsys.readouterr().out
     assert "PASS orthogonality-t1.0-((0,), (0,))-((1,), (0,))" in out
-    assert "FAIL diagonal-positive-t1.0-((0,), (0,))" in out
-    assert "FAIL formal-degree-constancy" in out
+    assert "ERROR diagonal-positive-t1.0-((0,), (0,))" in out
+    assert "ERROR formal-degree-constancy" in out
+    assert "FAIL" not in out
+
+
+def _thunk_suite(*thunks):
+    def suite(cfg, rec):
+        for i, thunk in enumerate(thunks):
+            rec.run(f"case-{i}", "ok", "exact", thunk)
+    return suite
+
+
+def _crash():
+    raise ArithmeticError("deliberate crash")
+
+
+def _right():
+    return True, "ok"
+
+
+def _wrong():
+    return False, "wrong value"
+
+
+@pytest.mark.parametrize("thunks,statuses,code", [
+    pytest.param((_right,), ["pass"], 0, id="pass"),
+    pytest.param((_wrong,), ["fail"], 1, id="fail"),
+    pytest.param((_crash,), ["error"], 3, id="error"),
+    pytest.param((_crash, _wrong), ["error", "fail"], 1, id="error-and-fail"),
+])
+def test_crash_is_an_error_and_a_wrong_value_a_failure(thunks, statuses, code,
+                                                        monkeypatch, capsys):
+    monkeypatch.setitem(cli.SUITES, "gamma", _thunk_suite(*thunks))
+    assert cli.main(["verify", "gamma", "--format", "json"]) == code
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["version"] == "2"
+    assert [c["status"] for c in doc["cases"]] == statuses
+    if "error" in statuses:
+        assert doc["cases"][0]["actual"] == "error: deliberate crash"
 
 
 def test_flag_form_of_suite(capsys):
