@@ -616,6 +616,8 @@ def build_config(args) -> dict:
         cfg["row"] = args.row
     if args.timing:
         cfg["timing"] = True
+    if cfg["degree"] < 0:
+        raise ConfigError(f"degree must be >= 0, got {cfg['degree']}")
     return cfg
 
 
@@ -659,6 +661,9 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "export-ladder":
+        if args.degree < 0:
+            print(f"error: degree must be >= 0, got {args.degree}", file=sys.stderr)
+            return 2
         if args.backend == "un-poly":
             ladder = dirlim.un_polynomial_ladder(args.degree)
         elif args.backend == "sphere":

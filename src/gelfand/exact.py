@@ -15,10 +15,6 @@ def fr(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-def identity(n):
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-
-
 def unit_vector(i, n):
     """The i-th standard basis vector of Q^n, as a tuple."""
     v = [Fraction(0)] * n

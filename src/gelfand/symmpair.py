@@ -9,9 +9,9 @@ solved exactly from the defining pairings, including the doubled pairing on
 indices whose doubled simple root is again a restricted root.
 
 The sphere model is exact end to end: harmonic polynomials with rational
-coefficients, sphere moments as closed-form rationals, zonal vectors from the
-kernel of the rotation generators, and projection constants whose squares
-are rational numbers.
+coefficients, sphere moments as closed-form rationals, zonal vectors in the
+Gegenbauer closed form (a two-term recurrence on rational coefficients), and
+projection constants whose squares are rational numbers.
 """
 
 from __future__ import annotations
@@ -272,9 +272,7 @@ def harmonic_basis(n_ambient: int, degree: int) -> HarmonicSpace:
         lap = laplacian(MultiPoly(n_ambient, {mono: 1}))
         for m, c in lap.terms.items():
             rows[lower_index[m]][col] = c
-    kernel = nullspace(rows, ncols=len(monos)) if rows else [
-        [Fraction(int(i == j)) for j in range(len(monos))] for i in range(len(monos))
-    ]
+    kernel = nullspace(rows, ncols=len(monos))
     basis = tuple(
         MultiPoly(n_ambient, {m: c for m, c in zip(monos, vec) if c}) for vec in kernel
     )
@@ -283,45 +281,39 @@ def harmonic_basis(n_ambient: int, degree: int) -> HarmonicSpace:
 
 def zonal_vector(space: HarmonicSpace, axis: int = 0) -> MultiPoly:
     """The unique harmonic fixed by the rotations of the non-axis
-    coordinates, normalized positive at the pole."""
+    coordinates, scaled to 1 at the pole: the Gegenbauer closed form of
+    ``_zonal_poly`` with variables 0 and ``axis`` swapped."""
     if not 0 <= axis < space.ambient_dim:
         raise ValueError("axis is not one of the ambient coordinates")
-    others = [i for i in range(space.ambient_dim) if i != axis]
-    monos = monomials(space.ambient_dim, space.degree)
-    # kernel of the adjacent rotation generators L_ij = x_i d_j - x_j d_i
-    # among the non-axis coordinates, stacked into one monomial-coordinate
-    # matrix; they generate so(N-1) as a Lie algebra, so their common kernel
-    # is that of every L_ij
-    big = []
-    for i, j in zip(others, others[1:]):
-        xi = MultiPoly.variable(space.ambient_dim, i)
-        xj = MultiPoly.variable(space.ambient_dim, j)
-        images = [xi * p.diff(j) - xj * p.diff(i) for p in space.basis]
-        for m in monos:
-            row = [img.terms.get(m, Fraction(0)) for img in images]
-            if any(row):
-                big.append(row)
-    if big:
-        kern = nullspace(big, ncols=space.dim)
-    else:
-        kern = [[Fraction(int(i == j)) for j in range(space.dim)] for i in range(space.dim)]
-    if len(kern) != 1:
-        raise ArithmeticError(f"zonal subspace has dimension {len(kern)}, expected 1")
-    coeffs = kern[0]
-    zonal = MultiPoly.zero(space.ambient_dim)
-    for c, p in zip(coeffs, space.basis):
-        zonal = zonal + p.scale(c)
-    pole = [Fraction(0)] * space.ambient_dim
-    pole[axis] = Fraction(1)
-    val = zonal.eval(pole)
-    if val == 0:
-        raise ArithmeticError("zonal vector vanishes at the pole")
-    return zonal.scale(1 / val)
+    order = list(range(space.ambient_dim))
+    order[0], order[axis] = axis, 0
+    zonal = _zonal_poly(space.ambient_dim - 1, space.degree)
+    return MultiPoly(space.ambient_dim,
+                     {tuple(m[i] for i in order): c for m, c in zonal.terms.items()})
 
 
 @lru_cache(maxsize=None)
 def _zonal_poly(n_sphere: int, degree: int) -> MultiPoly:
-    return zonal_vector(harmonic_basis(n_sphere + 1, degree))
+    """Degree-d zonal harmonic of S^n about x0, scaled to 1 at the pole: the
+    Gegenbauer polynomial C_d^((N-2)/2), N = n + 1, made homogeneous,
+    sum_k a_k x0^(d-2k) |x'|^(2k) with a_0 = 1 and the recurrence
+    a_{k+1} = -a_k (d-2k)(d-2k-1) / (2(k+1)(2k+N-1)) (Stein & Weiss, ch. IV)."""
+    n_ambient = n_sphere + 1
+    dim = harmonic_dimension(n_ambient, degree)
+    if n_ambient <= 2 and dim != 1:  # SO(N-1) is trivial: every harmonic is zonal
+        raise ArithmeticError(f"zonal subspace has dimension {dim}, expected 1")
+    a = [Fraction(1)]
+    for k in range(degree // 2):
+        a.append(-a[k] * (degree - 2 * k) * (degree - 2 * k - 1)
+                 / (2 * (k + 1) * (2 * k + n_ambient - 1)))
+    terms = {}
+    for mono in monomials(n_ambient, degree):
+        if all(e % 2 == 0 for e in mono[1:]):
+            # x0^(d-2k) prod x_i^(2 mu_i), |mu| = k: a_k times a multinomial of |x'|^(2k)
+            mu = [e // 2 for e in mono[1:]]
+            k = sum(mu)
+            terms[mono] = a[k] * (math.factorial(k) // math.prod(map(math.factorial, mu)))
+    return MultiPoly(n_ambient, terms)
 
 
 def _embed(poly: MultiPoly, n_ambient: int) -> MultiPoly:
@@ -331,14 +323,21 @@ def _embed(poly: MultiPoly, n_ambient: int) -> MultiPoly:
     return MultiPoly(n_ambient, {m + (0,) * pad: c for m, c in poly.terms.items()})
 
 
+def _check_zonal_args(m_sphere: int, n_sphere: int, degree: int) -> None:
+    """Inputs every zonal-constant route accepts."""
+    if not m_sphere >= n_sphere >= 1:
+        raise ValueError(f"need m >= n >= 1, got m = {m_sphere}, n = {n_sphere}")
+    if degree < 0:
+        raise ValueError(f"degree must be >= 0, got {degree}")
+    if degree >= 1 and n_sphere < 2:
+        raise ValueError("S^1 has no unique zonal vector at degree >= 1; need n >= 2")
+
+
 def zonal_projection_csq(m_sphere: int, n_sphere: int, degree: int) -> Fraction:
     """Exact square of the projection constant between the unit zonal
     vectors of S^m and S^n (n <= m), with the smaller harmonic space carried
     into the larger one by polynomial inclusion and renormalization."""
-    if not (m_sphere >= n_sphere >= 1):
-        raise ValueError("need m >= n >= 1")
-    if degree == 0:
-        return Fraction(1)
+    _check_zonal_args(m_sphere, n_sphere, degree)
     zm = _zonal_poly(m_sphere, degree)
     zn = _embed(_zonal_poly(n_sphere, degree), m_sphere + 1)
     cross = sphere_inner_product(zm, zn)
@@ -355,6 +354,9 @@ def zonal_projection_constant(m_sphere: int, n_sphere: int, degree: int,
     S^m with a product rule; 'gegenbauer' reduces to a two-variable weighted
     integral of Gegenbauer polynomials.
     """
+    _check_zonal_args(m_sphere, n_sphere, degree)
+    if degree == 0:
+        return 1.0
     if method == "exact":
         return math.sqrt(float(zonal_projection_csq(m_sphere, n_sphere, degree)))
     if method == "quadrature":
@@ -364,18 +366,19 @@ def zonal_projection_constant(m_sphere: int, n_sphere: int, degree: int,
     raise ValueError(f"unknown method {method!r}")
 
 
+def _normalized_overlap(integrate, f, g) -> float:
+    """|<f, g>| / (|f| |g|) for the inner product ``integrate(f * g)``."""
+    cross = integrate(lambda *x: f(*x) * g(*x))
+    nf = integrate(lambda *x: f(*x) ** 2)
+    ng = integrate(lambda *x: g(*x) ** 2)
+    return abs(cross) / math.sqrt(nf * ng)
+
+
 def _zonal_constant_quadrature(m_sphere, n_sphere, degree):
-    if degree == 0:
-        return 1.0
-    zm = _zonal_poly(m_sphere, degree)
-    zn = _embed(_zonal_poly(n_sphere, degree), m_sphere + 1)
-    fm = _poly_to_callable(zm)
-    fn = _poly_to_callable(zn)
-    order = degree + 2
-    cross = numerics.integrate_sphere(lambda p: fm(p) * fn(p), m_sphere + 1, order)
-    nm = numerics.integrate_sphere(lambda p: fm(p) ** 2, m_sphere + 1, order)
-    nn = numerics.integrate_sphere(lambda p: fn(p) ** 2, m_sphere + 1, order)
-    return abs(cross) / math.sqrt(nm * nn)
+    fm = _poly_to_callable(_zonal_poly(m_sphere, degree))
+    fn = _poly_to_callable(_embed(_zonal_poly(n_sphere, degree), m_sphere + 1))
+    return _normalized_overlap(
+        lambda h: numerics.integrate_sphere(h, m_sphere + 1, degree + 2), fm, fn)
 
 
 def _poly_to_callable(p: MultiPoly):
@@ -397,12 +400,9 @@ def _poly_to_callable(p: MultiPoly):
 
 
 def _gegenbauer_value(alpha: float, degree: int, x: float) -> float:
-    """C_d^{(alpha)}(x) by the three-term recurrence; for alpha = 0 (two-
-    dimensional zonal circle case) uses the Chebyshev limit."""
+    """C_d^{(alpha)}(x) by the three-term recurrence, alpha > 0."""
     if degree == 0:
         return 1.0
-    if alpha == 0.0:
-        return math.cos(degree * math.acos(max(-1.0, min(1.0, x))))
     prev, cur = 1.0, 2 * alpha * x
     for k in range(2, degree + 1):
         prev, cur = cur, (2 * (k + alpha - 1) * x * cur - (k + 2 * alpha - 2) * prev) / k
@@ -432,16 +432,11 @@ def _zonal_constant_gegenbauer(m_sphere, n_sphere, degree):
     smaller sphere; with u = |y|^2/(1 - s^2) the normalized measure
     factorizes into Jacobi weights in s and in u.
     """
-    if degree == 0:
-        return 1.0
     if m_sphere == n_sphere:
         rule = numerics.gauss_jacobi(degree + 4, (m_sphere - 2) / 2.0, (m_sphere - 2) / 2.0)
         zm = lambda s: _zonal_on_sphere(m_sphere, degree, s, 1 - s * s)
         zn = lambda s: _zonal_on_sphere(n_sphere, degree, s, 1 - s * s)
-        cross = rule.integrate(lambda s: zm(s) * zn(s))
-        nm = rule.integrate(lambda s: zm(s) ** 2)
-        nn = rule.integrate(lambda s: zn(s) ** 2)
-        return abs(cross) / math.sqrt(nm * nn)
+        return _normalized_overlap(rule.integrate, zm, zn)
     a = (m_sphere - 2) / 2.0
     srule = numerics.gauss_jacobi(degree + 4, a, a)
     # u = |y|^2 / (1-s^2) in [0, 1]; density u^{n/2-1} (1-u)^{(m-n)/2-1}
@@ -461,10 +456,7 @@ def _zonal_constant_gegenbauer(m_sphere, n_sphere, degree):
 
     zm = lambda s, rho_sq: _zonal_on_sphere(m_sphere, degree, s, (1 - s * s))
     zn = lambda s, rho_sq: _zonal_on_sphere(n_sphere, degree, s, rho_sq)
-    cross = pair_integral(lambda s, r2: zm(s, r2) * zn(s, r2))
-    nm = pair_integral(lambda s, r2: zm(s, r2) ** 2)
-    nn = pair_integral(lambda s, r2: zn(s, r2) ** 2)
-    return abs(cross) / math.sqrt(nm * nn)
+    return _normalized_overlap(pair_integral, zm, zn)
 
 
 def gram_to_csv(space: HarmonicSpace, path) -> None:

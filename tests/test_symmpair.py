@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from gelfand import numerics, symmpair
-from gelfand.exact import MultiPoly, dot
+from gelfand.exact import MultiPoly, dot, monomials, nullspace
 from gelfand.symmpair import (
     build_symmetric_pair,
     cartan_helgason_filter,
@@ -155,6 +155,52 @@ def test_zonal_vector_unique_and_positive_at_pole(n, d):
     assert laplacian(z).is_zero()
 
 
+def _zonal_by_generator_kernel(space, axis=0):
+    """Reference route: the common kernel, inside the Laplacian-kernel basis,
+    of the adjacent rotation generators L_ij = x_i d_j - x_j d_i of the
+    non-axis coordinates (they generate so(N-1)), scaled to 1 at the pole."""
+    others = [i for i in range(space.ambient_dim) if i != axis]
+    monos = monomials(space.ambient_dim, space.degree)
+    big = []
+    for i, j in zip(others, others[1:]):
+        xi = MultiPoly.variable(space.ambient_dim, i)
+        xj = MultiPoly.variable(space.ambient_dim, j)
+        images = [xi * p.diff(j) - xj * p.diff(i) for p in space.basis]
+        for m in monos:
+            row = [img.terms.get(m, Fraction(0)) for img in images]
+            if any(row):
+                big.append(row)
+    kern = nullspace(big, ncols=space.dim)
+    if len(kern) != 1:
+        raise ArithmeticError(f"zonal subspace has dimension {len(kern)}, expected 1")
+    zonal = MultiPoly.zero(space.ambient_dim)
+    for c, p in zip(kern[0], space.basis):
+        zonal = zonal + p.scale(c)
+    pole = [Fraction(0)] * space.ambient_dim
+    pole[axis] = Fraction(1)
+    return zonal.scale(1 / zonal.eval(pole))
+
+
+_ZONAL_REFERENCE_GRID = sorted(
+    {(n, d, 0) for n in range(1, 6) for d in range(6)}
+    | {(6, d, 0) for d in range(4)}
+    | {(4, d, axis) for d in range(6) for axis in range(4)}
+)
+
+
+@pytest.mark.parametrize("n,d,axis", _ZONAL_REFERENCE_GRID)
+def test_zonal_closed_form_matches_generator_kernel(n, d, axis):
+    space = harmonic_basis(n, d)
+    try:
+        expected = _zonal_by_generator_kernel(space, axis)
+    except ArithmeticError as exc:
+        assert n <= 2
+        with pytest.raises(ArithmeticError) as raised:
+            zonal_vector(space, axis)
+        assert str(raised.value) == str(exc)
+        return
+    assert zonal_vector(space, axis) == expected
+
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_zonal_poly_killed_by_every_rotation_of_the_non_axis_coordinates(n):
@@ -215,6 +261,24 @@ def test_three_routes_agree_on_3_2_1():
     geg = zonal_projection_constant(3, 2, 1, method="gegenbauer")
     assert abs(exact - quad) < 1e-10
     assert abs(exact - geg) < 1e-10
+
+
+_METHODS = ("exact", "quadrature", "gegenbauer")
+
+
+@pytest.mark.parametrize("method", _METHODS)
+@pytest.mark.parametrize("m,n,d", [(3, 1, 2), (3, 1, 1), (3, 2, -1), (2, 3, 1),
+                                   (0, 0, 0), (3, 0, 0)])
+def test_every_route_rejects_the_same_bad_inputs(method, m, n, d):
+    with pytest.raises(ValueError):
+        zonal_projection_constant(m, n, d, method=method)
+    with pytest.raises(ValueError):
+        zonal_projection_csq(m, n, d)
+
+
+@pytest.mark.parametrize("method", _METHODS)
+def test_degree_zero_on_the_circle_is_one(method):
+    assert zonal_projection_constant(2, 1, 0, method=method) == 1.0
 
 
 @pytest.mark.parametrize("m,n,d", [(3, 2, 2), (4, 2, 3), (5, 3, 4), (4, 3, 1), (5, 2, 2)])

@@ -327,6 +327,25 @@ def test_config_file_through_main(tmp_path, capsys):
     assert cli.main(["verify", "gamma", "--config", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("suite", ["zonal", "ladders", "carcano"])
+def test_negative_degree_is_a_config_error(suite, tmp_path, capsys):
+    assert cli.main(["verify", suite, "--degree", "-1"]) == 2
+    cfg = tmp_path / "negative.cfg"
+    cfg.write_text("degree = -1\n")
+    assert cli.main(["verify", suite, "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("error: degree must be >= 0, got -1") == 2
+
+
+@pytest.mark.parametrize("backend", ["sphere", "un-poly", "heisenberg"])
+def test_export_ladder_negative_degree_is_a_config_error(backend, capsys):
+    assert cli.main(["export-ladder", "--backend", backend, "--degree", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: degree must be >= 0, got -1\n"
+
+
 def test_export_ladder_roundtrips(tmp_path):
     out = tmp_path / "ladder.json"
     assert cli.main(["export-ladder", "--backend", "sphere", "--degree", "2",
