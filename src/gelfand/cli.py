@@ -397,7 +397,7 @@ def _suite_ladders(cfg, rec):
 
     def sphere_quad():
         worst = 0.0
-        for d in range(1, degree + 1):
+        for d in range(degree + 1):
             L = dirlim.sphere_ladder(d, levels=(2, 3, 4, 5), method="quadrature")
             ok, res = dirlim.verify_cocycle(L)
             worst = max(worst, abs(float(res)))
@@ -618,6 +618,8 @@ def build_config(args) -> dict:
         cfg["timing"] = True
     if cfg["degree"] < 0:
         raise ConfigError(f"degree must be >= 0, got {cfg['degree']}")
+    if cfg["cutoff"] < 1:
+        raise ConfigError(f"cutoff must be >= 1, got {cfg['cutoff']}")
     return cfg
 
 
@@ -669,7 +671,11 @@ def main(argv=None) -> int:
         elif args.backend == "sphere":
             ladder = dirlim.sphere_ladder(args.degree)
         else:
-            ladder = dirlim.heisenberg_ladder(args.t, d=args.degree)
+            try:
+                ladder = dirlim.heisenberg_ladder(args.t, d=args.degree)
+            except ValueError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return 2
         text = dirlim.ladder_to_json(ladder) + "\n"
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:

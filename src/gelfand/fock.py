@@ -194,7 +194,8 @@ def fock_operator(n: int, t: float, g: HeisenbergPoint, cutoff: int) -> FockOper
     mat = np.zeros((dim, dim), dtype=complex)
     for length, rows in chains:
         a = _ladder_matrices(1, length - 1)[0]
-        # complex input: scipy's real expm loses unitarity at the 1e-13 level
+        # complex input to match mat; the unitarity residual is a few 1e-15
+        # at length 21 on real or complex input alike
         mat[rows[:, :, None], rows[:, None, :]] = numerics.matrix_exp(
             (r * (a - a.T)).astype(complex))
     # Gamma(U) E Gamma(U)^*, one degree block at a time

@@ -2,10 +2,12 @@
 Gaussian-plane integrals, matrix exponentials, and the tolerance knobs that
 every verification suite cites.
 
-Quadrature nodes and weights come from numpy/scipy's orthogonal-polynomial
-routines; the exactness contract (degree <= 2*order - 1 polynomials against
-closed-form moments) is asserted by the test suite rather than re-derived
-here.
+Laguerre, Hermite and Legendre nodes and weights come from numpy's
+orthogonal-polynomial routines; Gauss-Jacobi rules are built here by
+Golub-Welsch and the matrix exponential by Pade-13 scaling and squaring, so
+the library needs numpy alone. The exactness contract (degree <= 2*order - 1
+polynomials against closed-form moments) is asserted by the test suite rather
+than re-derived here.
 """
 
 from __future__ import annotations
@@ -18,8 +20,6 @@ import numpy as np
 from numpy.polynomial.hermite import hermgauss
 from numpy.polynomial.laguerre import laggauss
 from numpy.polynomial.legendre import leggauss
-from scipy.linalg import expm as _scipy_expm
-from scipy.special import roots_jacobi
 
 
 @dataclass(frozen=True)
@@ -110,11 +110,38 @@ def gauss_jacobi(order: int, alpha: float, beta: float) -> QuadratureRule:
     key = ("jacobi", order, alpha, beta)
     rule = _RULE_CACHE.get(key)
     if rule is None:
-        nodes, weights = roots_jacobi(order, alpha, beta)
+        nodes, weights = _golub_welsch_jacobi(order, alpha, beta)
         rule = QuadratureRule("jacobi", tuple(map(float, nodes)),
                               tuple(map(float, weights)), order)
         _RULE_CACHE[key] = rule
     return rule
+
+
+def _golub_welsch_jacobi(order, alpha, beta):
+    """Gauss-Jacobi nodes and weights as the eigenvalues and first
+    eigenvector components of the Jacobi matrix (Golub & Welsch, Math. Comp.
+    23, 1969), from the monic Jacobi three-term recurrence."""
+    if order < 1:
+        raise ValueError(f"quadrature order must be >= 1, got {order}")
+    if alpha <= -1 or beta <= -1:
+        raise ValueError(f"Jacobi parameters must exceed -1, got ({alpha}, {beta})")
+    ab = alpha + beta
+    # the k = 0 diagonal and k = 1 off-diagonal terms are written in reduced
+    # form: the general ones divide 0 by 0 at alpha + beta = 0 and -1
+    k = np.arange(1, order)
+    s = 2 * k + ab
+    diag = np.empty(order)
+    diag[0] = (beta - alpha) / (ab + 2)
+    diag[1:] = (beta * beta - alpha * alpha) / (s * (s + 2))
+    k, s = k[1:], s[1:]
+    off_sq = np.empty(order - 1)
+    off_sq[:1] = 4 * (1 + alpha) * (1 + beta) / ((ab + 2) ** 2 * (ab + 3))
+    off_sq[1:] = 4 * k * (k + alpha) * (k + beta) * (k + ab) / (s * s * (s + 1) * (s - 1))
+    off = np.sqrt(off_sq)
+    nodes, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    mu0 = (2.0 ** (ab + 1) * math.gamma(alpha + 1) * math.gamma(beta + 1)
+           / math.gamma(ab + 2))
+    return nodes, mu0 * vecs[0] ** 2
 
 
 def _doubling(values_at_order, max_order=512, floor=1e-300):
@@ -235,8 +262,20 @@ def integrate_sphere(f, n_ambient: int, order: int) -> float:
     return float(wts @ np.broadcast_to(f(pts.T), wts.shape))
 
 
+# Pade-13 coefficients and the 1-norm bound under which the [13/13]
+# approximant meets double precision (Higham, SIAM J. Matrix Anal. Appl. 26,
+# 2005, Table 2.3)
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0,
+           670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
+           16380.0, 182.0, 1.0)
+_THETA13 = 5.371920351148152
+
+
 def matrix_exp(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential; exp(0) = I exactly, otherwise scipy's expm."""
+    """Matrix exponential; exp(0) = I exactly, otherwise Pade-13 scaling and
+    squaring (Higham 2005): scale A by 2^-s so its 1-norm is at most
+    theta_13, take the [13/13] Pade approximant, square s times."""
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix_exp needs a square matrix")
@@ -244,4 +283,20 @@ def matrix_exp(a: np.ndarray) -> np.ndarray:
         raise ValueError("matrix_exp needs finite entries")
     if not a.any():
         return np.eye(a.shape[0], dtype=a.dtype if a.dtype.kind == "c" else float)
-    return _scipy_expm(a)
+    a = a.astype(np.result_type(a.dtype, float))
+    norm = float(np.linalg.norm(a, 1))
+    s = max(0, math.ceil(math.log2(norm / _THETA13)))
+    a = a * 2.0 ** -s
+    b = _PADE13
+    ident = np.eye(a.shape[0])
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a2 @ a4
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        r = r @ r
+    return r

@@ -1,15 +1,20 @@
 """Quadrature exactness, plane integrals, and the matrix exponential."""
 
 import math
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.linalg import expm as scipy_expm
+from scipy.special import roots_jacobi
 
 from gelfand.numerics import (
     QuadratureError,
     gamma_moment,
     gauss_hermite,
+    gauss_jacobi,
     gauss_laguerre,
     gauss_legendre,
     gaussian_plane_integral,
@@ -141,3 +146,115 @@ def test_quadrature_error_on_divergent_integrand():
     # float overflow at the outermost nodes
     with pytest.raises(QuadratureError):
         gaussian_plane_integral(lambda w: math.exp(min(700.0, abs(w) ** 2)), 1.0)
+
+
+# (alpha, beta) pairs the sphere rules and zonal constants use, the corners
+# alpha + beta = 0 and -1 where the recurrence takes its reduced k = 0, 1
+# terms, and larger parameters
+_JACOBI_GRID = [(0.0, 0.0), (0.5, 0.5), (-0.5, -0.5), (0.5, -0.5), (-0.5, 0.5),
+                (-0.5, 0.0), (0.0, 0.5), (-0.5, 1.0), (1.0, 1.0), (2.0, 0.5),
+                (3.5, 3.5)]
+
+
+def _chebyshev_rule(order, alpha, beta):
+    """Closed-form Gauss-Chebyshev rules of the four kinds, (alpha, beta) in
+    {-1/2, 1/2}^2, as ascending nodes and weights."""
+    k = np.arange(1, order + 1)
+    if (alpha, beta) == (-0.5, -0.5):
+        theta = (2 * k - 1) * np.pi / (2 * order)
+        weights = np.full(order, np.pi / order)
+    elif (alpha, beta) == (0.5, 0.5):
+        theta = k * np.pi / (order + 1)
+        weights = np.pi / (order + 1) * np.sin(theta) ** 2
+    elif (alpha, beta) == (0.5, -0.5):
+        theta = 2 * k * np.pi / (2 * order + 1)
+        weights = 4 * np.pi / (2 * order + 1) * np.sin(theta / 2) ** 2
+    else:
+        theta = (2 * k - 1) * np.pi / (2 * order + 1)
+        weights = 4 * np.pi / (2 * order + 1) * np.cos(theta / 2) ** 2
+    return np.cos(theta)[::-1], weights[::-1]
+
+
+@pytest.mark.parametrize("alpha,beta", _JACOBI_GRID)
+def test_gauss_jacobi_matches_scipy(alpha, beta):
+    # scipy's own weights at (1/2, -1/2) are off by 1.1e-13 * sum(w) at order
+    # 28 against the closed form, so the four Chebyshev pairs check weights
+    # against their closed forms below instead
+    chebyshev = abs(alpha) == abs(beta) == 0.5
+    for order in range(1, 33):
+        rule = gauss_jacobi(order, alpha, beta)
+        nodes, weights = roots_jacobi(order, alpha, beta)
+        assert np.abs(np.array(rule.nodes) - nodes).max() <= 1e-14
+        if not chebyshev:
+            assert np.abs(np.array(rule.weights) - weights).max() <= 1e-13 * weights.sum()
+
+
+@pytest.mark.parametrize("alpha,beta", [(-0.5, -0.5), (0.5, 0.5), (0.5, -0.5), (-0.5, 0.5)])
+def test_gauss_jacobi_matches_chebyshev_closed_forms(alpha, beta):
+    for order in range(1, 33):
+        rule = gauss_jacobi(order, alpha, beta)
+        nodes, weights = _chebyshev_rule(order, alpha, beta)
+        assert np.abs(np.array(rule.nodes) - nodes).max() <= 1e-14
+        assert np.abs(np.array(rule.weights) - weights).max() <= 1e-14 * weights.sum()
+
+
+def test_gauss_jacobi_rejects_bad_parameters():
+    for args in ((0, 0.0, 0.0), (4, -1.0, 0.0), (4, 0.0, -1.5)):
+        with pytest.raises(ValueError):
+            gauss_jacobi(*args)
+
+
+@pytest.mark.parametrize("kind,norms", [
+    # on real non-normal matrices scipy's expm is itself the less accurate
+    # side past a few squarings (2.7e-12 of a 40-digit reference at 1-norm
+    # 60, where the Pade route stays at 3e-14), so real input is compared
+    # to scipy only below theta_13; real squarings are checked against the
+    # symmetric eigendecomposition below
+    ("real", (1e-3, 0.7, 5.0)),
+    ("complex", (1e-3, 0.7, 5.0, 20.0, 60.0)),
+    ("skew-hermitian", (1e-3, 0.7, 5.0, 20.0, 60.0)),
+], ids=["real", "complex", "skew-hermitian"])
+def test_matrix_exp_matches_scipy(kind, norms):
+    rng = np.random.default_rng(11)
+    for size in (1, 2, 5, 12, 21):
+        for norm in norms:
+            a = rng.normal(size=(size, size))
+            if kind != "real":
+                a = a + 1j * rng.normal(size=(size, size))
+            if kind == "skew-hermitian":
+                a = a - a.conj().T
+            a *= norm / np.linalg.norm(a, 1)
+            want = scipy_expm(a)
+            got = matrix_exp(a)
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def test_matrix_exp_real_symmetric_matches_eigendecomposition():
+    # spectral radius up to 60: several squarings on real input
+    rng = np.random.default_rng(11)
+    for size in (2, 5, 12, 21):
+        for radius in (5.0, 20.0, 60.0):
+            q, _ = np.linalg.qr(rng.normal(size=(size, size)))
+            lam = rng.uniform(-1.0, 1.0, size)
+            lam *= radius / np.abs(lam).max()
+            want = (q * np.exp(lam)) @ q.T
+            got = matrix_exp((q * lam) @ q.T)
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def test_library_never_imports_scipy():
+    # a fresh interpreter, so scipy imported by this test module does not count
+    script = """
+import contextlib, io, pkgutil, importlib, sys
+import gelfand
+for info in pkgutil.iter_modules(gelfand.__path__):
+    importlib.import_module("gelfand." + info.name)
+from gelfand import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["verify", "fock-representation"]) == 0
+    assert cli.main(["verify", "zonal"]) == 0
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -346,6 +346,36 @@ def test_export_ladder_negative_degree_is_a_config_error(backend, capsys):
     assert captured.err == "error: degree must be >= 0, got -1\n"
 
 
+@pytest.mark.parametrize("cutoff", [-1, 0])
+def test_nonpositive_cutoff_is_a_config_error(cutoff, capsys):
+    assert cli.main(["verify", "fock-representation", "--cutoff", str(cutoff)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cutoff must be >= 1, got {cutoff}\n"
+
+
+def test_export_ladder_zero_t_is_a_config_error(capsys):
+    assert cli.main(["export-ladder", "--backend", "heisenberg", "--t", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: t must be nonzero\n"
+
+
+def test_ladders_degree_zero_checks_a_sphere_ladder(monkeypatch, capsys):
+    from gelfand import dirlim
+    degrees = []
+    real = dirlim.sphere_ladder
+
+    def recording(d, *args, **kwargs):
+        degrees.append(d)
+        return real(d, *args, **kwargs)
+
+    monkeypatch.setattr(dirlim, "sphere_ladder", recording)
+    assert cli.main(["verify", "ladders", "--degree", "0"]) == 0
+    assert "PASS sphere-ladder-cocycle" in capsys.readouterr().out
+    assert 0 in degrees
+
+
 def test_export_ladder_roundtrips(tmp_path):
     out = tmp_path / "ladder.json"
     assert cli.main(["export-ladder", "--backend", "sphere", "--degree", "2",
