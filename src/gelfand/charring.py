@@ -24,6 +24,7 @@ from functools import lru_cache
 from itertools import accumulate, combinations, combinations_with_replacement, product
 from math import comb, lcm, prod
 from operator import add, mul, sub
+from types import MappingProxyType
 
 from . import rootsys
 from .exact import dot, fr
@@ -38,7 +39,8 @@ def weight_system(rs: rootsys.RootSystemData, weight: rootsys.DominantWeight):
     recursion.  Returns {epsilon tuple: multiplicity}."""
     if not rootsys.is_dominant(rs, weight.coeffs):
         raise ValueError("weight is not dominant")
-    scale, mults = _freudenthal(rs, rootsys.weight_to_eps(rs, weight))
+    scale, dominant = _freudenthal(rs, rootsys.weight_to_eps(rs, weight))
+    mults = {nu: m for mu, m in dominant.items() for nu in _weyl_orbit(rs.family, mu)}
     frac = {x: Fraction(x, scale) for x in {x for mu in mults for x in mu}}
     return {tuple(map(frac.__getitem__, mu)): m for mu, m in mults.items()}
 
@@ -50,10 +52,10 @@ def _freudenthal(rs: rootsys.RootSystemData, lam):
     roots and 2 rho are integral, so only the denominators of ``lam`` are
     cleared.  The weight system is Weyl-invariant, so multiplicities are
     computed on dominant weights only, each root-string term being read at
-    its dominant conjugate (Moody-Patera), and every dominant weight is
-    expanded over its Weyl orbit at the end.  Returns
-    (scale, {integer tuple: multiplicity}), the keys being the weights
-    multiplied by ``scale``.
+    its dominant conjugate (Moody-Patera).  Returns
+    (scale, {dominant integer tuple: multiplicity}), the keys being the
+    weights multiplied by ``scale``; ``weight_system`` expands them over
+    their Weyl orbits.
     """
     family = rs.family
     scale = lcm(*(fr(x).denominator for x in lam))
@@ -87,7 +89,7 @@ def _freudenthal(rs: rootsys.RootSystemData, lam):
         if denom <= 0 or num % denom != 0 or num <= 0:
             raise ArithmeticError(f"Freudenthal produced a bad multiplicity {num}/{denom}")
         mults[mu] = num // denom
-    return scale, {nu: m for mu, m in mults.items() for nu in _weyl_orbit(family, mu)}
+    return scale, mults
 
 
 def _weyl_orbit(family: str, mu):
@@ -127,7 +129,9 @@ def _distinct_permutations(values):
 
 
 def _dominant(family: str, v):
-    """Dominant Weyl conjugate of ``v`` (no rho shift; singular or not)."""
+    """Dominant Weyl conjugate of ``v`` (no rho shift; singular or not): the
+    one statement of the chambers.  A sorts the entries; B, C and D sort
+    their absolute values, D keeping the sign parity on the smallest."""
     if family == "A":
         return tuple(sorted(v, reverse=True))
     out = sorted(map(abs, v), reverse=True)
@@ -140,34 +144,18 @@ def _reflect_to_dominant(family: str, vec):
     """Weyl-reflect ``vec`` into the closed dominant chamber.
 
     Returns (dominant tuple, sign) or None when the vector is singular
-    (fixed by some nontrivial Weyl element).
+    (fixed by some nontrivial Weyl element): repeated entries for A,
+    repeated absolute values for B-D, or a zero entry for B and C.  The sign
+    is the determinant of the Weyl element: the sign of the sorting
+    permutation, times -1 per negative entry for B and C.
     """
-    v = list(vec)
-    if family == "A":
-        if len(set(v)) < len(v):
-            return None
-        order = sorted(range(len(v)), key=lambda i: v[i], reverse=True)
-        sign = _perm_sign(order)
-        return tuple(v[i] for i in order), sign
-    if family in ("B", "C"):
-        a = [abs(x) for x in v]
-        if 0 in a or len(set(a)) < len(a):
-            return None
-        sign = 1 if sum(1 for x in v if x < 0) % 2 == 0 else -1
-        order = sorted(range(len(a)), key=lambda i: a[i], reverse=True)
-        return tuple(a[i] for i in order), sign * _perm_sign(order)
-    # D: only even sign flips; determinant of every element is the
-    # permutation parity.  A single zero entry absorbs an odd flip for free,
-    # so only repeated absolute values are singular.
-    a = [abs(x) for x in v]
-    if len(set(a)) < len(a):
+    size = list(vec) if family == "A" else [abs(x) for x in vec]
+    if len(set(size)) < len(size) or (family in ("B", "C") and 0 in size):
         return None
-    neg = sum(1 for x in v if x < 0)
-    order = sorted(range(len(a)), key=lambda i: a[i], reverse=True)
-    out = [a[i] for i in order]
-    if neg % 2 == 1 and out[-1] != 0:
-        out[-1] = -out[-1]
-    return tuple(out), _perm_sign(order)
+    sign = _perm_sign(sorted(range(len(size)), key=size.__getitem__, reverse=True))
+    if family in ("B", "C") and sum(x < 0 for x in vec) % 2:
+        sign = -sign
+    return _dominant(family, vec), sign
 
 
 def _perm_sign(order):
@@ -258,16 +246,8 @@ class Factor:
         return 0 if self.kind == U1 else (0,) * self.eps_rank
 
     def is_dominant(self, w) -> bool:
-        if self.kind == U1:
-            return True
-        if self.kind == GL:
-            return all(a >= b for a, b in zip(w, w[1:]))
-        if self.kind == SO and self.size == 2:
-            return True  # torus, no roots
-        if self.kind == SO and self.size % 2 == 0:
-            # D-chamber: decreasing with |last| dominated by the one before
-            return all(a >= b for a, b in zip(w, w[1:])) and w[-2] >= -w[-1]
-        return all(a >= b for a, b in zip(w, w[1:])) and w[-1] >= 0
+        rt = self._root_type()
+        return rt is None or _dominant(rt[0], w) == w
 
     def dual(self, w):
         if self.kind == U1:
@@ -300,9 +280,10 @@ class Factor:
             return 1
         return rootsys.weyl_dimension_eps(rootsys.build_root_system(*rt), w)
 
-    def weight_multiplicities(self, w):
-        """Weight system {weight tuple: multiplicity} of the irreducible with
-        highest weight ``w``."""
+    def dominant_multiplicities(self, w):
+        """Dominant weights {weight tuple: multiplicity} of the irreducible
+        with highest weight ``w``: a read-only view of the cached kernel
+        result, the rest of the weight system being their Weyl orbits."""
         rt = self._root_type()
         if rt is None:
             return {w: 1}
@@ -310,7 +291,7 @@ class Factor:
         # half-integral (spin) label here would be a caller bug
         if any(fr(x).denominator != 1 for x in w):
             raise ValueError(f"non-integral factor weight {w}")
-        return dict(_freudenthal_cached(*rt, tuple(map(int, w))))
+        return _freudenthal_cached(*rt, tuple(map(int, w)))
 
     def rho_strict(self):
         """A strictly dominant integer functional, used to pick off highest
@@ -327,8 +308,9 @@ def _unit(n, i, sign):
 
 @lru_cache(maxsize=None)
 def _freudenthal_cached(family, rank, w):
-    """Weight system of the integral highest weight ``w``, integer keys."""
-    return _freudenthal(rootsys.build_root_system(family, rank), w)[1]
+    """Dominant weight multiplicities of the integral highest weight ``w``,
+    integer keys, behind a read-only view (the dict is shared)."""
+    return MappingProxyType(_freudenthal(rootsys.build_root_system(family, rank), w)[1])
 
 
 @dataclass(frozen=True)
@@ -470,7 +452,7 @@ def decompose_weight_multiset(factors, multiset) -> tuple:
         if not mult:
             continue
         entries.append((best, mult))
-        parts = [_dominant_multiplicities(f, w).items() for f, w in zip(factors, best)]
+        parts = [f.dominant_multiplicities(w).items() for f, w in zip(factors, best)]
         for combo in product(*parts):
             key = tuple(w for w, _ in combo)
             newv = remaining.get(key, 0) - mult * prod(m for _, m in combo)
@@ -478,12 +460,6 @@ def decompose_weight_multiset(factors, multiset) -> tuple:
                 raise ArithmeticError("negative multiplicity during extraction")
             remaining[key] = newv
     return tuple(entries)
-
-
-def _dominant_multiplicities(factor, w):
-    """The dominant part of ``factor.weight_multiplicities(w)``."""
-    return {mu: m for mu, m in factor.weight_multiplicities(w).items()
-            if factor.is_dominant(mu)}
 
 
 def _extract_score(label, rhos):

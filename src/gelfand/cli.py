@@ -308,6 +308,8 @@ def _grid(rank, bound):
 
 def _suite_carcano(cfg, rec):
     degree = cfg["degree"]
+    if degree < 1:
+        raise ConfigError(f"carcano needs degree >= 1, got {degree}")
     row_id = cfg.get("row")
     if row_id:
         rows = [(row_id, cfg["rank"], cfg.get("rank2"))]
@@ -578,13 +580,20 @@ def load_config_file(path: str) -> dict:
 
 
 def _coerce(key, val):
-    if key in ("max_k", "rank", "rank2", "cutoff", "seed", "degree"):
-        return int(val)
+    """Config entries from one key and its text (a file line or a flag);
+    'rank' may be a pair 'n,m'."""
+    if key == "rank":
+        parts = str(val).split(",")
+        if len(parts) > 2:
+            raise ConfigError(f"rank is 'n' or 'n,m', got {val!r}")
+        return dict(zip(("rank", "rank2"), map(int, parts)))
+    if key in ("max_k", "rank2", "cutoff", "seed", "degree"):
+        return {key: int(val)}
     if key == "t_values":
-        return [float(x) for x in str(val).split(",") if x]
+        return {key: [float(x) for x in str(val).split(",") if x]}
     if key == "timing":
-        return str(val).lower() in ("1", "true", "yes")
-    return val
+        return {key: str(val).lower() in ("1", "true", "yes")}
+    return {key: val}
 
 
 def build_config(args) -> dict:
@@ -593,15 +602,12 @@ def build_config(args) -> dict:
         for k, v in load_config_file(args.config).items():
             if k not in DEFAULTS and k not in ("row", "algebra"):
                 raise ConfigError(f"unknown config key {k!r}")
-            cfg[k] = _coerce(k, v)
+            cfg.update(_coerce(k, v))
     # flags win over the file
     if args.max_k is not None:
         cfg["max_k"] = args.max_k
     if args.rank is not None:
-        parts = str(args.rank).split(",")
-        cfg["rank"] = int(parts[0])
-        if len(parts) > 1:
-            cfg["rank2"] = int(parts[1])
+        cfg.update(_coerce("rank", args.rank))
     if args.degree is not None:
         cfg["degree"] = args.degree
     if args.cutoff is not None:
@@ -621,6 +627,15 @@ def build_config(args) -> dict:
     if cfg["cutoff"] < 1:
         raise ConfigError(f"cutoff must be >= 1, got {cfg['cutoff']}")
     return cfg
+
+
+def _write(text: str, path) -> None:
+    """Write ``text`` to the file ``path``, or to stdout when it is None."""
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def main(argv=None) -> int:
@@ -663,25 +678,19 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "export-ladder":
-        if args.degree < 0:
-            print(f"error: degree must be >= 0, got {args.degree}", file=sys.stderr)
-            return 2
-        if args.backend == "un-poly":
-            ladder = dirlim.un_polynomial_ladder(args.degree)
-        elif args.backend == "sphere":
-            ladder = dirlim.sphere_ladder(args.degree)
-        else:
-            try:
+        try:
+            if args.degree < 0:
+                raise ConfigError(f"degree must be >= 0, got {args.degree}")
+            if args.backend == "un-poly":
+                ladder = dirlim.un_polynomial_ladder(args.degree)
+            elif args.backend == "sphere":
+                ladder = dirlim.sphere_ladder(args.degree)
+            else:
                 ladder = dirlim.heisenberg_ladder(args.t, d=args.degree)
-            except ValueError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-        text = dirlim.ladder_to_json(ladder) + "\n"
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+            _write(dirlim.ladder_to_json(ladder) + "\n", args.out)
+        except (OSError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         return 0
 
     if args.command != "verify":
@@ -692,18 +701,14 @@ def main(argv=None) -> int:
     if not suite:
         print("error: no suite named; try 'gelfand list-suites'", file=sys.stderr)
         return 2
+    # a file that cannot be read or written is a usage error, like a bad key
     try:
         cfg = build_config(args)
         report = run_suite(suite, cfg)
-    except (ConfigError, KeyError, ValueError) as exc:
+        _write(emit_report(report, args.format), args.out)
+    except (KeyError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    text = emit_report(report, args.format)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     statuses = {c.status for c in report.cases}
     return 1 if "fail" in statuses else 3 if "error" in statuses else 0
 

@@ -296,6 +296,8 @@ def un_csq_by_enumeration(d: int, n: int, m: int) -> Fraction:
 def sphere_ladder(d: int, levels=(2, 3, 4, 5), method: str = "exact") -> DegreeLadder:
     """Zonal ladder of the spheres: degrees are the harmonic dimensions and
     the constants the zonal overlaps, exact or quadrature-measured."""
+    if method not in ("exact", "quadrature"):
+        raise ValueError(f"unknown method {method!r}")
     degrees = {n: Fraction(symmpair.harmonic_dimension(n + 1, d)) for n in levels}
     csq = {}
     for n in levels:
@@ -303,10 +305,8 @@ def sphere_ladder(d: int, levels=(2, 3, 4, 5), method: str = "exact") -> DegreeL
             if m > n:
                 if method == "exact":
                     csq[(m, n)] = symmpair.zonal_projection_csq(m, n, d)
-                elif method == "quadrature":
-                    csq[(m, n)] = symmpair.zonal_projection_constant(m, n, d, "quadrature") ** 2
                 else:
-                    raise ValueError(f"unknown method {method!r}")
+                    csq[(m, n)] = symmpair.zonal_projection_constant(m, n, d, "quadrature") ** 2
     if method == "quadrature":
         degrees = {n: float(v) for n, v in degrees.items()}
     return make_ladder("sphere", levels, degrees, csq, exact=method == "exact")

@@ -4,9 +4,10 @@ zonal vectors, projection constants).
 
 The eleven pair families are shipped as data: restricted root system type
 (A/B/C/D/BC) with root multiplicities as functions of the rank and, where the
-family has two size parameters, of their difference.  Class-1 generators are
-solved exactly from the defining pairings, including the doubled pairing on
-indices whose doubled simple root is again a restricted root.
+family has two size parameters, of their difference.  Roots, simple roots
+and fundamental weights are those of ``rootsys`` (BC is B plus the roots
+2e_i); the class-1 generators are twice the fundamental weights, four times
+on indices whose doubled simple root is again a restricted root.
 
 The sphere model is exact end to end: harmonic polynomials with rational
 coefficients, sphere moments as closed-form rationals, zonal vectors in the
@@ -22,7 +23,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import comb
 
-from . import numerics
+from . import numerics, rootsys
 from .exact import MultiPoly, dot, fr, monomials, nullspace, solve
 from .exact import unit_vector as _eps
 
@@ -40,53 +41,6 @@ class RestrictedPairData:
     positive_roots: tuple  # (vector, multiplicity) pairs
     doubled_indices: frozenset  # i with 2*psi_i a restricted root
     class_one_weights: tuple  # exact epsilon vectors
-
-
-def _restricted_roots(rtype: str, rank: int, mults: dict):
-    """Positive restricted roots with multiplicities.
-
-    ``mults`` keys: 'pair' for e_i +- e_j, 'short' for e_i, 'long' for 2e_i
-    (A-type uses only 'pair' for e_i - e_j).
-    """
-    n = rank
-    out = []
-    if rtype == "A":
-        n = rank + 1
-        for i in range(n):
-            for j in range(i + 1, n):
-                out.append((tuple(a - b for a, b in zip(_eps(i, n), _eps(j, n))), mults["pair"]))
-        return tuple(out)
-    for i in range(n):
-        for j in range(i + 1, n):
-            ei, ej = _eps(i, n), _eps(j, n)
-            out.append((tuple(a - b for a, b in zip(ei, ej)), mults["pair"]))
-            out.append((tuple(a + b for a, b in zip(ei, ej)), mults["pair"]))
-    if rtype in ("B", "BC"):
-        for i in range(n):
-            out.append((_eps(i, n), mults["short"]))
-    if rtype in ("C", "BC"):
-        for i in range(n):
-            out.append((tuple(2 * x for x in _eps(i, n)), mults["long"]))
-    return tuple(out)
-
-
-def _simple_roots(rtype: str, rank: int):
-    n = rank
-    if rtype == "A":
-        n = rank + 1
-        return tuple(
-            tuple(a - b for a, b in zip(_eps(i, n), _eps(i + 1, n))) for i in range(rank)
-        )
-    chain = [tuple(a - b for a, b in zip(_eps(i, n), _eps(i + 1, n))) for i in range(rank - 1)]
-    if rtype in ("B", "BC"):
-        return tuple(chain + [_eps(rank - 1, n)])
-    if rtype == "C":
-        return tuple(chain + [tuple(2 * x for x in _eps(rank - 1, n))])
-    if rtype == "D":
-        if rank < 2:
-            raise ValueError("restricted type D needs rank >= 2")
-        return tuple(chain + [tuple(a + b for a, b in zip(_eps(rank - 2, n), _eps(rank - 1, n)))])
-    raise ValueError(f"unknown restricted type {rtype!r}")
 
 
 # family rows: given (rank l, excess) return (type, multiplicity dict)
@@ -148,36 +102,25 @@ def build_symmetric_pair(family_id: int, rank: int, excess: int = 1) -> Restrict
     if rtype == "D" and rank < 2:
         # degenerate fork; realize rank 1 as the single short-rootless A_1
         rtype, mults = "A", {"pair": mults["pair"]}
-    simple = _simple_roots(rtype, rank)
-    positive = _restricted_roots(rtype, rank, mults)
-    rootset = {v for v, _ in positive}
+    # BC_l is B_l together with the roots 2e_i
+    rs = rootsys.build_root_system("B" if rtype == "BC" else rtype, rank)
+    roots = rs.positive_roots
+    if rtype == "BC":
+        roots += tuple(tuple(2 * x for x in _eps(i, rank)) for i in range(rank))
+    # squared length 2, 1, 4 reads e_i +- e_j, e_i, 2e_i
+    kind = {2: "pair", 1: "short", 4: "long"}
+    positive = tuple((alpha, mults[kind[dot(alpha, alpha)]]) for alpha in roots)
     doubled = frozenset(
-        i for i, psi in enumerate(simple) if tuple(2 * x for x in psi) in rootset
+        i for i, psi in enumerate(rs.simple_roots) if tuple(2 * x for x in psi) in roots
     )
-    class_one = _solve_class_one(simple, doubled)
+    # <xi_i, psi_j^vee> = 2 delta_ij, doubled to 4 where 2 psi_i is a root
+    class_one = tuple(
+        tuple((4 if i in doubled else 2) * x for x in omega)
+        for i, omega in enumerate(rs.fundamental_weights)
+    )
     return RestrictedPairData(
-        family_id, rank, rtype, simple, positive, doubled, class_one
+        family_id, rank, rtype, rs.simple_roots, positive, doubled, class_one
     )
-
-
-def _solve_class_one(simple, doubled):
-    """Solve <xi_i, psi_j>/<psi_j, psi_j> = delta_ij (2*delta on doubled)."""
-    n = len(simple[0])
-    rows = [list(psi) for psi in simple]
-    # coordinates orthogonal to the span get pinned to zero (A-type ambient)
-    complement = nullspace(rows, ncols=n)
-    out = []
-    for i in range(len(simple)):
-        mat = [list(psi) for psi in simple] + [list(v) for v in complement]
-        rhs = []
-        for j, psi in enumerate(simple):
-            target = Fraction(0)
-            if i == j:
-                target = fr(dot(psi, psi)) * (2 if i in doubled else 1)
-            rhs.append(target)
-        rhs += [Fraction(0)] * len(complement)
-        out.append(tuple(solve(mat, rhs)))
-    return tuple(out)
 
 
 def cartan_helgason_filter(pair: RestrictedPairData, lam) -> bool:
@@ -354,6 +297,8 @@ def zonal_projection_constant(m_sphere: int, n_sphere: int, degree: int,
     S^m with a product rule; 'gegenbauer' reduces to a two-variable weighted
     integral of Gegenbauer polynomials.
     """
+    if method not in ("exact", "quadrature", "gegenbauer"):
+        raise ValueError(f"unknown method {method!r}")
     _check_zonal_args(m_sphere, n_sphere, degree)
     if degree == 0:
         return 1.0
@@ -361,9 +306,7 @@ def zonal_projection_constant(m_sphere: int, n_sphere: int, degree: int,
         return math.sqrt(float(zonal_projection_csq(m_sphere, n_sphere, degree)))
     if method == "quadrature":
         return _zonal_constant_quadrature(m_sphere, n_sphere, degree)
-    if method == "gegenbauer":
-        return _zonal_constant_gegenbauer(m_sphere, n_sphere, degree)
-    raise ValueError(f"unknown method {method!r}")
+    return _zonal_constant_gegenbauer(m_sphere, n_sphere, degree)
 
 
 def _normalized_overlap(integrate, f, g) -> float:

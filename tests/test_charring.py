@@ -2,7 +2,7 @@
 multiplicity-freeness, and cross-rank stability of highest-weight sets."""
 
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, permutations, product
 from math import comb, lcm
 
 import pytest
@@ -148,8 +148,11 @@ def _full_lattice_freudenthal(rs, lam):
 
 
 def _assert_kernels_agree(family, rank, lam):
+    # the kernel keeps dominant weights only; their Weyl orbits are the rest
     rs = rootsys.build_root_system(family, rank)
-    scale, mults = charring._freudenthal(rs, lam)
+    scale, dominant = charring._freudenthal(rs, lam)
+    assert all(charring._dominant(family, mu) == mu for mu in dominant)
+    mults = {nu: m for mu, m in dominant.items() for nu in charring._weyl_orbit(family, mu)}
     assert (scale, mults) == _full_lattice_freudenthal(rs, lam)
     assert all(isinstance(x, int) for mu in mults for x in mu)
 
@@ -183,8 +186,48 @@ def test_dominant_freudenthal_special_weights(family, rank, coeffs):
 
 @pytest.mark.parametrize("lam", [(2, 1, 0), (1, 1, -2), (3, 0, 0)])
 def test_dominant_freudenthal_gl_weights_with_a_trace(lam):
-    # Factor.weight_multiplicities hands full gl weights to the A kernel
+    # Factor.dominant_multiplicities hands full gl weights to the A kernel
     _assert_kernels_agree("A", 2, lam)
+
+
+# ---------------------------------------------------------------------------
+# Weyl chambers against the whole Weyl group
+# ---------------------------------------------------------------------------
+
+
+def _weyl_group(family, n):
+    """Every Weyl group element on R^n as (permutation, signs, determinant),
+    acting by v -> (signs[k] * v[perm[k]])_k: all permutations for A, all
+    signed permutations for B and C, those with an even number of sign
+    changes for D."""
+    sign_choices = [(1,) * n] if family == "A" else product((1, -1), repeat=n)
+    for signs in sign_choices:
+        if family == "D" and signs.count(-1) % 2:
+            continue
+        for perm in permutations(range(n)):
+            inversions = sum(perm[a] > perm[b] for a in range(n) for b in range(a + 1, n))
+            yield perm, signs, (-1) ** inversions * (-1) ** signs.count(-1)
+
+
+@pytest.mark.parametrize("family,rank", [("A", 1), ("A", 2), ("A", 3), ("B", 1), ("B", 2),
+                                         ("B", 3), ("C", 1), ("C", 2), ("C", 3), ("D", 2),
+                                         ("D", 3)])
+def test_reflect_to_dominant_matches_weyl_group_enumeration(family, rank):
+    # half-integral entries in -3/2..3/2, singular vectors included: a vector
+    # is singular when a nontrivial element fixes it, and otherwise exactly
+    # one element carries it into the closed dominant chamber
+    rs = rootsys.build_root_system(family, rank)
+    group = list(_weyl_group(family, rs.ambient_dim))
+    values = [Fraction(k, 2) for k in range(-3, 4)]
+    for vec in product(values, repeat=rs.ambient_dim):
+        images = [(tuple(s * vec[p] for p, s in zip(perm, signs)), det)
+                  for perm, signs, det in group]
+        if sum(img == vec for img, _ in images) > 1:
+            expected = None
+        else:
+            (expected,) = [(img, det) for img, det in images
+                           if all(charring.dot(img, psi) >= 0 for psi in rs.simple_roots)]
+        assert charring._reflect_to_dominant(family, vec) == expected, vec
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +337,9 @@ def test_factor_weight_multiplicities_match_weight_system(shape, data):
     if family == "D" and data.draw(st.booleans()):
         w = w[:-1] + (-w[-1],)
     assert f.is_dominant(w)
-    mults = f.weight_multiplicities(w)
+    dominant = f.dominant_multiplicities(w)
+    assert all(f.is_dominant(mu) for mu in dominant)
+    mults = {nu: m for mu, m in dominant.items() for nu in charring._weyl_orbit(family, mu)}
     assert all(isinstance(x, int) for mu in mults for x in mu)
     assert sum(mults.values()) == f.dim(w)
     rs = rootsys.build_root_system(family, rank)

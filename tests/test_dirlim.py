@@ -142,6 +142,18 @@ def test_sphere_quadrature_cocycle_within_1e9():
         assert abs(float(res)) <= 1e-9, (d, res)
 
 
+@pytest.mark.parametrize("levels", [(2,), (2, 3)])
+def test_sphere_ladder_rejects_an_unknown_method_before_any_work(levels, monkeypatch):
+    from gelfand import symmpair
+
+    def no_work(*args):
+        raise AssertionError("the method is checked before any work")
+
+    monkeypatch.setattr(symmpair, "harmonic_dimension", no_work)
+    with pytest.raises(ValueError, match="unknown method 'bogus'"):
+        sphere_ladder(2, levels=levels, method="bogus")
+
+
 def test_single_level_ladder_trivial():
     L = make_ladder("toy", (3,), {3: 7.0}, {}, exact=False)
     ok, res = verify_commuting_square(L, 3, 3)

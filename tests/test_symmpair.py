@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from gelfand import numerics, symmpair
-from gelfand.exact import MultiPoly, dot, monomials, nullspace
+from gelfand.exact import MultiPoly, dot, monomials, nullspace, solve
 from gelfand.symmpair import (
     build_symmetric_pair,
     cartan_helgason_filter,
@@ -72,6 +72,30 @@ def test_class_one_pairings_exact(family_id, rank, excess):
             if i == j:
                 expected = 2 if i in pair.doubled_indices else 1
             assert ratio == expected
+
+
+def _solve_class_one(simple, doubled):
+    """Reference: solve <xi_i, psi_j>/<psi_j, psi_j> = delta_ij (2 delta_ij on
+    doubled indices) exactly, pinning the coordinates orthogonal to the span
+    of the simple roots (the A-type ambient direction) to zero."""
+    complement = nullspace([list(psi) for psi in simple], ncols=len(simple[0]))
+    mat = [list(psi) for psi in simple] + [list(v) for v in complement]
+    out = []
+    for i in range(len(simple)):
+        rhs = [Fraction(dot(psi, psi)) * (2 if i in doubled else 1) if i == j else Fraction(0)
+               for j, psi in enumerate(simple)]
+        out.append(tuple(solve(mat, rhs + [Fraction(0)] * len(complement))))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("family_id", range(1, 12))
+def test_class_one_weights_match_the_solved_pairings(family_id):
+    for rank in range(1, 6):
+        for excess in range(3):
+            pair = build_symmetric_pair(family_id, rank, excess)
+            solved = _solve_class_one(pair.simple_roots, pair.doubled_indices)
+            assert pair.class_one_weights == solved, (rank, excess)
+            assert all(isinstance(x, Fraction) for xi in pair.class_one_weights for x in xi)
 
 
 def test_group_case_class_one_generators_are_doubled_fundamentals():
@@ -279,6 +303,16 @@ def test_every_route_rejects_the_same_bad_inputs(method, m, n, d):
 @pytest.mark.parametrize("method", _METHODS)
 def test_degree_zero_on_the_circle_is_one(method):
     assert zonal_projection_constant(2, 1, 0, method=method) == 1.0
+
+
+@pytest.mark.parametrize("d", [0, 2])
+def test_unknown_method_is_rejected_before_any_work(d, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("the method is checked before any work")
+
+    monkeypatch.setattr(symmpair, "_check_zonal_args", no_work)
+    with pytest.raises(ValueError, match="unknown method 'bogus'"):
+        zonal_projection_constant(3, 2, d, "bogus")
 
 
 @pytest.mark.parametrize("m,n,d", [(3, 2, 2), (4, 2, 3), (5, 3, 4), (4, 3, 1), (5, 2, 2)])

@@ -92,6 +92,8 @@ def test_exit_codes(tmp_path):
                  ["carcano", "--row", "kac:2", "--rank", "0"],
                  ["xstability", "--row", "jaw:2", "--rank", "3,2"],
                  ["carcano", "--row", "kac:99"],
+                 ["carcano", "--degree", "0"],
+                 ["carcano", "--row", "kac:2", "--rank", "2", "--degree", "0"],
                  ["fock-orthogonality", "--t", "0"]):
         assert cli.main(["verify", *argv]) == 2, argv
     cfg = tmp_path / "empty-t.cfg"
@@ -336,6 +338,54 @@ def test_negative_degree_is_a_config_error(suite, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("error: degree must be >= 0, got -1") == 2
+
+
+def test_carcano_degree_zero_is_a_config_error_before_any_case(monkeypatch, capsys):
+    from gelfand import charring
+
+    def no_case(*args):
+        raise AssertionError("no case runs on a bad degree bound")
+
+    monkeypatch.setattr(charring, "is_multiplicity_free_polynomial_action", no_case)
+    assert cli.main(["verify", "carcano", "--degree", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: carcano needs degree >= 1, got 0\n"
+
+
+_FILE_ERRORS = {
+    "missing-config": lambda tmp: ["verify", "gamma", "--config", str(tmp / "none.cfg")],
+    "missing-algebra-file": lambda tmp: ["verify", "pfaffian", "--algebra", str(tmp / "none.alg")],
+    "unknown-algebra-spec": lambda tmp: ["verify", "pfaffian", "--algebra", "bogus"],
+    "verify-unwritable-out": lambda tmp: ["verify", "gamma", "--max-k", "1",
+                                          "--out", str(tmp / "no-dir" / "report.txt")],
+    "export-unwritable-out": lambda tmp: ["export-ladder", "--backend", "un-poly",
+                                          "--out", str(tmp / "no-dir" / "ladder.json")],
+}
+
+
+@pytest.mark.parametrize("path", sorted(_FILE_ERRORS))
+def test_file_errors_are_usage_errors(path, tmp_path, capsys):
+    assert cli.main(_FILE_ERRORS[path](tmp_path)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "No such file or directory" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_rank_pair_parses_the_same_from_file_and_flag(tmp_path, capsys):
+    cfg = tmp_path / "pair.cfg"
+    cfg.write_text("rank = 6,8\nrow = jaw:5a\ndegree = 1\n")
+    assert cli.main(["verify", "xstability", "--config", str(cfg)]) == 0
+    from_file = capsys.readouterr().out
+    assert "stability-jaw:5a-6to8-d1" in from_file
+    assert cli.main(["verify", "xstability", "--row", "jaw:5a", "--rank", "6,8",
+                     "--degree", "1"]) == 0
+    assert capsys.readouterr().out == from_file
+    cfg.write_text("rank = 6,8,10\n")
+    assert cli.main(["verify", "xstability", "--config", str(cfg)]) == 2
+    assert cli.main(["verify", "xstability", "--rank", "6,8,10"]) == 2
+    assert capsys.readouterr().err.count("error: rank is 'n' or 'n,m'") == 2
 
 
 @pytest.mark.parametrize("backend", ["sphere", "un-poly", "heisenberg"])
