@@ -629,6 +629,15 @@ def build_config(args) -> dict:
     return cfg
 
 
+def _check_writable(path) -> None:
+    """Open ``path`` for appending and close it, so an output file that
+    cannot be written fails before any work runs.  Append mode leaves an
+    existing file as it is until ``_write`` replaces it."""
+    if path:
+        with open(path, "a", encoding="utf-8"):
+            pass
+
+
 def _write(text: str, path) -> None:
     """Write ``text`` to the file ``path``, or to stdout when it is None."""
     if path:
@@ -681,6 +690,7 @@ def main(argv=None) -> int:
         try:
             if args.degree < 0:
                 raise ConfigError(f"degree must be >= 0, got {args.degree}")
+            _check_writable(args.out)
             if args.backend == "un-poly":
                 ladder = dirlim.un_polynomial_ladder(args.degree)
             elif args.backend == "sphere":
@@ -704,6 +714,7 @@ def main(argv=None) -> int:
     # a file that cannot be read or written is a usage error, like a bad key
     try:
         cfg = build_config(args)
+        _check_writable(args.out)
         report = run_suite(suite, cfg)
         _write(emit_report(report, args.format), args.out)
     except (KeyError, OSError, ValueError) as exc:

@@ -15,9 +15,14 @@ The truncation |m| <= cutoff is invariant under the substitution action
 Gamma(U) of U(n) (a_j^+ -> sum_i U_ij a_i^+), which preserves degree.  So
 with r = |alpha| and U unitary with U e_1 = alpha/r the truncated operator
 is Gamma(U) exp(r(a_1^+ - a_1)) Gamma(U)^*: the same truncated object as the
-exponential of the full truncated generator, computed as one small
-exponential per one-mode chain length and a degree-block substitution
-(Perelomov, Generalized Coherent States and Their Applications, ch. 1).
+exponential of the full truncated generator (Perelomov, Generalized Coherent
+States and Their Applications, ch. 1).  E = exp(r(a_1^+ - a_1)) acts on
+one-mode chains (k, tail); each chain length L has a cached eigenbasis of the
+Hermite Jacobi matrix a + a^+, so exp(r(a^+ - a)) = W diag(e^{-i r lam}) W^*
+(the discrete variable representation).  The degree blocks of Gamma(U) are
+built by row gathers along the creation operators, and the product is taken
+as Gamma(U) (E Gamma(U)^*): one row gather per chain length, then one dense
+pass over contiguous degree rows.
 
 Truncated generators stay exactly skew-Hermitian, so truncated operators are
 exactly unitary up to rounding; what truncation limits is the group law,
@@ -84,7 +89,11 @@ def _index_positions(n, cutoff):
 @lru_cache(maxsize=None)
 def _ladder_matrices(n: int, cutoff: int):
     """Creation matrices a_j^+ on the truncated basis (annihilation is the
-    conjugate transpose)."""
+    conjugate transpose).
+
+    The library reads only the one-mode matrix, the chain generator behind
+    ``_chain_eigen``; the n-mode matrices serve the tests' full-generator
+    oracle."""
     idx = multi_indices(n, cutoff)
     pos = _index_positions(n, cutoff)
     mats = []
@@ -189,25 +198,40 @@ def fock_operator(n: int, t: float, g: HeisenbergPoint, cutoff: int) -> FockOper
     # overflows for a subnormal displacement
     unit = alpha.real / r + 1j * (alpha.imag / r)
     bounds, parents, chains = _rotation_structure(n, cutoff)
-    # E = exp(r (a_1^+ - a_1)): one exponential per chain length, shared by
-    # every tail of that length
-    mat = np.zeros((dim, dim), dtype=complex)
-    for length, rows in chains:
-        a = _ladder_matrices(1, length - 1)[0]
-        # complex input to match mat; the unitarity residual is a few 1e-15
-        # at length 21 on real or complex input alike
-        mat[rows[:, :, None], rows[:, None, :]] = numerics.matrix_exp(
-            (r * (a - a.T)).astype(complex))
-    # Gamma(U) E Gamma(U)^*, one degree block at a time
-    blocks = _rotation_blocks(_first_column_unitary(unit), bounds, parents,
-                              _ladder_matrices(n, cutoff))
+    blocks = _rotation_blocks(_first_column_unitary(unit), parents)
     spans = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    gstar = np.zeros((dim, dim), dtype=complex)
+    for span, gam in zip(spans, blocks):
+        gstar[span, span] = gam.conj().T
+    # E Gamma(U)^* with E = phase exp(r (a_1^+ - a_1)): row (k, tail) of E
+    # mixes only the Gamma^* rows of its own chain, so each chain length
+    # is one row gather; then Gamma(U) over contiguous degree row blocks
+    mat = np.empty((dim, dim), dtype=complex)
+    for length, rows in chains:
+        lam, w = _chain_eigen(length)
+        chain_exp = (w * (phase * np.exp(-1j * r * lam))) @ w.conj().T
+        mat[rows] = chain_exp @ gstar[rows]
     for span, gam in zip(spans, blocks):
         mat[span] = gam @ mat[span]
-    for span, gam in zip(spans, blocks):
-        mat[:, span] = mat[:, span] @ gam.conj().T
-    mat *= phase
     return FockOperator(mat, n, t, g, cutoff)
+
+
+@lru_cache(maxsize=None)
+def _chain_eigen(length):
+    """(lam, W) with exp(r (a^+ - a)) = W diag(e^{-i r lam}) W^* on the
+    one-mode chain of the given length.
+
+    With D = diag(i^k), D^* (a^+ - a) D = -i X for the Hermite Jacobi matrix
+    X = a + a^+, so W = D V for (lam, V) = eigh(X): Golub-Welsch for Hermite,
+    the discrete variable representation of Light, Hamilton & Lill (J. Chem.
+    Phys. 82, 1985).
+    """
+    a = _ladder_matrices(1, length - 1)[0]
+    lam, v = np.linalg.eigh(a + a.T)
+    # one Newton-Schulz step: eigh leaves V orthogonal to about L eps only
+    v = v @ (1.5 * np.eye(length) - 0.5 * (v.T @ v))
+    powers = np.array([1, 1j, -1, -1j])[np.arange(length) % 4]
+    return lam, powers[:, None] * v
 
 
 @lru_cache(maxsize=None)
@@ -215,10 +239,12 @@ def _rotation_structure(n, cutoff):
     """Index structure of the mode-rotation route at (n, cutoff).
 
     bounds[d]:bounds[d+1] is the degree-d block of ``multi_indices``.
-    parents[d-1] gives, for each degree-d monomial m in order, its first
-    nonzero mode j, the position of m - e_j inside the degree d-1 block and
-    sqrt(m_j).  chains pairs each length L with the positions of (k, tail),
-    k < L, one row per tail (m_2, ..., m_n) with cutoff - |tail| + 1 = L.
+    parents[d-1] holds, for the degree-d monomials m in order, the first
+    nonzero mode j of m, the position of m - e_j inside the degree d-1 block
+    and sqrt(m_j); then, for each mode i, the position of m - e_i inside the
+    degree d-1 block and sqrt(m_i) (position 0 and weight 0 where m_i = 0).
+    chains pairs each length L with the positions of (k, tail), k < L, one
+    row per tail (m_2, ..., m_n) with cutoff - |tail| + 1 = L.
     """
     idx = multi_indices(n, cutoff)
     pos = _index_positions(n, cutoff)
@@ -226,14 +252,17 @@ def _rotation_structure(n, cutoff):
     bounds = [degrees.index(d) for d in range(cutoff + 1)] + [len(idx)]
     parents = []
     for d in range(1, cutoff + 1):
-        modes, ups, roots = [], [], []
-        for m in idx[bounds[d]:bounds[d + 1]]:
-            j = next(i for i, x in enumerate(m) if x)
-            down = m[:j] + (m[j] - 1,) + m[j + 1:]
-            modes.append(j)
-            ups.append(pos[down] - bounds[d - 1])
-            roots.append(math.sqrt(m[j]))
-        parents.append((np.array(modes), np.array(ups), np.array(roots)))
+        block = idx[bounds[d]:bounds[d + 1]]
+        src = np.zeros((n, len(block)), dtype=np.intp)
+        coef = np.zeros((n, len(block)))
+        for c, m in enumerate(block):
+            for i in range(n):
+                if m[i]:
+                    src[i, c] = pos[m[:i] + (m[i] - 1,) + m[i + 1:]] - bounds[d - 1]
+                    coef[i, c] = math.sqrt(m[i])
+        modes = (coef > 0).argmax(axis=0)
+        cols = np.arange(len(block))
+        parents.append((modes, src[modes, cols], coef[modes, cols], src, coef))
     chains = {}
     for m in idx:
         if m[0] == 0:
@@ -253,18 +282,17 @@ def _first_column_unitary(v):
     return -phase * (np.eye(len(v)) - np.outer(u, u.conj()) / u[0].real)
 
 
-def _rotation_blocks(u, bounds, parents, ladders):
+def _rotation_blocks(u, parents):
     """Degree blocks of Gamma(U), the substitution a_j^+ -> sum_i U_ij a_i^+,
     by Gamma|m> = (sum_i U_ij a_i^+) Gamma|m - e_j> / sqrt(m_j) with j the
-    first nonzero mode of m."""
+    first nonzero mode of m.  a_i^+ sends row p - e_i of degree d-1 to row p
+    of degree d with weight sqrt(p_i), so each term is a row gather."""
     blocks = [np.ones((1, 1), dtype=complex)]
-    for d, (modes, ups, roots) in enumerate(parents, start=1):
-        rows = slice(bounds[d], bounds[d + 1])
-        cols = slice(bounds[d - 1], bounds[d])
-        creation = np.stack([a[rows, cols] for a in ladders])
-        # b[j] = (sum_i U_ij a_i^+) Gamma_{d-1}
-        b = np.tensordot(u.T, creation, axes=1) @ blocks[-1]
-        blocks.append(b[modes, :, ups].T / roots)
+    for modes, ups, roots, src, coef in parents:
+        prev = blocks[-1][:, ups]
+        weights = u[:, modes] / roots
+        blocks.append(sum(c[:, None] * prev[s] * wt
+                          for s, c, wt in zip(src, coef, weights)))
     return blocks
 
 

@@ -275,7 +275,10 @@ _THETA13 = 5.371920351148152
 def matrix_exp(a: np.ndarray) -> np.ndarray:
     """Matrix exponential; exp(0) = I exactly, otherwise Pade-13 scaling and
     squaring (Higham 2005): scale A by 2^-s so its 1-norm is at most
-    theta_13, take the [13/13] Pade approximant, square s times."""
+    theta_13, take the [13/13] Pade approximant, square s times.
+
+    No library code calls it: ``fock`` takes its chain exponentials from an
+    eigenbasis, and this stays as their oracle and as a benchmark layer."""
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix_exp needs a square matrix")

@@ -176,5 +176,12 @@ def algebra(spec: str) -> nilpf.TwoStepAlgebra:
         if builder is None:
             raise KeyError(f"unknown algebra family {m.group(1)!r}")
         return builder(int(m.group(2)))
-    with open(spec, "r", encoding="utf-8") as fh:
-        return nilpf.load_algebra(fh.read())
+    try:
+        with open(spec, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except FileNotFoundError as exc:
+        # a mistyped spec lands here too, so name the known specs with the file
+        known = ", ".join(_ALGEBRA_ALIASES) + ", vin:<row>:<rank>, A+B, or a file path"
+        raise KeyError(f"unknown algebra spec {spec!r} (known: {known}): "
+                       f"{exc.strerror}") from exc
+    return nilpf.load_algebra(text)

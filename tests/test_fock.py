@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm as scipy_expm
 
-from gelfand import fock
+from gelfand import fock, numerics
 from gelfand.fock import (
     HeisenbergPoint,
     RegularFunction,
@@ -218,6 +218,27 @@ def test_chain_exponentials_keep_unitarity_to_rounding():
     for v in (0.5, 1.0, 2.0):
         op = fock_operator(1, 1.0, HeisenbergPoint(0.0, (v + 0j,)), 20).matrix
         assert np.linalg.norm(op.conj().T @ op - np.eye(21)) < 2e-14
+
+
+def test_chain_eigenbasis_matches_pade_exponential():
+    for length in range(1, 45):
+        lam, w = fock._chain_eigen(length)
+        a = fock._ladder_matrices(1, length - 1)[0]
+        for r in (0.05, 0.5, 1.0, 2.0, 4.5):
+            got = (w * np.exp(-1j * r * lam)) @ w.conj().T
+            assert np.abs(got - numerics.matrix_exp(r * (a - a.T))).max() < 1e-14
+
+
+def test_operator_builds_only_one_mode_ladders():
+    # the n-mode ladder matrices (11 MB at (3, 14)) stay off the call path
+    for cached in (fock._ladder_matrices, fock._chain_eigen):
+        cached.cache_clear()
+    fock_operator(3, 1.0, HeisenbergPoint(0.1, (0.2j, -0.1 + 0j, 0.05 + 0.1j)), 14)
+    assert fock._ladder_matrices.cache_info().currsize == 15
+    for length in range(1, 16):
+        fock._ladder_matrices(1, length - 1)
+    info = fock._ladder_matrices.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (15, 15, 15)
 
 
 def test_tiny_displacement_components_match_full_generator_expm():

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from gelfand import cli, fock, nilpf, numerics, tables
+from gelfand import cli, dirlim, fock, nilpf, numerics, tables
 from gelfand.charring import GL, SO, U1
 
 
@@ -62,6 +62,16 @@ def test_algebra_resolution():
     assert (s.dim_v, s.dim_z) == (6, 2)
     with pytest.raises(KeyError):
         tables.algebra("bogus:2")
+
+
+@pytest.mark.parametrize("spec", ["bogus", "heis3"])
+def test_unknown_algebra_spec_names_the_known_specs(spec, capsys):
+    known = "(known: heis, heish, free, un, vin:<row>:<rank>, A+B, or a file path)"
+    with pytest.raises(KeyError) as info:
+        tables.algebra(spec)
+    assert info.value.args[0].startswith(f"unknown algebra spec {spec!r} {known}")
+    assert cli.main(["verify", "pfaffian", "--algebra", spec]) == 2
+    assert f"unknown algebra spec {spec!r} {known}" in capsys.readouterr().err
 
 
 def test_algebra_from_file(tmp_path):
@@ -371,6 +381,35 @@ def test_file_errors_are_usage_errors(path, tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "No such file or directory" in captured.err
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv,module,name", [
+    (["verify", "gamma", "--max-k", "1"], cli, "run_suite"),
+    (["export-ladder", "--backend", "un-poly"], dirlim, "un_polynomial_ladder"),
+], ids=["verify", "export-ladder"])
+def test_unwritable_out_fails_before_any_work(argv, module, name, monkeypatch,
+                                              tmp_path, capsys):
+    def no_work(*args, **kwargs):
+        raise AssertionError("nothing runs before --out is checked")
+
+    monkeypatch.setattr(module, name, no_work)
+    out = tmp_path / "no-dir" / "report"
+    assert cli.main(argv + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert str(out) in captured.err
+
+
+@pytest.mark.parametrize("argv", [["verify", "gamma", "--max-k", "2", "--format", "json"],
+                                  ["export-ladder", "--backend", "un-poly"]],
+                         ids=["verify", "export-ladder"])
+def test_writable_out_gets_the_printed_report(argv, tmp_path, capsys):
+    assert cli.main(argv) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "report"
+    out.write_text("an older and longer report\n" * 200)
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    assert out.read_bytes() == printed.encode()
 
 
 def test_rank_pair_parses_the_same_from_file_and_flag(tmp_path, capsys):
