@@ -37,12 +37,30 @@ from .exact import dot, fr
 def weight_system(rs: rootsys.RootSystemData, weight: rootsys.DominantWeight):
     """Weight multiplicities of the irreducible module, by Freudenthal's
     recursion.  Returns {epsilon tuple: multiplicity}."""
+    scale, mults = _lattice_weights(rs, weight)
+    frac = {x: Fraction(x, scale) for x in {x for mu in mults for x in mu}}
+    return {tuple(map(frac.__getitem__, mu)): m for mu, m in mults.items()}
+
+
+def weight_count(rs: rootsys.RootSystemData, weight: rootsys.DominantWeight) -> int:
+    """Dimension of the irreducible module as its number of weights counted
+    with multiplicity: the sum of ``weight_system``'s values, read off the
+    integer lattice without building a single ``Fraction``."""
+    return sum(_lattice_weights(rs, weight)[1].values())
+
+
+def _lattice_weights(rs: rootsys.RootSystemData, weight: rootsys.DominantWeight):
+    """The whole weight system on the integer lattice.
+
+    Returns (scale, {integer tuple: multiplicity}), each key being an
+    epsilon-coordinate weight multiplied by ``scale``: the Freudenthal
+    dominant weights expanded over their Weyl orbits, in the order
+    ``weight_system`` reports them.
+    """
     if not rootsys.is_dominant(rs, weight.coeffs):
         raise ValueError("weight is not dominant")
     scale, dominant = _freudenthal(rs, rootsys.weight_to_eps(rs, weight))
-    mults = {nu: m for mu, m in dominant.items() for nu in _weyl_orbit(rs.family, mu)}
-    frac = {x: Fraction(x, scale) for x in {x for mu in mults for x in mu}}
-    return {tuple(map(frac.__getitem__, mu)): m for mu, m in mults.items()}
+    return scale, {nu: m for mu, m in dominant.items() for nu in _weyl_orbit(rs.family, mu)}
 
 
 def _freudenthal(rs: rootsys.RootSystemData, lam):
@@ -54,7 +72,7 @@ def _freudenthal(rs: rootsys.RootSystemData, lam):
     computed on dominant weights only, each root-string term being read at
     its dominant conjugate (Moody-Patera).  Returns
     (scale, {dominant integer tuple: multiplicity}), the keys being the
-    weights multiplied by ``scale``; ``weight_system`` expands them over
+    weights multiplied by ``scale``; ``_lattice_weights`` expands them over
     their Weyl orbits.
     """
     family = rs.family
@@ -179,24 +197,37 @@ def tensor_decompose(rs: rootsys.RootSystemData, lam: rootsys.DominantWeight,
                      mu: rootsys.DominantWeight):
     """Brauer-Klimyk: run the weight system of mu against lam + rho.
 
+    Works on the integer lattice scaled by s = lcm(2 scale, denominators of
+    lam), ``scale`` being that of mu's lattice weights: s(lam + rho) + s nu
+    is an integer tuple, its dominant conjugate less s rho is s times the
+    target weight, and the target's coefficients are the coroot pairings
+    2<target, alpha_i> / (s <alpha_i, alpha_i>), which must divide exactly.
     Returns {DominantWeight: multiplicity}.
     """
     if lam.rank != mu.rank or lam.family != mu.family:
         raise ValueError("tensor factors must share the root system")
+    scale, mults = _lattice_weights(rs, mu)
     lam_eps = rootsys.weight_to_eps(rs, lam)
-    rho = rs.rho
+    s = lcm(2 * scale, *(x.denominator for x in lam_eps))
+    step = s // scale
+    shift = tuple(s // 2 * r for r in rs.two_rho)
+    base = tuple(int(s * x) + r for x, r in zip(lam_eps, shift))
+    simple = [tuple(map(int, alpha)) for alpha in rs.simple_roots]
+    pairings = [(alpha, s * sum(map(mul, alpha, alpha))) for alpha in simple]
     out: dict = {}
-    for nu, m in weight_system(rs, mu).items():
-        shifted = tuple(a + b + c for a, b, c in zip(lam_eps, nu, rho))
-        res = _reflect_to_dominant(rs.family, shifted)
+    for nu, m in mults.items():
+        res = _reflect_to_dominant(rs.family, tuple(b + step * x for b, x in zip(base, nu)))
         if res is None:
             continue
         dom, sign = res
-        target = tuple(a - b for a, b in zip(dom, rho))
-        coeffs = rootsys.eps_to_coeffs(rs, target)
-        if any(c.denominator != 1 or c < 0 for c in map(fr, coeffs)):
-            raise ArithmeticError("Brauer-Klimyk left the dominant lattice")
-        key = rootsys.DominantWeight(rs.family, rs.rank, tuple(int(c) for c in coeffs))
+        target = tuple(map(sub, dom, shift))
+        coeffs = []
+        for alpha, denom in pairings:
+            c, rem = divmod(2 * sum(map(mul, target, alpha)), denom)
+            if rem or c < 0:
+                raise ArithmeticError("Brauer-Klimyk left the dominant lattice")
+            coeffs.append(c)
+        key = rootsys.DominantWeight(rs.family, rs.rank, tuple(coeffs))
         out[key] = out.get(key, 0) + sign * m
     return {k: v for k, v in out.items() if v != 0}
 
@@ -439,9 +470,10 @@ def decompose_weight_multiset(factors, multiset) -> tuple:
     is subtracted from the labels after it.
     """
     rhos = [f.rho_strict() for f in factors]
+    chambers = [(i, rt[0]) for i, f in enumerate(factors) if (rt := f._root_type())]
     remaining = {
         lab: m for lab, m in multiset.items()
-        if all(f.is_dominant(w) for f, w in zip(factors, lab))
+        if all(_dominant(fam, lab[i]) == lab[i] for i, fam in chambers)
     }
     entries = []
     for best in sorted(remaining, key=lambda lab: (_extract_score(lab, rhos), lab),

@@ -308,6 +308,50 @@ def test_tensor_symmetry_and_dimension():
     assert total == rootsys.weyl_dimension(rs, lam) * rootsys.weyl_dimension(rs, mu)
 
 
+def _fraction_brauer_klimyk(rs, lam, mu):
+    """Brauer-Klimyk in Fractions, one ``eps_to_coeffs`` per weight of mu:
+    the reference for the integer-lattice ``tensor_decompose``."""
+    lam_eps = rootsys.weight_to_eps(rs, lam)
+    out = {}
+    for nu, m in charring.weight_system(rs, mu).items():
+        shifted = tuple(a + b + c for a, b, c in zip(lam_eps, nu, rs.rho))
+        res = charring._reflect_to_dominant(rs.family, shifted)
+        if res is None:
+            continue
+        dom, sign = res
+        target = tuple(a - b for a, b in zip(dom, rs.rho))
+        coeffs = [Fraction(c) for c in rootsys.eps_to_coeffs(rs, target)]
+        assert all(c.denominator == 1 and c >= 0 for c in coeffs)
+        key = dw(rs.family, rs.rank, [int(c) for c in coeffs])
+        out[key] = out.get(key, 0) + sign * m
+    return {k: v for k, v in out.items() if v}
+
+
+ORACLE_SYSTEMS = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3),
+                  ("C", 2), ("C", 3), ("D", 2), ("D", 3)]
+
+
+def _small_weights(family, rank):
+    return [dw(family, rank, c) for c in _grid(rank, 2) if sum(c) <= 2]
+
+
+@pytest.mark.parametrize("family,rank", ORACLE_SYSTEMS)
+def test_tensor_decompose_matches_fraction_oracle(family, rank):
+    rs = rootsys.build_root_system(family, rank)
+    weights = _small_weights(family, rank)
+    for lam in weights:
+        for mu in weights:
+            expected = _fraction_brauer_klimyk(rs, lam, mu)
+            assert charring.tensor_decompose(rs, lam, mu) == expected, (lam, mu)
+
+
+@pytest.mark.parametrize("family,rank", ORACLE_SYSTEMS)
+def test_weight_count_sums_the_weight_system(family, rank):
+    rs = rootsys.build_root_system(family, rank)
+    for w in _small_weights(family, rank):
+        assert charring.weight_count(rs, w) == sum(charring.weight_system(rs, w).values())
+
+
 def test_tensor_rank_mismatch():
     rs = rootsys.build_root_system("A", 2)
     with pytest.raises(ValueError):

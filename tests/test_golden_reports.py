@@ -1,5 +1,5 @@
-"""Default JSON reports of every suite, compared byte for byte with the
-reports committed under tests/golden.
+"""Default reports of every suite, in each output format, compared byte for
+byte with the reports committed under tests/golden.
 
 A change that moves a report commits the new file and names each changed
 string; a changed status, expected or tolerance is a behaviour change.  The
@@ -9,7 +9,7 @@ To regenerate one report:
 
     OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=1 MKL_NUM_THREADS=1 \\
         PYTHONPATH=src python -m gelfand.cli verify <suite> [args] \\
-        --format json --out tests/golden/<name>.json
+        --format <json|text|csv> --out tests/golden/<name>.<json|txt|csv>
 """
 
 import os
@@ -27,14 +27,26 @@ REPORTS = {name: [name] for name in cli.SUITES}
 REPORTS["pfaffian-seed-424242"] = ["pfaffian", "--seed", "424242"]
 REPORTS["zonal-rank-5"] = ["zonal", "--rank", "5"]
 
+SUFFIX = {"json": "json", "text": "txt", "csv": "csv"}
 
-@pytest.mark.parametrize("name", sorted(REPORTS))
-def test_default_json_report_matches_golden(name):
+
+def _check_golden(name, fmt):
     env = {**os.environ, "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1",
            "MKL_NUM_THREADS": "1"}
     proc = subprocess.run(
-        [sys.executable, "-m", "gelfand.cli", "verify", *REPORTS[name], "--format", "json"],
+        [sys.executable, "-m", "gelfand.cli", "verify", *REPORTS[name], "--format", fmt],
         capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+    assert proc.stdout == (GOLDEN / f"{name}.{SUFFIX[fmt]}").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", sorted(REPORTS))
+def test_default_json_report_matches_golden(name):
+    _check_golden(name, "json")
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv"])
+@pytest.mark.parametrize("name", sorted(REPORTS))
+def test_default_report_matches_golden(name, fmt):
+    _check_golden(name, fmt)

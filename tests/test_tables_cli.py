@@ -74,6 +74,15 @@ def test_unknown_algebra_spec_names_the_known_specs(spec, capsys):
     assert f"unknown algebra spec {spec!r} {known}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["pfaffian", "--algebra", "bogus"], "unknown algebra spec 'bogus'"),
+    (["carcano", "--row", "kac:99"], "unknown table row 'kac:99'"),
+])
+def test_unknown_key_error_prints_unquoted(argv, message, capsys):
+    assert cli.main(["verify", *argv]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
 def test_algebra_from_file(tmp_path):
     path = tmp_path / "alg.txt"
     path.write_text(nilpf.dump_algebra(nilpf.build_heisenberg(1, "H")))
