@@ -27,7 +27,7 @@ from operator import add, mul, sub
 from types import MappingProxyType
 
 from . import rootsys
-from .exact import dot, fr
+from .exact import fr
 
 # ---------------------------------------------------------------------------
 # single root system: Freudenthal and Brauer-Klimyk
@@ -57,8 +57,7 @@ def _lattice_weights(rs: rootsys.RootSystemData, weight: rootsys.DominantWeight)
     dominant weights expanded over their Weyl orbits, in the order
     ``weight_system`` reports them.
     """
-    if not rootsys.is_dominant(rs, weight.coeffs):
-        raise ValueError("weight is not dominant")
+    rootsys.check_weight(rs, weight)
     scale, dominant = _freudenthal(rs, rootsys.weight_to_eps(rs, weight))
     return scale, {nu: m for mu, m in dominant.items() for nu in _weyl_orbit(rs.family, mu)}
 
@@ -204,9 +203,8 @@ def tensor_decompose(rs: rootsys.RootSystemData, lam: rootsys.DominantWeight,
     2<target, alpha_i> / (s <alpha_i, alpha_i>), which must divide exactly.
     Returns {DominantWeight: multiplicity}.
     """
-    if lam.rank != mu.rank or lam.family != mu.family:
-        raise ValueError("tensor factors must share the root system")
-    scale, mults = _lattice_weights(rs, mu)
+    rootsys.check_weight(rs, lam)
+    scale, mults = _lattice_weights(rs, mu)  # checks mu
     lam_eps = rootsys.weight_to_eps(rs, lam)
     s = lcm(2 * scale, *(x.denominator for x in lam_eps))
     step = s // scale
@@ -275,21 +273,6 @@ class Factor:
 
     def zero_weight(self):
         return 0 if self.kind == U1 else (0,) * self.eps_rank
-
-    def is_dominant(self, w) -> bool:
-        rt = self._root_type()
-        return rt is None or _dominant(rt[0], w) == w
-
-    def dual(self, w):
-        if self.kind == U1:
-            return -w
-        if self.kind == GL:
-            return tuple(-x for x in reversed(w))
-        if self.kind == SO and self.size == 2:
-            return tuple(-x for x in w)
-        if self.kind == SO and self.size % 2 == 0 and (self.size // 2) % 2 == 1:
-            return w[:-1] + (-w[-1],)
-        return w
 
     def _root_type(self):
         """(family, rank) of the factor's root system; None for a torus."""
@@ -450,9 +433,6 @@ class Decomposition:
     entries: tuple
     dimension: int
 
-    def multiplicity(self, label) -> int:
-        return dict(self.entries).get(label, 0)
-
 
 def _label_dim(factors, label) -> int:
     d = 1
@@ -596,13 +576,6 @@ def is_multiplicity_free_polynomial_action(datum: GroupDatum, degree_bound: int)
                                "first_degree": seen.get(key, d)}
             seen[key] = d
     return True, None
-
-
-def invariant_dimension(datum: GroupDatum, kappa, decomposition: Decomposition) -> int:
-    """Multiplicity of the dual of ``kappa`` in the decomposition, which is
-    the dimension of the invariants in kappa (x) rho."""
-    dual = tuple(f.dual(w) for f, w in zip(datum.factors, kappa))
-    return decomposition.multiplicity(dual)
 
 
 def highest_weight_set(datum: GroupDatum, d: int) -> frozenset:

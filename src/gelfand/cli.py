@@ -22,6 +22,7 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 
@@ -287,7 +288,7 @@ def _suite_weyl(cfg, rec):
         for rank in range(1 if family != "D" else 2, bound + 1):
             rs = rootsys.build_root_system(family, rank)
             def thunk(rs=rs, family=family, rank=rank):
-                for coeffs in _grid(rank, 2):
+                for coeffs in product(range(3), repeat=rank):
                     w = rootsys.DominantWeight(family, rank, coeffs)
                     total = charring.weight_count(rs, w)
                     if total != rootsys.weyl_dimension(rs, w):
@@ -295,15 +296,6 @@ def _suite_weyl(cfg, rec):
                 return True, "all coefficient vectors <= 2 agree"
             rec.run(f"weyl-vs-weight-count-{family}{rank}", "exact agreement",
                     "exact", thunk)
-
-
-def _grid(rank, bound):
-    if rank == 0:
-        yield ()
-        return
-    for head in range(bound + 1):
-        for tail in _grid(rank - 1, bound):
-            yield (head,) + tail
 
 
 def _suite_carcano(cfg, rec):

@@ -100,14 +100,6 @@ def eta_scale(ladder: DegreeLadder, n) -> float:
     return math.sqrt(float(ladder.deg(n)))
 
 
-def tilde_zeta_scale(ladder: DegreeLadder, m, n) -> float:
-    return ladder.c(m, n) * zeta_scale(ladder, m, n)
-
-
-def tilde_eta_scale(ladder: DegreeLadder, n) -> float:
-    return ladder.c(n, ladder.base) * eta_scale(ladder, n)
-
-
 # ---------------------------------------------------------------------------
 # laddered functions
 # ---------------------------------------------------------------------------
@@ -322,21 +314,18 @@ def heisenberg_ladder(t, d: int = 1, levels=(1, 2), method: str = "exact") -> De
     """
     if t == 0:
         raise ValueError("t must be nonzero")
-    csq = {}
-    for n in levels:
-        for m in levels:
-            if m > n:
-                csq[(m, n)] = Fraction(comb(n + d - 1, d), comb(m + d - 1, d))
+    poly = un_polynomial_ladder(d, levels)
+    csq = poly.csq_pairs
     if method == "exact":
         ts = abs(fr(t)) if isinstance(t, (int, Fraction)) else abs(t)
-        degrees = {n: ts ** n * comb(n + d - 1, d) for n in levels}
+        degrees = {n: ts ** n * poly.deg(n) for n in levels}
         exact = isinstance(ts, Fraction)
     elif method == "quadrature":
         degrees = {}
         for n in levels:
             zero = (0,) * n
             diag = fock.coefficient_inner_product(float(t), (zero, zero), (zero, zero))
-            degrees[n] = comb(n + d - 1, d) / diag.real
+            degrees[n] = poly.deg(n) / diag.real
         csq = {k: float(v) for k, v in csq.items()}
         exact = False
     else:

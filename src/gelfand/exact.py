@@ -33,15 +33,6 @@ def monomials(nvars, degree):
     return out
 
 
-def transpose(a):
-    return [list(col) for col in zip(*a)]
-
-
-def mat_mul(a, b):
-    cols = transpose(b)
-    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
-
-
 def dot(u, v):
     return sum(x * y for x, y in zip(u, v))
 
@@ -131,31 +122,6 @@ def det(matrix) -> Fraction:
                 f = a[i][c] * inv
                 a[i] = [x - f * y for x, y in zip(a[i], a[c])]
     return result
-
-
-def gram_schmidt_norms(gram):
-    """Squared norms of the Gram-Schmidt vectors for a PSD Gram matrix.
-
-    Returns the list of successive squared norms; a zero entry flags linear
-    dependence of the corresponding vector on its predecessors.
-    """
-    n = len(gram)
-    g = [list(map(fr, row)) for row in gram]
-    coeffs = []  # rows: expansion of orthogonalized vectors in the original ones
-    norms = []
-    for i in range(n):
-        vec = [Fraction(0)] * n
-        vec[i] = Fraction(1)
-        for j, prev in enumerate(coeffs):
-            if norms[j] == 0:
-                continue
-            proj = sum(vec[a] * prev[b] * g[a][b] for a in range(n) for b in range(n) if vec[a] and prev[b])
-            f = proj / norms[j]
-            vec = [x - f * y for x, y in zip(vec, prev)]
-        nsq = sum(vec[a] * vec[b] * g[a][b] for a in range(n) for b in range(n) if vec[a] and vec[b])
-        coeffs.append(vec)
-        norms.append(nsq)
-    return norms
 
 
 class MultiPoly:
@@ -278,36 +244,3 @@ class MultiPoly:
             var = "*".join(f"x{i}^{e}" if e > 1 else f"x{i}" for i, e in enumerate(mono) if e)
             bits.append(f"{coef}" + (f"*{var}" if var else ""))
         return " + ".join(bits)
-
-
-def poly_matrix_det(mat):
-    """Determinant of a square matrix of MultiPoly entries.
-
-    Laplace expansion memoized on the remaining-column set; fine for the
-    small (<= 8x8), sparse matrices this package produces.
-    """
-    n = len(mat)
-    if n == 0:
-        raise ValueError("empty matrix")
-    nvars = mat[0][0].nvars
-    memo = {}
-
-    def rec(row, cols):
-        if not cols:
-            return MultiPoly.const(nvars, 1)
-        key = cols
-        got = memo.get((row, key))
-        if got is not None:
-            return got
-        total = MultiPoly.zero(nvars)
-        for pos, c in enumerate(cols):
-            entry = mat[row][c]
-            if entry.is_zero():
-                continue
-            sub = rec(row + 1, cols[:pos] + cols[pos + 1:])
-            term = entry * sub
-            total = total + (term if pos % 2 == 0 else -term)
-        memo[(row, key)] = total
-        return total
-
-    return rec(0, tuple(range(n)))

@@ -41,7 +41,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import numerics
-from .exact import gram_schmidt_norms, monomials
+from .exact import monomials
 
 
 @dataclass(frozen=True)
@@ -54,19 +54,11 @@ class HeisenbergPoint:
         return len(self.w)
 
 
-def heis_identity(n: int) -> HeisenbergPoint:
-    return HeisenbergPoint(0.0, (0j,) * n)
-
-
 def heis_mul(g: HeisenbergPoint, h: HeisenbergPoint) -> HeisenbergPoint:
     if g.n != h.n:
         raise ValueError("dimension mismatch")
     cross = sum(a * b.conjugate() for a, b in zip(g.w, h.w))
     return HeisenbergPoint(g.z + h.z + cross.imag, tuple(a + b for a, b in zip(g.w, h.w)))
-
-
-def heis_inv(g: HeisenbergPoint) -> HeisenbergPoint:
-    return HeisenbergPoint(-g.z, tuple(-a for a in g.w))
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +69,7 @@ def heis_inv(g: HeisenbergPoint) -> HeisenbergPoint:
 @lru_cache(maxsize=None)
 def multi_indices(n: int, cutoff: int):
     """All multi-indices with |m| <= cutoff in degree-major order, heads
-    descending within a degree (the CSV row/column order)."""
+    descending within a degree (the operator row and column order)."""
     return tuple(m for d in range(cutoff + 1) for m in monomials(n, d))
 
 
@@ -495,18 +487,3 @@ def regular_gram(n: int, monomial_terms):
                 continue
             gram[i][j] = Fraction(math.factorial(power + n), 2 ** (power + n))
     return gram
-
-
-def regular_gram_rank(n: int, monomial_terms) -> int:
-    gram = regular_gram(n, monomial_terms)
-    norms = gram_schmidt_norms(gram)
-    return sum(1 for x in norms if x != 0)
-
-
-def operator_to_csv(op: FockOperator, path) -> None:
-    """Operator matrix as CSV; rows and columns follow multi_indices order."""
-    with open(path, "w", encoding="utf-8") as fh:
-        header = ";".join("|".join(map(str, m)) for m in multi_indices(op.n, op.cutoff))
-        fh.write("# " + header + "\n")
-        for row in op.matrix:
-            fh.write(",".join(f"{x.real:.17g}{x.imag:+.17g}j" for x in row) + "\n")

@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import MultiPoly, fr, transpose
+from .exact import MultiPoly, fr
 
 
 @dataclass(frozen=True)
@@ -359,61 +359,6 @@ def sample_centre_point(rng: random.Random, dim_z: int) -> tuple:
     denom = 2 ** 11
     return tuple(Fraction(rng.randrange(-denom + 1, denom, 2), denom)
                  for _ in range(dim_z))
-
-
-def sample_zero_set(alg: TwoStepAlgebra, count: int, seed: int) -> float:
-    """Fraction of seeded ``sample_centre_point`` samples where the Pfaffian
-    polynomial vanishes exactly."""
-    rng = random.Random(seed)
-    poly = pfaffian_polynomial(alg)
-    zeros = 0
-    for _ in range(count):
-        if poly(sample_centre_point(rng, alg.dim_z)) == 0:
-            zeros += 1
-    return zeros / count
-
-
-def quotient_to_heisenberg(alg: TwoStepAlgebra, t):
-    """Symplectic basis of (v, b_t): returns (d, T) with d = dim_v / 2 and T
-    the exact change of basis with T^t B T the standard block form
-    diag([[0,1],[-1,0]], ...).  Raises on degenerate b_t."""
-    if alg.dim_v % 2 == 1:
-        raise ValueError("odd flat dimension: b_t is always degenerate")
-    b = b_form(alg, t)
-    n = alg.dim_v
-
-    def apply(form, u, w):
-        return sum(u[i] * sum(form[i][j] * w[j] for j in range(n)) for i in range(n))
-
-    basis = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    pairs = []
-    remaining = basis
-    while remaining:
-        v = remaining[0]
-        partner = next((w for w in remaining[1:] if apply(b, v, w) != 0), None)
-        if partner is None:
-            raise ValueError("degenerate central form")
-        scale = apply(b, v, partner)
-        w = [x / scale for x in partner]
-        new_remaining = []
-        for u in remaining:
-            if u is v or u is partner:
-                continue
-            cu = apply(b, u, w)
-            cv = apply(b, u, v)
-            adjusted = [x - cu * a + cv * c for x, a, c in zip(u, v, w)]
-            if any(adjusted):
-                new_remaining.append(adjusted)
-        pairs.append((v, w))
-        remaining = new_remaining
-    if 2 * len(pairs) != n:
-        raise ValueError("degenerate central form")
-    cols = []
-    for v, w in pairs:
-        cols.append(v)
-        cols.append(w)
-    T = transpose(cols)
-    return len(pairs), T
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 Gaussian-plane integrals, matrix exponentials, and the tolerance knobs that
 every verification suite cites.
 
-Laguerre, Hermite and Legendre nodes and weights come from numpy's
+Laguerre and Hermite nodes and weights come from numpy's
 orthogonal-polynomial routines; Gauss-Jacobi rules are built here by
 Golub-Welsch and the matrix exponential by Pade-13 scaling and squaring, so
 the library needs numpy alone. The exactness contract (degree <= 2*order - 1
@@ -19,7 +19,6 @@ from fractions import Fraction
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 from numpy.polynomial.laguerre import laggauss
-from numpy.polynomial.legendre import leggauss
 
 
 @dataclass(frozen=True)
@@ -79,11 +78,11 @@ class QuadratureRule:
 _RULE_CACHE: dict = {}
 
 
-def _cached(kind, order, builder):
-    key = (kind, order)
+def _cached(kind, order, builder, *params):
+    key = (kind, order, *params)
     rule = _RULE_CACHE.get(key)
     if rule is None:
-        nodes, weights = builder(order)
+        nodes, weights = builder(order, *params)
         rule = QuadratureRule(kind, tuple(map(float, nodes)),
                               tuple(map(float, weights)), order)
         _RULE_CACHE[key] = rule
@@ -100,21 +99,9 @@ def gauss_hermite(order: int) -> QuadratureRule:
     return _cached("hermite", order, hermgauss)
 
 
-def gauss_legendre(order: int) -> QuadratureRule:
-    """Nodes/weights for integral_{-1}^1 f(x) dx."""
-    return _cached("legendre", order, leggauss)
-
-
 def gauss_jacobi(order: int, alpha: float, beta: float) -> QuadratureRule:
     """Nodes/weights for integral_{-1}^1 f(x) (1-x)^a (1+x)^b dx."""
-    key = ("jacobi", order, alpha, beta)
-    rule = _RULE_CACHE.get(key)
-    if rule is None:
-        nodes, weights = _golub_welsch_jacobi(order, alpha, beta)
-        rule = QuadratureRule("jacobi", tuple(map(float, nodes)),
-                              tuple(map(float, weights)), order)
-        _RULE_CACHE[key] = rule
-    return rule
+    return _cached("jacobi", order, _golub_welsch_jacobi, alpha, beta)
 
 
 def _golub_welsch_jacobi(order, alpha, beta):

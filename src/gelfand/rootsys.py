@@ -14,7 +14,7 @@ from functools import cached_property, lru_cache
 from math import lcm
 from operator import mul
 
-from .exact import dot, fr
+from .exact import fr
 from .exact import unit_vector as _eps
 
 FAMILIES = ("A", "B", "C", "D")
@@ -28,10 +28,6 @@ class RootSystemData:
     simple_roots: tuple
     positive_roots: tuple
     fundamental_weights: tuple
-
-    def coroot(self, alpha):
-        nn = dot(alpha, alpha)
-        return tuple(2 * a / nn for a in alpha)
 
     @cached_property
     def rho(self):
@@ -141,8 +137,12 @@ def build_root_system(family: str, rank: int) -> RootSystemData:
     return RootSystemData(family, rank, n, tuple(simple), tuple(positive), tuple(funds))
 
 
-def is_dominant(rs: RootSystemData, coeffs) -> bool:
-    return len(coeffs) == rs.rank and all(isinstance(k, int) and k >= 0 for k in coeffs)
+def check_weight(rs: RootSystemData, weight: DominantWeight) -> None:
+    """Raise unless ``weight`` is labelled by ``rs``'s family and rank
+    (``DominantWeight`` itself enforces dominance)."""
+    if (weight.family, weight.rank) != (rs.family, rs.rank):
+        raise ValueError(f"weight of {weight.family}{weight.rank} does not belong to "
+                         f"the root system {rs.family}{rs.rank}")
 
 
 def weight_to_eps(rs: RootSystemData, weight: DominantWeight):
@@ -150,12 +150,6 @@ def weight_to_eps(rs: RootSystemData, weight: DominantWeight):
     for k, xi in zip(weight.coeffs, rs.fundamental_weights):
         acc = [a + k * x for a, x in zip(acc, xi)]
     return tuple(acc)
-
-
-def eps_to_coeffs(rs: RootSystemData, vec):
-    """Coefficients of ``vec`` in the fundamental-weight basis: the pairings
-    with the simple coroots."""
-    return tuple(dot(vec, rs.coroot(psi)) for psi in rs.simple_roots)
 
 
 def weyl_dimension_eps(rs: RootSystemData, lam_eps) -> int:
@@ -178,25 +172,6 @@ def weyl_dimension_eps(rs: RootSystemData, lam_eps) -> int:
 
 def weyl_dimension(rs: RootSystemData, weight: DominantWeight) -> int:
     """Product over positive roots of <lam+rho, alpha>/<rho, alpha>."""
-    if weight.family != rs.family or weight.rank != rs.rank:
-        raise ValueError("weight does not belong to this root system")
-    if not is_dominant(rs, weight.coeffs):
-        raise ValueError("weight is not dominant")
+    check_weight(rs, weight)
     return weyl_dimension_eps(rs, weight_to_eps(rs, weight))
 
-
-def stabilize_weight(weight: DominantWeight, target_rank: int) -> DominantWeight:
-    """Copy the coefficients and pad with zeros up to ``target_rank``."""
-    if target_rank < weight.rank:
-        raise ValueError("target rank must be >= source rank")
-    coeffs = weight.coeffs + (0,) * (target_rank - weight.rank)
-    return DominantWeight(weight.family, target_rank, coeffs)
-
-
-def positive_root_count(family: str, rank: int) -> int:
-    return {
-        "A": rank * (rank + 1) // 2,
-        "B": rank * rank,
-        "C": rank * rank,
-        "D": rank * (rank - 1),
-    }[family]

@@ -400,10 +400,3 @@ def _zonal_constant_gegenbauer(m_sphere, n_sphere, degree):
     zm = lambda s, rho_sq: _zonal_on_sphere(m_sphere, degree, s, (1 - s * s))
     zn = lambda s, rho_sq: _zonal_on_sphere(n_sphere, degree, s, rho_sq)
     return _normalized_overlap(pair_integral, zm, zn)
-
-
-def gram_to_csv(space: HarmonicSpace, path) -> None:
-    """Exact Gram matrix as CSV, one row per harmonic basis vector."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in space.gram:
-            fh.write(",".join(str(x) for x in row) + "\n")

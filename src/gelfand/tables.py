@@ -45,10 +45,6 @@ def registry():
     return _ROWS
 
 
-def row_ids():
-    return sorted(registry())
-
-
 def _check_constraints(constraints: str, r: int, s: int | None):
     env = {"r": r, "s": s}
     for clause in constraints.split(";"):

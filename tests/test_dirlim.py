@@ -19,8 +19,6 @@ from gelfand.dirlim import (
     limit_inner_product,
     make_ladder,
     sphere_ladder,
-    tilde_eta_scale,
-    tilde_zeta_scale,
     un_csq_by_enumeration,
     un_polynomial_ladder,
     verify_cocycle,
@@ -50,8 +48,8 @@ def test_tilde_bounded_by_plain():
     for m in (3, 4):
         for n in (2, 3):
             if m >= n:
-                assert tilde_zeta_scale(L, m, n) <= zeta_scale(L, m, n) + 1e-15
-    assert tilde_eta_scale(L, 4) <= eta_scale(L, 4)
+                assert L.c(m, n) * zeta_scale(L, m, n) <= zeta_scale(L, m, n) + 1e-15
+    assert L.c(4, L.base) * eta_scale(L, 4) <= eta_scale(L, 4)
 
 
 def test_missing_level_errors():

@@ -16,16 +16,23 @@ from gelfand.fock import (
     coefficient_inner_product,
     coefficient_series,
     fock_operator,
-    heis_identity,
-    heis_inv,
     heis_mul,
     matrix_coefficient,
     multi_indices,
-    regular_gram_rank,
+    regular_gram,
     regular_norm_sq,
 )
+from gelfand.exact import rank
 
 ints = st.integers(min_value=-4, max_value=4)
+
+
+def heis_identity(n):
+    return HeisenbergPoint(0.0, (0j,) * n)
+
+
+def heis_inv(g):
+    return HeisenbergPoint(-g.z, tuple(-a for a in g.w))
 
 
 def int_point(z, reals, imags):
@@ -334,7 +341,7 @@ def test_regular_gram_full_rank_density_proxy():
             for k in range(5):
                 terms.append((k, (m,), (mp,)))
     terms = terms[:50]
-    assert regular_gram_rank(1, terms) == len(terms)
+    assert rank(regular_gram(1, terms)) == len(terms)
 
 
 def test_regular_function_eval_wrapper():
@@ -357,16 +364,14 @@ def test_fock_vector_norm_and_basis():
         fock.FockVector.basis_vector(1, 4, (5,))
 
 
-def test_operator_csv_export(tmp_path):
+def test_operator_csv_export():
     op = fock_operator(1, 1.0, HeisenbergPoint(0.1, (0.2 + 0.1j,)), 3)
-    path = tmp_path / "op.csv"
-    fock.operator_to_csv(op, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0].startswith("#")  # index header in graded order
-    assert lines[0] == "# 0;1;2;3"
-    assert len(lines) == 5
-    first = complex(lines[1].split(",")[0].replace("j", "j"))
-    assert abs(first - op.matrix[0, 0]) < 1e-15
+    # rows and columns follow multi_indices, degree-major
+    assert multi_indices(1, 3) == ((0,), (1,), (2,), (3,))
+    assert op.matrix.shape == (4, 4)
+    for i, left in enumerate(multi_indices(1, 3)):
+        for j, right in enumerate(multi_indices(1, 3)):
+            assert op.entry(left, right) == op.matrix[i, j]
 
 
 def test_operator_preserves_inner_products_on_protected_range():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gelfand.exact import MultiPoly, det, poly_matrix_det
+from gelfand.exact import MultiPoly, det
 from gelfand.nilpf import (
     _pf_recursive,
     b_form,
@@ -24,8 +24,7 @@ from gelfand.nilpf import (
     pfaffian_polynomial,
     pfaffian_symbolic,
     plancherel_density,
-    quotient_to_heisenberg,
-    sample_zero_set,
+    sample_centre_point,
     transform_v_basis,
 )
 
@@ -252,11 +251,36 @@ def test_heisenberg_pfaffian_polynomial_is_power(n):
     assert p.poly == t ** n
 
 
+def _poly_matrix_det(mat):
+    """Determinant of a square matrix of MultiPoly entries: Laplace expansion
+    along the rows, memoized on the remaining-column set."""
+    nvars = mat[0][0].nvars
+    memo = {}
+
+    def rec(row, cols):
+        if not cols:
+            return MultiPoly.const(nvars, 1)
+        got = memo.get((row, cols))
+        if got is not None:
+            return got
+        total = MultiPoly.zero(nvars)
+        for pos, c in enumerate(cols):
+            entry = mat[row][c]
+            if entry.is_zero():
+                continue
+            term = entry * rec(row + 1, cols[:pos] + cols[pos + 1:])
+            total = total + (term if pos % 2 == 0 else -term)
+        memo[(row, cols)] = total
+        return total
+
+    return rec(0, tuple(range(len(mat))))
+
+
 def test_symbolic_pfaffian_squares_to_symbolic_determinant():
     for alg in (build_heisenberg(2, "C"), build_heisenberg(1, "H"), build_un_type(2)):
         mat = b_form_symbolic(alg)
         p = pfaffian_symbolic(mat, alg.dim_z)
-        assert p * p == poly_matrix_det(mat)
+        assert p * p == _poly_matrix_det(mat)
 
 
 def test_numeric_pfaffian_squares_to_det_on_constructed_forms_up_to_dim_12():
@@ -325,13 +349,21 @@ def test_plancherel_density_values():
     assert plancherel_density(alg, (0,)) == 0.0
 
 
+def _zero_fraction(alg, count, seed):
+    """Share of seeded ``sample_centre_point`` draws where the Pfaffian
+    polynomial vanishes exactly."""
+    rng = random.Random(seed)
+    poly = pfaffian_polynomial(alg)
+    return sum(poly(sample_centre_point(rng, alg.dim_z)) == 0 for _ in range(count)) / count
+
+
 def test_sample_zero_set_h2():
-    assert sample_zero_set(build_heisenberg(2, "C"), 10 ** 4, seed=7) == 0.0
+    assert _zero_fraction(build_heisenberg(2, "C"), 10 ** 4, seed=7) == 0.0
 
 
 def test_sample_zero_set_reproducible():
     alg = build_free_two_step(3)
-    assert sample_zero_set(alg, 100, seed=3) == 1.0
+    assert _zero_fraction(alg, 100, seed=3) == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -339,29 +371,71 @@ def test_sample_zero_set_reproducible():
 # ---------------------------------------------------------------------------
 
 
+def _quotient_to_heisenberg(alg, t):
+    """Symplectic basis of (v, b_t): returns (d, T) with d = dim_v / 2 and T
+    the exact change of basis with T^t B T the standard block form
+    diag([[0,1],[-1,0]], ...).  Raises on degenerate b_t."""
+    if alg.dim_v % 2 == 1:
+        raise ValueError("odd flat dimension: b_t is always degenerate")
+    b = b_form(alg, t)
+    n = alg.dim_v
+
+    def apply(form, u, w):
+        return sum(u[i] * sum(form[i][j] * w[j] for j in range(n)) for i in range(n))
+
+    remaining = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    pairs = []
+    while remaining:
+        v = remaining[0]
+        partner = next((w for w in remaining[1:] if apply(b, v, w) != 0), None)
+        if partner is None:
+            raise ValueError("degenerate central form")
+        scale = apply(b, v, partner)
+        w = [x / scale for x in partner]
+        new_remaining = []
+        for u in remaining:
+            if u is v or u is partner:
+                continue
+            cu = apply(b, u, w)
+            cv = apply(b, u, v)
+            adjusted = [x - cu * a + cv * c for x, a, c in zip(u, v, w)]
+            if any(adjusted):
+                new_remaining.append(adjusted)
+        pairs.append((v, w))
+        remaining = new_remaining
+    if 2 * len(pairs) != n:
+        raise ValueError("degenerate central form")
+    return len(pairs), _transpose([col for pair in pairs for col in pair])
+
+
 def test_quotient_heisenberg_identity_scaling():
     alg = build_heisenberg(2, "C")
-    d, T = quotient_to_heisenberg(alg, (Fraction(1),))
+    d, T = _quotient_to_heisenberg(alg, (Fraction(1),))
     assert d == 2
     b = b_form(alg, (1,))
+    assert pfaffian(b) != 0
     j = _standard_block(d)
     assert _congruence(T, b) == j
 
 
 def test_quotient_quaternionic_generic():
     alg = build_heisenberg(1, "H")
-    d, T = quotient_to_heisenberg(alg, (Fraction(1), Fraction(1, 2), Fraction(-1, 3)))
+    d, T = _quotient_to_heisenberg(alg, (Fraction(1), Fraction(1, 2), Fraction(-1, 3)))
     assert d == 2
     b = b_form(alg, (Fraction(1), Fraction(1, 2), Fraction(-1, 3)))
+    assert pfaffian(b) != 0
     assert _congruence(T, b) == _standard_block(d)
 
 
 def test_quotient_rejects_degenerate():
     alg = build_heisenberg(1, "C")
+    assert pfaffian(b_form(alg, (Fraction(0),))) == 0
     with pytest.raises(ValueError):
-        quotient_to_heisenberg(alg, (Fraction(0),))
+        _quotient_to_heisenberg(alg, (Fraction(0),))
+    free = build_free_two_step(3)
+    assert pfaffian(b_form(free, (Fraction(1),) * 3)) == 0
     with pytest.raises(ValueError):
-        quotient_to_heisenberg(build_free_two_step(3), (Fraction(1),) * 3)
+        _quotient_to_heisenberg(free, (Fraction(1),) * 3)
 
 
 def _standard_block(d):
@@ -372,9 +446,17 @@ def _standard_block(d):
     return out
 
 
+def _transpose(a):
+    return [list(col) for col in zip(*a)]
+
+
+def _mat_mul(a, b):
+    cols = _transpose(b)
+    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+
+
 def _congruence(T, b):
-    from gelfand.exact import mat_mul, transpose
-    return mat_mul(mat_mul(transpose(T), b), T)
+    return _mat_mul(_mat_mul(_transpose(T), b), T)
 
 
 # ---------------------------------------------------------------------------

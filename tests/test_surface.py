@@ -1,0 +1,106 @@
+"""The library's public surface: every public top-level function or class in
+``src/gelfand`` is used by the library or the benchmark harness, or is kept
+on purpose.
+
+A name counts as used when it appears anywhere in ``src/gelfand`` or
+``perfbench`` outside its own definition: as a name, an attribute, an
+imported alias, or an identifier string (``perfbench/spans.py`` names the
+functions it wraps as strings).  A helper that only tests call belongs in
+the test that uses it.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "gelfand"
+USERS = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+_IDENT = re.compile(r"[A-Za-z_]\w*\Z")
+
+KEEP = {
+    # timed or called by perfbench
+    "charring.weight_system": "perfbench layer: the Freudenthal weight system",
+    "charring.tensor_decompose": "perfbench layer: Brauer-Klimyk tensor products",
+    "numerics.matrix_exp": "perfbench layer and the oracle of the chain exponentials",
+    "numerics.gaussian_plane_integral": "perfbench layer: node-doubling plane integrals",
+    "symmpair.harmonic_basis": "perfbench layer: exact harmonic-basis RREF",
+    "symmpair.zonal_vector": "perfbench layer: the zonal vector in that basis",
+    "dirlim.apply_nu": "perfbench workload: the restriction map nu_{m,n}",
+    "nilpf.b_form": "perfbench workload: the central form b_t",
+    "tables.registry": "perfbench workload: the table rows",
+    "fock.heis_mul": "perfbench workload: the Heisenberg group law",
+    # the paper's objects
+    "fock.matrix_coefficient": "the paper's matrix coefficients of the Fock model",
+    "fock.RegularFunction": "the paper's regular functions on the Heisenberg group",
+    "fock.regular_gram": "Gram matrix of the regular functions",
+    "fock.FockVector": "vectors of the truncated Fock space",
+    "dirlim.apply_zeta": "the paper's map zeta_{m,n}",
+    "dirlim.zeta_scale": "the rescaling of zeta_{m,n}",
+    "dirlim.eta_scale": "the comparison into the square-integrable completion",
+    "dirlim.backend_restrict": "the restriction a ladder's backend applies",
+    "nilpf.plancherel_density": "the Plancherel density |Pf(b_t)|",
+    "dirlim.ladder_from_json": "reader of the export-ladder output",
+    # file formats and planned callers
+    "nilpf.dump_algebra": "writer of the --algebra FILE format that load_algebra reads",
+    "symmpair.build_symmetric_pair": "restricted root data for the compact rank-one suite",
+    "symmpair.cartan_helgason_filter": "class-1 weights for the compact rank-one suite",
+}
+
+
+def _public_definitions():
+    """{"module.name": (path, first line, last line)} for each public
+    top-level function or class."""
+    out = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")):
+                out[f"{path.stem}.{node.name}"] = (path, node.lineno, node.end_lineno)
+    return out
+
+
+def _references():
+    """[(path, line, name)] for every name, attribute, imported alias and
+    identifier string in the library and the benchmark harness."""
+    out = []
+    for path in USERS:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.name.rpartition(".")[2]
+            elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and _IDENT.match(node.value)):
+                name = node.value
+            else:
+                continue
+            out.append((path, getattr(node, "lineno", 0), name))
+    return out
+
+
+def _unreferenced(defs):
+    by_name = {}
+    for key, span in defs.items():
+        by_name.setdefault(key.rpartition(".")[2], []).append((key, span))
+    used = set()
+    for path, line, name in _references():
+        for key, (dpath, first, last) in by_name.get(name, ()):
+            if not (path == dpath and first <= line <= last):
+                used.add(key)
+    return sorted(set(defs) - used)
+
+
+def test_every_public_name_has_a_caller_or_a_reason():
+    unused = [key for key in _unreferenced(_public_definitions()) if key not in KEEP]
+    assert unused == [], (
+        "public names with no caller in src/ or perfbench/: move each into the "
+        "test that uses it, or add it to KEEP with a reason")
+
+
+def test_keep_list_names_exist():
+    defs = _public_definitions()
+    assert sorted(k for k in KEEP if k not in defs) == []
+    assert all(reason.strip() for reason in KEEP.values())
