@@ -18,11 +18,13 @@ so/sp factors (one entry per epsilon), bare integers for circle factors.
 
 from __future__ import annotations
 
+from collections import Counter
+from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, combinations, combinations_with_replacement, product
-from math import comb, lcm, prod
+from itertools import accumulate, combinations, combinations_with_replacement, product, repeat
+from math import comb, factorial, lcm, prod
 from operator import add, mul, sub
 from types import MappingProxyType
 
@@ -36,30 +38,70 @@ from .exact import fr
 
 def weight_system(rs: rootsys.RootSystemData, weight: rootsys.DominantWeight):
     """Weight multiplicities of the irreducible module, by Freudenthal's
-    recursion.  Returns {epsilon tuple: multiplicity}."""
-    scale, mults = _lattice_weights(rs, weight)
-    frac = {x: Fraction(x, scale) for x in {x for mu in mults for x in mu}}
-    return {tuple(map(frac.__getitem__, mu)): m for mu, m in mults.items()}
-
-
-def weight_count(rs: rootsys.RootSystemData, weight: rootsys.DominantWeight) -> int:
-    """Dimension of the irreducible module as its number of weights counted
-    with multiplicity: the sum of ``weight_system``'s values, read off the
-    integer lattice without building a single ``Fraction``."""
-    return sum(_lattice_weights(rs, weight)[1].values())
-
-
-def _lattice_weights(rs: rootsys.RootSystemData, weight: rootsys.DominantWeight):
-    """The whole weight system on the integer lattice.
-
-    Returns (scale, {integer tuple: multiplicity}), each key being an
-    epsilon-coordinate weight multiplied by ``scale``: the Freudenthal
-    dominant weights expanded over their Weyl orbits, in the order
-    ``weight_system`` reports them.
-    """
+    recursion: a read-only {epsilon tuple: multiplicity} mapping."""
     rootsys.check_weight(rs, weight)
-    scale, dominant = _freudenthal(rs, rootsys.weight_to_eps(rs, weight))
-    return scale, {nu: m for mu, m in dominant.items() for nu in _weyl_orbit(rs.family, mu)}
+    return WeightSystem(rs.family, *_freudenthal(rs, rootsys.weight_to_eps(rs, weight)))
+
+
+class WeightSystem(Mapping):
+    """A weight system held as its dominant multiplicities and read over the
+    Weyl orbits on demand (Moody-Patera).
+
+    ``dominant`` maps each dominant weight, as an integer tuple multiplied by
+    ``scale``, to its multiplicity, as ``_freudenthal`` returns them.  Keys
+    are epsilon tuples of ``Fraction``s, in ``_weyl_orbit`` order within each
+    dominant weight.  ``len`` and ``values`` come from the orbit sizes, and
+    only ``lattice_items`` lists an orbit.
+    """
+
+    __slots__ = ("family", "scale", "dominant")
+
+    def __init__(self, family: str, scale: int, dominant):
+        self.family, self.scale, self.dominant = family, scale, dominant
+
+    def __getitem__(self, weight):
+        scaled = [Fraction(x) * self.scale for x in weight]
+        if (len(scaled) != len(next(iter(self.dominant)))
+                or any(x.denominator != 1 for x in scaled)):
+            raise KeyError(weight)
+        m = self.dominant.get(_dominant(self.family, tuple(map(int, scaled))))
+        if m is None:
+            raise KeyError(weight)
+        return m
+
+    def __len__(self):
+        return sum(_orbit_size(self.family, mu) for mu in self.dominant)
+
+    def __iter__(self):
+        return (nu for nu, _ in self.items())
+
+    def lattice_items(self):
+        """(integer tuple, multiplicity) for every weight, each tuple being
+        an epsilon-coordinate weight multiplied by ``scale``."""
+        for mu, m in self.dominant.items():
+            for nu in _weyl_orbit(self.family, mu):
+                yield nu, m
+
+    def items(self):
+        return _WeightItems(self)
+
+    def values(self):
+        return _WeightValues(self)
+
+
+class _WeightItems(ItemsView):
+    def __iter__(self):
+        ws = self._mapping
+        frac = {x: Fraction(x, ws.scale) for mu in ws.dominant for a in mu for x in (a, -a)}
+        for nu, m in ws.lattice_items():
+            yield tuple(map(frac.__getitem__, nu)), m
+
+
+class _WeightValues(ValuesView):
+    def __iter__(self):
+        ws = self._mapping
+        for mu, m in ws.dominant.items():
+            yield from repeat(m, _orbit_size(ws.family, mu))
 
 
 def _freudenthal(rs: rootsys.RootSystemData, lam):
@@ -71,8 +113,8 @@ def _freudenthal(rs: rootsys.RootSystemData, lam):
     computed on dominant weights only, each root-string term being read at
     its dominant conjugate (Moody-Patera).  Returns
     (scale, {dominant integer tuple: multiplicity}), the keys being the
-    weights multiplied by ``scale``; ``_lattice_weights`` expands them over
-    their Weyl orbits.
+    weights multiplied by ``scale``; ``WeightSystem`` reads them over their
+    Weyl orbits.
     """
     family = rs.family
     scale = lcm(*(fr(x).denominator for x in lam))
@@ -145,6 +187,22 @@ def _distinct_permutations(values):
         out.append(tuple(a))
 
 
+def _orbit_size(family: str, mu) -> int:
+    """Size of the Weyl orbit of the dominant ``mu``, without listing it: the
+    multinomial of the entries for A; for B and C the distinct orderings of
+    the absolute values times 2^(nonzero entries); for D the same, except
+    that with no zero entry only the even sign changes count, 2^(n-1)."""
+    size = factorial(len(mu))
+    for count in Counter(mu if family == "A" else map(abs, mu)).values():
+        size //= factorial(count)
+    if family == "A":
+        return size
+    signs = sum(1 for x in mu if x)
+    if family == "D" and signs == len(mu):
+        signs -= 1
+    return size << signs
+
+
 def _dominant(family: str, v):
     """Dominant Weyl conjugate of ``v`` (no rho shift; singular or not): the
     one statement of the chambers.  A sorts the entries; B, C and D sort
@@ -197,14 +255,16 @@ def tensor_decompose(rs: rootsys.RootSystemData, lam: rootsys.DominantWeight,
     """Brauer-Klimyk: run the weight system of mu against lam + rho.
 
     Works on the integer lattice scaled by s = lcm(2 scale, denominators of
-    lam), ``scale`` being that of mu's lattice weights: s(lam + rho) + s nu
+    lam), ``scale`` being that of mu's weight system: s(lam + rho) + s nu
     is an integer tuple, its dominant conjugate less s rho is s times the
     target weight, and the target's coefficients are the coroot pairings
     2<target, alpha_i> / (s <alpha_i, alpha_i>), which must divide exactly.
     Returns {DominantWeight: multiplicity}.
     """
     rootsys.check_weight(rs, lam)
-    scale, mults = _lattice_weights(rs, mu)  # checks mu
+    rootsys.check_weight(rs, mu)
+    mults = WeightSystem(rs.family, *_freudenthal(rs, rootsys.weight_to_eps(rs, mu)))
+    scale = mults.scale
     lam_eps = rootsys.weight_to_eps(rs, lam)
     s = lcm(2 * scale, *(x.denominator for x in lam_eps))
     step = s // scale
@@ -213,7 +273,7 @@ def tensor_decompose(rs: rootsys.RootSystemData, lam: rootsys.DominantWeight,
     simple = [tuple(map(int, alpha)) for alpha in rs.simple_roots]
     pairings = [(alpha, s * sum(map(mul, alpha, alpha))) for alpha in simple]
     out: dict = {}
-    for nu, m in mults.items():
+    for nu, m in mults.lattice_items():
         res = _reflect_to_dominant(rs.family, tuple(b + step * x for b, x in zip(base, nu)))
         if res is None:
             continue

@@ -148,7 +148,8 @@ def check_weight(rs: RootSystemData, weight: DominantWeight) -> None:
 def weight_to_eps(rs: RootSystemData, weight: DominantWeight):
     acc = [Fraction(0)] * rs.ambient_dim
     for k, xi in zip(weight.coeffs, rs.fundamental_weights):
-        acc = [a + k * x for a, x in zip(acc, xi)]
+        if k:
+            acc = [a + k * x for a, x in zip(acc, xi)]
     return tuple(acc)
 
 

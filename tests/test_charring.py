@@ -357,11 +357,72 @@ def test_tensor_decompose_matches_fraction_oracle(family, rank):
             assert charring.tensor_decompose(rs, lam, mu) == expected, (lam, mu)
 
 
-@pytest.mark.parametrize("family,rank", ORACLE_SYSTEMS)
+def _eager_weight_system(rs, weight):
+    """Reference: every Weyl orbit of the Freudenthal dominant weights listed
+    into one dict on the integer lattice, then its keys made ``Fraction``
+    epsilon tuples."""
+    rootsys.check_weight(rs, weight)
+    scale, dominant = charring._freudenthal(rs, rootsys.weight_to_eps(rs, weight))
+    mults = {nu: m for mu, m in dominant.items() for nu in charring._weyl_orbit(rs.family, mu)}
+    frac = {x: Fraction(x, scale) for x in {x for mu in mults for x in mu}}
+    return {tuple(map(frac.__getitem__, mu)): m for mu, m in mults.items()}
+
+
+VIEW_SYSTEMS = ([("A", n) for n in range(1, 6)]
+                + [(family, n) for family in "BCD" for n in range(2, 6)])
+
+
+@pytest.mark.parametrize("family,rank", VIEW_SYSTEMS)
 def test_weight_count_sums_the_weight_system(family, rank):
+    # the view reads the dominant multiplicities over their orbits: the same
+    # items in the same order, the same size and weight count, the same
+    # lookups as the weight system listed out
     rs = rootsys.build_root_system(family, rank)
     for w in _small_weights(family, rank):
-        assert charring.weight_count(rs, w) == sum(charring.weight_system(rs, w).values())
+        view, oracle = charring.weight_system(rs, w), _eager_weight_system(rs, w)
+        assert list(view.items()) == list(oracle.items()), w
+        assert len(view) == len(oracle)
+        assert sum(view.values()) == sum(oracle.values())
+        assert view == oracle
+        assert all(view[k] == m for k, m in oracle.items())
+
+
+@pytest.mark.parametrize("family,rank", VIEW_SYSTEMS)
+def test_orbit_size_matches_enumeration(family, rank):
+    rs = rootsys.build_root_system(family, rank)
+    seen_zero = seen_negative = False
+    for w in _small_weights(family, rank):
+        for mu in charring.weight_system(rs, w).dominant:
+            assert charring._orbit_size(family, mu) == len(charring._weyl_orbit(family, mu)), mu
+            seen_zero |= 0 in mu
+            seen_negative |= mu[-1] < 0
+    # the grid reaches zero entries, and D weights with a negative last entry
+    assert seen_zero and (seen_negative or family != "D")
+
+
+def test_weight_system_lookup_misses():
+    c2 = rootsys.build_root_system("C", 2)
+    view = charring.weight_system(c2, dw("C", 2, (0, 1)))  # (1, 1) and its orbit
+    half = (Fraction(1, 2), Fraction(1, 2))
+    for key in (half, (1,), (1, 1, 0), (2, 0), (3, 1)):
+        with pytest.raises(KeyError):
+            view[key]
+        assert view.get(key) is None
+        assert key not in view
+    assert view[(-1, 1)] == 1 and view[(0, 0)] == 1
+
+
+def test_weight_system_size_lists_no_orbit(monkeypatch):
+    b3 = rootsys.build_root_system("B", 3)
+    view = charring.weight_system(b3, dw("B", 3, (1, 0, 1)))
+    expected = (len(view), list(view.values()))
+
+    def refuse(family, mu):
+        raise AssertionError("an orbit was listed")
+
+    monkeypatch.setattr(charring, "_weyl_orbit", refuse)
+    assert (len(view), list(view.values())) == expected
+    assert sum(view.values()) == rootsys.weyl_dimension(b3, dw("B", 3, (1, 0, 1)))
 
 
 def test_tensor_rank_mismatch():
@@ -373,8 +434,8 @@ def test_tensor_rank_mismatch():
 def test_weight_from_another_root_system_is_rejected():
     a2, b2, c2 = (rootsys.build_root_system(f, 2) for f in "ABC")
     b2_weight, c2_weight = dw("B", 2, (1, 0)), dw("C", 2, (0, 1))
-    assert charring.weight_count(c2, c2_weight) == 5
-    for call in (charring.weight_count, charring.weight_system, rootsys.weyl_dimension):
+    assert sum(charring.weight_system(c2, c2_weight).values()) == 5
+    for call in (charring.weight_system, rootsys.weyl_dimension):
         with pytest.raises(ValueError):
             call(b2, c2_weight)
     with pytest.raises(ValueError):
