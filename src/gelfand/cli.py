@@ -436,11 +436,16 @@ def _suite_zonal(cfg, rec):
     tol = TOL.exact_identity
     for n in range(2, top + 1):
         def self_case(n=n):
+            # reproducing kernel at the pole, where the zonal is 1 (the
+            # Frobenius-Schur normalization): <z_d, z_d> = 1 / dim H^d
             for d in range(degree + 1):
-                if symmpair.zonal_projection_csq(n, n, d) != 1:
-                    return False, f"csq != 1 at degree {d}"
-            return True, f"csq == 1 at degrees <= {degree}"
-        rec.run(f"self-projection-S{n}", "exactly 1", "exact", self_case)
+                z = symmpair._zonal_poly(n, d)
+                dim = symmpair.harmonic_dimension(n + 1, d)
+                norm = symmpair.sphere_inner_product(z, z)
+                if norm != Fraction(1, dim):
+                    return False, f"|z|^2 = {norm} != 1/{dim} at degree {d}"
+            return True, f"|z|^2 == 1/dim H^d at degrees <= {degree}"
+        rec.run(f"self-projection-S{n}", "exactly 1/dim H^d", "exact", self_case)
     for m in range(2, top + 1):
         for n in range(2, m):
             for d in range(1, degree + 1):

@@ -238,15 +238,21 @@ def sphere_product_rule(n_ambient: int, order: int):
     return np.concatenate(pts, axis=0), np.concatenate(wts)
 
 
-def integrate_sphere(f, n_ambient: int, order: int) -> float:
+def integrate_sphere(f, n_ambient: int, order: int):
     """Integrate f over S^{N-1} against the normalized measure.
 
     ``f`` is called once with the coordinates as an (N, k) array, so
     ``x[i]`` is coordinate i at all k rule points, and returns the k values
-    (a scalar is broadcast).
+    (a scalar is broadcast) as one float.  It may instead return a stack of
+    value rows, a list of r arrays of k values, to integrate r functions on
+    one rule; the result is then a list of r floats, each row dotted with
+    the weights exactly as a single-row call would.
     """
     pts, wts = sphere_product_rule(n_ambient, order)
-    return float(wts @ np.broadcast_to(f(pts.T), wts.shape))
+    vals = f(pts.T)
+    if isinstance(vals, list):
+        return [float(wts @ row) for row in vals]
+    return float(wts @ np.broadcast_to(vals, wts.shape))
 
 
 # Pade-13 coefficients and the 1-norm bound under which the [13/13]

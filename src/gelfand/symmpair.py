@@ -12,7 +12,11 @@ on indices whose doubled simple root is again a restricted root.
 The sphere model is exact end to end: harmonic polynomials with rational
 coefficients, sphere moments as closed-form rationals, zonal vectors in the
 Gegenbauer closed form (a two-term recurrence on rational coefficients), and
-projection constants whose squares are rational numbers.
+projection constants whose squares are rational numbers, read off the
+reproducing-kernel closed form.  The two float routes to the constants stay
+independent of it: sphere product quadrature of the monomial-expanded zonal
+polynomials, which integrates the cross and both norms as three stacked rows
+of one rule, and a Gegenbauer reduction to a two-variable Jacobi integral.
 """
 
 from __future__ import annotations
@@ -279,14 +283,19 @@ def _check_zonal_args(m_sphere: int, n_sphere: int, degree: int) -> None:
 def zonal_projection_csq(m_sphere: int, n_sphere: int, degree: int) -> Fraction:
     """Exact square of the projection constant between the unit zonal
     vectors of S^m and S^n (n <= m), with the smaller harmonic space carried
-    into the larger one by polynomial inclusion and renormalization."""
+    into the larger one by polynomial inclusion and renormalization.
+
+    Closed form from the reproducing kernel (Stein & Weiss, ch. IV): on
+    S^m, <z_m, p> = p(pole) / dim H^d(R^(m+1)) for every degree-d harmonic
+    p, the embedded z_n among them, and a degree-2d form in n + 1 variables
+    has its S^m moments ((n+1)/2)_d / ((m+1)/2)_d times its S^n ones, so
+    csq = dim H^d(R^(n+1)) / dim H^d(R^(m+1)) * ((m+1)/2)_d / ((n+1)/2)_d."""
     _check_zonal_args(m_sphere, n_sphere, degree)
-    zm = _zonal_poly(m_sphere, degree)
-    zn = _embed(_zonal_poly(n_sphere, degree), m_sphere + 1)
-    cross = sphere_inner_product(zm, zn)
-    nm = sphere_inner_product(zm, zm)
-    nn = sphere_inner_product(zn, zn)
-    return (cross * cross) / (nm * nn)
+    csq = Fraction(harmonic_dimension(n_sphere + 1, degree),
+                   harmonic_dimension(m_sphere + 1, degree))
+    for j in range(degree):
+        csq *= Fraction(m_sphere + 1 + 2 * j, n_sphere + 1 + 2 * j)
+    return csq
 
 
 def zonal_projection_constant(m_sphere: int, n_sphere: int, degree: int,
@@ -318,24 +327,37 @@ def _normalized_overlap(integrate, f, g) -> float:
 
 
 def _zonal_constant_quadrature(m_sphere, n_sphere, degree):
+    """The overlap on one product rule of S^m, each zonal evaluated once:
+    the rows vm*vn, vm*vm, vn*vn integrate together."""
     fm = _poly_to_callable(_zonal_poly(m_sphere, degree))
     fn = _poly_to_callable(_embed(_zonal_poly(n_sphere, degree), m_sphere + 1))
-    return _normalized_overlap(
-        lambda h: numerics.integrate_sphere(h, m_sphere + 1, degree + 2), fm, fn)
+
+    def rows(x):
+        vm, vn = fm(x), fn(x)
+        return [vm * vn, vm * vm, vn * vn]
+
+    cross, nm, nn = numerics.integrate_sphere(rows, m_sphere + 1, degree + 2)
+    return abs(cross) / math.sqrt(nm * nn)
 
 
 def _poly_to_callable(p: MultiPoly):
     """Float evaluator of ``p`` over coordinate rows: ``x[i]`` holds
-    coordinate i, as a number or as an array of points."""
-    terms = [(m, float(c)) for m, c in p.terms.items()]
+    coordinate i, as a number or as an array of points.
+
+    A monomial is its coefficient times its variables, each repeated as
+    often as its exponent: numpy sends a float array to a power e >= 3
+    through libm ``pow``, about a hundred times the cost of one product.
+    After the first product each term is multiplied in place, so an array
+    evaluation holds one term and the running sum at a time."""
+    terms = [(float(c), [i for i, e in enumerate(m) for _ in range(e)])
+             for m, c in p.terms.items()]
 
     def f(x):
         total = 0.0
-        for mono, coef in terms:
+        for coef, factors in terms:
             v = coef
-            for e, xi in zip(mono, x):
-                if e:
-                    v *= xi ** e
+            for i in factors:
+                v *= x[i]
             total += v
         return total
 

@@ -102,6 +102,24 @@ def test_sphere_rule_quadratic_moment():
     assert abs(got - 0.25) < 1e-12
 
 
+_ROWS = (lambda x: x[0] ** 2 * x[1] - 0.5, lambda x: 1.0 + x[2] ** 4,
+         lambda x: x[0] * x[1] * x[2] ** 3 + x[1] ** 2)
+
+
+@pytest.mark.parametrize("n,order", [(3, 6), (4, 5), (6, 4)])
+def test_stacked_rows_match_one_call_per_row(n, order):
+    single = [integrate_sphere(g, n, order) for g in _ROWS]
+    assert all(type(v) is float for v in single)
+    assert integrate_sphere(lambda x: [g(x) for g in _ROWS], n, order) == single
+    assert integrate_sphere(lambda x: [_ROWS[1](x)], n, order) == single[1:2]
+
+
+def test_scalar_integrand_is_broadcast():
+    got = integrate_sphere(lambda x: 2.5, 4, 4)
+    assert type(got) is float
+    assert abs(got - 2.5) < 1e-13
+
+
 def test_matrix_exp_zero_is_exact_identity():
     out = matrix_exp(np.zeros((4, 4)))
     assert np.array_equal(out, np.eye(4))

@@ -1,7 +1,9 @@
 """Symmetric-pair data and the exact sphere model."""
 
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from gelfand import numerics, symmpair
@@ -271,6 +273,32 @@ def test_self_projection_is_one():
         assert zonal_projection_csq(3, 3, d) == 1
 
 
+def _csq_by_inner_products(m, n, d):
+    """Reference route: the squared overlap of z_m and the embedded z_n from
+    three exact polynomial inner products on S^m."""
+    zm = symmpair._zonal_poly(m, d)
+    zn = symmpair._embed(symmpair._zonal_poly(n, d), m + 1)
+    cross = sphere_inner_product(zm, zn)
+    return cross * cross / (sphere_inner_product(zm, zm) * sphere_inner_product(zn, zn))
+
+
+@pytest.mark.parametrize("m,n", [(m, n) for m in range(2, 9) for n in range(2, m + 1)]
+                         + [(m, 1) for m in range(1, 5)])
+def test_closed_form_csq_matches_inner_products(m, n):
+    for d in range(7 if n >= 2 else 1):
+        csq = zonal_projection_csq(m, n, d)
+        assert type(csq) is Fraction
+        assert csq == _csq_by_inner_products(m, n, d), (m, n, d)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_zonal_norm_is_reciprocal_dimension(n):
+    # the identity the zonal suite's self-projection cases check
+    for d in range(7):
+        z = symmpair._zonal_poly(n, d)
+        assert sphere_inner_product(z, z) == Fraction(1, harmonic_dimension(n + 1, d))
+
+
 def test_constants_in_unit_interval():
     for m in range(2, 6):
         for n in range(2, m + 1):
@@ -313,6 +341,46 @@ def test_unknown_method_is_rejected_before_any_work(d, monkeypatch):
     monkeypatch.setattr(symmpair, "_check_zonal_args", no_work)
     with pytest.raises(ValueError, match="unknown method 'bogus'"):
         zonal_projection_constant(3, 2, d, "bogus")
+
+
+def test_quadrature_route_integrates_once(monkeypatch):
+    calls = []
+    integrate = numerics.integrate_sphere
+
+    def counted(*args):
+        calls.append(args[1:])
+        return integrate(*args)
+
+    monkeypatch.setattr(numerics, "integrate_sphere", counted)
+    quad = symmpair._zonal_constant_quadrature(5, 3, 4)
+    assert calls == [(6, 6)]
+    assert abs(quad - zonal_projection_constant(5, 3, 4)) < 1e-10
+
+
+def test_poly_evaluator_matches_exact_evaluation():
+    # exponents up to 8, mixed signs; dyadic points are exact as floats, and
+    # the evaluation error is bounded relative to the absolute mass
+    # sum |c| prod |x_i|^e_i of the terms
+    rng = random.Random(8)
+    terms = {}
+    for _ in range(40):
+        mono = tuple(rng.randint(0, 8) for _ in range(4))
+        terms[mono] = Fraction(rng.randint(-50, 50) or 1, rng.randint(1, 30))
+    terms[(8, 0, 0, 0)] = Fraction(3, 7)
+    terms[(0, 0, 0, 0)] = Fraction(-2)
+    p = MultiPoly(4, terms)
+    f = symmpair._poly_to_callable(p)
+    mass = MultiPoly(4, {m: abs(c) for m, c in terms.items()})
+    points = [tuple(Fraction(rng.randint(-40, 40), 2 ** rng.randint(0, 5)) for _ in range(4))
+              for _ in range(20)]
+    for pt in points:
+        exact = p.eval(pt)
+        bound = mass.eval(tuple(abs(x) for x in pt))
+        got = f(tuple(float(x) for x in pt))
+        assert abs(Fraction(got) - exact) <= Fraction(1e-14) * bound, pt
+    # one array call gives the scalar values
+    cols = np.array([[float(x) for x in pt] for pt in points]).T
+    assert np.array_equal(f(cols), [f(tuple(float(x) for x in pt)) for pt in points])
 
 
 @pytest.mark.parametrize("m,n,d", [(3, 2, 2), (4, 2, 3), (5, 3, 4), (4, 3, 1), (5, 2, 2)])
