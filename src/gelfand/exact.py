@@ -37,43 +37,53 @@ def dot(u, v):
     return sum(x * y for x, y in zip(u, v))
 
 
-def _rref(matrix):
-    """Reduced row echelon form; returns (rows, pivot_columns)."""
+def _echelon(matrix):
+    """Row echelon form by exact elimination below each pivot; returns
+    (rows, pivot_columns, sign), sign the parity of the row swaps."""
     rows = [list(map(fr, row)) for row in matrix]
     nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
     pivots = []
-    r = 0
-    for c in range(ncols):
+    sign = 1
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        if r == nrows:
+            break
         pivot = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
         if pivot is None:
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
+        if pivot != r:
+            rows[r], rows[pivot] = rows[pivot], rows[r]
+            sign = -sign
         inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
+        for i in range(r + 1, nrows):
+            if rows[i][c] != 0:
+                f = rows[i][c] * inv
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
         pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
+    return rows, pivots, sign
+
+
+def _rref(matrix):
+    """Reduced row echelon form; returns (rows, pivot_columns)."""
+    rows, pivots, _ = _echelon(matrix)
+    for r in reversed(range(len(pivots))):
+        c = pivots[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(r):
+            if rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
     return rows, pivots
 
 
 def rank(matrix) -> int:
-    if not matrix:
-        return 0
-    _, pivots = _rref(matrix)
-    return len(pivots)
+    return len(_echelon(matrix)[1])
 
 
 def nullspace(matrix, ncols=None):
     """Basis of the right kernel, one list of Fractions per basis vector."""
-    if not matrix:
-        return [[Fraction(int(i == j)) for j in range(ncols)] for i in range(ncols)] if ncols else []
-    ncols = ncols or len(matrix[0])
+    ncols = ncols or (len(matrix[0]) if matrix else 0)
     rows, pivots = _rref(matrix)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
@@ -87,40 +97,31 @@ def nullspace(matrix, ncols=None):
 
 
 def solve(matrix, rhs):
-    """Solve A x = b exactly; raises ValueError when there is no solution."""
-    aug = [list(map(fr, row)) + [fr(b)] for row, b in zip(matrix, rhs)]
+    """Solve A x = b exactly; raises ValueError when there is no solution
+    or when b does not have one entry per equation."""
+    if len(rhs) != len(matrix):
+        raise ValueError(f"{len(rhs)} right-hand sides for {len(matrix)} equations")
     ncols = len(matrix[0])
-    rows, pivots = _rref(aug)
-    for row in rows:
-        if all(x == 0 for x in row[:-1]) and row[-1] != 0:
-            raise ValueError("inconsistent linear system")
+    rows, pivots = _rref([list(row) + [b] for row, b in zip(matrix, rhs)])
+    # in reduced form, a zero row with a nonzero right-hand side is a pivot
+    # in the right-hand column
     if ncols in pivots:
         raise ValueError("inconsistent linear system")
     x = [Fraction(0)] * ncols
     for r, pcol in enumerate(pivots):
-        if pcol < ncols:
-            x[pcol] = rows[r][-1]
+        x[pcol] = rows[r][-1]
     return x
 
 
 def det(matrix) -> Fraction:
-    """Determinant by fraction-exact Gaussian elimination."""
-    a = [list(map(fr, row)) for row in matrix]
-    n = len(a)
-    result = Fraction(1)
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if a[i][c] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            a[c], a[pivot] = a[pivot], a[c]
-            result = -result
-        result *= a[c][c]
-        inv = 1 / a[c][c]
-        for i in range(c + 1, n):
-            if a[i][c] != 0:
-                f = a[i][c] * inv
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+    """Determinant of a square matrix: the signed product of its echelon
+    pivots."""
+    rows, pivots, sign = _echelon(matrix)
+    if len(pivots) < len(rows):
+        return Fraction(0)
+    result = Fraction(sign)
+    for r, c in enumerate(pivots):
+        result *= rows[r][c]
     return result
 
 
@@ -172,11 +173,7 @@ class MultiPoly:
     def __add__(self, other):
         out = dict(self.terms)
         for mono, coef in other.terms.items():
-            s = out.get(mono, Fraction(0)) + coef
-            if s:
-                out[mono] = s
-            else:
-                out.pop(mono, None)
+            out[mono] = out.get(mono, 0) + coef
         return MultiPoly(self.nvars, out)
 
     def __neg__(self):
@@ -192,11 +189,7 @@ class MultiPoly:
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 mono = tuple(a + b for a, b in zip(m1, m2))
-                s = out.get(mono, Fraction(0)) + c1 * c2
-                if s:
-                    out[mono] = s
-                else:
-                    out.pop(mono, None)
+                out[mono] = out.get(mono, 0) + c1 * c2
         return MultiPoly(self.nvars, out)
 
     __rmul__ = __mul__

@@ -399,6 +399,16 @@ def regular_norm_sq(n: int, k: int):
     return exact, quad
 
 
+def _add_into(acc, key, coeffs):
+    """Add the coefficient tuple ``coeffs`` to ``acc[key]``, padding the
+    shorter of the two with zeros."""
+    merged = list(acc.get(key, ()))
+    merged += [0] * (len(coeffs) - len(merged))
+    for i, c in enumerate(coeffs):
+        merged[i] = merged[i] + c
+    acc[key] = tuple(merged)
+
+
 @dataclass(frozen=True)
 class RegularFunction:
     """Finite combination of e^{-|t|} p(t) mu_m (x) conj(mu_{m'}).
@@ -424,14 +434,8 @@ class RegularFunction:
         if self.n != other.n:
             raise ValueError("dimension mismatch")
         acc = {}
-        for key, coeffs in list(self.terms) + list(other.terms):
-            cur = list(acc.get(key, ()))
-            merged = [0] * max(len(cur), len(coeffs))
-            for i, c in enumerate(cur):
-                merged[i] = c
-            for i, c in enumerate(coeffs):
-                merged[i] = merged[i] + c
-            acc[key] = tuple(merged)
+        for key, coeffs in self.terms + other.terms:
+            _add_into(acc, key, coeffs)
         return RegularFunction(self.n, tuple(sorted(acc.items())))
 
     def __mul__(self, other):
@@ -447,16 +451,7 @@ class RegularFunction:
                 for i, a in enumerate(c1):
                     for j, b in enumerate(c2):
                         conv[i + j] = conv[i + j] + a * b
-                cur = acc.get(key)
-                if cur is None:
-                    acc[key] = tuple(conv)
-                else:
-                    merged = [0] * max(len(cur), len(conv))
-                    for i, c in enumerate(cur):
-                        merged[i] = c
-                    for i, c in enumerate(conv):
-                        merged[i] = merged[i] + c
-                    acc[key] = tuple(merged)
+                _add_into(acc, key, conv)
         return RegularFunction(self.n, tuple(sorted(acc.items())))
 
     def eval(self, t: float, g: HeisenbergPoint) -> complex:

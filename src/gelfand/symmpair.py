@@ -129,8 +129,13 @@ def build_symmetric_pair(family_id: int, rank: int, excess: int = 1) -> Restrict
 
 def cartan_helgason_filter(pair: RestrictedPairData, lam) -> bool:
     """Is ``lam`` (restricted epsilon coordinates) a nonnegative integer
-    combination of the class-1 generators?"""
+    combination of the class-1 generators?  On a rank-0 pair only the zero
+    weight is."""
     lam = tuple(map(fr, lam))
+    if not pair.class_one_weights:
+        return not any(lam)
+    if len(lam) != len(pair.class_one_weights[0]):
+        raise ValueError(f"weight {lam} does not have the length of the class-1 weights")
     cols = list(zip(*pair.class_one_weights))
     try:
         coeffs = solve([list(c) for c in cols], list(lam))

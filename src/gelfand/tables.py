@@ -4,6 +4,7 @@ package."""
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from importlib import resources
@@ -45,6 +46,9 @@ def registry():
     return _ROWS
 
 
+_COMPARISONS = {">=": operator.ge, "!=": operator.ne, "==": operator.eq}
+
+
 def _check_constraints(constraints: str, r: int, s: int | None):
     env = {"r": r, "s": s}
     for clause in constraints.split(";"):
@@ -57,12 +61,7 @@ def _check_constraints(constraints: str, r: int, s: int | None):
             right = env[m.group(3)] if m.group(3) in env else int(m.group(3))
             if left is None or right is None:
                 raise ValueError(f"constraint {clause!r} needs a second rank")
-            op = m.group(2)
-            if op == ">=" and not left >= right:
-                raise ValueError(f"rank constraint violated: {clause} with r={r}, s={s}")
-            if op == "!=" and not left != right:
-                raise ValueError(f"rank constraint violated: {clause} with r={r}, s={s}")
-            if op == "==" and not left == right:
+            if not _COMPARISONS[m.group(2)](left, right):
                 raise ValueError(f"rank constraint violated: {clause} with r={r}, s={s}")
             continue
         m = re.fullmatch(r"([rs])\s+(odd|even)", clause)
@@ -70,9 +69,7 @@ def _check_constraints(constraints: str, r: int, s: int | None):
             val = env[m.group(1)]
             if val is None:
                 raise ValueError(f"constraint {clause!r} needs a second rank")
-            if m.group(2) == "odd" and val % 2 == 0:
-                raise ValueError(f"rank constraint violated: {clause}")
-            if m.group(2) == "even" and val % 2 == 1:
+            if val % 2 != (m.group(2) == "odd"):
                 raise ValueError(f"rank constraint violated: {clause}")
             continue
         raise ValueError(f"unparseable constraint {clause!r}")

@@ -334,6 +334,15 @@ def test_regular_function_product_adds_indices():
     assert coeffs == (0, 1)
 
 
+def test_regular_function_sum_pads_shorter_coefficients():
+    a = RegularFunction.from_term(1, (1, 2), (1,), (0,))
+    b = RegularFunction.from_term(1, (Fraction(1, 2), 0, 3), (1,), (0,))
+    c = RegularFunction.from_term(1, (5,), (0,), (2,))
+    total = a + b + c
+    assert total.terms == ((((0,), (2,)), (5,)), (((1,), (0,)), (Fraction(3, 2), 2, 3)))
+    assert (b + a).terms == (a + b).terms
+
+
 def test_regular_gram_full_rank_density_proxy():
     terms = []
     for m in range(4):

@@ -137,6 +137,23 @@ def test_rank_zero_pair_is_degenerate():
     assert pair.positive_roots == ()
 
 
+def test_cartan_helgason_filter_on_rank_zero_pair():
+    # no generators: only the zero weight is class-1
+    pair = build_symmetric_pair(5, 0)
+    assert cartan_helgason_filter(pair, ())
+    assert cartan_helgason_filter(pair, (0,))
+    assert not cartan_helgason_filter(pair, (1,))
+
+
+def test_cartan_helgason_filter_rejects_weight_of_wrong_length():
+    pair = build_symmetric_pair(6, 2)
+    assert len(pair.class_one_weights[0]) == 3
+    assert cartan_helgason_filter(pair, pair.class_one_weights[0])
+    for lam in ((2, 0), (2, 0, 0, 0)):
+        with pytest.raises(ValueError):
+            cartan_helgason_filter(pair, lam)
+
+
 # ---------------------------------------------------------------------------
 # harmonic spaces
 # ---------------------------------------------------------------------------

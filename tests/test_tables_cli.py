@@ -53,6 +53,26 @@ def test_constraints_enforced():
         tables.group_datum("kac:99", 2)
 
 
+@pytest.mark.parametrize("clause,r,s,message", [
+    ("r>=2", 1, None, "rank constraint violated: r>=2 with r=1, s=None"),
+    ("r != s", 2, 2, "rank constraint violated: r != s with r=2, s=2"),
+    ("s==3", 1, 2, "rank constraint violated: s==3 with r=1, s=2"),
+    ("r odd", 2, None, "rank constraint violated: r odd"),
+    ("r even", 3, None, "rank constraint violated: r even"),
+    ("r>=s", 2, None, "constraint 'r>=s' needs a second rank"),
+    ("s odd", 2, None, "constraint 's odd' needs a second rank"),
+])
+def test_constraint_messages(clause, r, s, message):
+    with pytest.raises(ValueError) as err:
+        tables._check_constraints(clause, r, s)
+    assert str(err.value) == message
+
+
+def test_constraints_met():
+    tables._check_constraints("r>=2; s>=2; r!=s; s==3; r even; s odd", 2, 3)
+    tables._check_constraints("-", 1, None)
+
+
 def test_algebra_resolution():
     assert tables.algebra("heis:3").dim_v == 6
     assert tables.algebra("heish:2").dim_z == 3
