@@ -46,8 +46,9 @@ class DegreeLadder:
         if tuple(sorted(self.levels)) != self.levels:
             raise ValueError("levels must be sorted")
         for n in self.levels:
-            if n not in self.degrees or self.degrees[n] <= 0:
-                raise ValueError(f"missing or nonpositive degree at level {n}")
+            # NaN fails both comparisons
+            if n not in self.degrees or not 0 < self.degrees[n] < math.inf:
+                raise ValueError(f"level {n} has no finite positive degree")
         for m in self.levels:
             for n in self.levels:
                 if m >= n:
@@ -312,8 +313,7 @@ def heisenberg_ladder(t, d: int = 1, levels=(1, 2), method: str = "exact") -> De
     coefficient pairing (available for the plane-integrable levels only), so
     the ladder identities check the quadrature against the closed forms.
     """
-    if t == 0:
-        raise ValueError("t must be nonzero")
+    fock.check_t(t)
     poly = un_polynomial_ladder(d, levels)
     csq = poly.csq_pairs
     if method == "exact":

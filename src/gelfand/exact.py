@@ -97,10 +97,13 @@ def nullspace(matrix, ncols=None):
 
 
 def solve(matrix, rhs):
-    """Solve A x = b exactly; raises ValueError when there is no solution
-    or when b does not have one entry per equation."""
+    """Solve A x = b exactly; raises ValueError when there is no solution,
+    when b does not have one entry per equation, or when there are no
+    equations to read the number of unknowns from."""
     if len(rhs) != len(matrix):
         raise ValueError(f"{len(rhs)} right-hand sides for {len(matrix)} equations")
+    if not matrix:
+        raise ValueError("a system with no equations has no column count")
     ncols = len(matrix[0])
     rows, pivots = _rref([list(row) + [b] for row, b in zip(matrix, rhs)])
     # in reduced form, a zero row with a nonzero right-hand side is a pivot

@@ -157,6 +157,14 @@ class FockOperator:
         return FockVector(self.n, self.cutoff, self.matrix @ vec.coeffs)
 
 
+def check_t(t) -> None:
+    """Reject a central parameter t that is zero or not finite."""
+    if t == 0:
+        raise ValueError("t must be nonzero")
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
+
+
 def _alpha(t: float, w) -> tuple:
     s = math.sqrt(abs(t))
     if t > 0:
@@ -171,8 +179,7 @@ def fock_operator(n: int, t: float, g: HeisenbergPoint, cutoff: int) -> FockOper
     reliable block is degrees <= cutoff - buffer with |t| |w|^2 well below
     the cutoff; the guard below rejects amplitudes past cutoff/2.
     """
-    if t == 0:
-        raise ValueError("t must be nonzero")
+    check_t(t)
     if g.n != n:
         raise ValueError("dimension mismatch")
     phase = complex(math.cos(t * g.z), math.sin(t * g.z))
@@ -327,8 +334,7 @@ def coefficient_series(t: float, left, right, g: HeisenbergPoint) -> complex:
     """Same matrix coefficient through the closed normal-ordered series;
     stable at any displacement size, used under the orthogonality
     integrals where the truncated operator cannot reach."""
-    if t == 0:
-        raise ValueError("t must be nonzero")
+    check_t(t)
     alpha = _alpha(t, g.w)
     val = complex(math.cos(t * g.z), math.sin(t * g.z))
     for l, m, al in zip(left, right, alpha):
@@ -355,8 +361,7 @@ def coefficient_inner_product(t: float, pair_left, pair_right) -> complex:
         raise ValueError("index lengths disagree")
     if n > 2:
         raise ValueError("plane-product quadrature is limited to n <= 2")
-    if t == 0:
-        raise ValueError("t must be nonzero")
+    check_t(t)
     total = 1.0 + 0.0j
     for j in range(n):
         total *= _coordinate_pairing(t, l1[j], m1[j], l2[j], m2[j])
@@ -371,9 +376,7 @@ def _coordinate_pairing(t, l1, m1, l2, m2):
     """
 
     def at_order(order):
-        rule = numerics.gauss_hermite(order)
-        x = np.array(rule.nodes)
-        w = np.array(rule.weights)
+        x, w = numerics.gauss_hermite(order)
         # the whole node grid u = x + iy at once
         u = x[:, None] + 1j * x[None, :]
         vals = _displacement_polypart(l1, m1, u) * \

@@ -386,6 +386,7 @@ def load_algebra(text: str) -> TwoStepAlgebra:
         raise ValueError("header must be 'dim_v dim_z'")
     dim_v, dim_z = int(head[0]), int(head[1])
     brackets: dict = {}
+    given = set()
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 4:
@@ -393,7 +394,14 @@ def load_algebra(text: str) -> TwoStepAlgebra:
         i, j, k = int(parts[0]), int(parts[1]), int(parts[2])
         if not 0 <= k < dim_z:
             raise ValueError(f"center index out of range in {ln!r}")
+        if (i, j, k) in given:
+            raise ValueError(f"bracket component ({i}, {j}, {k}) given twice")
+        given.add((i, j, k))
+        try:
+            coef = Fraction(parts[3])
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {ln!r}") from None
         vec = list(brackets.get((i, j), (Fraction(0),) * dim_z))
-        vec[k] = Fraction(parts[3])
+        vec[k] = coef
         brackets[(i, j)] = tuple(vec)
     return build_two_step(dim_v, dim_z, brackets)

@@ -8,6 +8,10 @@ Golub-Welsch and the matrix exponential by Pade-13 scaling and squaring, so
 the library needs numpy alone. The exactness contract (degree <= 2*order - 1
 polynomials against closed-form moments) is asserted by the test suite rather
 than re-derived here.
+
+Each Gauss rule is computed once and shared as ``(nodes, weights)``, two
+read-only float64 arrays.  Sphere sums are numpy pairwise reductions, not BLAS
+dot products, so they do not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
@@ -64,44 +69,29 @@ class QuadratureError(RuntimeError):
         self.residual = residual
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    kind: str
-    nodes: tuple
-    weights: tuple
-    order: int
-
-    def integrate(self, f):
-        return sum(w * f(x) for x, w in zip(self.nodes, self.weights))
+def _read_only(nodes, weights):
+    """The rule as float64 arrays no caller can write into the shared copy."""
+    nodes, weights = np.array(nodes, dtype=float), np.array(weights, dtype=float)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
-_RULE_CACHE: dict = {}
+@lru_cache(maxsize=None)
+def gauss_laguerre(order: int):
+    """(nodes, weights) for integral_0^inf f(x) e^{-x} dx."""
+    return _read_only(*laggauss(order))
 
 
-def _cached(kind, order, builder, *params):
-    key = (kind, order, *params)
-    rule = _RULE_CACHE.get(key)
-    if rule is None:
-        nodes, weights = builder(order, *params)
-        rule = QuadratureRule(kind, tuple(map(float, nodes)),
-                              tuple(map(float, weights)), order)
-        _RULE_CACHE[key] = rule
-    return rule
+@lru_cache(maxsize=None)
+def gauss_hermite(order: int):
+    """(nodes, weights) for integral_R f(x) e^{-x^2} dx."""
+    return _read_only(*hermgauss(order))
 
 
-def gauss_laguerre(order: int) -> QuadratureRule:
-    """Nodes/weights for integral_0^inf f(x) e^{-x} dx."""
-    return _cached("laguerre", order, laggauss)
-
-
-def gauss_hermite(order: int) -> QuadratureRule:
-    """Nodes/weights for integral_R f(x) e^{-x^2} dx."""
-    return _cached("hermite", order, hermgauss)
-
-
-def gauss_jacobi(order: int, alpha: float, beta: float) -> QuadratureRule:
-    """Nodes/weights for integral_{-1}^1 f(x) (1-x)^a (1+x)^b dx."""
-    return _cached("jacobi", order, _golub_welsch_jacobi, alpha, beta)
+@lru_cache(maxsize=None)
+def gauss_jacobi(order: int, alpha: float, beta: float):
+    """(nodes, weights) for integral_{-1}^1 f(x) (1-x)^a (1+x)^b dx."""
+    return _read_only(*_golub_welsch_jacobi(order, alpha, beta))
 
 
 def _golub_welsch_jacobi(order, alpha, beta):
@@ -164,9 +154,10 @@ def half_line_moment(k: int):
         raise ValueError("k must be a nonnegative integer")
 
     def at_order(order):
-        rule = gauss_laguerre(order)
+        nodes, weights = gauss_laguerre(order)
         # weight e^{-t} is built in; leftover integrand t^k e^{-t}
-        return sum(w * (x ** k) * math.exp(-x) for x, w in zip(rule.nodes, rule.weights)), 0.0
+        return sum(w * (x ** k) * math.exp(-x)
+                   for x, w in zip(nodes.tolist(), weights.tolist())), 0.0
 
     exact = Fraction(math.factorial(k), 2 ** (k + 1))
     return _doubling(at_order), exact
@@ -193,9 +184,8 @@ def gaussian_plane_integral(f, scale: float):
     def at_order(order):
         # substituting w = (u + iv)/sqrt(scale) folds the Gaussian weight
         # exactly into the Hermite rule
-        rule = gauss_hermite(order)
-        xs = rule.nodes
-        ws = rule.weights
+        nodes, weights = gauss_hermite(order)
+        xs, ws = nodes.tolist(), weights.tolist()
         total = 0.0
         mass = 0.0
         for xi, wi in zip(xs, ws):
@@ -214,7 +204,9 @@ def sphere_product_rule(n_ambient: int, order: int):
     Returns (points, weights) as numpy arrays; points has shape (k, N).
     Spherical coordinates with Gauss-Jacobi rules in each polar angle and a
     trapezoid-free uniform rule in the final azimuthal angle (exact for
-    trigonometric polynomials of degree < #nodes).
+    trigonometric polynomials of degree < #nodes).  Each polar level is one
+    broadcast: node j carries the whole sub-rule, its points scaled by
+    sqrt(1 - x_j^2) and its weights by w_j / sum(w).
     """
     if n_ambient < 2:
         raise ValueError("need ambient dimension >= 2")
@@ -225,17 +217,14 @@ def sphere_product_rule(n_ambient: int, order: int):
         return pts, np.full(k, 1.0 / k)
     # x1 = cos(theta) with density (1-x1^2)^{(N-3)/2} on [-1, 1]
     a = (n_ambient - 3) / 2.0
-    rule = gauss_jacobi(order, a, a)
+    nodes, weights = gauss_jacobi(order, a, a)
     sub_pts, sub_wts = sphere_product_rule(n_ambient - 1, order)
-    pts = []
-    wts = []
-    total = sum(rule.weights)
-    for x, w in zip(rule.nodes, rule.weights):
-        r = math.sqrt(max(0.0, 1 - x * x))
-        block = np.concatenate([np.full((len(sub_pts), 1), x), r * sub_pts], axis=1)
-        pts.append(block)
-        wts.append((w / total) * sub_wts)
-    return np.concatenate(pts, axis=0), np.concatenate(wts)
+    pts = np.empty((len(nodes), len(sub_pts), n_ambient))
+    pts[:, :, 0] = nodes[:, None]
+    pts[:, :, 1:] = np.sqrt(np.maximum(0.0, 1 - nodes * nodes))[:, None, None] * sub_pts
+    # left to right, not np.sum's pairwise order: the golden residuals rest on these bits
+    total = sum(weights.tolist())
+    return pts.reshape(-1, n_ambient), np.outer(weights / total, sub_wts).ravel()
 
 
 def integrate_sphere(f, n_ambient: int, order: int):
@@ -245,14 +234,15 @@ def integrate_sphere(f, n_ambient: int, order: int):
     ``x[i]`` is coordinate i at all k rule points, and returns the k values
     (a scalar is broadcast) as one float.  It may instead return a stack of
     value rows, a list of r arrays of k values, to integrate r functions on
-    one rule; the result is then a list of r floats, each row dotted with
-    the weights exactly as a single-row call would.
+    one rule; the result is then a list of r floats, each row summed with
+    the weights exactly as a single-row call would.  Each sum is a pairwise
+    ``np.add.reduce``, not a BLAS dot product: the same bits at any thread count.
     """
     pts, wts = sphere_product_rule(n_ambient, order)
     vals = f(pts.T)
     if isinstance(vals, list):
-        return [float(wts @ row) for row in vals]
-    return float(wts @ np.broadcast_to(vals, wts.shape))
+        return [float(np.add.reduce(wts * row)) for row in vals]
+    return float(np.add.reduce(wts * np.broadcast_to(vals, wts.shape)))
 
 
 # Pade-13 coefficients and the 1-norm bound under which the [13/13]

@@ -16,7 +16,10 @@ projection constants whose squares are rational numbers, read off the
 reproducing-kernel closed form.  The two float routes to the constants stay
 independent of it: sphere product quadrature of the monomial-expanded zonal
 polynomials, which integrates the cross and both norms as three stacked rows
-of one rule, and a Gegenbauer reduction to a two-variable Jacobi integral.
+of one rule, and a Gegenbauer reduction to a two-variable Jacobi integral,
+which evaluates each zonal once on the flattened (s, u) product grid of two
+Gauss-Jacobi rules (a one-node u rule when the spheres agree).  Both routes
+sum their rows with numpy's pairwise reduction, never through BLAS.
 """
 
 from __future__ import annotations
@@ -26,6 +29,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import comb
+
+import numpy as np
 
 from . import numerics, rootsys
 from .exact import MultiPoly, dot, fr, monomials, nullspace, solve
@@ -323,14 +328,6 @@ def zonal_projection_constant(m_sphere: int, n_sphere: int, degree: int,
     return _zonal_constant_gegenbauer(m_sphere, n_sphere, degree)
 
 
-def _normalized_overlap(integrate, f, g) -> float:
-    """|<f, g>| / (|f| |g|) for the inner product ``integrate(f * g)``."""
-    cross = integrate(lambda *x: f(*x) * g(*x))
-    nf = integrate(lambda *x: f(*x) ** 2)
-    ng = integrate(lambda *x: g(*x) ** 2)
-    return abs(cross) / math.sqrt(nf * ng)
-
-
 def _zonal_constant_quadrature(m_sphere, n_sphere, degree):
     """The overlap on one product rule of S^m, each zonal evaluated once:
     the rows vm*vn, vm*vm, vn*vn integrate together."""
@@ -369,30 +366,29 @@ def _poly_to_callable(p: MultiPoly):
     return f
 
 
-def _gegenbauer_value(alpha: float, degree: int, x: float) -> float:
-    """C_d^{(alpha)}(x) by the three-term recurrence, alpha > 0."""
+def _gegenbauer_value(alpha: float, degree: int, x, r_sq):
+    """r^d C_d^{(alpha)}(x/r) with r^2 = r_sq, alpha > 0, by the three-term
+    recurrence in homogeneous form (r^2 where the plain recurrence has 1);
+    ``x`` and ``r_sq`` may be arrays."""
     if degree == 0:
         return 1.0
     prev, cur = 1.0, 2 * alpha * x
     for k in range(2, degree + 1):
-        prev, cur = cur, (2 * (k + alpha - 1) * x * cur - (k + 2 * alpha - 2) * prev) / k
+        prev, cur = cur, (2 * (k + alpha - 1) * x * cur - (k + 2 * alpha - 2) * r_sq * prev) / k
     return cur
 
 
-def _zonal_on_sphere(n_sphere: int, degree: int, s: float, rho_sq: float) -> float:
-    """Value of the degree-d zonal of S^n at a point with pole coordinate s
-    and squared length rho_sq of the remaining n zonal-frame coordinates.
+def _zonal_on_sphere(n_sphere: int, degree: int, s, rho_sq):
+    """Values of the degree-d zonal of S^n at points with pole coordinates s
+    and squared lengths rho_sq of the remaining n zonal-frame coordinates.
 
     The zonal polynomial is homogeneous, z(x) = r^d C(x1/r)/C(1) with
-    r^2 = s^2 + rho^2, so points of S^m with m > n evaluate through the
-    radius of their projection.
+    r^2 = s^2 + rho_sq, so points of S^m with m > n evaluate through the
+    radius of their projection, with no square root taken.
     """
     alpha = (n_sphere - 1) / 2.0
-    r2 = s * s + rho_sq
-    if r2 == 0:
-        return 0.0
-    r = math.sqrt(r2)
-    return (r ** degree) * _gegenbauer_value(alpha, degree, s / r) / _gegenbauer_value(alpha, degree, 1.0)
+    return (_gegenbauer_value(alpha, degree, s, s * s + rho_sq)
+            / _gegenbauer_value(alpha, degree, 1.0, 1.0))
 
 
 def _zonal_constant_gegenbauer(m_sphere, n_sphere, degree):
@@ -400,30 +396,24 @@ def _zonal_constant_gegenbauer(m_sphere, n_sphere, degree):
 
     On S^m split x = (s, y, w) with y the n zonal-frame coordinates of the
     smaller sphere; with u = |y|^2/(1 - s^2) the normalized measure
-    factorizes into Jacobi weights in s and in u.
+    factorizes into Jacobi weights in s and in u; when m = n, u = 1 is the
+    one node.  Each zonal is evaluated once on the flattened (s, u) grid, and
+    the rows are summed as ``numerics.integrate_sphere`` sums them.
     """
-    if m_sphere == n_sphere:
-        rule = numerics.gauss_jacobi(degree + 4, (m_sphere - 2) / 2.0, (m_sphere - 2) / 2.0)
-        zm = lambda s: _zonal_on_sphere(m_sphere, degree, s, 1 - s * s)
-        zn = lambda s: _zonal_on_sphere(n_sphere, degree, s, 1 - s * s)
-        return _normalized_overlap(rule.integrate, zm, zn)
+    order = degree + 4
     a = (m_sphere - 2) / 2.0
-    srule = numerics.gauss_jacobi(degree + 4, a, a)
-    # u = |y|^2 / (1-s^2) in [0, 1]; density u^{n/2-1} (1-u)^{(m-n)/2-1}
-    # after v = 2u - 1 this is Gauss-Jacobi with alpha=(m-n)/2-1, beta=n/2-1
-    urule = numerics.gauss_jacobi(degree + 4, (m_sphere - n_sphere) / 2.0 - 1, n_sphere / 2.0 - 1)
-
-    def pair_integral(f):
-        total = 0.0
-        for s, ws in zip(srule.nodes, srule.weights):
-            inner = 0.0
-            for v, wu in zip(urule.nodes, urule.weights):
-                u = (v + 1) / 2.0
-                rho_sq = u * (1 - s * s)
-                inner += wu * f(s, rho_sq)
-            total += ws * inner
-        return total
-
-    zm = lambda s, rho_sq: _zonal_on_sphere(m_sphere, degree, s, (1 - s * s))
-    zn = lambda s, rho_sq: _zonal_on_sphere(n_sphere, degree, s, rho_sq)
-    return _normalized_overlap(pair_integral, zm, zn)
+    s_nodes, s_wts = numerics.gauss_jacobi(order, a, a)
+    if m_sphere == n_sphere:
+        u_nodes, u_wts = np.ones(1), np.ones(1)
+    else:
+        # density u^{n/2-1} (1-u)^{(m-n)/2-1} on [0, 1]; after v = 2u - 1
+        # this is Gauss-Jacobi with alpha=(m-n)/2-1, beta=n/2-1
+        v, u_wts = numerics.gauss_jacobi(order, (m_sphere - n_sphere) / 2.0 - 1,
+                                         n_sphere / 2.0 - 1)
+        u_nodes = (v + 1) / 2.0
+    s = np.repeat(s_nodes, len(u_nodes))
+    wts = np.outer(s_wts, u_wts).ravel()
+    zm = _zonal_on_sphere(m_sphere, degree, s, 1 - s * s)
+    zn = _zonal_on_sphere(n_sphere, degree, s, np.tile(u_nodes, len(s_nodes)) * (1 - s * s))
+    cross, nm, nn = (float(np.add.reduce(wts * row)) for row in (zm * zn, zm * zm, zn * zn))
+    return abs(cross) / math.sqrt(nm * nn)

@@ -193,6 +193,11 @@ def test_solve_rejects_rhs_of_wrong_length():
         solve([[1, 0]], [1, 2])
 
 
+def test_solve_rejects_a_system_with_no_equations():
+    with pytest.raises(ValueError, match="no equations"):
+        solve([], [])
+
+
 def test_multipoly_arithmetic_stores_no_zero_terms():
     x, y = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
     p = x * x - 3 * y + MultiPoly.const(2, Fraction(1, 2))

@@ -20,6 +20,7 @@ from gelfand.numerics import (
     half_line_moment,
     integrate_sphere,
     matrix_exp,
+    sphere_product_rule,
 )
 
 
@@ -40,8 +41,8 @@ def test_quadrature_polynomial_exactness(order):
     # being cancelled, i.e. the neighboring even moment
     lag, herm = gauss_laguerre(order), gauss_hermite(order)
     for k in range(2 * order):
-        for rule, oracle in ((lag, _laguerre_moment), (herm, _hermite_moment)):
-            got = rule.integrate(lambda x: x ** k)
+        for (nodes, weights), oracle in ((lag, _laguerre_moment), (herm, _hermite_moment)):
+            got = sum(w * x ** k for x, w in zip(nodes.tolist(), weights.tolist()))
             want = oracle(k)
             scale = abs(want) if want else max(abs(oracle(k + 1)), 1.0)
             assert abs(got - want) <= 1e-12 * max(1.0, scale)
@@ -194,20 +195,68 @@ def test_gauss_jacobi_matches_scipy(alpha, beta):
     # against their closed forms below instead
     chebyshev = abs(alpha) == abs(beta) == 0.5
     for order in range(1, 33):
-        rule = gauss_jacobi(order, alpha, beta)
+        got_nodes, got_weights = gauss_jacobi(order, alpha, beta)
         nodes, weights = roots_jacobi(order, alpha, beta)
-        assert np.abs(np.array(rule.nodes) - nodes).max() <= 1e-14
+        assert np.abs(got_nodes - nodes).max() <= 1e-14
         if not chebyshev:
-            assert np.abs(np.array(rule.weights) - weights).max() <= 1e-13 * weights.sum()
+            assert np.abs(got_weights - weights).max() <= 1e-13 * weights.sum()
 
 
 @pytest.mark.parametrize("alpha,beta", [(-0.5, -0.5), (0.5, 0.5), (0.5, -0.5), (-0.5, 0.5)])
 def test_gauss_jacobi_matches_chebyshev_closed_forms(alpha, beta):
     for order in range(1, 33):
-        rule = gauss_jacobi(order, alpha, beta)
+        got_nodes, got_weights = gauss_jacobi(order, alpha, beta)
         nodes, weights = _chebyshev_rule(order, alpha, beta)
-        assert np.abs(np.array(rule.nodes) - nodes).max() <= 1e-14
-        assert np.abs(np.array(rule.weights) - weights).max() <= 1e-14 * weights.sum()
+        assert np.abs(got_nodes - nodes).max() <= 1e-14
+        assert np.abs(got_weights - weights).max() <= 1e-14 * weights.sum()
+
+
+@pytest.mark.parametrize("rule", [lambda: gauss_laguerre(5), lambda: gauss_hermite(5),
+                                  lambda: gauss_jacobi(5, 0.5, 0.5)],
+                         ids=["laguerre", "hermite", "jacobi"])
+def test_cached_rule_arrays_cannot_be_written(rule):
+    nodes, weights = rule()
+    assert nodes.dtype == weights.dtype == np.float64
+    for arr in (nodes, weights):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+        with pytest.raises(ValueError):
+            arr *= 2.0
+    assert rule()[0] is nodes and rule()[1] is weights
+
+
+def _loop_sphere_product_rule(n_ambient, order):
+    """The product rule built one Jacobi node at a time, each node's block
+    concatenated in a Python loop: the route the broadcast construction
+    replaced, kept as its oracle."""
+    if n_ambient == 2:
+        k = max(4 * order, 8)
+        ang = 2 * math.pi * np.arange(k) / k
+        pts = np.stack([np.cos(ang), np.sin(ang)], axis=1)
+        return pts, np.full(k, 1.0 / k)
+    a = (n_ambient - 3) / 2.0
+    nodes, weights = gauss_jacobi(order, a, a)
+    nodes, weights = nodes.tolist(), weights.tolist()
+    sub_pts, sub_wts = _loop_sphere_product_rule(n_ambient - 1, order)
+    pts = []
+    wts = []
+    total = sum(weights)
+    for x, w in zip(nodes, weights):
+        r = math.sqrt(max(0.0, 1 - x * x))
+        block = np.concatenate([np.full((len(sub_pts), 1), x), r * sub_pts], axis=1)
+        pts.append(block)
+        wts.append((w / total) * sub_wts)
+    return np.concatenate(pts, axis=0), np.concatenate(wts)
+
+
+@pytest.mark.parametrize("order", [2, 5, 6, 9])
+@pytest.mark.parametrize("n", range(2, 8))
+def test_sphere_product_rule_is_bit_identical_to_the_loop_oracle(n, order):
+    pts, wts = sphere_product_rule(n, order)
+    want_pts, want_wts = _loop_sphere_product_rule(n, order)
+    assert pts.shape == want_pts.shape and wts.shape == want_wts.shape
+    assert pts.tobytes() == want_pts.tobytes()
+    assert wts.tobytes() == want_wts.tobytes()
 
 
 def test_gauss_jacobi_rejects_bad_parameters():

@@ -1,5 +1,6 @@
 """Symmetric-pair data and the exact sphere model."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -406,6 +407,62 @@ def test_quadrature_vs_gegenbauer(m, n, d):
     geg = zonal_projection_constant(m, n, d, method="gegenbauer")
     assert abs(quad - geg) < 1e-10
     assert abs(quad - zonal_projection_constant(m, n, d)) < 1e-10
+
+
+def _scalar_gegenbauer_constant(m, n, d):
+    """The (s, u) reduction as a scalar double loop, each zonal evaluated per
+    node through r = sqrt(s^2 + rho^2) and the plain Gegenbauer recurrence:
+    the route the array evaluation replaced, kept as its oracle (m > n)."""
+    def gegenbauer(alpha, x):
+        if d == 0:
+            return 1.0
+        prev, cur = 1.0, 2 * alpha * x
+        for k in range(2, d + 1):
+            prev, cur = cur, (2 * (k + alpha - 1) * x * cur - (k + 2 * alpha - 2) * prev) / k
+        return cur
+
+    def zonal(sphere, s, rho_sq):
+        alpha = (sphere - 1) / 2.0
+        r2 = s * s + rho_sq
+        if r2 == 0:
+            return 0.0
+        r = math.sqrt(r2)
+        return (r ** d) * gegenbauer(alpha, s / r) / gegenbauer(alpha, 1.0)
+
+    a = (m - 2) / 2.0
+    s_nodes, s_wts = numerics.gauss_jacobi(d + 4, a, a)
+    v_nodes, v_wts = numerics.gauss_jacobi(d + 4, (m - n) / 2.0 - 1, n / 2.0 - 1)
+
+    def pair_integral(f):
+        total = 0.0
+        for s, ws in zip(s_nodes.tolist(), s_wts.tolist()):
+            inner = 0.0
+            for v, wu in zip(v_nodes.tolist(), v_wts.tolist()):
+                u = (v + 1) / 2.0
+                inner += wu * f(s, u * (1 - s * s))
+            total += ws * inner
+        return total
+
+    zm = lambda s, rho_sq: zonal(m, s, 1 - s * s)
+    zn = lambda s, rho_sq: zonal(n, s, rho_sq)
+    cross = pair_integral(lambda s, rho_sq: zm(s, rho_sq) * zn(s, rho_sq))
+    nm = pair_integral(lambda s, rho_sq: zm(s, rho_sq) ** 2)
+    nn = pair_integral(lambda s, rho_sq: zn(s, rho_sq) ** 2)
+    return abs(cross) / math.sqrt(nm * nn)
+
+
+@pytest.mark.parametrize("m,n,d", [(3, 2, 1), (3, 2, 2), (4, 2, 3), (5, 3, 4), (4, 3, 1),
+                                   (5, 2, 2)])
+def test_gegenbauer_route_matches_the_scalar_loop_oracle(m, n, d):
+    geg = zonal_projection_constant(m, n, d, method="gegenbauer")
+    assert abs(geg - _scalar_gegenbauer_constant(m, n, d)) < 1e-14
+
+
+@pytest.mark.parametrize("m", range(2, 6))
+def test_gegenbauer_route_on_one_sphere_is_one(m):
+    # m = n: the u rule is the single node u = 1
+    for d in range(1, 5):
+        assert abs(zonal_projection_constant(m, m, d, method="gegenbauer") - 1.0) < 1e-14
 
 
 def test_cocycle_identity_exact_on_squares():

@@ -479,6 +479,48 @@ def test_export_ladder_zero_t_is_a_config_error(capsys):
     assert captured.err == "error: t must be nonzero\n"
 
 
+@pytest.mark.parametrize("t", ["inf", "nan"])
+def test_export_ladder_non_finite_t_is_a_config_error(t, tmp_path, capsys):
+    out = tmp_path / "ladder.json"
+    assert cli.main(["export-ladder", "--backend", "heisenberg", "--t", t,
+                     "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: t must be finite, got {t}\n"
+    assert out.read_text() == ""
+
+
+@pytest.mark.parametrize("t", ["inf", "nan", "-inf", "1,nan"])
+def test_fock_orthogonality_non_finite_t_is_a_config_error(t, monkeypatch, capsys):
+    def no_case(*args):
+        raise AssertionError("no case runs on a non-finite t")
+
+    monkeypatch.setattr(fock, "coefficient_inner_product", no_case)
+    assert cli.main(["verify", "fock-orthogonality", f"--t={t}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: t must be finite, got {t.split(',')[-1]}\n"
+
+
+@pytest.mark.parametrize("degree", [float("nan"), float("inf"), 0.0, -1.0])
+def test_degree_ladder_rejects_a_degree_that_is_not_finite_and_positive(degree):
+    with pytest.raises(ValueError, match="no finite positive degree"):
+        dirlim.make_ladder("heisenberg", (1, 2), {1: 1.0, 2: degree}, {(2, 1): 1.0},
+                           exact=False)
+
+
+@pytest.mark.parametrize("body,message", [
+    ("0 1 0 1/0\n", "zero denominator in '0 1 0 1/0'"),
+    ("0 1 0 1\n0 1 0 2\n", "bracket component (0, 1, 0) given twice"),
+], ids=["zero-denominator", "repeated-line"])
+def test_bad_algebra_file_is_a_config_error(body, message, tmp_path, capsys):
+    path = tmp_path / "bad.alg"
+    path.write_text("2 1\n" + body)
+    assert cli.main(["verify", "pfaffian", "--algebra", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_ladders_degree_zero_checks_a_sphere_ladder(monkeypatch, capsys):
     from gelfand import dirlim
     degrees = []
