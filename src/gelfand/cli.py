@@ -18,6 +18,7 @@ import argparse
 import json
 import math
 import random
+import re
 import sys
 import time
 from dataclasses import dataclass
@@ -678,6 +679,11 @@ def main(argv=None) -> int:
     exp.add_argument("--t", type=float, default=1.0)
     exp.add_argument("--out", help="output path (stdout otherwise)")
 
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse takes a spaced value such as -0.5,1 for an option string
+    for i in reversed(range(2, len(argv)) if argv[:1] == ["verify"] else ()):
+        if argv[i - 1] == "--t" and re.match(r"-\.?\d", argv[i]):
+            argv[i - 1:i + 1] = [f"--t={argv[i]}"]
     args = parser.parse_args(argv)
 
     if args.command == "list-suites":

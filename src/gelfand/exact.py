@@ -1,13 +1,14 @@
 """Exact rational linear algebra and sparse multivariate polynomials.
 
-Everything here runs on fractions.Fraction entries so that algebraic
-identities (pairings, Pfaffians, Gram determinants) can be asserted with no
-tolerance at all.  Matrices are plain lists of lists, vectors are lists;
-nothing is mutated in place by the public functions.
+Everything here is exact (Fraction entries; det fraction-free on integers)
+so that algebraic identities (pairings, Pfaffians, Gram determinants) can be
+asserted with no tolerance.  Matrices are plain lists of lists, vectors are
+lists; nothing is mutated in place by the public functions.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
@@ -38,12 +39,11 @@ def dot(u, v):
 
 
 def _echelon(matrix):
-    """Row echelon form by exact elimination below each pivot; returns
-    (rows, pivot_columns, sign), sign the parity of the row swaps."""
+    """Row echelon form by exact elimination below each pivot, the kernel
+    of rank and _rref; returns (rows, pivot_columns)."""
     rows = [list(map(fr, row)) for row in matrix]
     nrows = len(rows)
     pivots = []
-    sign = 1
     for c in range(len(rows[0]) if rows else 0):
         r = len(pivots)
         if r == nrows:
@@ -51,21 +51,19 @@ def _echelon(matrix):
         pivot = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
         if pivot is None:
             continue
-        if pivot != r:
-            rows[r], rows[pivot] = rows[pivot], rows[r]
-            sign = -sign
+        rows[r], rows[pivot] = rows[pivot], rows[r]
         inv = 1 / rows[r][c]
         for i in range(r + 1, nrows):
             if rows[i][c] != 0:
                 f = rows[i][c] * inv
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
         pivots.append(c)
-    return rows, pivots, sign
+    return rows, pivots
 
 
 def _rref(matrix):
     """Reduced row echelon form; returns (rows, pivot_columns)."""
-    rows, pivots, _ = _echelon(matrix)
+    rows, pivots = _echelon(matrix)
     for r in reversed(range(len(pivots))):
         c = pivots[r]
         inv = 1 / rows[r][c]
@@ -117,15 +115,26 @@ def solve(matrix, rhs):
 
 
 def det(matrix) -> Fraction:
-    """Determinant of a square matrix: the signed product of its echelon
-    pivots."""
-    rows, pivots, sign = _echelon(matrix)
-    if len(pivots) < len(rows):
-        return Fraction(0)
-    result = Fraction(sign)
-    for r, c in enumerate(pivots):
-        result *= rows[r][c]
-    return result
+    """Determinant by Bareiss's fraction-free elimination (Math. Comp. 22,
+    1968): clear each row of denominators once; then each step (a_kk a_ij -
+    a_ik a_kj) / prev, an exact integer division, drops the pivot row and
+    column, and the last pivot is the determinant of the scaled rows."""
+    rows = [list(map(fr, row)) for row in matrix]
+    scales = [math.lcm(*(x.denominator for x in row)) for row in rows]
+    rows = [[x.numerator * (m // x.denominator) for x in row] for row, m in zip(rows, scales)]
+    sign, prev = 1, 1
+    while len(rows) > 1:
+        swap = next((i for i, row in enumerate(rows) if row[0]), None)
+        if swap is None:
+            return Fraction(0)
+        if swap:
+            rows[0], rows[swap] = rows[swap], rows[0]
+            sign = -sign
+        p, *rk = rows[0]
+        rows = [[(p * x - a * y) // prev for x, y in zip(rest, rk)]
+                for a, *rest in rows[1:]]
+        prev = p
+    return Fraction(sign * rows[0][0], math.prod(scales)) if rows else Fraction(1)
 
 
 class MultiPoly:

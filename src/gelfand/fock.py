@@ -19,10 +19,11 @@ exponential of the full truncated generator (Perelomov, Generalized Coherent
 States and Their Applications, ch. 1).  E = exp(r(a_1^+ - a_1)) acts on
 one-mode chains (k, tail); each chain length L has a cached eigenbasis of the
 Hermite Jacobi matrix a + a^+, so exp(r(a^+ - a)) = W diag(e^{-i r lam}) W^*
-(the discrete variable representation).  The degree blocks of Gamma(U) are
-built by row gathers along the creation operators, and the product is taken
-as Gamma(U) (E Gamma(U)^*): one row gather per chain length, then one dense
-pass over contiguous degree rows.
+(the discrete variable representation).  U = P O with P = diag(e^{i theta_j})
+the phases of alpha and O real, O e_1 = |alpha|/r: Gamma(P) multiplies |m> by
+e^{i m.theta}, and R = Gamma(O) E Gamma(O)^T is real.  In float64, Gamma(O) is
+gathered row-wise along the creation operators, and R = Gamma(O) (E Gamma(O)^T)
+by one row gather per chain length and one pass over contiguous degree rows.
 
 Truncated generators stay exactly skew-Hermitian, so truncated operators are
 exactly unitary up to rounding; what truncation limits is the group law,
@@ -32,7 +33,6 @@ displacement amplitudes |t| |w|^2 small against the cutoff.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -192,27 +192,30 @@ def fock_operator(n: int, t: float, g: HeisenbergPoint, cutoff: int) -> FockOper
             f"displacement amplitude {amp:.3g} too large for cutoff {cutoff}"
         )
     alpha = np.array(_alpha(t, g.w))
-    r = math.hypot(*np.abs(alpha))
-    # real divisions: numpy divides complex numbers through 1/r, which
-    # overflows for a subnormal displacement
-    unit = alpha.real / r + 1j * (alpha.imag / r)
-    bounds, parents, chains = _rotation_structure(n, cutoff)
-    blocks = _rotation_blocks(_first_column_unitary(unit), parents)
+    moduli = np.abs(alpha)
+    r = math.hypot(*moduli)
+    # O e_1 = |alpha| / r by a real division: numpy divides complex numbers
+    # through 1/r, which overflows for a subnormal displacement
+    bounds, parents, chains, index = _rotation_structure(n, cutoff)
+    blocks = _rotation_blocks(_first_column_unitary(moduli / r), parents)
     spans = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-    gstar = np.zeros((dim, dim), dtype=complex)
+    gt = np.zeros((dim, dim))
     for span, gam in zip(spans, blocks):
-        gstar[span, span] = gam.conj().T
-    # E Gamma(U)^* with E = phase exp(r (a_1^+ - a_1)): row (k, tail) of E
-    # mixes only the Gamma^* rows of its own chain, so each chain length
-    # is one row gather; then Gamma(U) over contiguous degree row blocks
-    mat = np.empty((dim, dim), dtype=complex)
+        gt[span, span] = gam.T
+    # R: row (k, tail) of E mixes only the Gamma^T rows of its own chain, so
+    # each chain length is one row gather; then Gamma(O) by degree blocks
+    mat = np.empty((dim, dim))
     for length, rows in chains:
         lam, w = _chain_eigen(length)
-        chain_exp = (w * (phase * np.exp(-1j * r * lam))) @ w.conj().T
-        mat[rows] = chain_exp @ gstar[rows]
+        chain_exp = ((w * np.exp(-1j * r * lam)) @ w.conj().T).real
+        mat[rows] = chain_exp @ gt[rows]
+    del gt
     for span, gam in zip(spans, blocks):
         mat[span] = gam @ mat[span]
-    return FockOperator(mat, n, t, g, cutoff)
+    f = np.exp(1j * (index @ np.angle(alpha)))
+    out = np.multiply.outer(phase * f, f.conj())
+    out *= mat
+    return FockOperator(out, n, t, g, cutoff)
 
 
 @lru_cache(maxsize=None)
@@ -243,7 +246,8 @@ def _rotation_structure(n, cutoff):
     and sqrt(m_j); then, for each mode i, the position of m - e_i inside the
     degree d-1 block and sqrt(m_i) (position 0 and weight 0 where m_i = 0).
     chains pairs each length L with the positions of (k, tail), k < L, one
-    row per tail (m_2, ..., m_n) with cutoff - |tail| + 1 = L.
+    row per tail (m_2, ..., m_n) with cutoff - |tail| + 1 = L.  index holds
+    ``multi_indices`` as an integer array.
     """
     idx = multi_indices(n, cutoff)
     pos = _index_positions(n, cutoff)
@@ -269,16 +273,15 @@ def _rotation_structure(n, cutoff):
             chains.setdefault(length, []).append(
                 [pos[(k,) + m[1:]] for k in range(length)])
     return (tuple(bounds), tuple(parents),
-            tuple((length, np.array(rows)) for length, rows in sorted(chains.items())))
+            tuple((length, np.array(rows)) for length, rows in sorted(chains.items())),
+            np.array(idx))
 
 
 def _first_column_unitary(v):
-    """A unitary U with U e_1 = v for a unit vector v: the Householder
-    reflection exchanging e_1 and -w, w = v / phase(v_1), times -phase(v_1)."""
-    phase = cmath.exp(1j * cmath.phase(v[0]))
-    u = v * phase.conjugate()
-    u[0] = 1 + abs(v[0])
-    return -phase * (np.eye(len(v)) - np.outer(u, u.conj()) / u[0].real)
+    """A real orthogonal O with O e_1 = v for a unit vector v with v_1 >= 0:
+    minus the Householder reflection exchanging e_1 and -v."""
+    u = np.r_[1 + v[0], v[1:]]
+    return np.outer(u, u) / u[0] - np.eye(len(v))
 
 
 def _rotation_blocks(u, parents):
@@ -286,7 +289,7 @@ def _rotation_blocks(u, parents):
     by Gamma|m> = (sum_i U_ij a_i^+) Gamma|m - e_j> / sqrt(m_j) with j the
     first nonzero mode of m.  a_i^+ sends row p - e_i of degree d-1 to row p
     of degree d with weight sqrt(p_i), so each term is a row gather."""
-    blocks = [np.ones((1, 1), dtype=complex)]
+    blocks = [np.ones((1, 1), dtype=u.dtype)]
     for modes, ups, roots, src, coef in parents:
         prev = blocks[-1][:, ups]
         weights = u[:, modes] / roots

@@ -7,13 +7,14 @@ Structure constants are exact rationals; the bracket of the basis vectors
 v_i, v_j (i < j) is stored as a vector in the center.  The Pfaffian of the
 matrix B(t), entries linear in the central coordinates t, is computed by
 recursive expansion with exact polynomial arithmetic (a polynomial ring has
-no division); at a rational point it is skew elimination over the rationals.
+no division); at a rational point it is fraction-free integer elimination.
 Either way every classification statement (vanishing, covariance,
 square-equals-determinant) is tolerance free.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -233,7 +234,7 @@ def b_form(alg: TwoStepAlgebra, t):
     n = alg.dim_v
     mat = [[Fraction(0)] * n for _ in range(n)]
     for (i, j), vec in alg.brackets:
-        val = sum(a * b for a, b in zip(t, vec))
+        val = sum((a * b for a, b in zip(t, vec) if b), Fraction(0))
         mat[i][j] = val
         mat[j][i] = -val
     return mat
@@ -255,20 +256,22 @@ def b_form_symbolic(alg: TwoStepAlgebra):
 def pfaffian(mat):
     """Exact Pfaffian of a skew-symmetric matrix of Fractions.
 
-    Odd dimension gives 0 by convention.  Skew elimination over the
-    rationals: pivot on a nonzero entry of row k (swapping its column to
-    k + 1 flips the sign), multiply by the pivot, and take the Schur
-    complement of that 2x2 block; a row with no pivot makes the Pfaffian 0.
+    Odd dimension gives 0 by convention.  Fraction-free skew elimination
+    (Rote, "Division-free algorithms for the determinant and the Pfaffian",
+    2001) on DA, D the lcm of the denominators, Pf(DA) = D^{n/2} Pf(A): pivot
+    on a nonzero entry of row k (swapping its column to k + 1 flips the
+    sign), then a_ij <- (p a_ij + a_ik a_{k+1,j} - a_{i,k+1} a_kj) / prev
+    divides exactly; the last pivot is Pf(DA), and a row with no pivot gives 0.
     """
     n = len(mat)
-    a = [[fr(x) for x in row] for row in mat]
-    for i in range(n):
-        for j in range(n):
-            if a[i][j] != -a[j][i]:
-                raise ValueError("matrix is not skew-symmetric")
+    mat = [[fr(x) for x in row] for row in mat]
+    d = math.lcm(*(x.denominator for row in mat for x in row))
+    a = [[x.numerator * (d // x.denominator) for x in row] for row in mat]
+    if any(a[i][j] != -a[j][i] for i in range(n) for j in range(n)):
+        raise ValueError("matrix is not skew-symmetric")
     if n % 2 == 1:
         return Fraction(0)
-    result = Fraction(1)
+    sign, prev = 1, 1
     for k in range(0, n, 2):
         piv = next((j for j in range(k + 1, n) if a[k][j] != 0), None)
         if piv is None:
@@ -277,17 +280,16 @@ def pfaffian(mat):
             a[piv], a[k + 1] = a[k + 1], a[piv]
             for row in a:
                 row[piv], row[k + 1] = row[k + 1], row[piv]
-            result = -result
+            sign = -sign
         p = a[k][k + 1]
-        result *= p
         rk, rk1 = a[k], a[k + 1]
-        for i in range(k + 2, n):
-            ri = a[i]
-            u, v = ri[k] / p, ri[k + 1] / p
+        for i, ri in enumerate(a[k + 2:], k + 2):
+            u, v = ri[k], ri[k + 1]
             for j in range(i + 1, n):
-                ri[j] += u * rk1[j] - v * rk[j]
+                ri[j] = (p * ri[j] + u * rk1[j] - v * rk[j]) // prev
                 a[j][i] = -ri[j]
-    return result
+        prev = p
+    return Fraction(sign * prev, d ** (n // 2))
 
 
 def pfaffian_symbolic(mat, nvars: int):

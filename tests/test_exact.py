@@ -1,6 +1,6 @@
 """Exact linear algebra and sparse polynomials: the echelon kernel behind
-det, rank, nullspace and solve against two independent Fraction
-eliminations kept here as oracles."""
+rank, nullspace and solve, and the integer Bareiss det, against two
+independent Fraction eliminations kept here as oracles."""
 
 import random
 from fractions import Fraction
@@ -178,6 +178,52 @@ def test_solve_matches_oracle(matrix, ncols):
         assert _solve_oracle(matrix, rhs) is None
         with pytest.raises(ValueError, match="inconsistent"):
             solve(matrix, rhs)
+
+
+def _det_cases(n, rng):
+    """Square rational matrices of size n with denominators up to 97: a
+    generic one, one with a zero row, one with a zero column, one whose
+    first pivots need row swaps and one with a row that is a combination
+    of the others."""
+    def entry():
+        return Fraction(rng.randint(-99, 99), rng.randint(1, 97))
+
+    generic = [[entry() for _ in range(n)] for _ in range(n)]
+    out = [generic]
+    if n == 0:
+        return out
+    zero_row = [row[:] for row in generic]
+    zero_row[rng.randrange(n)] = [Fraction(0)] * n
+    zero_col = [row[:] for row in generic]
+    c = rng.randrange(n)
+    for row in zero_col:
+        row[c] = Fraction(0)
+    # column 0 is zero above the last row and the superdiagonal is zero, so
+    # the elimination has to swap rows
+    swaps = [row[:] for row in generic]
+    for i in range(n - 1):
+        swaps[i][0] = Fraction(0)
+        swaps[i][min(i + 1, n - 1)] = Fraction(0)
+    combination = [row[:] for row in generic]
+    if n > 1:
+        coeffs = [Fraction(rng.randint(-5, 5), rng.randint(1, 97)) for _ in range(n)]
+        combination[-1] = [sum(coeffs[k] * combination[k][j] for k in range(n - 1))
+                           for j in range(n)]
+    return out + [zero_row, zero_col, swaps, combination]
+
+
+@pytest.mark.parametrize("n", range(19))
+def test_bareiss_det_equals_fraction_oracle(n):
+    rng = random.Random(1800 + n)
+    for m in _det_cases(n, rng):
+        d = det(m)
+        assert type(d) is Fraction
+        assert d == _det_oracle(m)
+    # integer and float entries are read exactly, as Fraction(x) reads them
+    ints = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+    assert det(ints) == _det_oracle(ints)
+    floats = [[rng.uniform(-1, 1) for _ in range(n)] for _ in range(n)]
+    assert det(floats) == _det_oracle(floats)
 
 
 def test_det_of_empty_matrix_is_fraction_one():

@@ -1,5 +1,6 @@
 """Heisenberg group arithmetic and the truncated Bargmann-space model."""
 
+import cmath
 import math
 from fractions import Fraction
 
@@ -208,6 +209,67 @@ def test_mode_rotation_matches_full_generator_expm(n, cutoff, t):
         got = fock_operator(n, t, g, cutoff).matrix
         want = _full_generator_expm(n, t, g, cutoff)
         assert np.abs(got - want).max() < 1e-12
+
+
+def _complex_rotation_operator(n, t, g, cutoff):
+    """The operator by complex mode rotations: Gamma(U) E Gamma(U)^* with U
+    the complex Householder unitary, U e_1 = alpha / |alpha|, and E the
+    one-mode exponential times the central phase."""
+    phase = complex(math.cos(t * g.z), math.sin(t * g.z))
+    alpha = np.array(fock._alpha(t, g.w))
+    r = math.hypot(*np.abs(alpha))
+    unit = alpha.real / r + 1j * (alpha.imag / r)
+    head = cmath.exp(1j * cmath.phase(unit[0]))
+    u = unit * head.conjugate()
+    u[0] = 1 + abs(unit[0])
+    unitary = -head * (np.eye(n) - np.outer(u, u.conj()) / u[0].real)
+    bounds, parents, chains, _ = fock._rotation_structure(n, cutoff)
+    blocks = fock._rotation_blocks(unitary, parents)
+    spans = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    dim = bounds[-1]
+    gstar = np.zeros((dim, dim), dtype=complex)
+    for span, gam in zip(spans, blocks):
+        gstar[span, span] = gam.conj().T
+    mat = np.empty((dim, dim), dtype=complex)
+    for length, rows in chains:
+        lam, w = fock._chain_eigen(length)
+        mat[rows] = ((w * (phase * np.exp(-1j * r * lam))) @ w.conj().T) @ gstar[rows]
+    for span, gam in zip(spans, blocks):
+        mat[span] = gam @ mat[span]
+    return mat
+
+
+@pytest.mark.parametrize("t", [0.7, -1.3])
+@pytest.mark.parametrize("n,cutoff", [(1, 24), (2, 14), (3, 9), (4, 6)])
+def test_real_rotations_match_complex_route(n, cutoff, t):
+    points = _oracle_points(n, t, cutoff, seed=31 * n + cutoff)
+    # alpha with a zero component, first and last
+    w = [complex(0.3, -0.2 * j) for j in range(n)]
+    points.append(HeisenbergPoint(0.4, tuple([0j] + w[1:] if n > 1 else w)))
+    points.append(HeisenbergPoint(-0.2, tuple(w[:-1] + [0j] if n > 1 else w)))
+    for g in points:
+        got = fock_operator(n, t, g, cutoff).matrix
+        assert np.abs(got - _complex_rotation_operator(n, t, g, cutoff)).max() < 1e-13
+
+
+@pytest.mark.parametrize("t", [1.0, -1.0])
+def test_real_rotations_match_complex_route_on_tiny_displacements(t):
+    for w in ((1e-320 + 0j,), (0j, 3e-320j, 0j), (1e-310 + 1e-310j, 0.3j),
+              (1e-310 + 0j, 0.3 + 0j, -0.2j)):
+        g = HeisenbergPoint(0.2, w)
+        got = fock_operator(len(w), t, g, 6).matrix
+        assert np.abs(got - _complex_rotation_operator(len(w), t, g, 6)).max() < 1e-13
+
+
+def test_rotation_blocks_follow_the_dtype_of_the_rotation():
+    v = np.array([0.6, 0.0, 0.8])
+    o = fock._first_column_unitary(v)
+    assert o.dtype == np.float64
+    assert np.abs(o[:, 0] - v).max() < 1e-15
+    assert np.abs(o @ o.T - np.eye(3)).max() < 1e-15
+    parents = fock._rotation_structure(3, 6)[1]
+    assert all(b.dtype == np.float64 for b in fock._rotation_blocks(o, parents))
+    assert all(b.dtype == complex for b in fock._rotation_blocks(1j * o, parents))
 
 
 @pytest.mark.parametrize("n,cutoff", [(2, 16), (3, 8)])

@@ -239,6 +239,80 @@ def test_elimination_pfaffian_of_singular_matrices_is_zero(n):
         assert pfaffian(m) == 0 == _recursive_pfaffian(m)
 
 
+def _pfaffian_oracle(mat):
+    """Skew elimination over the rationals: pivot on a nonzero entry of row
+    k (swapping its column to k + 1 flips the sign), multiply by the pivot
+    and take the Schur complement of that 2x2 block."""
+    n = len(mat)
+    a = [[Fraction(x) for x in row] for row in mat]
+    if n % 2 == 1:
+        return Fraction(0)
+    result = Fraction(1)
+    for k in range(0, n, 2):
+        piv = next((j for j in range(k + 1, n) if a[k][j] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != k + 1:
+            a[piv], a[k + 1] = a[k + 1], a[piv]
+            for row in a:
+                row[piv], row[k + 1] = row[k + 1], row[piv]
+            result = -result
+        p = a[k][k + 1]
+        result *= p
+        rk, rk1 = a[k], a[k + 1]
+        for i in range(k + 2, n):
+            ri = a[i]
+            u, v = ri[k] / p, ri[k + 1] / p
+            for j in range(i + 1, n):
+                ri[j] += u * rk1[j] - v * rk[j]
+                a[j][i] = -ri[j]
+    return result
+
+
+def _skew_cases(n, rng):
+    """Skew matrices of size n with denominators up to 97: a generic one,
+    one with a zero row and column, one whose first pivots need column
+    swaps, and a singular one whose rows 2 and 3 repeat rows 0 and 1."""
+    generic = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            x = Fraction(rng.randint(-99, 99), rng.randint(1, 97))
+            generic[i][j], generic[j][i] = x, -x
+    out = [generic]
+    if n < 2:
+        return out
+    zero = [row[:] for row in generic]
+    c = rng.randrange(n)
+    for j in range(n):
+        zero[c][j] = zero[j][c] = Fraction(0)
+    swaps = [row[:] for row in generic]
+    for i in range(0, n - 1, 2):
+        # a[i][i+1] = 0, and for i = 0 also a[0][2] = 0
+        for j in range(i + 1, min(i + 2 + (i == 0), n)):
+            swaps[i][j] = swaps[j][i] = Fraction(0)
+    out += [zero, swaps]
+    if n >= 4:
+        singular = [row[:] for row in generic]
+        for j in range(n):
+            if j not in (2, 3):
+                singular[2][j], singular[j][2] = 3 * generic[0][j], -3 * generic[0][j]
+                singular[3][j], singular[j][3] = 3 * generic[1][j], -3 * generic[1][j]
+        singular[2][3], singular[3][2] = 9 * generic[0][1], -9 * generic[0][1]
+        out.append(singular)
+    return out
+
+
+@pytest.mark.parametrize("n", range(19))
+def test_fraction_free_pfaffian_equals_fraction_oracle(n):
+    rng = random.Random(1900 + n)
+    for m in _skew_cases(n, rng):
+        got = pfaffian(m)
+        assert type(got) is Fraction
+        assert got == _pfaffian_oracle(m)
+        if n <= 10:
+            assert got == _recursive_pfaffian(m)
+
+
 def test_pfaffian_rejects_non_skew():
     with pytest.raises(ValueError):
         pfaffian([[0, 1], [1, 0]])

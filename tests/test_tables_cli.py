@@ -501,6 +501,21 @@ def test_fock_orthogonality_non_finite_t_is_a_config_error(t, monkeypatch, capsy
     assert captured.err == f"error: t must be finite, got {t.split(',')[-1]}\n"
 
 
+def test_spaced_t_takes_a_list_that_starts_negative(capsys):
+    # argparse alone reads -0.5,1 after a space as an option string
+    reports = []
+    for argv in (["--t=-0.5,1"], ["--t", "-0.5,1"]):
+        assert cli.main(["verify", "fock-orthogonality", *argv, "--format", "json"]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+    assert len(json.loads(reports[0])["cases"]) == 21
+    assert cli.main(["verify", "fock-orthogonality", "--t", "-0.5"]) == 0
+    assert capsys.readouterr().out.endswith("11/11 cases passed\n")
+    # the other flags parse as before: there -1,2 is still an option string
+    with pytest.raises(SystemExit):
+        cli.main(["verify", "weyl", "--rank", "-1,2"])
+
+
 @pytest.mark.parametrize("degree", [float("nan"), float("inf"), 0.0, -1.0])
 def test_degree_ladder_rejects_a_degree_that_is_not_finite_and_positive(degree):
     with pytest.raises(ValueError, match="no finite positive degree"):
