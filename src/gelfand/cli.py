@@ -15,13 +15,15 @@ error, 3 some case errored and none failed.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import math
 import random
 import re
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import product
 
@@ -59,17 +61,6 @@ class Case:
     actual: str
     tolerance: str
     runtime_ms: float | None = None
-
-    def as_dict(self, anchor):
-        return {
-            "case_id": self.case_id,
-            "anchor": anchor,
-            "status": self.status,
-            "expected": self.expected,
-            "actual": self.actual,
-            "tolerance": self.tolerance,
-            "runtime_ms": self.runtime_ms,
-        }
 
 
 @dataclass
@@ -403,18 +394,20 @@ def _suite_ladders(cfg, rec):
     rec.run("sphere-ladder-cocycle", f"<= {TOL.sphere_cocycle}", TOL.sphere_cocycle,
             sphere_quad)
 
+    # Each function starts above the base level: promoted from the base, the
+    # pairing is csq(m, base) / csq(m, base) whatever the constants are.  The
+    # flat-model ladder stops at level 2 (level 3 would need n = 3 plane
+    # quadrature), so its part checks rounding only.
     def promotion():
-        f = dirlim.LadderedFunction.make("un-poly", 1, {0: Fraction(2), 1: Fraction(1)},
+        f = dirlim.LadderedFunction.make("un-poly", 2, {0: Fraction(2), 1: Fraction(1)},
                                          kind="invariant")
         for d in (2, 3):
             L = dirlim.un_polynomial_ladder(d, levels=(1, 2, 3))
-            base = dirlim.limit_inner_product(L, f, f)
-            for m in (2, 3):
-                up = dirlim.apply_nu(L, f, m)
-                if dirlim.limit_inner_product(L, up, up) != base:
-                    return False, f"exact promotion drift at degree {d}, level {m}"
+            up = dirlim.apply_nu(L, f, 3)
+            if dirlim.limit_inner_product(L, up, up) != dirlim.limit_inner_product(L, f, f):
+                return False, f"exact promotion drift at degree {d}, level 3"
         Ls = dirlim.sphere_ladder(2, levels=(2, 3, 4), method="quadrature")
-        g = dirlim.LadderedFunction.make("sphere", 2, {0: 1.0, 1: 0.5}, kind="invariant")
+        g = dirlim.LadderedFunction.make("sphere", 3, {0: 1.0, 1: 0.5}, kind="invariant")
         v0 = dirlim.limit_inner_product(Ls, g, g)
         v1 = dirlim.limit_inner_product(Ls, dirlim.apply_nu(Ls, g, 4),
                                         dirlim.apply_nu(Ls, g, 4))
@@ -507,21 +500,21 @@ def emit_report(report: VerificationReport, fmt: str = "text") -> str:
             "version": REPORT_VERSION,
             "suite": report.suite,
             "anchor": report.anchor,
-            "cases": [c.as_dict(report.anchor) for c in report.cases],
+            "cases": [{**asdict(c), "anchor": report.anchor} for c in report.cases],
             "config": {k: _jsonable(v) for k, v in sorted(report.config.items())},
             "seed": report.seed,
         }
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if fmt == "csv":
-        lines = ["case_id,anchor,status,expected,actual,tolerance,runtime_ms"]
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(["case_id", "anchor", "status", "expected", "actual",
+                         "tolerance", "runtime_ms"])
         for c in report.cases:
-            lines.append(",".join([
-                c.case_id, report.anchor, c.status,
-                _csv_quote(c.expected), _csv_quote(c.actual),
-                _csv_quote(c.tolerance),
-                "" if c.runtime_ms is None else f"{c.runtime_ms:.3f}",
-            ]))
-        return "\n".join(lines) + "\n"
+            writer.writerow([c.case_id, report.anchor, c.status, c.expected, c.actual,
+                             c.tolerance,
+                             "" if c.runtime_ms is None else f"{c.runtime_ms:.3f}"])
+        return out.getvalue()
     if fmt == "text":
         lines = [f"suite {report.suite} [{report.anchor}] seed={report.seed}"]
         for c in report.cases:
@@ -531,12 +524,6 @@ def emit_report(report: VerificationReport, fmt: str = "text") -> str:
         lines.append(f"{npass}/{len(report.cases)} cases passed")
         return "\n".join(lines) + "\n"
     raise ConfigError(f"unknown format {fmt!r}")
-
-
-def _csv_quote(s: str) -> str:
-    if "," in s or '"' in s:
-        return '"' + s.replace('"', '""') + '"'
-    return s
 
 
 def _jsonable(v):
@@ -579,53 +566,65 @@ def load_config_file(path: str) -> dict:
     return out
 
 
-def _coerce(key, val):
-    """Config entries from one key and its text (a file line or a flag);
-    'rank' may be a pair 'n,m'."""
+_MINIMUM = {"degree": 0, "cutoff": 1}
+
+_TIMING_WORDS = {"1": True, "true": True, "yes": True, "0": False, "false": False,
+                 "no": False}
+
+
+def _int(key, text):
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigError(f"{key} must be an integer, got {text!r}") from None
+
+
+def _coerce(key, text):
+    """Config entries from one setting and its text, a config-file line or a
+    flag, so that both channels parse and reject a value alike; 'rank' may be
+    a pair 'n,m'."""
+    text = str(text)
     if key == "rank":
-        parts = str(val).split(",")
+        parts = text.split(",")
         if len(parts) > 2:
-            raise ConfigError(f"rank is 'n' or 'n,m', got {val!r}")
-        return dict(zip(("rank", "rank2"), map(int, parts)))
+            raise ConfigError(f"rank is 'n' or 'n,m', got {text!r}")
+        return {k: _int("rank", part) for k, part in zip(("rank", "rank2"), parts)}
     if key in ("max_k", "rank2", "cutoff", "seed", "degree"):
-        return {key: int(val)}
+        value = _int(key, text)
+        if value < _MINIMUM.get(key, value):
+            raise ConfigError(f"{key} must be >= {_MINIMUM[key]}, got {value}")
+        return {key: value}
     if key == "t_values":
-        return {key: [float(x) for x in str(val).split(",") if x]}
+        items = text.split(",") if text.strip() else []
+        if not all(x.strip() for x in items):
+            raise ConfigError(f"empty item in the t list {text!r}")
+        return {key: [float(x) for x in items]}
     if key == "timing":
-        return {key: str(val).lower() in ("1", "true", "yes")}
-    return {key: val}
+        if text.lower() not in _TIMING_WORDS:
+            raise ConfigError(f"timing is one of {', '.join(_TIMING_WORDS)}; got {text!r}")
+        return {key: _TIMING_WORDS[text.lower()]}
+    if key in ("row", "algebra"):
+        if not text.strip():
+            raise ConfigError(f"{key} must not be empty")
+        return {key: text}
+    raise ConfigError(f"unknown config key {key!r}")
+
+
+# verify's setting flags: argparse dest -> config key
+_FLAG_KEYS = {"max_k": "max_k", "rank": "rank", "degree": "degree", "cutoff": "cutoff",
+              "seed": "seed", "t": "t_values", "algebra": "algebra", "row": "row",
+              "timing": "timing"}
 
 
 def build_config(args) -> dict:
+    """DEFAULTS, then the ``--config`` file's lines, then every flag given
+    (not None), each through :func:`_coerce`: flags win over the file."""
+    entries = list(load_config_file(args.config).items()) if args.config else []
+    entries += [(key, getattr(args, dest)) for dest, key in _FLAG_KEYS.items()
+                if getattr(args, dest) is not None]
     cfg = dict(DEFAULTS)
-    if args.config:
-        for k, v in load_config_file(args.config).items():
-            if k not in DEFAULTS and k not in ("row", "algebra"):
-                raise ConfigError(f"unknown config key {k!r}")
-            cfg.update(_coerce(k, v))
-    # flags win over the file
-    if args.max_k is not None:
-        cfg["max_k"] = args.max_k
-    if args.rank is not None:
-        cfg.update(_coerce("rank", args.rank))
-    if args.degree is not None:
-        cfg["degree"] = args.degree
-    if args.cutoff is not None:
-        cfg["cutoff"] = args.cutoff
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    if args.t:
-        cfg["t_values"] = [float(x) for x in args.t.split(",")]
-    if args.algebra:
-        cfg["algebra"] = args.algebra
-    if args.row:
-        cfg["row"] = args.row
-    if args.timing:
-        cfg["timing"] = True
-    if cfg["degree"] < 0:
-        raise ConfigError(f"degree must be >= 0, got {cfg['degree']}")
-    if cfg["cutoff"] < 1:
-        raise ConfigError(f"cutoff must be >= 1, got {cfg['cutoff']}")
+    for key, text in entries:
+        cfg.update(_coerce(key, text))
     return cfg
 
 
@@ -657,25 +656,26 @@ def main(argv=None) -> int:
     verify = sub.add_parser("verify", help="run one verification suite")
     verify.add_argument("suite", nargs="?", help="suite name")
     verify.add_argument("--suite", dest="suite_flag", help="suite name (flag form)")
-    verify.add_argument("--max-k", dest="max_k", type=int)
+    # setting flags stay text: build_config parses them with the file's lines
+    verify.add_argument("--max-k", dest="max_k")
     verify.add_argument("--rank", help="rank, or 'n,m' where a pair is needed")
-    verify.add_argument("--degree", type=int)
-    verify.add_argument("--cutoff", type=int)
-    verify.add_argument("--seed", type=int)
+    verify.add_argument("--degree")
+    verify.add_argument("--cutoff")
+    verify.add_argument("--seed")
     verify.add_argument("--t", help="comma list of central parameters")
     verify.add_argument("--algebra", help="algebra id (heis:3, vin:17:2, ...) or file")
     verify.add_argument("--row", help="table row id (kac:2, jaw:5a, ...)")
     verify.add_argument("--config", help="flat key=value config file")
     verify.add_argument("--out", help="write the report here instead of stdout")
     verify.add_argument("--format", default="text", choices=["json", "csv", "text"])
-    verify.add_argument("--timing", action="store_true",
+    verify.add_argument("--timing", action="store_true", default=None,
                         help="fill runtime_ms (breaks byte-identical reruns)")
 
     listp = sub.add_parser("list-suites", help="list suites and what they verify")
 
     exp = sub.add_parser("export-ladder", help="write a degree ladder as JSON")
     exp.add_argument("--backend", required=True, choices=["un-poly", "sphere", "heisenberg"])
-    exp.add_argument("--degree", type=int, default=2)
+    exp.add_argument("--degree", default="2")
     exp.add_argument("--t", type=float, default=1.0)
     exp.add_argument("--out", help="output path (stdout otherwise)")
 
@@ -691,33 +691,26 @@ def main(argv=None) -> int:
             print(f"{name:22s} {SUITE_ANCHORS[name]}")
         return 0
 
-    if args.command == "export-ladder":
-        try:
-            if args.degree < 0:
-                raise ConfigError(f"degree must be >= 0, got {args.degree}")
-            _check_writable(args.out)
-            if args.backend == "un-poly":
-                ladder = dirlim.un_polynomial_ladder(args.degree)
-            elif args.backend == "sphere":
-                ladder = dirlim.sphere_ladder(args.degree)
-            else:
-                ladder = dirlim.heisenberg_ladder(args.t, d=args.degree)
-            _write(dirlim.ladder_to_json(ladder) + "\n", args.out)
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        return 0
-
-    if args.command != "verify":
+    if args.command not in ("verify", "export-ladder"):
         parser.print_help()
         return 2
 
-    suite = args.suite or args.suite_flag
-    if not suite:
-        print("error: no suite named; try 'gelfand list-suites'", file=sys.stderr)
-        return 2
     # a file that cannot be read or written is a usage error, like a bad key
     try:
+        if args.command == "export-ladder":
+            degree = _coerce("degree", args.degree)["degree"]
+            _check_writable(args.out)
+            if args.backend == "un-poly":
+                ladder = dirlim.un_polynomial_ladder(degree)
+            elif args.backend == "sphere":
+                ladder = dirlim.sphere_ladder(degree)
+            else:
+                ladder = dirlim.heisenberg_ladder(args.t, d=degree)
+            _write(dirlim.ladder_to_json(ladder) + "\n", args.out)
+            return 0
+        suite = args.suite or args.suite_flag
+        if not suite:
+            raise ConfigError("no suite named; try 'gelfand list-suites'")
         cfg = build_config(args)
         _check_writable(args.out)
         report = run_suite(suite, cfg)

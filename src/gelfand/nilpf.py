@@ -29,7 +29,6 @@ class TwoStepAlgebra:
     brackets: tuple  # ((i, j), center vector) with i < j, sparse
     v_labels: tuple
     z_labels: tuple
-    center_is_z: bool = True
 
     def bracket(self, i: int, j: int):
         if i == j:
@@ -78,7 +77,6 @@ def build_two_step(dim_v: int, dim_z: int, brackets, v_labels=None, z_labels=Non
         tuple(sorted(seen.items())),
         tuple(v_labels or (f"v{i}" for i in range(dim_v))),
         tuple(z_labels or (f"z{k}" for k in range(dim_z))),
-        center_is_z=require_center_spanned,
     )
 
 
@@ -188,6 +186,9 @@ def build_un_type(n: int) -> TwoStepAlgebra:
 
 
 def direct_sum(a: TwoStepAlgebra, b: TwoStepAlgebra) -> TwoStepAlgebra:
+    """The direct sum of two algebras: their brackets on disjoint v and z
+    blocks.  It spans its centre exactly when both summands span theirs, so
+    it needs no span check of its own."""
     brackets = {key: vec + (Fraction(0),) * b.dim_z for key, vec in a.brackets}
     for (i, j), vec in b.brackets:
         brackets[(i + a.dim_v, j + a.dim_v)] = (Fraction(0),) * a.dim_z + vec
@@ -195,7 +196,6 @@ def direct_sum(a: TwoStepAlgebra, b: TwoStepAlgebra) -> TwoStepAlgebra:
         a.dim_v + b.dim_v, a.dim_z + b.dim_z, brackets,
         [f"a.{s}" for s in a.v_labels] + [f"b.{s}" for s in b.v_labels],
         [f"a.{s}" for s in a.z_labels] + [f"b.{s}" for s in b.z_labels],
-        require_center_spanned=a.center_is_z and b.center_is_z,
     )
 
 

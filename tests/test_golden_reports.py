@@ -14,6 +14,7 @@ To regenerate one report:
         --format <json|text|csv> --out tests/golden/<name>.<json|txt|csv>
 """
 
+import csv
 import os
 import subprocess
 import sys
@@ -58,3 +59,12 @@ def test_default_report_matches_golden(name, fmt):
                                       ("zonal-rank-5", "json")])
 def test_sphere_reports_do_not_depend_on_the_blas_thread_count(name, fmt):
     _check_golden(name, fmt, threads="2")
+
+
+@pytest.mark.parametrize("name", sorted(REPORTS))
+def test_csv_golden_parses_into_rows_of_seven_fields(name):
+    with open(GOLDEN / f"{name}.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["case_id", "anchor", "status", "expected", "actual", "tolerance",
+                       "runtime_ms"]
+    assert len(rows) > 1 and {len(row) for row in rows} == {7}

@@ -1,8 +1,10 @@
 """Row registry resolution and the command-line surface."""
 
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -456,6 +458,63 @@ def test_rank_pair_parses_the_same_from_file_and_flag(tmp_path, capsys):
     assert capsys.readouterr().err.count("error: rank is 'n' or 'n,m'") == 2
 
 
+# key, flag, suite, shared flags, a good value, malformed values and their
+# error lines; --timing takes no value, so a malformed timing is file-only
+_SETTINGS = [
+    ("max_k", "--max-k", "gamma", [], "2", [("abc", "max_k must be an integer, got 'abc'")]),
+    ("rank", "--rank", "xstability", ["--row", "jaw:2", "--degree", "1"], "2,3",
+     [("2,x", "rank must be an integer, got 'x'")]),
+    ("degree", "--degree", "ladders", [], "0", [("x", "degree must be an integer, got 'x'")]),
+    ("cutoff", "--cutoff", "fock-representation", [], "8",
+     [("1e3", "cutoff must be an integer, got '1e3'")]),
+    ("seed", "--seed", "pfaffian", [], "0", [("", "seed must be an integer, got ''")]),
+    ("t_values", "--t", "fock-orthogonality", [], "-0.5,1",
+     [("", "fock-orthogonality needs t values"), ("1,,2", "empty item in the t list '1,,2'")]),
+    ("row", "--row", "carcano", ["--rank", "2", "--degree", "2"], "kac:2",
+     [("", "row must not be empty")]),
+    ("algebra", "--algebra", "pfaffian", [], "heis:2", [("", "algebra must not be empty")]),
+    ("timing", "--timing", "gamma", ["--max-k", "1"], "yes",
+     [("maybe", "timing is one of 1, true, yes, 0, false, no; got 'maybe'")]),
+]
+
+
+@pytest.mark.parametrize("key,flag,suite,shared,good,bad", _SETTINGS,
+                         ids=[setting[0] for setting in _SETTINGS])
+def test_flag_and_config_line_parse_alike(key, flag, suite, shared, good, bad,
+                                          monkeypatch, tmp_path, capsys):
+    def run(argv):
+        code = cli.main(["verify", suite, *shared, *argv, "--format", "json"])
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def config(value):
+        path = tmp_path / "setting.cfg"
+        path.write_text(f"{key} = {value}\n")
+        return ["--config", str(path)]
+
+    boolean = flag == "--timing"
+    by_flag = run([flag] if boolean else [f"{flag}={good}"])
+    by_file = run(config(good))
+    assert by_flag[0] == 0, by_flag[2]
+    if boolean:  # timings differ from run to run; the rest of the report may not
+        docs = [json.loads(out) for _, out, _ in (by_flag, by_file)]
+        for doc in docs:
+            assert doc["config"]["timing"] is True
+            for case in doc["cases"]:
+                assert case.pop("runtime_ms") is not None
+        assert docs[0] == docs[1]
+    else:
+        assert by_flag == by_file
+
+    def no_case(*args):
+        raise AssertionError("no case runs on a malformed setting")
+
+    monkeypatch.setattr(cli._Recorder, "run", no_case)
+    for value, message in bad:
+        for argv in [config(value)] + ([] if boolean else [[f"{flag}={value}"]]):
+            assert run(argv) == (2, "", f"error: {message}\n"), argv
+
+
 @pytest.mark.parametrize("backend", ["sphere", "un-poly", "heisenberg"])
 def test_export_ladder_negative_degree_is_a_config_error(backend, capsys):
     assert cli.main(["export-ladder", "--backend", backend, "--degree", "-1"]) == 2
@@ -551,6 +610,27 @@ def test_ladders_degree_zero_checks_a_sphere_ladder(monkeypatch, capsys):
     assert 0 in degrees
 
 
+def test_limit_pairing_promotion_fails_on_a_broken_cocycle(monkeypatch):
+    # promoted from the base level the pairing is csq(m, base) / csq(m, base)
+    # whatever the constants are; from level 2 it needs csq(3,1) = csq(3,2) csq(2,1)
+    real = dirlim.un_polynomial_ladder
+
+    def halved(d, levels=(1, 2, 3, 4)):
+        ladder = real(d, levels)
+        if 3 not in ladder.levels:
+            return ladder
+        pairs = dict(ladder.csq_pairs)
+        pairs[(3, 1)] /= 2
+        return dirlim.make_ladder(ladder.backend, ladder.levels, ladder.degrees, pairs,
+                                  ladder.exact)
+
+    monkeypatch.setattr(dirlim, "un_polynomial_ladder", halved)
+    cases = {c.case_id: c for c in cli.run_suite("ladders", dict(cli.DEFAULTS)).cases}
+    promotion = cases["limit-pairing-promotion"]
+    assert promotion.status == "fail"
+    assert promotion.actual == "exact promotion drift at degree 2, level 3"
+
+
 def test_export_ladder_roundtrips(tmp_path):
     out = tmp_path / "ladder.json"
     assert cli.main(["export-ladder", "--backend", "sphere", "--degree", "2",
@@ -569,3 +649,16 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "cases passed" in proc.stdout
+
+
+def test_readme_command_line_names_every_flag_and_config_key(capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    with pytest.raises(SystemExit):
+        cli.main(["verify", "--help"])
+    flags = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+    assert "--max-k" in flags and "--timing" in flags
+    for flag in flags:
+        assert re.search(rf"`{flag}\b", section), flag
+    for key in [*cli.DEFAULTS, "row", "algebra"]:
+        assert f"`{key}`" in section, key
