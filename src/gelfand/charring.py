@@ -7,9 +7,9 @@ The upper one handles product groups (classical factors plus circle factors)
 acting on a complex module through one of the constructions standard / S^2 /
 Lambda^2 / outer tensor, and decomposes symmetric powers of the dual module,
 which is what degree-d polynomials transform by.  Their weight multisets
-come from the complete homogeneous recursion h_d, and each decomposition is
-cached on (factors, construction, degree); the torus mode is left out of
-that key because it only quotients the labels afterwards.
+come from the complete homogeneous recursion h_d, run once per (factors,
+construction) for every degree up to the highest one asked; the torus mode
+is left out of that key because it only quotients the labels afterwards.
 
 Weights are kept in orthonormal epsilon coordinates: integer tuples for
 unitary factors (full gl weight, one entry per column), integer tuples for
@@ -295,6 +295,7 @@ def tensor_decompose(rs: rootsys.RootSystemData, lam: rootsys.DominantWeight,
 # ---------------------------------------------------------------------------
 
 GL, SO, SP, U1 = "gl", "so", "sp", "u1"
+_SYM_POWERS: dict = {}  # (factors, construction) -> Decompositions of degree 0, 1, ...
 
 
 @dataclass(frozen=True)
@@ -549,23 +550,27 @@ def sym_power_decompose(datum: GroupDatum, d: int) -> Decomposition:
     Polynomials transform by the d-th symmetric power of the dual module,
     whose weight multiset is the complete homogeneous h_d of the dual
     coordinate weights.  The result is checked for exact dimension
-    conservation and cached on (factors, construction, d): the torus mode
-    and its flags only quotient labels afterwards (``canonical_label``), so
-    data that differ only there share one ``Decomposition``.
+    conservation and kept in one list per (factors, construction): the torus
+    mode and its flags only quotient labels afterwards (``canonical_label``),
+    so data that differ only there share one ``Decomposition``.
     """
     if d < 0:
         raise ValueError("degree must be >= 0")
-    return _sym_power_cached(datum.factors, datum.construction, d)
+    done = _SYM_POWERS.setdefault((datum.factors, datum.construction), [])
+    if len(done) <= d:
+        done.extend(_sym_powers(datum.factors, datum.construction, len(done), d))
+    return done[d]
 
 
-@lru_cache(maxsize=None)
-def _sym_power_cached(factors, construction, d):
-    """h_d(x_1..x_k) = h_d(x_1..x_{k-1}) + x_k h_{d-1}(x_1..x_k), the
+def _sym_powers(factors, construction, lo, hi):
+    """Yield the decompositions of degrees lo..hi from one run of
+    h_d(x_1..x_k) = h_d(x_1..x_{k-1}) + x_k h_{d-1}(x_1..x_k), the
     coefficient of t^d in prod_i 1/(1 - t e^{w_i}) (Macdonald I.2), on flat
-    integer weights: one slot per circle, eps_rank slots per other factor."""
+    integer weights: one slot per circle, eps_rank slots per other factor.
+    Only keys dominant in every factor are cut into labels."""
     coords = _construction_weights(factors, construction)
     ends = list(accumulate((f.eps_rank for f in factors), initial=0))
-    h = [{(0,) * ends[-1]: 1}] + [{} for _ in range(d)]
+    h = [{(0,) * ends[-1]: 1}] + [{} for _ in range(hi)]
     for row in coords:
         w = tuple(-x for f, v in zip(factors, row) for x in ((v,) if f.kind == U1 else v))
         for lower, upper in zip(h, h[1:]):  # lower already holds this weight
@@ -573,16 +578,20 @@ def _sym_power_cached(factors, construction, d):
                 key = tuple(map(add, mu, w))
                 upper[key] = upper.get(key, 0) + m
     cuts = list(zip(factors, ends, ends[1:]))
-    multiset = {tuple(key[a] if f.kind == U1 else key[a:b] for f, a, b in cuts): m
-                for key, m in h[d].items()}
-    entries = decompose_weight_multiset(factors, multiset)
-    expected = comb(len(coords) + d - 1, d)
-    total = sum(m * _label_dim(factors, lab) for lab, m in entries)
-    if total != expected:
-        raise ArithmeticError(
-            f"dimension conservation failed: {total} != {expected} at degree {d}"
-        )
-    return Decomposition(factors, entries, expected)
+    chambers = [(rt[0], a, b) for f, a, b in cuts if (rt := f._root_type())]
+    for d in range(lo, hi + 1):
+        items = h[d].items()
+        for fam, a, b in chambers:
+            items = [(key, m) for key, m in items if _dominant(fam, key[a:b]) == key[a:b]]
+        multiset = {tuple(key[a] if f.kind == U1 else key[a:b] for f, a, b in cuts): m
+                    for key, m in items}
+        entries = decompose_weight_multiset(factors, multiset)
+        expected = comb(len(coords) + d - 1, d)
+        total = sum(m * _label_dim(factors, lab) for lab, m in entries)
+        if total != expected:
+            raise ArithmeticError(f"dimension conservation failed: {total} != {expected}"
+                                  f" at degree {d}")
+        yield Decomposition(factors, entries, expected)
 
 
 # ---------------------------------------------------------------------------
@@ -622,13 +631,14 @@ def is_multiplicity_free_polynomial_action(datum: GroupDatum, degree_bound: int)
     """Joint multiplicity-freeness of degrees 0..D.
 
     Returns (flag, first_violation); the violation reports the degree at
-    which a label repeated and the label itself.
+    which a label repeated and the label itself.  Degree D is decomposed
+    first (one h recursion), so a failure above the first repeat raises.
     """
     if degree_bound < 1:
         raise ValueError("degree bound must be >= 1")
+    sym_power_decompose(datum, degree_bound)  # fills the list up to D
     seen: dict = {}
-    for d in range(degree_bound + 1):
-        dec = sym_power_decompose(datum, d)
+    for d, dec in enumerate(_SYM_POWERS[datum.factors, datum.construction][:degree_bound + 1]):
         for label, mult in dec.entries:
             key = canonical_label(datum, label)
             if mult > 1 or key in seen:

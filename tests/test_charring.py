@@ -1,9 +1,11 @@
 """Character-ring checks: weight systems, tensor products, symmetric powers,
 multiplicity-freeness, and cross-rank stability of highest-weight sets."""
 
+import random
 from fractions import Fraction
-from itertools import combinations_with_replacement, permutations, product
+from itertools import accumulate, combinations_with_replacement, permutations, product
 from math import comb, lcm
+from operator import add
 
 import pytest
 from hypothesis import assume, given, settings
@@ -655,6 +657,98 @@ def test_sym_power_cache_shared_across_torus_modes():
         charring.sym_power_decompose(_doubled_standard("full"), 2)
     with pytest.raises(ValueError):
         charring.sym_power_decompose(un_row(2), -1)
+
+
+def _sym_power_oracle(factors, construction, d):
+    """One h recursion per degree, every h_d key cut into labels before the
+    dominance filter: the per-degree route the shared recursion replaced."""
+    coords = charring._construction_weights(factors, construction)
+    ends = list(accumulate((f.eps_rank for f in factors), initial=0))
+    h = [{(0,) * ends[-1]: 1}] + [{} for _ in range(d)]
+    for row in coords:
+        w = tuple(-x for f, v in zip(factors, row) for x in ((v,) if f.kind == U1 else v))
+        for lower, upper in zip(h, h[1:]):
+            for mu, m in lower.items():
+                key = tuple(map(add, mu, w))
+                upper[key] = upper.get(key, 0) + m
+    cuts = list(zip(factors, ends, ends[1:]))
+    multiset = {tuple(key[a] if f.kind == U1 else key[a:b] for f, a, b in cuts): m
+                for key, m in h[d].items()}
+    entries = charring.decompose_weight_multiset(factors, multiset)
+    expected = comb(len(coords) + d - 1, d)
+    assert sum(m * charring._label_dim(factors, lab) for lab, m in entries) == expected
+    return charring.Decomposition(factors, entries, expected)
+
+
+def _ladder_grid():
+    """Each distinct (factors, construction) of a kac/jaw row at any ranks
+    with module dimension <= 8."""
+    out = {}
+    for rid in _KAC_JAW_ROWS:
+        for r in range(1, 9):
+            for s in (None, *range(1, 9)):
+                try:
+                    datum = tables.group_datum(rid, r, s)
+                except ValueError:
+                    continue
+                if datum.module_dim <= 8:
+                    out.setdefault((datum.factors, datum.construction), datum)
+    return list(out.values())
+
+
+def test_sym_power_degrees_from_one_recursion_match_the_oracle(monkeypatch):
+    grid = _ladder_grid()
+    assert len(grid) == 50
+    oracle = {(datum.factors, datum.construction, d):
+              _sym_power_oracle(datum.factors, datum.construction, d)
+              for datum in grid for d in range(6)}
+    shuffled = random.Random(20)
+    orders = {"ascending": lambda: list(range(6)),
+              "descending": lambda: list(range(5, -1, -1)),
+              "shuffled": lambda: shuffled.sample(range(6), 6)}
+    for name, order in orders.items():
+        monkeypatch.setattr(charring, "_SYM_POWERS", {})  # a cold cache
+        for datum in grid:
+            for d in order():
+                dec = charring.sym_power_decompose(datum, d)
+                want = oracle[datum.factors, datum.construction, d]
+                assert (dec.entries, dec.dimension) == (want.entries, want.dimension), \
+                    (name, datum, d)
+
+
+def test_freeness_and_stability_share_one_recursion_per_datum(monkeypatch):
+    runs = []
+    real = charring._sym_powers
+
+    def counting(factors, construction, lo, hi):
+        runs.append((lo, hi))
+        return real(factors, construction, lo, hi)
+
+    monkeypatch.setattr(charring, "_sym_powers", counting)
+    monkeypatch.setattr(charring, "_SYM_POWERS", {})
+    small, big = tables.group_datum("jaw:2", 2), tables.group_datum("jaw:2", 3)
+    for datum in (small, big):
+        assert charring.is_multiplicity_free_polynomial_action(datum, 5) == (True, None)
+    assert runs == [(0, 5), (0, 5)]
+    for d in range(6):
+        assert charring.check_stability(small, big, d) == (True, [])
+    assert runs == [(0, 5), (0, 5)]
+
+
+def test_freeness_verdict_is_the_first_repeat(monkeypatch):
+    # det is an invariant of degree 2 of S(U(2) x U(2)) on C^2 (x) C^2, so the
+    # trivial label of degree 0 repeats in degree 2; degrees 3..5 are now
+    # decomposed as well, and the verdict stays that of degree 2
+    datum = tables.group_datum("jaw:10", 2, 2)
+    violation = {"degree": 2, "label": ((0, 0), (0, 0)), "multiplicity": 1,
+                 "first_degree": 0}
+    assert charring.is_multiplicity_free_polynomial_action(datum, 5) == (False, violation)
+    # a dimension conservation failure above the repeat raises
+    real_comb = charring.comb
+    monkeypatch.setattr(charring, "comb", lambda n, k: real_comb(n, k) + (k == 5))
+    monkeypatch.setattr(charring, "_SYM_POWERS", {})
+    with pytest.raises(ArithmeticError, match="at degree 5"):
+        charring.is_multiplicity_free_polynomial_action(datum, 5)
 
 
 # ---------------------------------------------------------------------------
