@@ -11,9 +11,9 @@ come from the complete homogeneous recursion h_d, run once per (factors,
 construction) for every degree up to the highest one asked; the torus mode
 is left out of that key because it only quotients the labels afterwards.
 
-Weights are kept in orthonormal epsilon coordinates: integer tuples for
-unitary factors (full gl weight, one entry per column), integer tuples for
-so/sp factors (one entry per epsilon), bare integers for circle factors.
+Weights are kept in orthonormal epsilon coordinates, an integer tuple per
+factor: the full gl weight (one entry per column) for unitary factors, one
+entry per epsilon for so/sp factors, and a 1-tuple for circle factors.
 """
 
 from __future__ import annotations
@@ -323,7 +323,7 @@ class Factor:
     def standard_weights(self):
         """Weights of the defining module (the space the factor acts on)."""
         if self.kind == U1:
-            return [1]  # u1 scaling: weight one per coordinate
+            return [(1,)]  # u1 scaling: weight one per coordinate
         r = self.eps_rank
         units = [_unit(r, i, 1) for i in range(r)]
         if self.kind == GL:
@@ -331,9 +331,6 @@ class Factor:
         # so/sp: +-e_i, and the zero weight for odd orthogonal groups
         units += [_unit(r, i, -1) for i in range(r)]
         return units + [(0,) * r] if self.kind == SO and self.size % 2 else units
-
-    def zero_weight(self):
-        return 0 if self.kind == U1 else (0,) * self.eps_rank
 
     def _root_type(self):
         """(family, rank) of the factor's root system; None for a torus."""
@@ -371,9 +368,9 @@ class Factor:
     def rho_strict(self):
         """A strictly dominant integer functional, used to pick off highest
         weights in a Weyl-invariant multiset (strictly decreasing, so also
-        strictly D-dominant)."""
+        strictly D-dominant); zero on a circle or SO(2)."""
         if self.kind == U1 or (self.kind == SO and self.size == 2):
-            return None
+            return (0,) * self.eps_rank
         return tuple(range(self.eps_rank, 0, -1))
 
 
@@ -425,7 +422,7 @@ class GroupDatum:
 
 
 def _construction_weights(factors, con: Construction):
-    zero = [f.zero_weight() for f in factors]
+    zero = [(0,) * f.eps_rank for f in factors]
     if con.tag == "dsum":
         out = []
         for part in con.parts:
@@ -453,7 +450,7 @@ def _construction_weights(factors, con: Construction):
         coords = []
         for a, b in pairs:
             row = list(zero)
-            row[i] = _wadd(std[a], std[b])
+            row[i] = tuple(map(add, std[a], std[b]))
             coords.append(tuple(row))
     elif con.tag == "tensor":
         i, j = con.args
@@ -472,15 +469,9 @@ def _construction_weights(factors, con: Construction):
         row = list(row)
         for k, f in enumerate(factors):
             if f.kind == U1 and k not in con.args:
-                row[k] = 1
+                row[k] = (1,)
         out.append(tuple(row))
     return out
-
-
-def _wadd(a, b):
-    if isinstance(a, int):
-        return a + b
-    return tuple(x + y for x, y in zip(a, b))
 
 
 @dataclass(frozen=True)
@@ -490,7 +481,6 @@ class Decomposition:
     A label is a tuple holding one dominant weight per factor.
     """
 
-    factors: tuple
     entries: tuple
     dimension: int
 
@@ -536,12 +526,7 @@ def decompose_weight_multiset(factors, multiset) -> tuple:
 
 
 def _extract_score(label, rhos):
-    score = 0
-    for w, rho in zip(label, rhos):
-        if rho is None:
-            continue
-        score += sum(a * b for a, b in zip(w, rho))
-    return score
+    return sum(a * b for w, rho in zip(label, rhos) for a, b in zip(w, rho))
 
 
 def sym_power_decompose(datum: GroupDatum, d: int) -> Decomposition:
@@ -566,32 +551,31 @@ def _sym_powers(factors, construction, lo, hi):
     """Yield the decompositions of degrees lo..hi from one run of
     h_d(x_1..x_k) = h_d(x_1..x_{k-1}) + x_k h_{d-1}(x_1..x_k), the
     coefficient of t^d in prod_i 1/(1 - t e^{w_i}) (Macdonald I.2), on flat
-    integer weights: one slot per circle, eps_rank slots per other factor.
-    Only keys dominant in every factor are cut into labels."""
+    integer weights, eps_rank slots per factor.  Only keys dominant in every
+    factor are cut into labels."""
     coords = _construction_weights(factors, construction)
     ends = list(accumulate((f.eps_rank for f in factors), initial=0))
     h = [{(0,) * ends[-1]: 1}] + [{} for _ in range(hi)]
     for row in coords:
-        w = tuple(-x for f, v in zip(factors, row) for x in ((v,) if f.kind == U1 else v))
+        w = tuple(-x for v in row for x in v)
         for lower, upper in zip(h, h[1:]):  # lower already holds this weight
             for mu, m in lower.items():
                 key = tuple(map(add, mu, w))
                 upper[key] = upper.get(key, 0) + m
-    cuts = list(zip(factors, ends, ends[1:]))
-    chambers = [(rt[0], a, b) for f, a, b in cuts if (rt := f._root_type())]
+    cuts = list(zip(ends, ends[1:]))
+    chambers = [(rt[0], a, b) for f, (a, b) in zip(factors, cuts) if (rt := f._root_type())]
     for d in range(lo, hi + 1):
         items = h[d].items()
         for fam, a, b in chambers:
             items = [(key, m) for key, m in items if _dominant(fam, key[a:b]) == key[a:b]]
-        multiset = {tuple(key[a] if f.kind == U1 else key[a:b] for f, a, b in cuts): m
-                    for key, m in items}
+        multiset = {tuple(key[a:b] for a, b in cuts): m for key, m in items}
         entries = decompose_weight_multiset(factors, multiset)
         expected = comb(len(coords) + d - 1, d)
         total = sum(m * _label_dim(factors, lab) for lab, m in entries)
         if total != expected:
             raise ArithmeticError(f"dimension conservation failed: {total} != {expected}"
                                   f" at degree {d}")
-        yield Decomposition(factors, entries, expected)
+        yield Decomposition(entries, expected)
 
 
 # ---------------------------------------------------------------------------
@@ -663,8 +647,6 @@ def _stabilize_factor_weight(factor: Factor, bigger: Factor, w):
     """
     if factor.kind != bigger.kind:
         raise ValueError("stabilization needs matching factor kinds")
-    if factor.kind == U1:
-        return w
     extra = bigger.eps_rank - factor.eps_rank
     if extra < 0:
         raise ValueError("target factor is smaller than the source")

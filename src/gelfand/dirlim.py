@@ -25,9 +25,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from functools import cached_property
+from itertools import chain, combinations_with_replacement
 from math import comb
 
 from . import fock, numerics, symmpair
@@ -39,8 +40,7 @@ class DegreeLadder:
     backend: str
     levels: tuple
     degrees: dict
-    csq_pairs: dict  # (m, n) with m >= n -> squared constant
-    exact: bool
+    csq_pairs: dict  # (m, n) with m > n -> squared constant
 
     def __post_init__(self):
         if tuple(sorted(self.levels)) != self.levels:
@@ -49,12 +49,17 @@ class DegreeLadder:
             # NaN fails both comparisons
             if n not in self.degrees or not 0 < self.degrees[n] < math.inf:
                 raise ValueError(f"level {n} has no finite positive degree")
-        for m in self.levels:
-            for n in self.levels:
-                if m >= n:
-                    csq = self.csq(m, n)
-                    if not 0 < csq <= 1:
-                        raise ValueError(f"c({m},{n})^2 = {csq} outside (0, 1]")
+        for m, n in _pairs(self.levels):
+            csq = self.csq(m, n)
+            if not 0 < csq <= 1:
+                raise ValueError(f"c({m},{n})^2 = {csq} outside (0, 1]")
+
+    @cached_property
+    def exact(self) -> bool:
+        """Whether every degree and squared constant is rational, so that
+        the identities are checked with residual exactly 0."""
+        return all(isinstance(x, (int, Fraction))
+                   for x in chain(self.degrees.values(), self.csq_pairs.values()))
 
     @property
     def base(self):
@@ -79,9 +84,13 @@ class DegreeLadder:
         return math.sqrt(float(self.csq(m, n)))
 
 
-def make_ladder(backend, levels, degrees, csq_pairs, exact) -> DegreeLadder:
-    return DegreeLadder(backend, tuple(sorted(levels)), dict(degrees),
-                        dict(csq_pairs), exact)
+def make_ladder(backend, levels, degrees, csq_pairs) -> DegreeLadder:
+    return DegreeLadder(backend, tuple(sorted(levels)), dict(degrees), dict(csq_pairs))
+
+
+def _pairs(levels):
+    """Every level pair (m, n) with m > n."""
+    return [(m, n) for n in levels for m in levels if m > n]
 
 
 # ---------------------------------------------------------------------------
@@ -132,10 +141,8 @@ def apply_zeta(ladder: DegreeLadder, f: LadderedFunction, m) -> LadderedFunction
     """Promote a coefficient-encoded function; in the orthonormal coefficient
     encoding the rescaled inclusion leaves the coefficients alone, which is
     exactly its isometry."""
-    _check(ladder, f, "coeff")
-    if m < f.level:
-        raise ValueError("can only promote to a higher level")
-    return LadderedFunction(f.backend, m, f.kind, f.coeffs, f.scale_sq)
+    _check(ladder, f, "coeff", f.level, m)
+    return replace(f, level=m)
 
 
 def apply_nu(ladder: DegreeLadder, f: LadderedFunction, m) -> LadderedFunction:
@@ -143,29 +150,27 @@ def apply_nu(ladder: DegreeLadder, f: LadderedFunction, m) -> LadderedFunction:
     function: the coefficient list is re-targeted untouched, and the unit
     invariant vector of the higher level contributes 1/c(m,n) through the
     squared prefactor."""
-    _check(ladder, f, "invariant")
-    if m < f.level:
-        raise ValueError("can only promote to a higher level")
-    return LadderedFunction(f.backend, m, f.kind, f.coeffs,
-                            f.scale_sq / ladder.csq(m, f.level))
+    _check(ladder, f, "invariant", f.level, m)
+    return replace(f, level=m, scale_sq=f.scale_sq / ladder.csq(m, f.level))
 
 
 def backend_restrict(ladder: DegreeLadder, f: LadderedFunction, n) -> LadderedFunction:
     """Restriction of an invariant-encoded function down to level n."""
-    _check(ladder, f, "invariant")
-    if n > f.level:
-        raise ValueError("can only restrict to a lower level")
-    return LadderedFunction(f.backend, n, f.kind, f.coeffs,
-                            f.scale_sq * ladder.csq(f.level, n))
+    _check(ladder, f, "invariant", n, f.level)
+    return replace(f, level=n, scale_sq=f.scale_sq * ladder.csq(f.level, n))
 
 
-def _check(ladder, f, kind):
+def _check(ladder, f, kind, low, high):
+    """``f`` is a ``kind`` function of the ladder's backend at one of its
+    levels, and the map runs between levels ``low`` <= ``high``."""
     if f.backend != ladder.backend:
         raise ValueError("function belongs to a different backend")
     if f.kind != kind:
         raise ValueError(f"operation needs kind {kind!r}")
     if f.level not in ladder.levels:
         raise ValueError(f"level {f.level} not in ladder")
+    if low > high:
+        raise ValueError(f"level {high} is below level {low}")
 
 
 def limit_inner_product(ladder: DegreeLadder, f: LadderedFunction,
@@ -183,12 +188,8 @@ def limit_inner_product(ladder: DegreeLadder, f: LadderedFunction,
     if f.kind != "invariant":
         raise ValueError("the limit pairing is defined on invariant-encoded functions")
     gd = dict(g.coeffs)
-    pairing = sum(v * _conj(gd[k]) for k, v in f.coeffs if k in gd)
+    pairing = sum(v * gd[k].conjugate() for k, v in f.coeffs if k in gd)
     return ladder.csq(f.level, ladder.base) * _sqrt_product(f.scale_sq, g.scale_sq) * pairing
-
-
-def _conj(x):
-    return x.conjugate() if isinstance(x, complex) else x
 
 
 def _sqrt_product(a, b):
@@ -218,28 +219,29 @@ def verify_commuting_square(ladder: DegreeLadder, m, n):
     if m < n:
         raise ValueError("need m >= n")
     degm, degn = ladder.deg(m), ladder.deg(n)
-    ratio = degm / degn
+    ratio = fr(degm) / degn
     plain = _rel_residual(degm, ratio * degn)
     tilde = _rel_residual(
         ladder.csq(m, ladder.base) * degm,
         ladder.csq(m, n) * ratio * ladder.csq(n, ladder.base) * degn,
     )
-    residual = max(plain, tilde, key=lambda x: float(abs(x)))
-    tol = numerics.DEFAULT_TOLERANCES.exact_identity
-    ok = residual == 0 if ladder.exact else float(abs(residual)) <= tol
-    return ok, residual
+    return _verdict(ladder, [plain, tilde])
 
 
 def verify_cocycle(ladder: DegreeLadder):
     """c(m,n) c(n,k) = c(m,k) over every triple, in squared form."""
-    worst = Fraction(0) if ladder.exact else 0.0
-    for k, n, m in combinations_with_replacement(ladder.levels, 3):
-        res = _rel_residual(ladder.csq(m, n) * ladder.csq(n, k), ladder.csq(m, k))
-        if float(abs(res)) > float(abs(worst)):
-            worst = res
-    tol = numerics.DEFAULT_TOLERANCES.exact_identity
-    ok = worst == 0 if ladder.exact else float(abs(worst)) <= tol
-    return ok, worst
+    return _verdict(ladder, [
+        _rel_residual(ladder.csq(m, n) * ladder.csq(n, k), ladder.csq(m, k))
+        for k, n, m in combinations_with_replacement(ladder.levels, 3)])
+
+
+def _verdict(ladder, residuals):
+    """(ok, the largest residual): 0 exactly on an exact ladder, else
+    within ``exact_identity``."""
+    worst = max(residuals, key=lambda x: float(abs(x)), default=0)
+    if ladder.exact:
+        return worst == 0, worst
+    return float(abs(worst)) <= numerics.DEFAULT_TOLERANCES.exact_identity, worst
 
 
 def _rel_residual(a, b):
@@ -265,12 +267,8 @@ def un_polynomial_ladder(d: int, levels=(1, 2, 3, 4)) -> DegreeLadder:
     if d < 0:
         raise ValueError("degree must be >= 0")
     degrees = {n: Fraction(comb(n + d - 1, d)) for n in levels}
-    csq = {}
-    for n in levels:
-        for m in levels:
-            if m > n:
-                csq[(m, n)] = Fraction(comb(n + d - 1, d), comb(m + d - 1, d))
-    return make_ladder("un-poly", levels, degrees, csq, exact=True)
+    csq = {(m, n): degrees[n] / degrees[m] for m, n in _pairs(levels)}
+    return make_ladder("un-poly", levels, degrees, csq)
 
 
 def un_csq_by_enumeration(d: int, n: int, m: int) -> Fraction:
@@ -292,17 +290,13 @@ def sphere_ladder(d: int, levels=(2, 3, 4, 5), method: str = "exact") -> DegreeL
     if method not in ("exact", "quadrature"):
         raise ValueError(f"unknown method {method!r}")
     degrees = {n: Fraction(symmpair.harmonic_dimension(n + 1, d)) for n in levels}
-    csq = {}
-    for n in levels:
-        for m in levels:
-            if m > n:
-                if method == "exact":
-                    csq[(m, n)] = symmpair.zonal_projection_csq(m, n, d)
-                else:
-                    csq[(m, n)] = symmpair.zonal_projection_constant(m, n, d, "quadrature") ** 2
-    if method == "quadrature":
+    if method == "exact":
+        csq = {(m, n): symmpair.zonal_projection_csq(m, n, d) for m, n in _pairs(levels)}
+    else:
+        csq = {(m, n): symmpair.zonal_projection_constant(m, n, d, "quadrature") ** 2
+               for m, n in _pairs(levels)}
         degrees = {n: float(v) for n, v in degrees.items()}
-    return make_ladder("sphere", levels, degrees, csq, exact=method == "exact")
+    return make_ladder("sphere", levels, degrees, csq)
 
 
 def heisenberg_ladder(t, d: int = 1, levels=(1, 2), method: str = "exact") -> DegreeLadder:
@@ -319,7 +313,6 @@ def heisenberg_ladder(t, d: int = 1, levels=(1, 2), method: str = "exact") -> De
     if method == "exact":
         ts = abs(fr(t)) if isinstance(t, (int, Fraction)) else abs(t)
         degrees = {n: ts ** n * poly.deg(n) for n in levels}
-        exact = isinstance(ts, Fraction)
     elif method == "quadrature":
         degrees = {}
         for n in levels:
@@ -327,10 +320,9 @@ def heisenberg_ladder(t, d: int = 1, levels=(1, 2), method: str = "exact") -> De
             diag = fock.coefficient_inner_product(float(t), (zero, zero), (zero, zero))
             degrees[n] = poly.deg(n) / diag.real
         csq = {k: float(v) for k, v in csq.items()}
-        exact = False
     else:
         raise ValueError(f"unknown method {method!r}")
-    return make_ladder("heisenberg", levels, degrees, csq, exact=exact)
+    return make_ladder("heisenberg", levels, degrees, csq)
 
 
 # ---------------------------------------------------------------------------
@@ -357,13 +349,12 @@ def ladder_to_json(ladder: DegreeLadder) -> str:
 
 def ladder_from_json(text: str) -> DegreeLadder:
     doc = json.loads(text)
-    levels = tuple(doc["levels"])
-    exact = doc.get("exact", False)
-    number = Fraction if exact else float
-    degrees = {n: number(d) for n, d in zip(levels, doc["deg"])}
-    csq = {}
-    for i, m in enumerate(levels):
-        for j, n in enumerate(levels):
-            if m > n:
-                csq[(m, n)] = Fraction(doc["csq"][i][j]) if exact else doc["c"][i][j] ** 2
-    return make_ladder(doc["backend"], levels, degrees, csq, exact=exact)
+    levels = doc["levels"]
+    pos = {n: i for i, n in enumerate(levels)}
+    if doc.get("exact"):
+        degrees = {n: Fraction(x) for n, x in zip(levels, doc["deg"])}
+        csq = {(m, n): Fraction(doc["csq"][pos[m]][pos[n]]) for m, n in _pairs(levels)}
+    else:
+        degrees = {n: float(x) for n, x in zip(levels, doc["deg"])}
+        csq = {(m, n): doc["c"][pos[m]][pos[n]] ** 2 for m, n in _pairs(levels)}
+    return make_ladder(doc["backend"], levels, degrees, csq)

@@ -326,7 +326,6 @@ def _pf_recursive(a, idx, memo, zero, one):
 
 @dataclass(frozen=True)
 class PfaffianPolynomial:
-    dim_z: int
     poly: MultiPoly
 
     def __call__(self, t):
@@ -342,7 +341,7 @@ def pfaffian_polynomial(alg: TwoStepAlgebra) -> PfaffianPolynomial:
     poly = pfaffian_symbolic(b_form_symbolic(alg), alg.dim_z)
     if alg.dim_v > 0 and not poly.eval((Fraction(0),) * alg.dim_z) == 0:
         raise ArithmeticError("Pfaffian polynomial must vanish at the origin")
-    return PfaffianPolynomial(alg.dim_z, poly)
+    return PfaffianPolynomial(poly)
 
 
 def is_generically_square_integrable(alg: TwoStepAlgebra) -> bool:

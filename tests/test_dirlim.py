@@ -90,6 +90,9 @@ def test_level_order_enforced():
         apply_nu(L, f, 2)
     with pytest.raises(ValueError):
         apply_zeta(L, LadderedFunction.make("un-poly", 3, {"a": 1.0}), 2)
+    low = LadderedFunction.make("un-poly", 2, {"a": 1.0}, kind="invariant")
+    with pytest.raises(ValueError, match="is below level"):
+        backend_restrict(L, low, 3)
 
 
 def test_backend_mismatch_rejected():
@@ -153,7 +156,8 @@ def test_sphere_ladder_rejects_an_unknown_method_before_any_work(levels, monkeyp
 
 
 def test_single_level_ladder_trivial():
-    L = make_ladder("toy", (3,), {3: 7.0}, {}, exact=False)
+    L = make_ladder("toy", (3,), {3: 7.0}, {})
+    assert not L.exact
     ok, res = verify_commuting_square(L, 3, 3)
     assert ok and res == 0
 
@@ -194,7 +198,9 @@ def test_promotion_consistency_fails_on_a_broken_un_cocycle():
     ladder = un_polynomial_ladder(3, levels=(1, 2, 3, 4))
     pairs = dict(ladder.csq_pairs)
     pairs[(3, 1)] /= 2
-    broken = make_ladder(ladder.backend, ladder.levels, ladder.degrees, pairs, ladder.exact)
+    broken = make_ladder(ladder.backend, ladder.levels, ladder.degrees, pairs)
+    assert broken.exact
+    assert verify_cocycle(broken)[0] is False
     assert _un_promotions_hold(broken) == [False, True]
 
 
@@ -267,8 +273,49 @@ def test_float_json_keeps_float_fields():
     assert math.isclose(back.c(2, 1), ladder.c(2, 1), rel_tol=1e-15)
     assert back.deg(2) == ladder.deg(2)
 
+
+_TOY_DEGREES = {1: 1, 2: Fraction(3), 3: 6}
+_TOY_CSQ = {(2, 1): Fraction(1, 4), (3, 1): Fraction(1, 16), (3, 2): Fraction(1, 4)}
+
+
+def test_ladder_of_ints_and_fractions_is_exact():
+    ladder = make_ladder("toy", (1, 2, 3), _TOY_DEGREES, _TOY_CSQ)
+    assert ladder.exact
+    assert type(ladder.csq(2, 2)) is Fraction
+    assert verify_cocycle(ladder) == (True, Fraction(0))
+    assert verify_commuting_square(ladder, 3, 2) == (True, Fraction(0))
+    ok, res = verify_commuting_square(ladder, 3, 1)  # int degrees, Fraction ratio
+    assert ok and type(res) is Fraction
+
+
+@pytest.mark.parametrize("where", ["degree", "constant"])
+def test_one_float_makes_a_ladder_inexact(where):
+    degrees, csq = dict(_TOY_DEGREES), dict(_TOY_CSQ)
+    if where == "degree":
+        degrees[3] = 6.0
+    else:
+        csq[(3, 2)] = 0.25
+    ladder = make_ladder("toy", (1, 2, 3), degrees, csq)
+    assert not ladder.exact
+    assert type(ladder.csq(2, 2)) is float
+    ok, res = verify_cocycle(ladder)
+    assert ok and res == 0
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["rational", "float"])
+def test_json_roundtrip_returns_an_equal_ladder(exact):
+    # quarter powers: c = sqrt(csq) and its square are exact in binary too
+    number = Fraction if exact else float
+    ladder = make_ladder("toy", (1, 2, 3), _TOY_DEGREES,
+                         {p: number(v) for p, v in _TOY_CSQ.items()})
+    text = ladder_to_json(ladder)
+    assert ("csq" in json.loads(text)) is exact
+    back = ladder_from_json(text)
+    assert back == ladder
+    assert back.exact is exact
+
 def test_ladder_validation():
     with pytest.raises(ValueError):
-        make_ladder("bad", (1, 2), {1: 1, 2: -1}, {(2, 1): Fraction(1, 2)}, exact=True)
+        make_ladder("bad", (1, 2), {1: 1, 2: -1}, {(2, 1): Fraction(1, 2)})
     with pytest.raises(ValueError):
-        make_ladder("bad", (1, 2), {1: 1, 2: 1}, {(2, 1): Fraction(3, 2)}, exact=True)
+        make_ladder("bad", (1, 2), {1: 1, 2: 1}, {(2, 1): Fraction(3, 2)})

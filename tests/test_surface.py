@@ -19,22 +19,10 @@ USERS = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
 _IDENT = re.compile(r"[A-Za-z_]\w*\Z")
 
 KEEP = {
-    # timed or called by perfbench
-    "charring.weight_system": "perfbench layer: the Freudenthal weight system",
-    "charring.tensor_decompose": "perfbench layer: Brauer-Klimyk tensor products",
-    "numerics.matrix_exp": "perfbench layer and the oracle of the chain exponentials",
-    "numerics.gaussian_plane_integral": "perfbench layer: node-doubling plane integrals",
-    "symmpair.harmonic_basis": "perfbench layer: exact harmonic-basis RREF",
-    "symmpair.zonal_vector": "perfbench layer: the zonal vector in that basis",
-    "dirlim.apply_nu": "perfbench workload: the restriction map nu_{m,n}",
-    "nilpf.b_form": "perfbench workload: the central form b_t",
-    "tables.registry": "perfbench workload: the table rows",
-    "fock.heis_mul": "perfbench workload: the Heisenberg group law",
     # the paper's objects
     "fock.matrix_coefficient": "the paper's matrix coefficients of the Fock model",
     "fock.RegularFunction": "the paper's regular functions on the Heisenberg group",
     "fock.regular_gram": "Gram matrix of the regular functions",
-    "fock.FockVector": "vectors of the truncated Fock space",
     "dirlim.apply_zeta": "the paper's map zeta_{m,n}",
     "dirlim.zeta_scale": "the rescaling of zeta_{m,n}",
     "dirlim.eta_scale": "the comparison into the square-integrable completion",
@@ -104,3 +92,9 @@ def test_keep_list_names_exist():
     defs = _public_definitions()
     assert sorted(k for k in KEEP if k not in defs) == []
     assert all(reason.strip() for reason in KEEP.values())
+
+
+def test_keep_list_holds_only_unreferenced_names():
+    unused = set(_unreferenced(_public_definitions()))
+    assert sorted(k for k in KEEP if k not in unused) == [], (
+        "these names have a caller in src/ or perfbench/: drop them from KEEP")

@@ -155,12 +155,12 @@ _true_pfaffian_polynomial = nilpf.pfaffian_polynomial
 
 def _scaled_pfaffian(alg):
     pf = _true_pfaffian_polynomial(alg)
-    return nilpf.PfaffianPolynomial(pf.dim_z, pf.poly.scale(2))
+    return nilpf.PfaffianPolynomial(pf.poly.scale(2))
 
 
 def _zero_pfaffian(alg):
     pf = _true_pfaffian_polynomial(alg)
-    return nilpf.PfaffianPolynomial(pf.dim_z, pf.poly.scale(0))
+    return nilpf.PfaffianPolynomial(pf.poly.scale(0))
 
 
 def _crashing_pfaffian(alg):
@@ -271,17 +271,19 @@ def test_csv_and_text_formats(capsys):
 
 
 def test_empty_report_documents():
-    report = cli.VerificationReport("gamma", cli.SUITE_ANCHORS["gamma"], [], {}, 0)
+    report = cli.VerificationReport("gamma", cli.SUITE_ANCHORS["gamma"], [], {"seed": 0})
     doc = json.loads(cli.emit_report(report, "json"))
     assert doc["cases"] == []
+    assert doc["seed"] == 0
     text = cli.emit_report(report, "text")
     assert "0/0" in text
+    assert "seed=0" in text
 
 
 def test_failing_case_carries_expected_actual_tolerance():
     rec = cli._Recorder(timing=False)
     rec.run("boom", "the moon", 0.1, lambda: (False, "a rock"))
-    report = cli.VerificationReport("gamma", "x", rec.cases, {}, 0)
+    report = cli.VerificationReport("gamma", "x", rec.cases, {"seed": 0})
     doc = json.loads(cli.emit_report(report, "json"))
     case = doc["cases"][0]
     assert case["status"] == "fail"
@@ -578,8 +580,7 @@ def test_spaced_t_takes_a_list_that_starts_negative(capsys):
 @pytest.mark.parametrize("degree", [float("nan"), float("inf"), 0.0, -1.0])
 def test_degree_ladder_rejects_a_degree_that_is_not_finite_and_positive(degree):
     with pytest.raises(ValueError, match="no finite positive degree"):
-        dirlim.make_ladder("heisenberg", (1, 2), {1: 1.0, 2: degree}, {(2, 1): 1.0},
-                           exact=False)
+        dirlim.make_ladder("heisenberg", (1, 2), {1: 1.0, 2: degree}, {(2, 1): 1.0})
 
 
 @pytest.mark.parametrize("body,message", [
@@ -621,8 +622,7 @@ def test_limit_pairing_promotion_fails_on_a_broken_cocycle(monkeypatch):
             return ladder
         pairs = dict(ladder.csq_pairs)
         pairs[(3, 1)] /= 2
-        return dirlim.make_ladder(ladder.backend, ladder.levels, ladder.degrees, pairs,
-                                  ladder.exact)
+        return dirlim.make_ladder(ladder.backend, ladder.levels, ladder.degrees, pairs)
 
     monkeypatch.setattr(dirlim, "un_polynomial_ladder", halved)
     cases = {c.case_id: c for c in cli.run_suite("ladders", dict(cli.DEFAULTS)).cases}
