@@ -412,16 +412,9 @@ class GroupDatum:
     torus_mode: str = "full"
     su_flags: tuple = ()
 
-    def module_weights(self):
-        """Per-coordinate weight tuples of the module (one entry per factor)."""
-        return _construction_weights(self.factors, self.construction)
-
-    @property
-    def module_dim(self) -> int:
-        return len(self.module_weights())
-
 
 def _construction_weights(factors, con: Construction):
+    """Per-coordinate weight tuples of the module (one entry per factor)."""
     zero = [(0,) * f.eps_rank for f in factors]
     if con.tag == "dsum":
         out = []

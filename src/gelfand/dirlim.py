@@ -133,9 +133,6 @@ class LadderedFunction:
         items = tuple(sorted((k, v) for k, v in dict(coeffs).items() if v != 0))
         return cls(backend, level, kind, items)
 
-    def norm_sq(self):
-        return self.scale_sq * sum(abs(v) ** 2 for _, v in self.coeffs)
-
 
 def apply_zeta(ladder: DegreeLadder, f: LadderedFunction, m) -> LadderedFunction:
     """Promote a coefficient-encoded function; in the orthonormal coefficient

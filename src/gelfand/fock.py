@@ -102,47 +102,9 @@ def _ladder_matrices(n: int, cutoff: int):
 
 
 @dataclass(frozen=True)
-class FockVector:
-    """Truncated coefficient vector over the normalized monomial basis."""
-
-    n: int
-    cutoff: int
-    coeffs: np.ndarray
-
-    @classmethod
-    def basis_vector(cls, n, cutoff, index):
-        pos = _index_positions(n, cutoff)
-        if tuple(index) not in pos:
-            raise ValueError("index beyond cutoff")
-        arr = np.zeros(len(pos), dtype=complex)
-        arr[pos[tuple(index)]] = 1.0
-        return cls(n, cutoff, arr)
-
-    @classmethod
-    def from_coeffs(cls, n, cutoff, mapping):
-        pos = _index_positions(n, cutoff)
-        arr = np.zeros(len(pos), dtype=complex)
-        for idx, val in dict(mapping).items():
-            if tuple(idx) not in pos:
-                raise ValueError("index beyond cutoff")
-            arr[pos[tuple(idx)]] = val
-        return cls(n, cutoff, arr)
-
-    def norm_sq(self) -> float:
-        return float(np.sum(np.abs(self.coeffs) ** 2))
-
-    def inner(self, other) -> complex:
-        if (self.n, self.cutoff) != (other.n, other.cutoff):
-            raise ValueError("vectors live in different truncations")
-        return complex(np.vdot(self.coeffs, other.coeffs))
-
-
-@dataclass(frozen=True)
 class FockOperator:
     matrix: np.ndarray
     n: int
-    t: float
-    g: HeisenbergPoint
     cutoff: int
 
     def entry(self, left, right) -> complex:
@@ -150,11 +112,6 @@ class FockOperator:
         if tuple(left) not in pos or tuple(right) not in pos:
             raise ValueError("index beyond cutoff")
         return complex(self.matrix[pos[tuple(left)], pos[tuple(right)]])
-
-    def apply(self, vec: FockVector) -> FockVector:
-        if (vec.n, vec.cutoff) != (self.n, self.cutoff):
-            raise ValueError("vector does not match the operator truncation")
-        return FockVector(self.n, self.cutoff, self.matrix @ vec.coeffs)
 
 
 def check_t(t) -> None:
@@ -185,7 +142,7 @@ def fock_operator(n: int, t: float, g: HeisenbergPoint, cutoff: int) -> FockOper
     phase = complex(math.cos(t * g.z), math.sin(t * g.z))
     dim = len(multi_indices(n, cutoff))
     if not any(abs(x) for x in g.w):
-        return FockOperator(phase * np.eye(dim, dtype=complex), n, t, g, cutoff)
+        return FockOperator(phase * np.eye(dim, dtype=complex), n, cutoff)
     amp = abs(t) * sum(abs(x) ** 2 for x in g.w)
     if amp > cutoff / 2:
         raise ValueError(
@@ -215,7 +172,7 @@ def fock_operator(n: int, t: float, g: HeisenbergPoint, cutoff: int) -> FockOper
     f = np.exp(1j * (index @ np.angle(alpha)))
     out = np.multiply.outer(phase * f, f.conj())
     out *= mat
-    return FockOperator(out, n, t, g, cutoff)
+    return FockOperator(out, n, cutoff)
 
 
 @lru_cache(maxsize=None)

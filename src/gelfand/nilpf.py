@@ -5,9 +5,10 @@ quaternionic Heisenberg, free two-step, unitary-center type).
 
 Structure constants are exact rationals; the bracket of the basis vectors
 v_i, v_j (i < j) is stored as a vector in the center.  The Pfaffian of the
-matrix B(t), entries linear in the central coordinates t, is computed by
-recursive expansion with exact polynomial arithmetic (a polynomial ring has
-no division); at a rational point it is fraction-free integer elimination.
+matrix B(t), entries linear in the central coordinates t, is expanded
+straight from the brackets with exact polynomial arithmetic (a polynomial
+ring has no division); at a rational point it is fraction-free integer
+elimination.
 Either way every classification statement (vanishing, covariance,
 square-equals-determinant) is tolerance free.
 """
@@ -27,8 +28,6 @@ class TwoStepAlgebra:
     dim_v: int
     dim_z: int
     brackets: tuple  # ((i, j), center vector) with i < j, sparse
-    v_labels: tuple
-    z_labels: tuple
 
     def bracket(self, i: int, j: int):
         if i == j:
@@ -42,14 +41,14 @@ class TwoStepAlgebra:
         return (Fraction(0),) * self.dim_z
 
 
-def build_two_step(dim_v: int, dim_z: int, brackets, v_labels=None, z_labels=None,
-                   require_center_spanned: bool = False) -> TwoStepAlgebra:
+def build_two_step(dim_v: int, dim_z: int, brackets) -> TwoStepAlgebra:
     """Assemble and validate an algebra from sparse bracket data.
 
     ``brackets`` maps (i, j) with i < j to center vectors.  Skew symmetry is
-    enforced by storage; handing in both (i, j) and (j, i) is rejected.  With
-    ``require_center_spanned`` the bracket image must span the whole center.
+    enforced by storage; handing in both (i, j) and (j, i) is rejected.
     """
+    if dim_v < 0 or dim_z < 0:
+        raise ValueError(f"dimensions must be >= 0, got dim_v={dim_v}, dim_z={dim_z}")
     seen = {}
     for (i, j), vec in dict(brackets).items():
         if not (0 <= i < dim_v and 0 <= j < dim_v):
@@ -65,19 +64,7 @@ def build_two_step(dim_v: int, dim_z: int, brackets, v_labels=None, z_labels=Non
             raise ValueError("center vector has wrong length")
         if any(vec):
             seen[(i, j)] = vec
-    if require_center_spanned:
-        from .exact import rank
-
-        vecs = [list(v) for v in seen.values()]
-        if rank(vecs) != dim_z:
-            raise ValueError("brackets do not span the declared center")
-    return TwoStepAlgebra(
-        dim_v,
-        dim_z,
-        tuple(sorted(seen.items())),
-        tuple(v_labels or (f"v{i}" for i in range(dim_v))),
-        tuple(z_labels or (f"z{k}" for k in range(dim_z))),
-    )
+    return TwoStepAlgebra(dim_v, dim_z, tuple(sorted(seen.items())))
 
 
 # quaternion multiplication on (1, i, j, k) coefficients
@@ -111,9 +98,7 @@ def build_heisenberg(n: int, field: str = "C") -> TwoStepAlgebra:
         raise ValueError("need n >= 1")
     if field == "C":
         brackets = {(2 * a, 2 * a + 1): (Fraction(1),) for a in range(n)}
-        labels = [f"{ch}{a + 1}" for a in range(n) for ch in "xy"]
-        return build_two_step(2 * n, 1, brackets, labels, ("z",),
-                              require_center_spanned=True)
+        return build_two_step(2 * n, 1, brackets)
     if field == "H":
         brackets = {}
         for a in range(n):
@@ -122,9 +107,7 @@ def build_heisenberg(n: int, field: str = "C") -> TwoStepAlgebra:
                     vec = _quat_imag_conj_product(p, q)
                     if any(vec):
                         brackets[(4 * a + p, 4 * a + q)] = vec
-        labels = [f"{ch}{a + 1}" for a in range(n) for ch in ("e", "i", "j", "k")]
-        return build_two_step(4 * n, 3, brackets, labels, ("zi", "zj", "zk"),
-                              require_center_spanned=True)
+        return build_two_step(4 * n, 3, brackets)
     raise ValueError("field must be 'C' or 'H'")
 
 
@@ -140,12 +123,7 @@ def build_free_two_step(n: int) -> TwoStepAlgebra:
         vec = [Fraction(0)] * len(pairs)
         vec[k] = Fraction(1)
         brackets[(i, j)] = tuple(vec)
-    return build_two_step(
-        n, len(pairs), brackets,
-        [f"v{i + 1}" for i in range(n)],
-        [f"z{i + 1}{j + 1}" for i, j in pairs],
-        require_center_spanned=True,
-    )
+    return build_two_step(n, len(pairs), brackets)
 
 
 def build_un_type(n: int) -> TwoStepAlgebra:
@@ -162,16 +140,16 @@ def build_un_type(n: int) -> TwoStepAlgebra:
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    # (label, squared norm, {(r, c): (Re A_rc, Im A_rc)})
-    basis = [(f"d{k + 1}", 1, {(k, k): (0, 1)}) for k in range(n)]
+    # (squared norm, {(r, c): (Re A_rc, Im A_rc)})
+    basis = [(1, {(k, k): (0, 1)}) for k in range(n)]
     for a in range(n):
         for b in range(a + 1, n):
-            basis.append((f"a{a + 1}{b + 1}", 2, {(a, b): (1, 0), (b, a): (-1, 0)}))
-            basis.append((f"b{a + 1}{b + 1}", 2, {(a, b): (0, 1), (b, a): (0, 1)}))
+            basis.append((2, {(a, b): (1, 0), (b, a): (-1, 0)}))
+            basis.append((2, {(a, b): (0, 1), (b, a): (0, 1)}))
     dim_v = 2 * n
     dim_z = n * n
     brackets = {}
-    for z, (_, norm, entries) in enumerate(basis):
+    for z, (norm, entries) in enumerate(basis):
         for (r, c), (re, im) in entries.items():
             for p in (0, 1):
                 for q in (0, 1):
@@ -180,23 +158,17 @@ def build_un_type(n: int) -> TwoStepAlgebra:
                     val = (re, -im, -re, im)[(p - q) % 4]
                     if i < j and val:
                         brackets.setdefault((i, j), [0] * dim_z)[z] = Fraction(val, norm)
-    labels_v = [f"{ch}{a + 1}" for a in range(n) for ch in ("x", "y")]
-    return build_two_step(dim_v, dim_z, brackets, labels_v,
-                          [label for label, _, _ in basis], require_center_spanned=True)
+    return build_two_step(dim_v, dim_z, brackets)
 
 
 def direct_sum(a: TwoStepAlgebra, b: TwoStepAlgebra) -> TwoStepAlgebra:
     """The direct sum of two algebras: their brackets on disjoint v and z
-    blocks.  It spans its centre exactly when both summands span theirs, so
-    it needs no span check of its own."""
+    blocks.  It spans its centre exactly when both summands span theirs; no
+    builder checks the span."""
     brackets = {key: vec + (Fraction(0),) * b.dim_z for key, vec in a.brackets}
     for (i, j), vec in b.brackets:
         brackets[(i + a.dim_v, j + a.dim_v)] = (Fraction(0),) * a.dim_z + vec
-    return build_two_step(
-        a.dim_v + b.dim_v, a.dim_z + b.dim_z, brackets,
-        [f"a.{s}" for s in a.v_labels] + [f"b.{s}" for s in b.v_labels],
-        [f"a.{s}" for s in a.z_labels] + [f"b.{s}" for s in b.z_labels],
-    )
+    return build_two_step(a.dim_v + b.dim_v, a.dim_z + b.dim_z, brackets)
 
 
 def transform_v_basis(alg: TwoStepAlgebra, s) -> TwoStepAlgebra:
@@ -218,7 +190,7 @@ def transform_v_basis(alg: TwoStepAlgebra, s) -> TwoStepAlgebra:
                     acc = [x + coef * y for x, y in zip(acc, vec)]
             if any(acc):
                 brackets[(i, j)] = tuple(acc)
-    return build_two_step(n, alg.dim_z, brackets, alg.v_labels, alg.z_labels)
+    return build_two_step(n, alg.dim_z, brackets)
 
 
 # ---------------------------------------------------------------------------
@@ -237,19 +209,6 @@ def b_form(alg: TwoStepAlgebra, t):
         val = sum((a * b for a, b in zip(t, vec) if b), Fraction(0))
         mat[i][j] = val
         mat[j][i] = -val
-    return mat
-
-
-def b_form_symbolic(alg: TwoStepAlgebra):
-    """B(t) with entries linear polynomials in the center coordinates."""
-    n = alg.dim_v
-    zero = MultiPoly.zero(alg.dim_z)
-    mat = [[zero] * n for _ in range(n)]
-    for (i, j), vec in alg.brackets:
-        poly = MultiPoly(alg.dim_z, {tuple(int(a == k) for a in range(alg.dim_z)): c
-                                     for k, c in enumerate(vec) if c})
-        mat[i][j] = poly
-        mat[j][i] = -poly
     return mat
 
 
@@ -292,38 +251,6 @@ def pfaffian(mat):
     return Fraction(sign * prev, d ** (n // 2))
 
 
-def pfaffian_symbolic(mat, nvars: int):
-    for i in range(len(mat)):
-        for j in range(len(mat)):
-            if mat[i][j] != -mat[j][i]:
-                raise ValueError("matrix is not skew-symmetric")
-    if len(mat) % 2 == 1:
-        return MultiPoly.zero(nvars)
-    return _pf_recursive(mat, tuple(range(len(mat))), {},
-                         MultiPoly.zero(nvars), MultiPoly.const(nvars, 1))
-
-
-def _pf_recursive(a, idx, memo, zero, one):
-    if not idx:
-        return one
-    got = memo.get(idx)
-    if got is not None:
-        return got
-    first = idx[0]
-    total = zero
-    for pos in range(1, len(idx)):
-        entry = a[first][idx[pos]]
-        is_zero = entry.is_zero() if hasattr(entry, "is_zero") else entry == 0
-        if is_zero:
-            continue
-        rest = idx[1:pos] + idx[pos + 1:]
-        sub = _pf_recursive(a, rest, memo, zero, one)
-        term = entry * sub
-        total = total + term if pos % 2 == 1 else total - term
-    memo[idx] = total
-    return total
-
-
 @dataclass(frozen=True)
 class PfaffianPolynomial:
     poly: MultiPoly
@@ -337,9 +264,32 @@ class PfaffianPolynomial:
 
 def pfaffian_polynomial(alg: TwoStepAlgebra) -> PfaffianPolynomial:
     """Pf(B(t)) as an exact polynomial; vanishes at t = 0 whenever there is
-    any flat part, and squares to det B(t)."""
-    poly = pfaffian_symbolic(b_form_symbolic(alg), alg.dim_z)
-    if alg.dim_v > 0 and not poly.eval((Fraction(0),) * alg.dim_z) == 0:
+    any flat part, and squares to det B(t).
+
+    Memoized Laplace expansion along the first of the remaining indices,
+    which stay sorted, so each entry B_ij(t) = t([v_i, v_j]) with i < j is a
+    bracket read as a linear form, and a pair with no bracket is skipped.
+    """
+    nz = alg.dim_z
+    forms = {key: MultiPoly(nz, {tuple(int(a == k) for a in range(nz)): c
+                                 for k, c in enumerate(vec) if c})
+             for key, vec in alg.brackets}
+    memo = {(): MultiPoly.const(nz, 1)}
+
+    def expand(idx):
+        got = memo.get(idx)
+        if got is None:
+            got = MultiPoly.zero(nz)
+            for pos in range(1, len(idx)):
+                form = forms.get((idx[0], idx[pos]))
+                if form is not None:
+                    term = form * expand(idx[1:pos] + idx[pos + 1:])
+                    got = got + term if pos % 2 == 1 else got - term
+            memo[idx] = got
+        return got
+
+    poly = expand(tuple(range(alg.dim_v))) if alg.dim_v % 2 == 0 else MultiPoly.zero(nz)
+    if alg.dim_v > 0 and (0,) * nz in poly.terms:
         raise ArithmeticError("Pfaffian polynomial must vanish at the origin")
     return PfaffianPolynomial(poly)
 

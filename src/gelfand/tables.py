@@ -127,17 +127,10 @@ def group_datum(row_id: str, rank: int, rank2: int | None = None) -> GroupDatum:
 
 
 _ALGEBRA_BUILDERS = {
-    "free2step": nilpf.build_free_two_step,
-    "heisC": lambda r: nilpf.build_heisenberg(r, "C"),
-    "heisH": lambda r: nilpf.build_heisenberg(r, "H"),
-    "untype": nilpf.build_un_type,
-}
-
-_ALGEBRA_ALIASES = {
-    "heis": "heisC",
-    "heish": "heisH",
-    "free": "free2step",
-    "un": "untype",
+    "heis": lambda r: nilpf.build_heisenberg(r, "C"),
+    "heish": lambda r: nilpf.build_heisenberg(r, "H"),
+    "free": nilpf.build_free_two_step,
+    "un": nilpf.build_un_type,
 }
 
 
@@ -164,8 +157,7 @@ def algebra(spec: str) -> nilpf.TwoStepAlgebra:
         return _ALGEBRA_BUILDERS[m.group(1)](rank)
     m = re.fullmatch(r"([A-Za-z0-9]+):(\d+)", spec)
     if m:
-        name = _ALGEBRA_ALIASES.get(m.group(1).lower(), m.group(1))
-        builder = _ALGEBRA_BUILDERS.get(name)
+        builder = _ALGEBRA_BUILDERS.get(m.group(1).lower())
         if builder is None:
             raise KeyError(f"unknown algebra family {m.group(1)!r}")
         return builder(int(m.group(2)))
@@ -174,7 +166,7 @@ def algebra(spec: str) -> nilpf.TwoStepAlgebra:
             text = fh.read()
     except FileNotFoundError as exc:
         # a mistyped spec lands here too, so name the known specs with the file
-        known = ", ".join(_ALGEBRA_ALIASES) + ", vin:<row>:<rank>, A+B, or a file path"
+        known = ", ".join(_ALGEBRA_BUILDERS) + ", vin:<row>:<rank>, A+B, or a file path"
         raise KeyError(f"unknown algebra spec {spec!r} (known: {known}): "
                        f"{exc.strerror}") from exc
     return nilpf.load_algebra(text)

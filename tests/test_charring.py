@@ -551,7 +551,7 @@ def test_sym_power_dimension_on_random_rows(row_id, r, s, d):
     except ValueError:
         assume(False)  # ranks outside the row's constraints
     dec = charring.sym_power_decompose(datum, d)
-    n = datum.module_dim
+    n = len(_module_weights(datum))
     assert dec.dimension == comb(n + d - 1, d)
     assert all(m > 0 for _, m in dec.entries)
     assert sum(m * charring._label_dim(datum.factors, lab)
@@ -573,10 +573,14 @@ def test_sym_power_degree_zero_trivial():
     assert mult == 1 and label[0] == (0, 0, 0)
 
 
+def _module_weights(datum):
+    return charring._construction_weights(datum.factors, datum.construction)
+
+
 def _enumerated_sym_power_multiset(datum, d):
     """Weight multiset of S^d of the dual module, one multi-index at a time:
     the oracle for the h_d recursion."""
-    dual = [tuple(tuple(-x for x in w) for w in row) for row in datum.module_weights()]
+    dual = [tuple(tuple(-x for x in w) for w in row) for row in _module_weights(datum)]
     multiset = {}
     for combo in combinations_with_replacement(dual, d):
         acc = tuple((0,) * f.eps_rank for f in datum.factors)
@@ -686,7 +690,7 @@ def _ladder_grid():
                     datum = tables.group_datum(rid, r, s)
                 except ValueError:
                     continue
-                if datum.module_dim <= 8:
+                if len(_module_weights(datum)) <= 8:
                     out.setdefault((datum.factors, datum.construction), datum)
     return list(out.values())
 

@@ -70,7 +70,8 @@ def test_apply_zeta_is_coefficient_isometry():
     f = LadderedFunction.make("un-poly", 2, {"a": 1.0, "b": -2.5j})
     g = apply_zeta(L, f, 4)
     assert g.level == 4
-    assert g.norm_sq() == f.norm_sq()
+    norms = [h.scale_sq * sum(abs(v) ** 2 for _, v in h.coeffs) for h in (f, g)]
+    assert norms[1] == norms[0]
     assert apply_zeta(L, f, 2) == f
 
 

@@ -2,16 +2,16 @@
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gelfand.exact import MultiPoly, det
+from gelfand import tables
+from gelfand.exact import MultiPoly, det, rank
 from gelfand.nilpf import (
-    _pf_recursive,
     b_form,
-    b_form_symbolic,
     build_free_two_step,
     build_heisenberg,
     build_two_step,
@@ -22,7 +22,6 @@ from gelfand.nilpf import (
     load_algebra,
     pfaffian,
     pfaffian_polynomial,
-    pfaffian_symbolic,
     plancherel_density,
     sample_centre_point,
     transform_v_basis,
@@ -74,20 +73,21 @@ def test_un_type_rank_one_is_heisenberg():
 
 
 def _un_reference_basis(n):
-    """The orthogonal basis of u(n) as (label, complex matrix)."""
+    """The orthogonal basis of u(n) as complex matrices: i E_kk, then
+    E_ab - E_ba and i(E_ab + E_ba) for a < b."""
     basis = []
     for k in range(n):
         m = [[0j] * n for _ in range(n)]
         m[k][k] = 1j
-        basis.append((f"d{k + 1}", m))
+        basis.append(m)
     for a in range(n):
         for b in range(a + 1, n):
             m = [[0j] * n for _ in range(n)]
             m[a][b], m[b][a] = 1, -1
-            basis.append((f"a{a + 1}{b + 1}", m))
+            basis.append(m)
             m = [[0j] * n for _ in range(n)]
             m[a][b] = m[b][a] = 1j
-            basis.append((f"b{a + 1}{b + 1}", m))
+            basis.append(m)
     return basis
 
 
@@ -97,7 +97,6 @@ def test_un_type_constants_match_complex_pairing(n):
     # running through e_1, i e_1, e_2, i e_2, ...
     alg = build_un_type(n)
     basis = _un_reference_basis(n)
-    assert alg.z_labels == tuple(label for label, _ in basis)
     vecs = []
     for c in range(n):
         for u in (1, 1j):
@@ -107,7 +106,7 @@ def test_un_type_constants_match_complex_pairing(n):
     for i in range(2 * n):
         for j in range(i + 1, 2 * n):
             expected = []
-            for _, a in basis:
+            for a in basis:
                 av = [sum(a[r][c] * vecs[i][c] for c in range(n)) for r in range(n)]
                 pairing = sum(x * y.conjugate() for x, y in zip(av, vecs[j])).real
                 norm = sum(abs(x) ** 2 for row in a for x in row)
@@ -127,8 +126,19 @@ def test_build_rejects_bad_brackets():
         build_two_step(2, 1, {(1, 0): (Fraction(1),)})
     with pytest.raises(ValueError):
         build_two_step(2, 1, {(0, 0): (Fraction(1),)})
-    with pytest.raises(ValueError):
-        build_two_step(2, 2, {(0, 1): (Fraction(1),)}, require_center_spanned=True)
+    with pytest.raises(ValueError, match="dimensions must be >= 0"):
+        build_two_step(-2, 1, {})
+    with pytest.raises(ValueError, match="dimensions must be >= 0"):
+        build_two_step(2, -1, {})
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_builders_span_their_centre(n):
+    algebras = [build_heisenberg(n, "C"), build_heisenberg(n, "H"), build_un_type(n)]
+    if n >= 2:
+        algebras.append(build_free_two_step(n))
+    for alg in algebras:
+        assert rank([list(vec) for _, vec in alg.brackets]) == alg.dim_z
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +188,15 @@ def test_pfaffian_squares_to_determinant(n):
 
 
 def _recursive_pfaffian(m):
-    return _pf_recursive(m, tuple(range(len(m))), {}, Fraction(0), Fraction(1))
+    """Pf(m) over the Fractions by Laplace expansion along the first row."""
+    @lru_cache(maxsize=None)
+    def rec(idx):
+        if not idx:
+            return Fraction(1)
+        return sum(((-1) ** (pos - 1) * m[idx[0]][idx[pos]] * rec(idx[1:pos] + idx[pos + 1:])
+                    for pos in range(1, len(idx)) if m[idx[0]][idx[pos]]), Fraction(0))
+
+    return rec(tuple(range(len(m))))
 
 
 def _sparse_skew(n, rng, density):
@@ -352,9 +370,94 @@ def _poly_matrix_det(mat):
 
 def test_symbolic_pfaffian_squares_to_symbolic_determinant():
     for alg in (build_heisenberg(2, "C"), build_heisenberg(1, "H"), build_un_type(2)):
-        mat = b_form_symbolic(alg)
-        p = pfaffian_symbolic(mat, alg.dim_z)
-        assert p * p == _poly_matrix_det(mat)
+        p = pfaffian_polynomial(alg).poly
+        assert p * p == _poly_matrix_det(_b_form_symbolic(alg))
+
+
+def _b_form_symbolic(alg):
+    """B(t) as a dense matrix whose entries are linear polynomials in the
+    center coordinates."""
+    n = alg.dim_v
+    zero = MultiPoly.zero(alg.dim_z)
+    mat = [[zero] * n for _ in range(n)]
+    for (i, j), vec in alg.brackets:
+        poly = MultiPoly(alg.dim_z, {tuple(int(a == k) for a in range(alg.dim_z)): c
+                                     for k, c in enumerate(vec) if c})
+        mat[i][j] = poly
+        mat[j][i] = -poly
+    return mat
+
+
+def _pf_recursive(a, idx, memo, zero, one):
+    if not idx:
+        return one
+    got = memo.get(idx)
+    if got is not None:
+        return got
+    first = idx[0]
+    total = zero
+    for pos in range(1, len(idx)):
+        entry = a[first][idx[pos]]
+        if entry.is_zero():
+            continue
+        rest = idx[1:pos] + idx[pos + 1:]
+        sub = _pf_recursive(a, rest, memo, zero, one)
+        term = entry * sub
+        total = total + term if pos % 2 == 1 else total - term
+    memo[idx] = total
+    return total
+
+
+def _matrix_pfaffian_polynomial(alg):
+    """The oracle: the dense matrix B(t), checked skew entry by entry, then
+    the memoized Laplace expansion over it; an odd size gives 0."""
+    mat = _b_form_symbolic(alg)
+    n = len(mat)
+    assert all(mat[i][j] == -mat[j][i] for i in range(n) for j in range(n))
+    if n % 2 == 1:
+        return MultiPoly.zero(alg.dim_z)
+    return _pf_recursive(mat, tuple(range(n)), {},
+                         MultiPoly.zero(alg.dim_z), MultiPoly.const(alg.dim_z, 1))
+
+
+def _random_algebra(seed):
+    """A seeded two-step algebra: dim_v in 2..8, dim_z in 1..4, each pair
+    bracketed with probability 1/2 by a vector of small rationals."""
+    rng = random.Random(seed)
+    dim_v, dim_z = rng.randint(2, 8), rng.randint(1, 4)
+    brackets = {}
+    for i in range(dim_v):
+        for j in range(i + 1, dim_v):
+            if rng.random() < 0.5:
+                brackets[(i, j)] = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                                         for _ in range(dim_z))
+    return build_two_step(dim_v, dim_z, brackets)
+
+
+_ORACLE_SPECS = ["heis:1", "heis:2", "heis:4", "heish:1", "heish:2", "free:2", "free:3",
+                 "free:4", "free:5", "un:1", "un:2", "un:3", "un:4", "un:5", "vin:17:2",
+                 "heis:1+heis:2", "heis:1+free:3", "un:2+heish:1"]
+
+
+@pytest.mark.parametrize("spec", _ORACLE_SPECS)
+def test_pfaffian_polynomial_matches_the_matrix_expansion_on_table_specs(spec):
+    alg = tables.algebra(spec)
+    assert pfaffian_polynomial(alg).poly == _matrix_pfaffian_polynomial(alg)
+
+
+def test_pfaffian_polynomial_matches_the_matrix_expansion_on_random_algebras():
+    algebras = [_random_algebra(seed) for seed in range(40)]
+    assert {a.dim_v for a in algebras} == set(range(2, 9))
+    polys = [pfaffian_polynomial(alg).poly for alg in algebras]
+    assert polys == [_matrix_pfaffian_polynomial(alg) for alg in algebras]
+    assert sum(not p.is_zero() for p in polys) >= 10
+
+
+@pytest.mark.parametrize("dim_v,dim_z", [(0, 0), (0, 2), (1, 1), (3, 2), (4, 0), (4, 3)])
+def test_pfaffian_polynomial_without_brackets(dim_v, dim_z):
+    alg = build_two_step(dim_v, dim_z, {})
+    expected = MultiPoly.const(dim_z, 1) if dim_v == 0 else MultiPoly.zero(dim_z)
+    assert pfaffian_polynomial(alg).poly == expected == _matrix_pfaffian_polynomial(alg)
 
 
 def test_numeric_pfaffian_squares_to_det_on_constructed_forms_up_to_dim_12():

@@ -1,6 +1,6 @@
 """The library's public surface: every public top-level function or class in
-``src/gelfand`` is used by the library or the benchmark harness, or is kept
-on purpose.
+``src/gelfand``, and every method or property of such a class, is used by
+the library or the benchmark harness, or is kept on purpose.
 
 A name counts as used when it appears anywhere in ``src/gelfand`` or
 ``perfbench`` outside its own definition: as a name, an attribute, an
@@ -38,13 +38,20 @@ KEEP = {
 
 def _public_definitions():
     """{"module.name": (path, first line, last line)} for each public
-    top-level function or class."""
+    top-level function or class, and {"module.Class.name": ...} for each
+    method or property of a public class that is not on KEEP, dunders aside
+    (the methods of a kept class are kept with it)."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     out = {}
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                    and not node.name.startswith("_")):
-                out[f"{path.stem}.{node.name}"] = (path, node.lineno, node.end_lineno)
+            if isinstance(node, (*functions, ast.ClassDef)) and not node.name.startswith("_"):
+                key = f"{path.stem}.{node.name}"
+                out[key] = (path, node.lineno, node.end_lineno)
+                if isinstance(node, ast.ClassDef) and key not in KEEP:
+                    for item in node.body:
+                        if isinstance(item, functions) and not item.name.startswith("__"):
+                            out[f"{key}.{item.name}"] = (path, item.lineno, item.end_lineno)
     return out
 
 

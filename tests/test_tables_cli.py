@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from gelfand import cli, dirlim, fock, nilpf, numerics, tables
+from gelfand import charring, cli, dirlim, fock, nilpf, numerics, tables
 from gelfand.charring import GL, SO, U1
 
 
@@ -28,13 +28,13 @@ def test_group_datum_resolution():
     kinds = [f.kind for f in datum.factors]
     assert kinds == [U1, SO]
     assert datum.factors[1].size == 4
-    assert datum.module_dim == 4
+    assert len(charring._construction_weights(datum.factors, datum.construction)) == 4
 
 
 def test_tensor_row_needs_two_ranks():
     datum = tables.group_datum("kac:10", 2, 3)
     assert [f.kind for f in datum.factors] == [GL, GL]
-    assert datum.module_dim == 6
+    assert len(charring._construction_weights(datum.factors, datum.construction)) == 6
     with pytest.raises(ValueError):
         tables.group_datum("kac:10", 2)
 
@@ -84,6 +84,24 @@ def test_algebra_resolution():
     assert (s.dim_v, s.dim_z) == (6, 2)
     with pytest.raises(KeyError):
         tables.algebra("bogus:2")
+
+
+@pytest.mark.parametrize("row,short", [
+    ("vin:1", "free"), ("vin:4", "heis"), ("vin:8", "un"), ("vin:17", "heish")])
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_vin_row_resolves_to_its_short_spec(row, short, rank):
+    if short == "free" and rank == 1:
+        with pytest.raises(ValueError, match="rank constraint violated: r>=2"):
+            tables.algebra(f"{row}:{rank}")
+        return
+    assert tables.algebra(f"{row}:{rank}") == tables.algebra(f"{short}:{rank}")
+    assert tables.algebra(f"{short.upper()}:{rank}") == tables.algebra(f"{short}:{rank}")
+
+
+@pytest.mark.parametrize("spec", ["heisC:2", "free2step:3", "untype:2"])
+def test_one_name_per_algebra_family(spec):
+    with pytest.raises(KeyError, match="unknown algebra family"):
+        tables.algebra(spec)
 
 
 @pytest.mark.parametrize("spec", ["bogus", "heis3"])
@@ -583,13 +601,15 @@ def test_degree_ladder_rejects_a_degree_that_is_not_finite_and_positive(degree):
         dirlim.make_ladder("heisenberg", (1, 2), {1: 1.0, 2: degree}, {(2, 1): 1.0})
 
 
-@pytest.mark.parametrize("body,message", [
-    ("0 1 0 1/0\n", "zero denominator in '0 1 0 1/0'"),
-    ("0 1 0 1\n0 1 0 2\n", "bracket component (0, 1, 0) given twice"),
-], ids=["zero-denominator", "repeated-line"])
-def test_bad_algebra_file_is_a_config_error(body, message, tmp_path, capsys):
+@pytest.mark.parametrize("text,message", [
+    ("2 1\n0 1 0 1/0\n", "zero denominator in '0 1 0 1/0'"),
+    ("2 1\n0 1 0 1\n0 1 0 2\n", "bracket component (0, 1, 0) given twice"),
+    ("-2 1\n", "dimensions must be >= 0, got dim_v=-2, dim_z=1"),
+    ("2 -1\n", "dimensions must be >= 0, got dim_v=2, dim_z=-1"),
+], ids=["zero-denominator", "repeated-line", "negative-dim-v", "negative-dim-z"])
+def test_bad_algebra_file_is_a_config_error(text, message, tmp_path, capsys):
     path = tmp_path / "bad.alg"
-    path.write_text("2 1\n" + body)
+    path.write_text(text)
     assert cli.main(["verify", "pfaffian", "--algebra", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
