@@ -348,9 +348,7 @@ class Factor:
         # gl weights go to A_{n-1} ambient coordinates unchanged (the Weyl
         # product only sees differences, so the trace part is harmless)
         rt = self._root_type()
-        if rt is None:
-            return 1
-        return rootsys.weyl_dimension_eps(rootsys.build_root_system(*rt), w)
+        return 1 if rt is None else _weyl_dimension_cached(*rt, tuple(w))
 
     def dominant_multiplicities(self, w):
         """Dominant weights {weight tuple: multiplicity} of the irreducible
@@ -376,6 +374,12 @@ class Factor:
 
 def _unit(n, i, sign):
     return tuple(sign if j == i else 0 for j in range(n))
+
+
+@lru_cache(maxsize=None)
+def _weyl_dimension_cached(family, rank, w):
+    """Weyl dimension of the epsilon weight ``w``; labels repeat it often."""
+    return rootsys.weyl_dimension_eps(rootsys.build_root_system(family, rank), w)
 
 
 @lru_cache(maxsize=None)

@@ -332,21 +332,28 @@ def _coordinate_pairing(t, l1, m1, l2, m2):
     """integral_C d_{l1 m1}(alpha(w)) conj(d_{l2 m2}(alpha(w))) dw.
 
     Substituting u = alpha(w) makes the Gaussian weight exactly the Hermite
-    weight, leaving the polynomial parts G.
+    weight, leaving the polynomial parts G, and turns dw into du / |t|: each
+    order's value is a t-free grid sum (``_grid_pairing``) over |t|.
     """
 
     def at_order(order):
-        x, w = numerics.gauss_hermite(order)
-        # the whole node grid u = x + iy at once
-        u = x[:, None] + 1j * x[None, :]
-        vals = _displacement_polypart(l1, m1, u) * \
-            _displacement_polypart(l2, m2, u).conjugate()
-        return complex(w @ vals @ w) / abs(t), 0.0
+        return _grid_pairing(l1, m1, l2, m2, order) / abs(t), 0.0
 
     # pairings are bounded by the diagonal value ~ pi/|t| (Cauchy-Schwarz),
     # so agreement is judged against that scale; a vanishing integral would
     # otherwise never stabilize in purely relative terms
     return numerics._doubling(at_order, max_order=256, floor=1.0 / abs(t))
+
+
+@lru_cache(maxsize=None)
+def _grid_pairing(l1, m1, l2, m2, order):
+    """sum over the order x order Hermite grid u = x + iy of
+    G_{l1 m1}(u) conj(G_{l2 m2}(u)), weighted by w_x w_y."""
+    x, w = numerics.gauss_hermite(order)
+    u = x[:, None] + 1j * x[None, :]
+    vals = _displacement_polypart(l1, m1, u) * \
+        _displacement_polypart(l2, m2, u).conjugate()
+    return complex(w @ vals @ w)
 
 
 # ---------------------------------------------------------------------------

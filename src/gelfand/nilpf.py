@@ -6,9 +6,9 @@ quaternionic Heisenberg, free two-step, unitary-center type).
 Structure constants are exact rationals; the bracket of the basis vectors
 v_i, v_j (i < j) is stored as a vector in the center.  The Pfaffian of the
 matrix B(t), entries linear in the central coordinates t, is expanded
-straight from the brackets with exact polynomial arithmetic (a polynomial
-ring has no division); at a rational point it is fraction-free integer
-elimination.
+straight from the brackets with integer polynomial arithmetic after clearing
+denominators (a polynomial ring has no division); at a rational point it is
+fraction-free integer elimination.
 Either way every classification statement (vanishing, covariance,
 square-equals-determinant) is tolerance free.
 """
@@ -28,17 +28,6 @@ class TwoStepAlgebra:
     dim_v: int
     dim_z: int
     brackets: tuple  # ((i, j), center vector) with i < j, sparse
-
-    def bracket(self, i: int, j: int):
-        if i == j:
-            return (Fraction(0),) * self.dim_z
-        sign = 1
-        if i > j:
-            i, j, sign = j, i, -1
-        for (a, b), vec in self.brackets:
-            if (a, b) == (i, j):
-                return tuple(sign * x for x in vec)
-        return (Fraction(0),) * self.dim_z
 
 
 def build_two_step(dim_v: int, dim_z: int, brackets) -> TwoStepAlgebra:
@@ -172,25 +161,23 @@ def direct_sum(a: TwoStepAlgebra, b: TwoStepAlgebra) -> TwoStepAlgebra:
 
 
 def transform_v_basis(alg: TwoStepAlgebra, s) -> TwoStepAlgebra:
-    """Pull the brackets back along new v-basis vectors u_i = sum_a s[a][i] v_a."""
+    """Pull the brackets back along new v-basis vectors u_i = sum_a s[a][i] v_a:
+    each stored [v_a, v_b], a < b, adds (s_ai s_bj - s_bi s_aj) [v_a, v_b] to
+    [u_i, u_j]."""
     s = [[fr(x) for x in row] for row in s]
     n = alg.dim_v
-    brackets = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            acc = [Fraction(0)] * alg.dim_z
-            for a in range(n):
-                if s[a][i] == 0:
-                    continue
-                for b in range(n):
-                    if s[b][j] == 0:
-                        continue
-                    vec = alg.bracket(a, b)
-                    coef = s[a][i] * s[b][j]
-                    acc = [x + coef * y for x, y in zip(acc, vec)]
-            if any(acc):
-                brackets[(i, j)] = tuple(acc)
-    return build_two_step(n, alg.dim_z, brackets)
+    acc = {}
+    for (a, b), vec in alg.brackets:
+        sa, sb = s[a], s[b]
+        nonzero = [(k, y) for k, y in enumerate(vec) if y]
+        for i in range(n):
+            for j in range(i + 1, n):
+                coef = sa[i] * sb[j] - sb[i] * sa[j]
+                if coef:
+                    row = acc.setdefault((i, j), [0] * alg.dim_z)
+                    for k, y in nonzero:
+                        row[k] += coef * y
+    return build_two_step(n, alg.dim_z, acc)
 
 
 # ---------------------------------------------------------------------------
@@ -269,29 +256,34 @@ def pfaffian_polynomial(alg: TwoStepAlgebra) -> PfaffianPolynomial:
     Memoized Laplace expansion along the first of the remaining indices,
     which stay sorted, so each entry B_ij(t) = t([v_i, v_j]) with i < j is a
     bracket read as a linear form, and a pair with no bracket is skipped.
+    The expansion runs on integer coefficients: with D the lcm of the
+    bracket denominators, Pf(D B) = D^{dim_v/2} Pf(B), divided out once.
     """
-    nz = alg.dim_z
-    forms = {key: MultiPoly(nz, {tuple(int(a == k) for a in range(nz)): c
-                                 for k, c in enumerate(vec) if c})
+    nz, half = alg.dim_z, alg.dim_v // 2
+    d = math.lcm(*(c.denominator for _, vec in alg.brackets for c in vec))
+    forms = {key: [(k, c.numerator * (d // c.denominator)) for k, c in enumerate(vec) if c]
              for key, vec in alg.brackets}
-    memo = {(): MultiPoly.const(nz, 1)}
+    memo = {(): {(0,) * nz: 1}}
 
     def expand(idx):
         got = memo.get(idx)
         if got is None:
-            got = MultiPoly.zero(nz)
+            got = {}
             for pos in range(1, len(idx)):
                 form = forms.get((idx[0], idx[pos]))
                 if form is not None:
-                    term = form * expand(idx[1:pos] + idx[pos + 1:])
-                    got = got + term if pos % 2 == 1 else got - term
-            memo[idx] = got
+                    sign = 1 if pos % 2 == 1 else -1
+                    for mono, c in expand(idx[1:pos] + idx[pos + 1:]).items():
+                        for k, f in form:
+                            key = mono[:k] + (mono[k] + 1,) + mono[k + 1:]
+                            got[key] = got.get(key, 0) + sign * f * c
+            got = memo[idx] = {m: c for m, c in got.items() if c}
         return got
 
-    poly = expand(tuple(range(alg.dim_v))) if alg.dim_v % 2 == 0 else MultiPoly.zero(nz)
-    if alg.dim_v > 0 and (0,) * nz in poly.terms:
+    terms = expand(tuple(range(alg.dim_v))) if alg.dim_v % 2 == 0 else {}
+    if alg.dim_v > 0 and (0,) * nz in terms:
         raise ArithmeticError("Pfaffian polynomial must vanish at the origin")
-    return PfaffianPolynomial(poly)
+    return PfaffianPolynomial(MultiPoly(nz, {m: Fraction(c, d ** half) for m, c in terms.items()}))
 
 
 def is_generically_square_integrable(alg: TwoStepAlgebra) -> bool:

@@ -147,6 +147,7 @@ def _doubling(values_at_order, max_order=512, floor=1e-300):
     )
 
 
+@lru_cache(maxsize=None)
 def half_line_moment(k: int):
     """integral_0^inf t^k e^{-2t} dt by Gauss-Laguerre, with exact companion
     k!/2^{k+1}."""

@@ -715,6 +715,26 @@ def test_sym_power_degrees_from_one_recursion_match_the_oracle(monkeypatch):
                     (name, datum, d)
 
 
+def test_label_dimensions_compute_each_weyl_dimension_once(monkeypatch, cold_caches):
+    # U(2) x Sp(2) on C^2 (x) C^4: the labels of degrees 0..5 ask for 40
+    # factor dimensions on 24 distinct (root system, weight) pairs
+    calls = []
+    real = rootsys.weyl_dimension_eps
+
+    def counting(rs, w):
+        calls.append((rs.family, rs.rank, tuple(w)))
+        return real(rs, w)
+
+    monkeypatch.setattr(rootsys, "weyl_dimension_eps", counting)
+    datum = tables.group_datum("kac:11", 2, 2)
+    assert charring.is_multiplicity_free_polynomial_action(datum, 5) == (True, None)
+    asked = [(*f._root_type(), w)
+             for dec in charring._SYM_POWERS[datum.factors, datum.construction]
+             for lab, _ in dec.entries for f, w in zip(datum.factors, lab) if f._root_type()]
+    assert (len(asked), len(set(asked))) == (40, 24)
+    assert sorted(calls) == sorted(set(asked))
+
+
 def test_freeness_and_stability_share_one_recursion_per_datum(monkeypatch):
     runs = []
     real = charring._sym_powers

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -361,6 +362,38 @@ def test_n_two_inner_product_and_pre():
     assert abs(val - math.pi ** 2) < 1e-6
     with pytest.raises(ValueError):
         coefficient_inner_product(1.0, ((0, 0, 0), (0, 0, 0)), ((0, 0, 0), (0, 0, 0)))
+
+
+# acceptance criterion 3's index pairs
+_CRITERION_3_PAIRS = [((0,), (0,)), ((1,), (0,)), ((2,), (1,)), ((3,), (3,)),
+                      ((4,), (2,)), ((8,), (8,))]
+
+
+def _bits(z):
+    return z.real.hex(), z.imag.hex()
+
+
+def test_cached_pairings_equal_cold_ones_bit_for_bit(cold_caches):
+    cases = [(t, p, q) for t in (0.5, 1.0, 2.0, -1.0, -0.5)
+             for i, p in enumerate(_CRITERION_3_PAIRS) for q in _CRITERION_3_PAIRS[i:]]
+    cold = {}
+    for t, p, q in cases:
+        cold_caches()
+        cold[t, p, q] = _bits(coefficient_inner_product(t, p, q))
+    cold_caches()
+    random.Random(23).shuffle(cases)
+    assert {case: _bits(coefficient_inner_product(*case)) for case in cases} == cold
+
+
+def test_a_second_t_reuses_the_grid_sums(cold_caches):
+    pairs = [(p, q) for i, p in enumerate(_CRITERION_3_PAIRS) for q in _CRITERION_3_PAIRS[i:]]
+    for p, q in pairs:
+        coefficient_inner_product(0.5, p, q)
+    misses = fock._grid_pairing.cache_info().misses
+    for t in (1.0, 2.0, -1.0, -0.5):
+        for p, q in pairs:
+            coefficient_inner_product(t, p, q)
+        assert fock._grid_pairing.cache_info().misses == misses
 
 
 # ---------------------------------------------------------------------------

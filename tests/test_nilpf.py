@@ -1,5 +1,6 @@
 """Two-step algebras, Pfaffians, and square-integrability classification."""
 
+import math
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -41,11 +42,24 @@ def test_heisenberg_dims():
         assert (b.dim_v, b.dim_z) == (4 * n, 3)
 
 
+def _bracket(alg, i, j):
+    """[v_i, v_j] as a center vector, read off the stored i < j brackets."""
+    if i == j:
+        return (Fraction(0),) * alg.dim_z
+    sign = 1
+    if i > j:
+        i, j, sign = j, i, -1
+    for (a, b), vec in alg.brackets:
+        if (a, b) == (i, j):
+            return tuple(sign * x for x in vec)
+    return (Fraction(0),) * alg.dim_z
+
+
 def test_heisenberg_c1_is_three_dimensional():
     a = build_heisenberg(1, "C")
     assert a.dim_v + a.dim_z == 3
-    assert a.bracket(0, 1) == (Fraction(1),)
-    assert a.bracket(1, 0) == (Fraction(-1),)
+    assert _bracket(a, 0, 1) == (Fraction(1),)
+    assert _bracket(a, 1, 0) == (Fraction(-1),)
 
 
 def test_free_two_step_dims():
@@ -69,7 +83,7 @@ def test_un_type_dims():
 def test_un_type_rank_one_is_heisenberg():
     a = build_un_type(1)
     assert (a.dim_v, a.dim_z) == (2, 1)
-    assert a.bracket(0, 1) == (Fraction(1),)
+    assert _bracket(a, 0, 1) == (Fraction(1),)
 
 
 def _un_reference_basis(n):
@@ -111,7 +125,7 @@ def test_un_type_constants_match_complex_pairing(n):
                 pairing = sum(x * y.conjugate() for x, y in zip(av, vecs[j])).real
                 norm = sum(abs(x) ** 2 for row in a for x in row)
                 expected.append(Fraction(pairing) / Fraction(norm))
-            assert alg.bracket(i, j) == tuple(expected), (i, j)
+            assert _bracket(alg, i, j) == tuple(expected), (i, j)
 
 
 def test_direct_sum_dims_add():
@@ -453,6 +467,41 @@ def test_pfaffian_polynomial_matches_the_matrix_expansion_on_random_algebras():
     assert sum(not p.is_zero() for p in polys) >= 10
 
 
+def _large_denominator_algebra(seed):
+    """A seeded algebra with even dim_v in 4..8 and dim_z in 1..3, each pair
+    bracketed with probability 3/4 by numerators up to 20 over denominators
+    drawn from {7, 11, 13, 16}."""
+    rng = random.Random(seed)
+    dim_v, dim_z = rng.choice((4, 6, 8)), rng.randint(1, 3)
+    brackets = {}
+    for i in range(dim_v):
+        for j in range(i + 1, dim_v):
+            if rng.random() < 0.75:
+                brackets[(i, j)] = tuple(Fraction(rng.randint(-20, 20), rng.choice((7, 11, 13, 16)))
+                                         for _ in range(dim_z))
+    return build_two_step(dim_v, dim_z, brackets)
+
+
+def test_pfaffian_polynomial_matches_the_matrix_expansion_at_large_denominators():
+    algebras = [_large_denominator_algebra(seed) for seed in range(12)]
+    lcms = [math.lcm(*(c.denominator for _, vec in alg.brackets for c in vec))
+            for alg in algebras]
+    assert sum(d == 7 * 11 * 13 * 16 for d in lcms) >= 9 and min(lcms) > 100
+    polys = [pfaffian_polynomial(alg).poly for alg in algebras]
+    assert polys == [_matrix_pfaffian_polynomial(alg) for alg in algebras]
+    assert all(not p.is_zero() for p in polys)
+
+
+def test_pfaffian_polynomial_when_the_denominators_cancel():
+    # Pf = B01 B23 - B02 B13 + B03 B12 = (1 - 2 + 3) t^2, with D = 240240
+    brackets = {(0, 1): (Fraction(7, 11),), (2, 3): (Fraction(11, 7),),
+                (0, 2): (Fraction(3, 13),), (1, 3): (Fraction(26, 3),),
+                (0, 3): (Fraction(5, 16),), (1, 2): (Fraction(48, 5),)}
+    alg = build_two_step(4, 1, brackets)
+    p = pfaffian_polynomial(alg).poly
+    assert p == MultiPoly(1, {(2,): 2}) == _matrix_pfaffian_polynomial(alg)
+
+
 @pytest.mark.parametrize("dim_v,dim_z", [(0, 0), (0, 2), (1, 1), (3, 2), (4, 0), (4, 3)])
 def test_pfaffian_polynomial_without_brackets(dim_v, dim_z):
     alg = build_two_step(dim_v, dim_z, {})
@@ -517,6 +566,49 @@ def test_basis_change_covariance(seed):
     p0 = pfaffian_polynomial(alg).poly
     p1 = pfaffian_polynomial(moved).poly
     assert p1 == p0.scale(d)
+
+
+def _transform_v_basis_oracle(alg, s):
+    """[u_i, u_j] = sum over every ordered (a, b) of s[a][i] s[b][j] [v_a, v_b]."""
+    s = [[Fraction(x) for x in row] for row in s]
+    n = alg.dim_v
+    brackets = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            acc = [Fraction(0)] * alg.dim_z
+            for a in range(n):
+                if s[a][i] == 0:
+                    continue
+                for b in range(n):
+                    if s[b][j] == 0:
+                        continue
+                    vec = _bracket(alg, a, b)
+                    coef = s[a][i] * s[b][j]
+                    acc = [x + coef * y for x, y in zip(acc, vec)]
+            if any(acc):
+                brackets[(i, j)] = tuple(acc)
+    return build_two_step(n, alg.dim_z, brackets)
+
+
+def _basis_changes(n, seed):
+    """A seeded dense integer n x n matrix and a seeded rational one."""
+    rng = random.Random(seed)
+    return [[[Fraction(rng.randint(-5, 5), rng.randint(1, 6) if rational else 1)
+              for _ in range(n)] for _ in range(n)] for rational in (False, True)]
+
+
+@pytest.mark.parametrize("spec", _ORACLE_SPECS)
+def test_transform_v_basis_matches_the_oracle_on_table_specs(spec):
+    alg = tables.algebra(spec)
+    for s in _basis_changes(alg.dim_v, spec):
+        assert transform_v_basis(alg, s) == _transform_v_basis_oracle(alg, s)
+
+
+def test_transform_v_basis_matches_the_oracle_on_random_algebras():
+    for seed in range(40):
+        alg = _random_algebra(seed)
+        for s in _basis_changes(alg.dim_v, seed):
+            assert transform_v_basis(alg, s) == _transform_v_basis_oracle(alg, s), seed
 
 
 def test_plancherel_density_values():

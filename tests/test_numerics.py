@@ -10,6 +10,7 @@ import pytest
 from scipy.linalg import expm as scipy_expm
 from scipy.special import roots_jacobi
 
+from gelfand import cli
 from gelfand.numerics import (
     QuadratureError,
     gamma_moment,
@@ -62,6 +63,19 @@ def test_half_line_moment():
 
 
 def test_gamma_moment_rejects_negative():
+    with pytest.raises(ValueError):
+        gamma_moment(-1)
+
+
+def test_default_gamma_and_regnorms_compute_each_moment_once(cold_caches):
+    # 13 gamma cases and 91 regnorms cases ask for k + n in 0..max_k only
+    for suite in ("gamma", "regnorms"):
+        report = cli.run_suite(suite, dict(cli.DEFAULTS))
+        assert all(case.status == "pass" for case in report.cases)
+    assert half_line_moment.cache_info().misses == cli.DEFAULTS["max_k"] + 1
+    warm = [gamma_moment(k) for k in range(cli.DEFAULTS["max_k"] + 1)]
+    cold_caches()
+    assert warm == [gamma_moment(k) for k in range(cli.DEFAULTS["max_k"] + 1)]
     with pytest.raises(ValueError):
         gamma_moment(-1)
 
