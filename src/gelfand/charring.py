@@ -8,8 +8,9 @@ acting on a complex module through one of the constructions standard / S^2 /
 Lambda^2 / outer tensor, and decomposes symmetric powers of the dual module,
 which is what degree-d polynomials transform by.  Their weight multisets
 come from the complete homogeneous recursion h_d, run once per (factors,
-construction) for every degree up to the highest one asked; the torus mode
-is left out of that key because it only quotients the labels afterwards.
+construction) for every degree up to the highest one asked; the torus
+quotient is left out of that key because it only shifts the labels
+afterwards.
 
 Weights are kept in orthonormal epsilon coordinates, an integer tuple per
 factor: the full gl weight (one entry per column) for unitary factors, one
@@ -400,75 +401,61 @@ class Construction:
 
 @dataclass(frozen=True)
 class GroupDatum:
-    """A table row instance: factors, module construction, and how strict the
-    label-distinctness key is.
+    """A table row instance: factors, module construction, and the torus
+    quotient that labels are read modulo.
 
-    torus_mode:
-      'full'     every factor keeps its full character data;
-      'su'       gl factors are read modulo determinant characters
-                 (tuple of per-factor flags selects which);
-      'det_one'  two gl factors with the product of determinants trivial
-                 (simultaneous character shifts are quotiented out).
+    Each entry of ``quotient`` is a group of gl factor indices whose
+    determinant characters are quotiented together: ``(i,)`` reads factor i
+    as SU, ``(i, j)`` as S(U x U), one shift by the last entry of factor j
+    across both.  Empty: every factor keeps its full character data.
     """
 
     factors: tuple
     construction: Construction
-    torus_mode: str = "full"
-    su_flags: tuple = ()
+    quotient: tuple = ()
+
+    def __post_init__(self):
+        seen = set()
+        for group in self.quotient:
+            if not group:
+                raise ValueError("an empty quotient group")
+            for i in group:
+                if not 0 <= i < len(self.factors):
+                    raise ValueError(f"quotient index {i} is out of range")
+                if self.factors[i].kind != GL:
+                    raise ValueError(f"quotient index {i} is not a gl factor")
+                if i in seen:
+                    raise ValueError(f"quotient index {i} appears twice")
+                seen.add(i)
 
 
 def _construction_weights(factors, con: Construction):
-    """Per-coordinate weight tuples of the module (one entry per factor)."""
-    zero = [(0,) * f.eps_rank for f in factors]
+    """Per-coordinate weight tuples of the module (one entry per factor).
+
+    Each construction yields cells {factor index: weight}; every factor a
+    cell leaves out acts by its default, weight one for a scalar circle and
+    zero otherwise.  On ``trivial`` coordinates circles act trivially too.
+    """
     if con.tag == "dsum":
-        out = []
-        for part in con.parts:
-            out.extend(_construction_weights(factors, part))
-        return out
+        return [row for part in con.parts for row in _construction_weights(factors, part)]
     if con.tag == "trivial":
         (dim,) = con.args
-        return [tuple(zero)] * dim
+        return [tuple((0,) * f.eps_rank for f in factors)] * dim
     if con.tag == "standard":
         (i,) = con.args
-        std = factors[i].standard_weights()
-        coords = []
-        for w in std:
-            row = list(zero)
-            row[i] = w
-            coords.append(tuple(row))
+        cells = [{i: w} for w in factors[i].standard_weights()]
     elif con.tag in ("sym2", "lambda2"):
         (i,) = con.args
-        std = factors[i].standard_weights()
-        pairs = (
-            combinations_with_replacement(range(len(std)), 2)
-            if con.tag == "sym2"
-            else combinations(range(len(std)), 2)
-        )
-        coords = []
-        for a, b in pairs:
-            row = list(zero)
-            row[i] = tuple(map(add, std[a], std[b]))
-            coords.append(tuple(row))
+        pairs = combinations_with_replacement if con.tag == "sym2" else combinations
+        cells = [{i: tuple(map(add, a, b))} for a, b in pairs(factors[i].standard_weights(), 2)]
     elif con.tag == "tensor":
         i, j = con.args
-        coords = []
-        for wa in factors[i].standard_weights():
-            for wb in factors[j].standard_weights():
-                row = list(zero)
-                row[i] = wa
-                row[j] = wb
-                coords.append(tuple(row))
+        cells = [{i: a, j: b} for a, b in product(factors[i].standard_weights(),
+                                                   factors[j].standard_weights())]
     else:
         raise ValueError(f"unsupported construction {con.tag!r}")
-    # scalar circles act on every coordinate with weight one
-    out = []
-    for row in coords:
-        row = list(row)
-        for k, f in enumerate(factors):
-            if f.kind == U1 and k not in con.args:
-                row[k] = (1,)
-        out.append(tuple(row))
-    return out
+    default = [(1,) if f.kind == U1 else (0,) * f.eps_rank for f in factors]
+    return [tuple(cell.get(k, w) for k, w in enumerate(default)) for cell in cells]
 
 
 @dataclass(frozen=True)
@@ -533,8 +520,8 @@ def sym_power_decompose(datum: GroupDatum, d: int) -> Decomposition:
     whose weight multiset is the complete homogeneous h_d of the dual
     coordinate weights.  The result is checked for exact dimension
     conservation and kept in one list per (factors, construction): the torus
-    mode and its flags only quotient labels afterwards (``canonical_label``),
-    so data that differ only there share one ``Decomposition``.
+    quotient only shifts labels afterwards (``canonical_label``), so data
+    that differ only there share one ``Decomposition``.
     """
     if d < 0:
         raise ValueError("degree must be >= 0")
@@ -581,31 +568,17 @@ def _sym_powers(factors, construction, lo, hi):
 
 
 def canonical_label(datum: GroupDatum, label):
-    """Quotient the label by whatever characters the torus mode removes.
-
-    'su' shifts each flagged gl weight so its last entry is zero; 'det_one'
-    applies one simultaneous shift across the two gl factors.
-    """
-    if datum.torus_mode == "full":
+    """Quotient the label by the datum's torus quotient: each group's gl
+    weights are shifted together so that the last entry of its last factor
+    is zero."""
+    if not datum.quotient:
         return label
-    if datum.torus_mode == "su":
-        out = []
-        for flag, f, w in zip(datum.su_flags, datum.factors, label):
-            if flag and f.kind == GL:
-                out.append(tuple(x - w[-1] for x in w))
-            else:
-                out.append(w)
-        return tuple(out)
-    if datum.torus_mode == "det_one":
-        gls = [i for i, f in enumerate(datum.factors) if f.kind == GL]
-        if len(gls) != 2:
-            raise ValueError("det_one mode expects exactly two gl factors")
-        shift = label[gls[1]][-1]
-        out = list(label)
-        for i in gls:
+    out = list(label)
+    for group in datum.quotient:
+        shift = label[group[-1]][-1]
+        for i in group:
             out[i] = tuple(x - shift for x in label[i])
-        return tuple(out)
-    raise ValueError(f"unknown torus mode {datum.torus_mode!r}")
+    return tuple(out)
 
 
 def is_multiplicity_free_polynomial_action(datum: GroupDatum, degree_bound: int):

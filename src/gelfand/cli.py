@@ -337,7 +337,7 @@ def _suite_carcano(cfg, rec):
                 charring.Construction("dsum", parts=(
                     charring.Construction("standard", (0,)),
                     charring.Construction("standard", (0,)))),
-                torus_mode="su", su_flags=(True,))
+                quotient=((0,),))
             ok, violation = charring.is_multiplicity_free_polynomial_action(datum, 1)
             return (not ok) and violation["degree"] == 1, f"violation {violation}"
         rec.run("negative-control-doubled-standard", "repeat in degree 1",

@@ -212,6 +212,10 @@ def verify_commuting_square(ladder: DegreeLadder, m, n):
       csq(m,base) deg(m) = csq(m,n) (deg(m)/deg(n)) csq(n,base) deg(n)
 
     Returns (ok, residual); exact ladders must come back with residual 0.
+    It can fail on no ladder that ``verify_cocycle`` passes: the plain
+    residual is 0 by construction, since ratio * deg(n) = deg(m), and on an
+    exact ladder the tilde residual is the cocycle residual at the triple
+    (base, n, m) with its sign flipped, deg(m) cancelling.
     """
     if m < n:
         raise ValueError("need m >= n")

@@ -16,13 +16,6 @@ def fr(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-def unit_vector(i, n):
-    """The i-th standard basis vector of Q^n, as a tuple."""
-    v = [Fraction(0)] * n
-    v[i] = Fraction(1)
-    return tuple(v)
-
-
 def monomials(nvars, degree):
     """Exponent tuples of the degree-``degree`` monomials in ``nvars``
     variables, heads descending (x0^d first)."""
@@ -40,7 +33,7 @@ def dot(u, v):
 
 def _echelon(matrix):
     """Row echelon form by exact elimination below each pivot, the kernel
-    of rank and _rref; returns (rows, pivot_columns)."""
+    of _rref; returns (rows, pivot_columns)."""
     rows = [list(map(fr, row)) for row in matrix]
     nrows = len(rows)
     pivots = []
@@ -73,10 +66,6 @@ def _rref(matrix):
                 f = rows[i][c]
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
     return rows, pivots
-
-
-def rank(matrix) -> int:
-    return len(_echelon(matrix)[1])
 
 
 def nullspace(matrix, ncols=None):

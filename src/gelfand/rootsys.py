@@ -15,7 +15,6 @@ from math import lcm
 from operator import mul
 
 from .exact import fr
-from .exact import unit_vector as _eps
 
 FAMILIES = ("A", "B", "C", "D")
 
@@ -28,14 +27,6 @@ class RootSystemData:
     simple_roots: tuple
     positive_roots: tuple
     fundamental_weights: tuple
-
-    @cached_property
-    def rho(self):
-        amb = self.ambient_dim
-        acc = [Fraction(0)] * amb
-        for alpha in self.positive_roots:
-            acc = [a + x / 2 for a, x in zip(acc, alpha)]
-        return tuple(acc)
 
     @cached_property
     def integral_positive_roots(self):
@@ -61,17 +52,12 @@ class DominantWeight:
             raise ValueError("dominant weights need nonnegative integer coefficients")
 
 
-def _vec_add(u, v):
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def _vec_sub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def _vec_scale(u, c):
-    c = fr(c)
-    return tuple(a * c for a in u)
+def _vec(n, entries):
+    """The vector of Q^n with the given {index: value} entries, zero elsewhere."""
+    v = [Fraction(0)] * n
+    for i, x in entries.items():
+        v[i] = Fraction(x)
+    return tuple(v)
 
 
 @lru_cache(maxsize=None)
@@ -80,6 +66,11 @@ def build_root_system(family: str, rank: int) -> RootSystemData:
 
     D needs rank >= 2 (D_1 has no root data in this realization); A-C accept
     any rank >= 1.  The result is immutable, so each system is built once.
+    Every family is read off one pattern: the roots e_i - e_j (i < j), each
+    followed by e_i + e_j outside A, then e_i for B or 2 e_i for C; the simple
+    chain e_i - e_(i+1) closed by one family-specific root; the fundamental
+    weights e_1 + ... + e_k (traceless for A), with the last one (B) or two
+    (D) replaced by the spin weights.
     """
     if family not in FAMILIES:
         raise ValueError(f"unsupported family {family!r}")
@@ -88,52 +79,21 @@ def build_root_system(family: str, rank: int) -> RootSystemData:
     if family == "D" and rank < 2:
         raise ValueError("family D needs rank >= 2")
 
-    if family == "A":
-        n = rank + 1
-        simple = tuple(_vec_sub(_eps(i, n), _eps(i + 1, n)) for i in range(rank))
-        positive = tuple(
-            _vec_sub(_eps(i, n), _eps(j, n)) for i in range(n) for j in range(i + 1, n)
-        )
-        funds = []
-        for k in range(1, rank + 1):
-            v = [Fraction(1) if i < k else Fraction(0) for i in range(n)]
-            shift = Fraction(k, n)
-            funds.append(tuple(x - shift for x in v))
-        return RootSystemData("A", rank, n, simple, positive, tuple(funds))
-
-    n = rank
-    chain = [_vec_sub(_eps(i, n), _eps(i + 1, n)) for i in range(rank - 1)]
+    n = rank + 1 if family == "A" else rank
+    signs = (-1,) if family == "A" else (-1, 1)
+    positive = [_vec(n, {i: 1, j: s}) for i in range(n) for j in range(i + 1, n) for s in signs]
+    if family in ("B", "C"):
+        positive += [_vec(n, {i: 1 if family == "B" else 2}) for i in range(n)]
+    last = {"A": {rank - 1: 1, rank: -1}, "B": {rank - 1: 1}, "C": {rank - 1: 2},
+            "D": {rank - 2: 1, rank - 1: 1}}[family]
+    simple = [_vec(n, {i: 1, i + 1: -1}) for i in range(rank - 1)] + [_vec(n, last)]
+    trace = Fraction(1, n) if family == "A" else 0
+    funds = [_vec(n, {i: (i < k) - k * trace for i in range(n)}) for k in range(1, rank + 1)]
+    spin = dict.fromkeys(range(n), Fraction(1, 2))
     if family == "B":
-        simple = tuple(chain + [_eps(rank - 1, n)])
-        positive = [
-            v
-            for i in range(n)
-            for j in range(i + 1, n)
-            for v in (_vec_sub(_eps(i, n), _eps(j, n)), _vec_add(_eps(i, n), _eps(j, n)))
-        ] + [_eps(i, n) for i in range(n)]
-        funds = [tuple(Fraction(1) if i < k else Fraction(0) for i in range(n)) for k in range(1, rank)]
-        funds.append(tuple(Fraction(1, 2) for _ in range(n)))
-    elif family == "C":
-        simple = tuple(chain + [_vec_scale(_eps(rank - 1, n), 2)])
-        positive = [
-            v
-            for i in range(n)
-            for j in range(i + 1, n)
-            for v in (_vec_sub(_eps(i, n), _eps(j, n)), _vec_add(_eps(i, n), _eps(j, n)))
-        ] + [_vec_scale(_eps(i, n), 2) for i in range(n)]
-        funds = [tuple(Fraction(1) if i < k else Fraction(0) for i in range(n)) for k in range(1, rank + 1)]
-    else:  # D
-        simple = tuple(chain + [_vec_add(_eps(rank - 2, n), _eps(rank - 1, n))])
-        positive = [
-            v
-            for i in range(n)
-            for j in range(i + 1, n)
-            for v in (_vec_sub(_eps(i, n), _eps(j, n)), _vec_add(_eps(i, n), _eps(j, n)))
-        ]
-        funds = [tuple(Fraction(1) if i < k else Fraction(0) for i in range(n)) for k in range(1, rank - 1)]
-        half = Fraction(1, 2)
-        funds.append(tuple([half] * (rank - 1) + [-half]))
-        funds.append(tuple([half] * rank))
+        funds[-1] = _vec(n, spin)
+    elif family == "D":
+        funds[-2:] = [_vec(n, {**spin, n - 1: Fraction(-1, 2)}), _vec(n, spin)]
     return RootSystemData(family, rank, n, tuple(simple), tuple(positive), tuple(funds))
 
 

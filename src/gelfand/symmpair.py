@@ -27,14 +27,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import comb
 
 import numpy as np
 
 from . import numerics, rootsys
 from .exact import MultiPoly, dot, fr, monomials, nullspace, solve
-from .exact import unit_vector as _eps
 
 # ---------------------------------------------------------------------------
 # restricted pair data
@@ -111,11 +110,11 @@ def build_symmetric_pair(family_id: int, rank: int, excess: int = 1) -> Restrict
     if rtype == "D" and rank < 2:
         # degenerate fork; realize rank 1 as the single short-rootless A_1
         rtype, mults = "A", {"pair": mults["pair"]}
-    # BC_l is B_l together with the roots 2e_i
+    # BC_l is B_l together with the roots 2e_i, the last l positive roots of C_l
     rs = rootsys.build_root_system("B" if rtype == "BC" else rtype, rank)
     roots = rs.positive_roots
     if rtype == "BC":
-        roots += tuple(tuple(2 * x for x in _eps(i, rank)) for i in range(rank))
+        roots += rootsys.build_root_system("C", rank).positive_roots[-rank:]
     # squared length 2, 1, 4 reads e_i +- e_j, e_i, 2e_i
     kind = {2: "pair", 1: "short", 4: "long"}
     positive = tuple((alpha, mults[kind[dot(alpha, alpha)]]) for alpha in roots)
@@ -163,14 +162,6 @@ class HarmonicSpace:
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    @cached_property
-    def gram(self) -> tuple:
-        """Exact Gram matrix under the normalized sphere measure, computed
-        on first read."""
-        return tuple(
-            tuple(sphere_inner_product(p, q) for q in self.basis) for p in self.basis
-        )
 
 
 def harmonic_dimension(n_ambient: int, degree: int) -> int:

@@ -76,29 +76,25 @@ def _check_constraints(constraints: str, r: int, s: int | None):
 
 
 def _parse_factor(token: str, r: int, s: int | None):
+    """(factors, quotiented): the factors a token names, and whether their
+    determinant characters are quotiented together (SU, S(U x U))."""
     token = token.strip()
     if token == "U1":
-        return [(Factor(U1), False)]
+        return [Factor(U1)], False
     m = re.fullmatch(r"(SU|U|SO|Sp)\((\w+)\)", token)
     if m:
-        kind, arg = m.group(1), m.group(2)
+        name, arg = m.group(1), m.group(2)
         size = {"r": r, "s": s}.get(arg)
         if size is None:
             size = int(arg)
-        if kind == "SU":
-            return [(Factor(GL, size), True)]
-        if kind == "U":
-            return [(Factor(GL, size), False)]
-        if kind == "SO":
-            return [(Factor(SO, size), False)]
-        return [(Factor(SP, size), False)]
+        return [Factor({"SU": GL, "U": GL, "SO": SO, "Sp": SP}[name], size)], name == "SU"
     m = re.fullmatch(r"S\(U\((\w+)\)xU\((\w+)\)\)", token)
     if m:
         sizes = []
         for arg in m.groups():
             size = {"r": r, "s": s}.get(arg)
             sizes.append(int(arg) if size is None else size)
-        return [(Factor(GL, sizes[0]), "det_one"), (Factor(GL, sizes[1]), "det_one")]
+        return [Factor(GL, sizes[0]), Factor(GL, sizes[1])], True
     raise ValueError(f"unparseable factor {token!r}")
 
 
@@ -110,20 +106,15 @@ def group_datum(row_id: str, rank: int, rank2: int | None = None) -> GroupDatum:
     if row_id.startswith("vin:"):
         raise ValueError("flat-algebra rows resolve through algebra(), not group_datum()")
     _check_constraints(row.constraints, rank, rank2)
-    parsed = []
+    factors, quotient = [], []
     for token in row.factor_spec.split(","):
-        parsed.extend(_parse_factor(token, rank, rank2))
-    factors = tuple(f for f, _ in parsed)
-    flags = tuple(flag for _, flag in parsed)
+        new, quotiented = _parse_factor(token, rank, rank2)
+        if quotiented:
+            quotient.append(tuple(range(len(factors), len(factors) + len(new))))
+        factors += new
     tag, _, idxs = row.construction_spec.partition(":")
     args = tuple(int(x) for x in idxs.split(",")) if idxs else ()
-    construction = Construction(tag, args)
-    if any(flag == "det_one" for flag in flags):
-        return GroupDatum(factors, construction, torus_mode="det_one")
-    if any(flag is True for flag in flags):
-        su_flags = tuple(flag is True for flag in flags)
-        return GroupDatum(factors, construction, torus_mode="su", su_flags=su_flags)
-    return GroupDatum(factors, construction)
+    return GroupDatum(tuple(factors), Construction(tag, args), tuple(quotient))
 
 
 _ALGEBRA_BUILDERS = {

@@ -1,12 +1,20 @@
 """Shared fixtures."""
 
 import importlib
+import os
 import pkgutil
+from pathlib import Path
 
 import pytest
 
 import gelfand
 from gelfand import charring
+
+# pytest's ``pythonpath`` setting reaches only this process's sys.path; the
+# tests that run ``python -m gelfand.cli`` in a subprocess read PYTHONPATH,
+# so point it at the same checkout
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 
 def _library_caches():

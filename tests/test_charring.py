@@ -3,7 +3,8 @@ multiplicity-freeness, and cross-rank stability of highest-weight sets."""
 
 import random
 from fractions import Fraction
-from itertools import accumulate, combinations_with_replacement, permutations, product
+from itertools import (accumulate, combinations, combinations_with_replacement, permutations,
+                       product)
 from math import comb, lcm
 from operator import add
 
@@ -322,18 +323,24 @@ def _eps_to_coeffs(rs, vec):
     return tuple(dot(vec, _coroot(psi)) for psi in rs.simple_roots)
 
 
+def _rho(rs):
+    """Half the sum of the positive roots, in Fractions."""
+    return tuple(sum(col, Fraction(0)) / 2 for col in zip(*rs.positive_roots))
+
+
 def _fraction_brauer_klimyk(rs, lam, mu):
     """Brauer-Klimyk in Fractions, one ``_eps_to_coeffs`` per weight of mu:
     the reference for the integer-lattice ``tensor_decompose``."""
     lam_eps = rootsys.weight_to_eps(rs, lam)
+    rho = _rho(rs)
     out = {}
     for nu, m in charring.weight_system(rs, mu).items():
-        shifted = tuple(a + b + c for a, b, c in zip(lam_eps, nu, rs.rho))
+        shifted = tuple(a + b + c for a, b, c in zip(lam_eps, nu, rho))
         res = charring._reflect_to_dominant(rs.family, shifted)
         if res is None:
             continue
         dom, sign = res
-        target = tuple(a - b for a, b in zip(dom, rs.rho))
+        target = tuple(a - b for a, b in zip(dom, rho))
         coeffs = [Fraction(c) for c in _eps_to_coeffs(rs, target)]
         assert all(c.denominator == 1 and c >= 0 for c in coeffs)
         key = dw(rs.family, rs.rank, [int(c) for c in coeffs])
@@ -498,8 +505,7 @@ def un_row(n):
 
 
 def sun_row(n):
-    return GroupDatum((Factor(GL, n),), Construction("standard", (0,)),
-                      torus_mode="su", su_flags=(True,))
+    return GroupDatum((Factor(GL, n),), Construction("standard", (0,)), ((0,),))
 
 
 def u1_so_row(n):
@@ -603,18 +609,21 @@ def _row_data(row_id):
     return list(out.values())
 
 
-def _doubled_standard(mode):
+def _doubled_standard(quotient):
     return GroupDatum((Factor(GL, 2),), Construction("dsum", parts=(
-        Construction("standard", (0,)), Construction("standard", (0,)))),
-        torus_mode=mode, su_flags=(True,) if mode == "su" else ())
+        Construction("standard", (0,)), Construction("standard", (0,)))), quotient)
 
 
 _SMALL_CONSTRUCTIONS = [
     GroupDatum((), Construction("trivial", (3,))),
     GroupDatum((Factor(GL, 2), Factor(U1)), Construction("trivial", (2,))),
-    _doubled_standard("su"),
+    _doubled_standard(((0,),)),
     GroupDatum((Factor(U1), Factor(SO, 3)), Construction("dsum", parts=(
         Construction("standard", (1,)), Construction("trivial", (1,))))),
+    # one determinant quotient over two gl factors whose labels end apart
+    # (on a tensor module their last entries agree)
+    GroupDatum((Factor(GL, 2), Factor(GL, 3)), Construction("dsum", parts=(
+        Construction("standard", (0,)), Construction("standard", (1,)))), ((0, 1),)),
 ]
 
 
@@ -653,8 +662,8 @@ def test_sym_power_cache_shared_across_torus_modes():
     assert charring.is_multiplicity_free_polynomial_action(un_row(1), 2) == (True, None)
     ok, violation = charring.is_multiplicity_free_polynomial_action(sun_row(1), 2)
     assert not ok and violation["degree"] == 1
-    assert charring.sym_power_decompose(_doubled_standard("su"), 2) is \
-        charring.sym_power_decompose(_doubled_standard("full"), 2)
+    assert charring.sym_power_decompose(_doubled_standard(((0,),)), 2) is \
+        charring.sym_power_decompose(_doubled_standard(()), 2)
     with pytest.raises(ValueError):
         charring.sym_power_decompose(un_row(2), -1)
 
@@ -785,7 +794,7 @@ def test_su2_diagonal_double_copy_fails():
         (Factor(GL, 2),),
         Construction("dsum", parts=(Construction("standard", (0,)),
                                     Construction("standard", (0,)))),
-        torus_mode="su", su_flags=(True,),
+        ((0,),),
     )
     ok, violation = charring.is_multiplicity_free_polynomial_action(datum, 1)
     assert not ok
@@ -899,16 +908,13 @@ def test_stability_rejects_mismatched_rows():
 # ---------------------------------------------------------------------------
 
 
+_TENSOR_QUOTIENTS = {"su_both": ((0,), (1,)), "u_first": ((1,),), "det_one": ((0, 1),),
+                     "full": ()}
+
+
 def tensor_row(l, m, mode):
-    factors = (Factor(GL, l), Factor(GL, m))
-    con = Construction("tensor", (0, 1))
-    if mode == "su_both":
-        return GroupDatum(factors, con, torus_mode="su", su_flags=(True, True))
-    if mode == "u_first":
-        return GroupDatum(factors, con, torus_mode="su", su_flags=(False, True))
-    if mode == "det_one":
-        return GroupDatum(factors, con, torus_mode="det_one")
-    return GroupDatum(factors, con, torus_mode="full")
+    return GroupDatum((Factor(GL, l), Factor(GL, m)), Construction("tensor", (0, 1)),
+                      _TENSOR_QUOTIENTS[mode])
 
 
 JAW_SWEEP = [
@@ -960,3 +966,147 @@ def test_tensor_row_variant_findings():
     assert results[(2, 3, "det_one")] is True
     assert results[(2, 3, "u_first")] is True
     assert results[(2, 3, "full")] is True
+
+
+# ---------------------------------------------------------------------------
+# the torus quotient and the row builder against the three-mode encoding
+# ---------------------------------------------------------------------------
+
+
+def _legacy_canonical_label(factors, torus_mode, su_flags, label):
+    """The three-mode quotient a datum once carried as ``torus_mode`` plus
+    ``su_flags``: 'su' shifts each flagged gl weight so its last entry is
+    zero, 'det_one' applies one shift across the two gl factors."""
+    if torus_mode == "full":
+        return label
+    if torus_mode == "su":
+        out = []
+        for flag, f, w in zip(su_flags, factors, label):
+            if flag and f.kind == GL:
+                out.append(tuple(x - w[-1] for x in w))
+            else:
+                out.append(w)
+        return tuple(out)
+    if torus_mode == "det_one":
+        gls = [i for i, f in enumerate(factors) if f.kind == GL]
+        if len(gls) != 2:
+            raise ValueError("det_one mode expects exactly two gl factors")
+        shift = label[gls[1]][-1]
+        out = list(label)
+        for i in gls:
+            out[i] = tuple(x - shift for x in label[i])
+        return tuple(out)
+    raise ValueError(f"unknown torus mode {torus_mode!r}")
+
+
+def _legacy_construction_weights(factors, con):
+    """Module weights built row by row from a zero row, the scalar circles
+    filled in by a second pass."""
+    zero = [(0,) * f.eps_rank for f in factors]
+    if con.tag == "dsum":
+        out = []
+        for part in con.parts:
+            out.extend(_legacy_construction_weights(factors, part))
+        return out
+    if con.tag == "trivial":
+        (dim,) = con.args
+        return [tuple(zero)] * dim
+    if con.tag == "standard":
+        (i,) = con.args
+        std = factors[i].standard_weights()
+        coords = []
+        for w in std:
+            row = list(zero)
+            row[i] = w
+            coords.append(tuple(row))
+    elif con.tag in ("sym2", "lambda2"):
+        (i,) = con.args
+        std = factors[i].standard_weights()
+        pairs = (
+            combinations_with_replacement(range(len(std)), 2)
+            if con.tag == "sym2"
+            else combinations(range(len(std)), 2)
+        )
+        coords = []
+        for a, b in pairs:
+            row = list(zero)
+            row[i] = tuple(map(add, std[a], std[b]))
+            coords.append(tuple(row))
+    elif con.tag == "tensor":
+        i, j = con.args
+        coords = []
+        for wa in factors[i].standard_weights():
+            for wb in factors[j].standard_weights():
+                row = list(zero)
+                row[i] = wa
+                row[j] = wb
+                coords.append(tuple(row))
+    else:
+        raise ValueError(f"unsupported construction {con.tag!r}")
+    out = []
+    for row in coords:
+        row = list(row)
+        for k, f in enumerate(factors):
+            if f.kind == U1 and k not in con.args:
+                row[k] = (1,)
+        out.append(tuple(row))
+    return out
+
+
+def _legacy_torus(row_id):
+    """(torus_mode, su_flags) as the row's factor list once set them: an
+    S(U x U) factor made the row 'det_one', an SU factor made it 'su' with
+    one flag per factor."""
+    tokens = [t.strip() for t in tables.registry()[row_id].factor_spec.split(",")]
+    if any(t.startswith("S(") for t in tokens):
+        return "det_one", ()
+    if any(t.startswith("SU(") for t in tokens):
+        return "su", tuple(t.startswith("SU(") for t in tokens)
+    return "full", ()
+
+
+_SMALL_LEGACY = [("full", ()), ("full", ()), ("su", (True,)), ("full", ()), ("det_one", ())]
+_TENSOR_LEGACY = {"su_both": ("su", (True, True)), "u_first": ("su", (False, True)),
+                  "det_one": ("det_one", ()), "full": ("full", ())}
+
+
+def _assert_matches_legacy(datum, torus_mode, su_flags):
+    assert (charring._construction_weights(datum.factors, datum.construction)
+            == _legacy_construction_weights(datum.factors, datum.construction))
+    for d in range(5):
+        for label, _ in charring.sym_power_decompose(datum, d).entries:
+            assert (charring.canonical_label(datum, label)
+                    == _legacy_canonical_label(datum.factors, torus_mode, su_flags, label)), d
+
+
+@pytest.mark.parametrize("row_id", _KAC_JAW_ROWS)
+def test_quotient_matches_the_three_mode_encoding_on_rows(row_id):
+    data = _row_data(row_id)
+    assert data, row_id
+    for datum in data:
+        _assert_matches_legacy(datum, *_legacy_torus(row_id))
+
+
+def test_quotient_matches_the_three_mode_encoding_on_small_constructions():
+    assert len(_SMALL_LEGACY) == len(_SMALL_CONSTRUCTIONS)
+    for datum, legacy in zip(_SMALL_CONSTRUCTIONS, _SMALL_LEGACY):
+        _assert_matches_legacy(datum, *legacy)
+
+
+@pytest.mark.parametrize("mode", sorted(_TENSOR_QUOTIENTS))
+def test_quotient_matches_the_three_mode_encoding_on_tensor_variants(mode):
+    for l, m in [(2, 2), (2, 3)]:
+        _assert_matches_legacy(tensor_row(l, m, mode), *_TENSOR_LEGACY[mode])
+
+
+@pytest.mark.parametrize("factors,quotient", [
+    ((Factor(GL, 2),), ((1,),)),                   # out of range
+    ((Factor(GL, 2),), ((-1,),)),                  # out of range, from the end
+    ((Factor(U1), Factor(SP, 2)), ((1,),)),        # not a gl factor
+    ((Factor(GL, 2), Factor(GL, 3)), ((0,), (0, 1))),  # index twice
+    ((Factor(GL, 2),), ((0, 0),)),                 # index twice in one group
+    ((Factor(GL, 2),), ((),)),                     # empty group
+])
+def test_group_datum_rejects_a_bad_quotient(factors, quotient):
+    with pytest.raises(ValueError):
+        GroupDatum(factors, Construction("standard", (0,)), quotient)

@@ -3,6 +3,7 @@ pairing's invariance under level promotion."""
 
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -154,6 +155,39 @@ def test_sphere_ladder_rejects_an_unknown_method_before_any_work(levels, monkeyp
     monkeypatch.setattr(symmpair, "harmonic_dimension", no_work)
     with pytest.raises(ValueError, match="unknown method 'bogus'"):
         sphere_ladder(2, levels=levels, method="bogus")
+
+
+def _seeded_exact_ladder(seed):
+    """Levels 1..5 with random int degrees and random squared constants in
+    (0, 1], not tied to each other, so the cocycle mostly fails."""
+    rng = random.Random(seed)
+    levels = (1, 2, 3, 4, 5)
+    degrees = {n: rng.randint(1, 50) for n in levels}
+    csq = {(m, n): Fraction(rng.randint(1, 9), 9) for n in levels for m in levels if m > n}
+    return make_ladder("toy", levels, degrees, csq)
+
+
+def test_commuting_square_is_the_cocycle_at_the_base_triple():
+    # the plain residual is 0 by construction (ratio * deg n = deg m), and
+    # the tilde residual is the cocycle residual at (base, n, m) with its
+    # sign flipped, the degree cancelling: the square adds no failing power
+    failing = 0
+    for seed in range(20):
+        ladder = _seeded_exact_ladder(seed)
+        base = ladder.base
+        for n in ladder.levels:
+            for m in ladder.levels:
+                if m < n:
+                    continue
+                ok, res = verify_commuting_square(ladder, m, n)
+                triple = make_ladder("toy", tuple(sorted({base, n, m})),
+                                     {k: ladder.deg(k) for k in (base, n, m)},
+                                     {(a, b): ladder.csq(a, b) for a in (base, n, m)
+                                      for b in (base, n, m) if a > b})
+                cocycle_ok, cocycle_res = verify_cocycle(triple)
+                assert (ok, res) == (cocycle_ok, -cocycle_res)
+                failing += not ok
+    assert failing >= 100
 
 
 def test_single_level_ladder_trivial():

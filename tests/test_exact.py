@@ -1,14 +1,19 @@
 """Exact linear algebra and sparse polynomials: the echelon kernel behind
-rank, nullspace and solve, and the integer Bareiss det, against two
-independent Fraction eliminations kept here as oracles."""
+nullspace, solve and the rank helper below, and the integer Bareiss det,
+against two independent Fraction eliminations kept here as oracles."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from gelfand.exact import MultiPoly, _rref, det, monomials, nullspace, rank, solve
+from gelfand.exact import MultiPoly, _echelon, _rref, det, monomials, nullspace, solve
 from gelfand.symmpair import laplacian
+
+
+def rank(matrix):
+    """Rank of an exact matrix: the pivot count of its echelon form."""
+    return len(_echelon(matrix)[1])
 
 
 def _rref_oracle(matrix):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gelfand import tables
-from gelfand.exact import MultiPoly, det, rank
+from gelfand.exact import MultiPoly, _echelon, det
 from gelfand.nilpf import (
     b_form,
     build_free_two_step,
@@ -27,6 +27,11 @@ from gelfand.nilpf import (
     sample_centre_point,
     transform_v_basis,
 )
+
+
+def rank(matrix):
+    """Rank of an exact matrix: the pivot count of its echelon form."""
+    return len(_echelon(matrix)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -465,6 +470,20 @@ def test_pfaffian_polynomial_matches_the_matrix_expansion_on_random_algebras():
     polys = [pfaffian_polynomial(alg).poly for alg in algebras]
     assert polys == [_matrix_pfaffian_polynomial(alg) for alg in algebras]
     assert sum(not p.is_zero() for p in polys) >= 10
+
+
+def test_pfaffian_polynomial_is_homogeneous_of_degree_half_dim_v():
+    # each expansion step multiplies by one linear form, so every term has
+    # degree dim_v/2 >= 1 when dim_v > 0: the constant-term (origin) check
+    # in pfaffian_polynomial has nothing to catch
+    algebras = [tables.algebra(spec) for spec in _ORACLE_SPECS]
+    algebras += [_random_algebra(seed) for seed in range(40)]
+    nonzero = 0
+    for alg in algebras:
+        terms = pfaffian_polynomial(alg).poly.terms
+        assert all(2 * sum(mono) == alg.dim_v for mono in terms), alg.dim_v
+        nonzero += bool(terms)
+    assert nonzero >= 20
 
 
 def _large_denominator_algebra(seed):

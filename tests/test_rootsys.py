@@ -198,3 +198,80 @@ def _coeff_grid(rank, bound):
     for head in range(bound + 1):
         for tail in _coeff_grid(rank - 1, bound):
             yield (head,) + tail
+
+
+# ---------------------------------------------------------------------------
+# the one-pass construction against the family-by-family one
+# ---------------------------------------------------------------------------
+
+
+def _root_system_oracle(family, rank):
+    """(ambient_dim, simple, positive, fundamental weights) with e_i +- e_j
+    written out once per family, from unit vectors."""
+
+    def eps(i, n):
+        return tuple(Fraction(1) if j == i else Fraction(0) for j in range(n))
+
+    def add(u, v):
+        return tuple(a + b for a, b in zip(u, v))
+
+    def sub(u, v):
+        return tuple(a - b for a, b in zip(u, v))
+
+    def scale(u, c):
+        return tuple(a * Fraction(c) for a in u)
+
+    if family == "A":
+        n = rank + 1
+        simple = tuple(sub(eps(i, n), eps(i + 1, n)) for i in range(rank))
+        positive = tuple(sub(eps(i, n), eps(j, n)) for i in range(n) for j in range(i + 1, n))
+        funds = []
+        for k in range(1, rank + 1):
+            v = [Fraction(1) if i < k else Fraction(0) for i in range(n)]
+            shift = Fraction(k, n)
+            funds.append(tuple(x - shift for x in v))
+        return n, simple, positive, tuple(funds)
+
+    n = rank
+    chain = [sub(eps(i, n), eps(i + 1, n)) for i in range(rank - 1)]
+    pairs = [v for i in range(n) for j in range(i + 1, n)
+             for v in (sub(eps(i, n), eps(j, n)), add(eps(i, n), eps(j, n)))]
+    if family == "B":
+        simple = tuple(chain + [eps(rank - 1, n)])
+        positive = pairs + [eps(i, n) for i in range(n)]
+        funds = [tuple(Fraction(1) if i < k else Fraction(0) for i in range(n))
+                 for k in range(1, rank)]
+        funds.append(tuple(Fraction(1, 2) for _ in range(n)))
+    elif family == "C":
+        simple = tuple(chain + [scale(eps(rank - 1, n), 2)])
+        positive = pairs + [scale(eps(i, n), 2) for i in range(n)]
+        funds = [tuple(Fraction(1) if i < k else Fraction(0) for i in range(n))
+                 for k in range(1, rank + 1)]
+    else:  # D
+        simple = tuple(chain + [add(eps(rank - 2, n), eps(rank - 1, n))])
+        positive = pairs
+        funds = [tuple(Fraction(1) if i < k else Fraction(0) for i in range(n))
+                 for k in range(1, rank - 1)]
+        half = Fraction(1, 2)
+        funds.append(tuple([half] * (rank - 1) + [-half]))
+        funds.append(tuple([half] * rank))
+    return n, simple, tuple(positive), tuple(funds)
+
+
+ORACLE_CASES = [(f, r) for f in "ABC" for r in range(1, 9)] + [("D", r) for r in range(2, 9)]
+
+
+def _entry_types(vectors):
+    return [[type(x) for x in v] for v in vectors]
+
+
+@pytest.mark.parametrize("family,rank", ORACLE_CASES)
+def test_build_matches_the_family_by_family_oracle(family, rank):
+    rs = rootsys.build_root_system(family, rank)
+    n, simple, positive, funds = _root_system_oracle(family, rank)
+    assert rs.ambient_dim == n
+    for got, want in [(rs.simple_roots, simple), (rs.positive_roots, positive),
+                      (rs.fundamental_weights, funds)]:
+        assert got == want  # the same vectors in the same order
+        assert _entry_types(got) == _entry_types(want)
+        assert all(t is Fraction for row in _entry_types(got) for t in row)

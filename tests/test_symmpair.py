@@ -474,10 +474,17 @@ def test_cocycle_identity_exact_on_squares():
                     assert lhs == zonal_projection_csq(m, k, d)
 
 
+def _gram(space):
+    """Exact Gram matrix of a harmonic basis under the normalized sphere
+    measure."""
+    return tuple(tuple(sphere_inner_product(p, q) for q in space.basis) for p in space.basis)
+
+
 def test_gram_csv_roundtrip():
     # one exact row per harmonic basis vector
     space = harmonic_basis(3, 2)
-    assert len(space.gram) == space.dim
-    for row in space.gram:
+    gram = _gram(space)
+    assert len(gram) == space.dim
+    for row in gram:
         assert len(row) == space.dim
         assert all(isinstance(x, Fraction) for x in row)

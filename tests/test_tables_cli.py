@@ -41,7 +41,14 @@ def test_tensor_row_needs_two_ranks():
 
 def test_det_one_row():
     datum = tables.group_datum("jaw:10", 2, 2)
-    assert datum.torus_mode == "det_one"
+    assert datum.quotient == ((0, 1),)
+
+
+def test_special_factors_are_quotiented_one_by_one():
+    assert tables.group_datum("kac:9", 2, 3).quotient == ((0,), (1,))
+    assert tables.group_datum("kac:10", 2, 3).quotient == ((1,),)
+    assert tables.group_datum("kac:1", 2).quotient == ((0,),)
+    assert tables.group_datum("kac:4", 2).quotient == ()
 
 
 def test_constraints_enforced():
