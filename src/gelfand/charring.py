@@ -394,9 +394,27 @@ def _freudenthal_cached(family, rank, w):
 class Construction:
     """How the group acts on the module: tag plus the factor indices used."""
 
-    tag: str  # standard | sym2 | lambda2 | tensor | dsum
+    tag: str  # standard | sym2 | lambda2 | tensor | trivial | dsum
     args: tuple = ()
     parts: tuple = ()  # for dsum: sub-constructions
+
+
+def _check_construction(con: Construction, n_factors: int) -> None:
+    """Raise ValueError unless ``con`` and each dsum part is a known tag with
+    its args: distinct factor indices below ``n_factors``, a dimension >= 0."""
+    counts = {"standard": 1, "sym2": 1, "lambda2": 1, "tensor": 2, "trivial": 1, "dsum": 0}
+    if con.tag not in counts:
+        raise ValueError(f"unknown construction {con.tag!r}")
+    indices = () if con.tag in ("trivial", "dsum") else con.args
+    if (len(con.args) != counts[con.tag] or len(set(indices)) < len(indices)
+            or (con.parts and con.tag != "dsum") or min(con.args, default=0) < 0):
+        raise ValueError(f"construction {con.tag!r} cannot take args {con.args}"
+                         f" and {len(con.parts)} parts")
+    if any(i >= n_factors for i in indices):
+        raise ValueError(f"construction {con.tag!r} has a factor index out of range"
+                         f" in {con.args} for {n_factors} factors")
+    for part in con.parts:
+        _check_construction(part, n_factors)
 
 
 @dataclass(frozen=True)
@@ -415,6 +433,7 @@ class GroupDatum:
     quotient: tuple = ()
 
     def __post_init__(self):
+        _check_construction(self.construction, len(self.factors))
         seen = set()
         for group in self.quotient:
             if not group:
@@ -448,12 +467,10 @@ def _construction_weights(factors, con: Construction):
         (i,) = con.args
         pairs = combinations_with_replacement if con.tag == "sym2" else combinations
         cells = [{i: tuple(map(add, a, b))} for a, b in pairs(factors[i].standard_weights(), 2)]
-    elif con.tag == "tensor":
+    else:  # tensor
         i, j = con.args
         cells = [{i: a, j: b} for a, b in product(factors[i].standard_weights(),
                                                    factors[j].standard_weights())]
-    else:
-        raise ValueError(f"unsupported construction {con.tag!r}")
     default = [(1,) if f.kind == U1 else (0,) * f.eps_rank for f in factors]
     return [tuple(cell.get(k, w) for k, w in enumerate(default)) for cell in cells]
 

@@ -521,7 +521,7 @@ def emit_report(report: VerificationReport, fmt: str = "text") -> str:
             "suite": report.suite,
             "anchor": report.anchor,
             "cases": [{**asdict(c), "anchor": report.anchor} for c in report.cases],
-            "config": {k: _jsonable(v) for k, v in sorted(report.config.items())},
+            "config": report.config,
             "seed": report.seed,
         }
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
@@ -544,14 +544,6 @@ def emit_report(report: VerificationReport, fmt: str = "text") -> str:
         lines.append(f"{npass}/{len(report.cases)} cases passed")
         return "\n".join(lines) + "\n"
     raise ConfigError(f"unknown format {fmt!r}")
-
-
-def _jsonable(v):
-    if isinstance(v, Fraction):
-        return str(v)
-    if isinstance(v, (list, tuple)):
-        return [_jsonable(x) for x in v]
-    return v
 
 
 # ---------------------------------------------------------------------------
@@ -592,11 +584,13 @@ _TIMING_WORDS = {"1": True, "true": True, "yes": True, "0": False, "false": Fals
                  "no": False}
 
 
-def _int(key, text):
+def _parse(kind, key, text):
+    """``kind(text)``, int or float, or a ConfigError naming the setting."""
     try:
-        return int(text)
+        return kind(text)
     except ValueError:
-        raise ConfigError(f"{key} must be an integer, got {text!r}") from None
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{key} must be {what}, got {text!r}") from None
 
 
 def _coerce(key, text):
@@ -608,9 +602,9 @@ def _coerce(key, text):
         parts = text.split(",")
         if len(parts) > 2:
             raise ConfigError(f"rank is 'n' or 'n,m', got {text!r}")
-        return {k: _int("rank", part) for k, part in zip(("rank", "rank2"), parts)}
+        return {k: _parse(int, "rank", part) for k, part in zip(("rank", "rank2"), parts)}
     if key in ("max_k", "rank2", "cutoff", "seed", "degree"):
-        value = _int(key, text)
+        value = _parse(int, key, text)
         if value < _MINIMUM.get(key, value):
             raise ConfigError(f"{key} must be >= {_MINIMUM[key]}, got {value}")
         return {key: value}
@@ -618,7 +612,7 @@ def _coerce(key, text):
         items = text.split(",") if text.strip() else []
         if not all(x.strip() for x in items):
             raise ConfigError(f"empty item in the t list {text!r}")
-        return {key: [float(x) for x in items]}
+        return {key: [_parse(float, "t", x) for x in items]}
     if key == "timing":
         if text.lower() not in _TIMING_WORDS:
             raise ConfigError(f"timing is one of {', '.join(_TIMING_WORDS)}; got {text!r}")
@@ -696,7 +690,7 @@ def main(argv=None) -> int:
     exp = sub.add_parser("export-ladder", help="write a degree ladder as JSON")
     exp.add_argument("--backend", required=True, choices=["un-poly", "sphere", "heisenberg"])
     exp.add_argument("--degree", default="2")
-    exp.add_argument("--t", type=float, default=1.0)
+    exp.add_argument("--t", default="1.0")
     exp.add_argument("--out", help="output path (stdout otherwise)")
 
     argv = list(sys.argv[1:] if argv is None else argv)
@@ -719,13 +713,14 @@ def main(argv=None) -> int:
     try:
         if args.command == "export-ladder":
             degree = _coerce("degree", args.degree)["degree"]
+            t = _parse(float, "t", args.t)
             _check_writable(args.out)
             if args.backend == "un-poly":
                 ladder = dirlim.un_polynomial_ladder(degree)
             elif args.backend == "sphere":
                 ladder = dirlim.sphere_ladder(degree)
             else:
-                ladder = dirlim.heisenberg_ladder(args.t, d=degree)
+                ladder = dirlim.heisenberg_ladder(t, d=degree)
             _write(dirlim.ladder_to_json(ladder) + "\n", args.out)
             return 0
         suite = args.suite or args.suite_flag

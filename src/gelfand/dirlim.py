@@ -32,7 +32,6 @@ from itertools import chain, combinations_with_replacement
 from math import comb
 
 from . import fock, numerics, symmpair
-from .exact import fr
 
 
 @dataclass(frozen=True)
@@ -43,8 +42,8 @@ class DegreeLadder:
     csq_pairs: dict  # (m, n) with m > n -> squared constant
 
     def __post_init__(self):
-        if tuple(sorted(self.levels)) != self.levels:
-            raise ValueError("levels must be sorted")
+        if any(a >= b for a, b in zip(self.levels, self.levels[1:])):
+            raise ValueError("levels must be strictly increasing")
         for n in self.levels:
             # NaN fails both comparisons
             if n not in self.degrees or not 0 < self.degrees[n] < math.inf:
@@ -56,10 +55,8 @@ class DegreeLadder:
 
     @cached_property
     def exact(self) -> bool:
-        """Whether every degree and squared constant is rational, so that
-        the identities are checked with residual exactly 0."""
-        return all(isinstance(x, (int, Fraction))
-                   for x in chain(self.degrees.values(), self.csq_pairs.values()))
+        """Whether the ladder's one number type is Fraction: residuals exactly 0."""
+        return all(isinstance(x, Fraction) for x in self.degrees.values())
 
     @property
     def base(self):
@@ -80,12 +77,15 @@ class DegreeLadder:
             raise KeyError(f"no constant for levels ({m}, {n})")
         return got
 
-    def c(self, m, n) -> float:
-        return math.sqrt(float(self.csq(m, n)))
-
 
 def make_ladder(backend, levels, degrees, csq_pairs) -> DegreeLadder:
-    return DegreeLadder(backend, tuple(sorted(levels)), dict(degrees), dict(csq_pairs))
+    """The one place a ladder's number type is decided: Fractions when every
+    degree and constant is an int or a Fraction, floats otherwise."""
+    values = chain(degrees.values(), csq_pairs.values())
+    number = Fraction if all(isinstance(x, (int, Fraction)) for x in values) else float
+    return DegreeLadder(backend, tuple(sorted(levels)),
+                        {n: number(x) for n, x in degrees.items()},
+                        {p: number(x) for p, x in csq_pairs.items()})
 
 
 def _pairs(levels):
@@ -220,7 +220,7 @@ def verify_commuting_square(ladder: DegreeLadder, m, n):
     if m < n:
         raise ValueError("need m >= n")
     degm, degn = ladder.deg(m), ladder.deg(n)
-    ratio = fr(degm) / degn
+    ratio = degm / degn
     plain = _rel_residual(degm, ratio * degn)
     tilde = _rel_residual(
         ladder.csq(m, ladder.base) * degm,
@@ -239,20 +239,15 @@ def verify_cocycle(ladder: DegreeLadder):
 def _verdict(ladder, residuals):
     """(ok, the largest residual): 0 exactly on an exact ladder, else
     within ``exact_identity``."""
-    worst = max(residuals, key=lambda x: float(abs(x)), default=0)
+    worst = max(residuals, key=abs, default=0)
     if ladder.exact:
         return worst == 0, worst
-    return float(abs(worst)) <= numerics.DEFAULT_TOLERANCES.exact_identity, worst
+    return abs(worst) <= numerics.DEFAULT_TOLERANCES.exact_identity, worst
 
 
 def _rel_residual(a, b):
     diff = a - b
-    if diff == 0:
-        return diff
-    scale = max(abs(a), abs(b))
-    if isinstance(diff, Fraction) and isinstance(scale, Fraction):
-        return diff / scale
-    return float(diff) / float(scale)
+    return diff and diff / max(abs(a), abs(b))
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +291,6 @@ def sphere_ladder(d: int, levels=(2, 3, 4, 5), method: str = "exact") -> DegreeL
     else:
         csq = {(m, n): symmpair.zonal_projection_constant(m, n, d, "quadrature") ** 2
                for m, n in _pairs(levels)}
-        degrees = {n: float(v) for n, v in degrees.items()}
     return make_ladder("sphere", levels, degrees, csq)
 
 
@@ -312,15 +306,13 @@ def heisenberg_ladder(t, d: int = 1, levels=(1, 2), method: str = "exact") -> De
     poly = un_polynomial_ladder(d, levels)
     csq = poly.csq_pairs
     if method == "exact":
-        ts = abs(fr(t)) if isinstance(t, (int, Fraction)) else abs(t)
-        degrees = {n: ts ** n * poly.deg(n) for n in levels}
+        degrees = {n: abs(t) ** n * poly.deg(n) for n in levels}
     elif method == "quadrature":
         degrees = {}
         for n in levels:
             zero = (0,) * n
-            diag = fock.coefficient_inner_product(float(t), (zero, zero), (zero, zero))
+            diag = fock.coefficient_inner_product(t, (zero, zero), (zero, zero))
             degrees[n] = poly.deg(n) / diag.real
-        csq = {k: float(v) for k, v in csq.items()}
     else:
         raise ValueError(f"unknown method {method!r}")
     return make_ladder("heisenberg", levels, degrees, csq)
@@ -332,30 +324,25 @@ def heisenberg_ladder(t, d: int = 1, levels=(1, 2), method: str = "exact") -> De
 
 
 def ladder_to_json(ladder: DegreeLadder) -> str:
-    """Float ladders store ``deg`` and ``c`` as numbers; exact ladders store
-    ``"exact": true`` with ``deg`` and ``csq`` as "p/q" strings, so they
-    read back as the same Fractions."""
-    levels = list(ladder.levels)
-    doc = {"backend": ladder.backend, "levels": levels}
-    if ladder.exact:
-        doc["exact"] = True
-        doc["deg"] = [str(ladder.deg(n)) for n in levels]
-        doc["csq"] = [[str(ladder.csq(m, n)) if m >= n else None for n in levels]
-                      for m in levels]
-    else:
-        doc["deg"] = [float(ladder.deg(n)) for n in levels]
-        doc["c"] = [[ladder.c(m, n) if m >= n else None for n in levels] for m in levels]
-    return json.dumps(doc, sort_keys=True)
+    """``deg`` per level and the level x level ``csq`` matrix, null above the
+    diagonal: "p/q" strings on an exact ladder and numbers on a float one,
+    so the file reads back as the same ladder."""
+    levels = ladder.levels
+    return json.dumps({"backend": ladder.backend, "levels": levels,
+                       "deg": [ladder.deg(n) for n in levels],
+                       "csq": [[ladder.csq(m, n) if m >= n else None for n in levels]
+                               for m in levels]}, sort_keys=True, default=str)
 
 
 def ladder_from_json(text: str) -> DegreeLadder:
+    """Strings read as Fractions and numbers as floats."""
     doc = json.loads(text)
     levels = doc["levels"]
     pos = {n: i for i, n in enumerate(levels)}
-    if doc.get("exact"):
-        degrees = {n: Fraction(x) for n, x in zip(levels, doc["deg"])}
-        csq = {(m, n): Fraction(doc["csq"][pos[m]][pos[n]]) for m, n in _pairs(levels)}
-    else:
-        degrees = {n: float(x) for n, x in zip(levels, doc["deg"])}
-        csq = {(m, n): doc["c"][pos[m]][pos[n]] ** 2 for m, n in _pairs(levels)}
+
+    def number(x):
+        return Fraction(x) if isinstance(x, str) else float(x)
+
+    degrees = {n: number(x) for n, x in zip(levels, doc["deg"])}
+    csq = {(m, n): number(doc["csq"][pos[m]][pos[n]]) for m, n in _pairs(levels)}
     return make_ladder(doc["backend"], levels, degrees, csq)

@@ -262,7 +262,7 @@ def matrix_exp(a: np.ndarray) -> np.ndarray:
     theta_13, take the [13/13] Pade approximant, square s times.
 
     No library code calls it: ``fock`` takes its chain exponentials from an
-    eigenbasis, and this stays as their oracle and as a benchmark layer."""
+    eigenbasis, and this stays as their oracle; no benchmark workload runs it."""
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix_exp needs a square matrix")

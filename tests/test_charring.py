@@ -1110,3 +1110,45 @@ def test_quotient_matches_the_three_mode_encoding_on_tensor_variants(mode):
 def test_group_datum_rejects_a_bad_quotient(factors, quotient):
     with pytest.raises(ValueError):
         GroupDatum(factors, Construction("standard", (0,)), quotient)
+
+
+_U2_U3 = (Factor(GL, 2), Factor(GL, 3))
+
+
+@pytest.mark.parametrize("construction,message", [
+    (Construction("bogus", (0,)), "unknown construction 'bogus'"),
+    (Construction("standard", (-1,)), r"cannot take args \(-1,\)"),
+    (Construction("standard", (2,)), r"index out of range in \(2,\)"),
+    (Construction("standard", (0, 1)), "cannot take args"),
+    (Construction("sym2", ()), "cannot take args"),
+    (Construction("lambda2", (0,), parts=(Construction("standard", (0,)),)),
+     "cannot take args \\(0,\\) and 1 parts"),
+    (Construction("tensor", (0, 0)), "cannot take args"),
+    (Construction("tensor", (0,)), "cannot take args"),
+    (Construction("tensor", (0, 2)), "index out of range"),
+    (Construction("trivial", (-1,)), "cannot take args"),
+    (Construction("trivial", (1, 2)), "cannot take args"),
+    (Construction("dsum", (0,)), "cannot take args"),
+    (Construction("dsum", parts=(Construction("standard", (0,)),
+                                 Construction("dsum", parts=(Construction("sym2", (5,)),)))),
+     "'sym2' has a factor index out of range"),
+], ids=["unknown-tag", "negative-index", "index-past-end", "standard-two-indices",
+        "sym2-no-index", "parts-outside-dsum", "tensor-repeated-index", "tensor-one-index",
+        "tensor-index-past-end", "negative-trivial", "trivial-two-dims", "dsum-with-args",
+        "nested-dsum-part"])
+def test_group_datum_rejects_a_bad_construction(construction, message):
+    with pytest.raises(ValueError, match=message):
+        GroupDatum(_U2_U3, construction)
+
+
+@pytest.mark.parametrize("row_id", _KAC_JAW_ROWS)
+def test_every_row_instance_passes_the_construction_check(row_id):
+    # _row_data skips every ValueError, so a rejected construction would hide
+    # among the rank-constraint errors
+    for r in range(1, 5):
+        for s in (None, 1, 2, 3, 4):
+            try:
+                tables.group_datum(row_id, r, s)
+            except ValueError as exc:
+                assert "rank constraint violated" in str(exc) or "needs a second rank" in str(exc)
+    assert _row_data(row_id)

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from gelfand import cli
 from gelfand.dirlim import (
     LadderedFunction,
     apply_nu,
@@ -26,6 +27,11 @@ from gelfand.dirlim import (
     verify_commuting_square,
     zeta_scale,
 )
+
+
+def _c(ladder, m, n):
+    """The projection constant c(m, n) itself, a surd on the exact ladders."""
+    return math.sqrt(float(ladder.csq(m, n)))
 
 
 # ---------------------------------------------------------------------------
@@ -49,8 +55,8 @@ def test_tilde_bounded_by_plain():
     for m in (3, 4):
         for n in (2, 3):
             if m >= n:
-                assert L.c(m, n) * zeta_scale(L, m, n) <= zeta_scale(L, m, n) + 1e-15
-    assert L.c(4, L.base) * eta_scale(L, 4) <= eta_scale(L, 4)
+                assert _c(L, m, n) * zeta_scale(L, m, n) <= zeta_scale(L, m, n) + 1e-15
+    assert _c(L, 4, L.base) * eta_scale(L, 4) <= eta_scale(L, 4)
 
 
 def test_missing_level_errors():
@@ -281,7 +287,7 @@ def test_json_roundtrip():
     for m in L.levels:
         for n in L.levels:
             if m >= n:
-                assert math.isclose(back.c(m, n), L.c(m, n), rel_tol=1e-12)
+                assert math.isclose(_c(back, m, n), _c(L, m, n), rel_tol=1e-12)
     ok, res = verify_cocycle(back)
     assert abs(float(res)) < 1e-12
 
@@ -302,10 +308,10 @@ def test_float_json_keeps_float_fields():
     ladder = heisenberg_ladder(0.5)
     assert not ladder.exact
     text = ladder_to_json(ladder)
-    assert set(json.loads(text)) == {"backend", "levels", "deg", "c"}
+    assert set(json.loads(text)) == {"backend", "levels", "deg", "csq"}
     back = ladder_from_json(text)
     assert not back.exact
-    assert math.isclose(back.c(2, 1), ladder.c(2, 1), rel_tol=1e-15)
+    assert _c(back, 2, 1) == _c(ladder, 2, 1)
     assert back.deg(2) == ladder.deg(2)
 
 
@@ -319,8 +325,9 @@ def test_ladder_of_ints_and_fractions_is_exact():
     assert type(ladder.csq(2, 2)) is Fraction
     assert verify_cocycle(ladder) == (True, Fraction(0))
     assert verify_commuting_square(ladder, 3, 2) == (True, Fraction(0))
-    ok, res = verify_commuting_square(ladder, 3, 1)  # int degrees, Fraction ratio
+    ok, res = verify_commuting_square(ladder, 3, 1)  # int degrees stored as Fractions
     assert ok and type(res) is Fraction
+    assert all(type(v) is Fraction for v in ladder.degrees.values())
 
 
 @pytest.mark.parametrize("where", ["degree", "constant"])
@@ -333,6 +340,7 @@ def test_one_float_makes_a_ladder_inexact(where):
     ladder = make_ladder("toy", (1, 2, 3), degrees, csq)
     assert not ladder.exact
     assert type(ladder.csq(2, 2)) is float
+    assert all(type(v) is float for v in (*ladder.degrees.values(), *ladder.csq_pairs.values()))
     ok, res = verify_cocycle(ladder)
     assert ok and res == 0
 
@@ -344,13 +352,49 @@ def test_json_roundtrip_returns_an_equal_ladder(exact):
     ladder = make_ladder("toy", (1, 2, 3), _TOY_DEGREES,
                          {p: number(v) for p, v in _TOY_CSQ.items()})
     text = ladder_to_json(ladder)
-    assert ("csq" in json.loads(text)) is exact
+    doc = json.loads(text)
+    assert set(doc) == {"backend", "levels", "deg", "csq"}
+    assert all(isinstance(x, str) is exact for x in doc["deg"])
     back = ladder_from_json(text)
     assert back == ladder
     assert back.exact is exact
+
+
+_TS = (1, Fraction(1, 2), -3, 0.7, 1.0, 2.0)
+_BUILDERS = ([(f"un-poly-{d}", lambda d=d: un_polynomial_ladder(d)) for d in range(6)]
+             + [(f"sphere-{m}-{d}", lambda d=d, m=m: sphere_ladder(d, method=m))
+                for m in ("exact", "quadrature") for d in range(6)]
+             + [(f"heisenberg-{m}-{str(t).replace('/', ':')}-{d}",
+                 lambda d=d, m=m, t=t: heisenberg_ladder(t, d, method=m))
+                for m in ("exact", "quadrature") for t in _TS for d in range(6)])
+
+
+@pytest.mark.parametrize("make", [make for _, make in _BUILDERS],
+                         ids=[name for name, _ in _BUILDERS])
+def test_every_builder_ladder_reads_back_as_itself(make):
+    ladder = make()
+    back = ladder_from_json(ladder_to_json(ladder))
+    assert back == ladder
+    assert back.exact is ladder.exact
+    number = Fraction if ladder.exact else float
+    assert all(type(v) is number for v in (*back.degrees.values(), *back.csq_pairs.values()))
+
+
+@pytest.mark.parametrize("backend, build", [
+    ("un-poly", lambda: un_polynomial_ladder(2)),
+    ("sphere", lambda: sphere_ladder(2)),
+    ("heisenberg", lambda: heisenberg_ladder(1.0, d=2)),
+], ids=["un-poly", "sphere", "heisenberg"])
+def test_export_ladder_file_reads_back_as_the_builder_ladder(backend, build, tmp_path):
+    out = tmp_path / "ladder.json"
+    assert cli.main(["export-ladder", "--backend", backend, "--out", str(out)]) == 0
+    assert ladder_from_json(out.read_text()) == build()
+
 
 def test_ladder_validation():
     with pytest.raises(ValueError):
         make_ladder("bad", (1, 2), {1: 1, 2: -1}, {(2, 1): Fraction(1, 2)})
     with pytest.raises(ValueError):
         make_ladder("bad", (1, 2), {1: 1, 2: 1}, {(2, 1): Fraction(3, 2)})
+    with pytest.raises(ValueError, match="levels must be strictly increasing"):
+        make_ladder("bad", (1, 1, 2), {1: 1, 2: 2}, {(2, 1): Fraction(1, 2)})

@@ -496,7 +496,8 @@ _SETTINGS = [
      [("1e3", "cutoff must be an integer, got '1e3'")]),
     ("seed", "--seed", "pfaffian", [], "0", [("", "seed must be an integer, got ''")]),
     ("t_values", "--t", "fock-orthogonality", [], "-0.5,1",
-     [("", "fock-orthogonality needs t values"), ("1,,2", "empty item in the t list '1,,2'")]),
+     [("", "fock-orthogonality needs t values"), ("1,,2", "empty item in the t list '1,,2'"),
+      ("1,abc", "t must be a number, got 'abc'")]),
     ("row", "--row", "carcano", ["--rank", "2", "--degree", "2"], "kac:2",
      [("", "row must not be empty")]),
     ("algebra", "--algebra", "pfaffian", [], "heis:2", [("", "algebra must not be empty")]),
@@ -563,6 +564,14 @@ def test_export_ladder_zero_t_is_a_config_error(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: t must be nonzero\n"
+
+
+@pytest.mark.parametrize("backend", ["heisenberg", "un-poly"])
+def test_export_ladder_malformed_t_is_one_error_line(backend, capsys):
+    assert cli.main(["export-ladder", "--backend", backend, "--t", "abc"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: t must be a number, got 'abc'\n"
 
 
 @pytest.mark.parametrize("t", ["inf", "nan"])
