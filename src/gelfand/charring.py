@@ -3,6 +3,9 @@ pieces of the nilmanifold constructions.
 
 Two layers live here.  The lower one works with a single classical root
 system: Freudenthal weight multiplicities, Brauer-Klimyk tensor products.
+Highest weights enter it as ``rootsys.weight_lattice`` gives them,
+(scale, integer tuple), and Freudenthal sums one root string per class of
+roots under the stabilizer W_mu of each dominant weight mu.
 The upper one handles product groups (classical factors plus circle factors)
 acting on a complex module through one of the constructions standard / S^2 /
 Lambda^2 / outer tensor, and decomposes symmetric powers of the dual module,
@@ -41,7 +44,7 @@ def weight_system(rs: rootsys.RootSystemData, weight: rootsys.DominantWeight):
     """Weight multiplicities of the irreducible module, by Freudenthal's
     recursion: a read-only {epsilon tuple: multiplicity} mapping."""
     rootsys.check_weight(rs, weight)
-    return WeightSystem(rs.family, *_freudenthal(rs, rootsys.weight_to_eps(rs, weight)))
+    return WeightSystem(rs.family, *_freudenthal(rs, *rootsys.weight_lattice(rs, weight)))
 
 
 class WeightSystem(Mapping):
@@ -105,51 +108,112 @@ class _WeightValues(ValuesView):
             yield from repeat(m, _orbit_size(ws.family, mu))
 
 
-def _freudenthal(rs: rootsys.RootSystemData, lam):
+def _freudenthal(rs: rootsys.RootSystemData, scale: int, lam):
     """Freudenthal recursion on the dominant weights of the integer lattice.
 
-    Uses |lam+rho|^2 - |mu+rho|^2 = |lam|^2 - |mu|^2 + <lam - mu, 2 rho>;
-    roots and 2 rho are integral, so only the denominators of ``lam`` are
-    cleared.  The weight system is Weyl-invariant, so multiplicities are
-    computed on dominant weights only, each root-string term being read at
-    its dominant conjugate (Moody-Patera).  Returns
-    (scale, {dominant integer tuple: multiplicity}), the keys being the
-    weights multiplied by ``scale``; ``WeightSystem`` reads them over their
-    Weyl orbits.
+    ``lam`` is the highest weight's epsilon tuple times ``scale``, in
+    integers, as ``rootsys.weight_lattice`` gives it.  Uses
+    |lam+rho|^2 - |mu+rho|^2 = |lam|^2 - |mu|^2 + <lam - mu, 2 rho>; roots
+    and 2 rho are integral, so they are only multiplied by ``scale``.  The
+    weight system is Weyl-invariant, so multiplicities are computed on
+    dominant weights only, each root-string term being read at its dominant
+    conjugate, and the string sum is the same for every root of a W_mu class
+    (Moody-Patera): one string is read per class and weighted by its size.
+    Returns (scale, {dominant integer tuple: multiplicity}), the keys being
+    the weights multiplied by ``scale``; ``WeightSystem`` reads them over
+    their Weyl orbits.
     """
-    family = rs.family
-    scale = lcm(*(fr(x).denominator for x in lam))
-    lam_i = tuple(int(x * scale) for x in lam)
-    roots_i = [tuple(x * scale for x in alpha) for alpha in rs.integral_positive_roots]
-    shift = tuple(x * scale for x in rs.two_rho)
+    family, rank = rs.family, rs.rank
+    simple, rows, _ = _root_tables(family, rank)
+    roots_i = [tuple(scale * x for x in alpha) for alpha in rs.integral_positive_roots]
+    # mu - alpha is dominant iff mu pairs with each simple root at least as
+    # alpha does, which needs checking only where alpha pairs positively
+    steps = [(alpha, tuple(scale * c for c in row),
+              [(i, scale * c) for i, c in enumerate(row) if c > 0])
+             for alpha, row in zip(roots_i, rows)]
+    shift = tuple(scale * x for x in rs.two_rho)
     # Stembridge: every dominant weight of the module is reached from lam by
     # subtracting positive roots through dominant weights
-    dominant = [lam_i]
-    seen = {lam_i}
+    dominant = [lam]
+    pairings = {lam: tuple(sum(map(mul, lam, psi)) for psi in simple)}
     for mu in dominant:
-        for alpha in roots_i:
-            nu = tuple(map(sub, mu, alpha))
-            if nu not in seen and _dominant(family, nu) == nu:
-                seen.add(nu)
-                dominant.append(nu)
+        p = pairings[mu]
+        for alpha, row, positive in steps:
+            if all(p[i] >= c for i, c in positive):
+                nu = tuple(map(sub, mu, alpha))
+                if nu not in pairings:
+                    pairings[nu] = tuple(map(sub, p, row))
+                    dominant.append(nu)
     # every string term mu + k alpha, and so its dominant conjugate, pairs
     # higher with 2 rho than mu does: its multiplicity is known before mu's
     dominant.sort(key=lambda mu: sum(map(mul, mu, shift)), reverse=True)
-    top = sum(a * (a + c) for a, c in zip(lam_i, shift))
-    mults = {lam_i: 1}
+    top = sum(a * (a + c) for a, c in zip(lam, shift))
+    mults = {lam: 1}
     for mu in dominant[1:]:
+        fixed = tuple(i for i, x in enumerate(pairings[mu]) if not x)
         total = 0
-        for alpha in roots_i:
+        for k, size in _root_classes(family, rank, fixed):
+            alpha = roots_i[k]
             nu = tuple(map(add, mu, alpha))
+            string = 0
             while (m := mults.get(_dominant(family, nu))) is not None:
-                total += m * sum(map(mul, nu, alpha))
+                string += m * sum(map(mul, nu, alpha))
                 nu = tuple(map(add, nu, alpha))
+            total += size * string
         num = 2 * total
         denom = top - sum(a * (a + c) for a, c in zip(mu, shift))
         if denom <= 0 or num % denom != 0 or num <= 0:
             raise ArithmeticError(f"Freudenthal produced a bad multiplicity {num}/{denom}")
         mults[mu] = num // denom
     return scale, mults
+
+
+@lru_cache(maxsize=None)
+def _root_tables(family: str, rank: int):
+    """Integer tables of the root system: the simple roots; per positive
+    root alpha (in ``integral_positive_roots`` order) its pairings
+    <alpha, alpha_i> with them; per simple reflection s_i the permutation
+    it makes of the positive roots taken up to sign, as root indices."""
+    rs = rootsys.build_root_system(family, rank)
+    roots = rs.integral_positive_roots
+    simple = tuple(tuple(map(int, psi)) for psi in rs.simple_roots)
+    rows = tuple(tuple(sum(map(mul, alpha, psi)) for psi in simple) for alpha in roots)
+    index = {alpha: k for k, alpha in enumerate(roots)}
+    index.update({tuple(-x for x in alpha): k for k, alpha in enumerate(roots)})
+    reflections = []
+    for i, psi in enumerate(simple):
+        norm = sum(map(mul, psi, psi))
+        images = (tuple(a - 2 * row[i] // norm * x for a, x in zip(alpha, psi))
+                  for alpha, row in zip(roots, rows))
+        reflections.append(tuple(map(index.__getitem__, images)))
+    return simple, rows, tuple(reflections)
+
+
+@lru_cache(maxsize=None)
+def _root_classes(family: str, rank: int, fixed: tuple):
+    """The classes of positive roots, taken up to sign, under the group W_mu
+    generated by the simple reflections s_i, i in ``fixed`` (the stabilizer
+    of a dominant mu whose zero pairings are ``fixed``, Humphreys 10.3):
+    (index of the first root of each class, class size), in root order.
+
+    The string sum S(alpha) = sum_k m(mu + k alpha) <mu + k alpha, alpha>
+    is W_mu-invariant, and S(-beta) = S(beta) when <mu, beta> = 0, so it is
+    constant on each class."""
+    reflections = _root_tables(family, rank)[2]
+    perms = [reflections[i] for i in fixed]
+    classes, seen = [], set()
+    for k in range(len(reflections[0])):
+        if k in seen:
+            continue
+        orbit = [k]
+        seen.add(k)
+        for j in orbit:
+            for perm in perms:
+                if perm[j] not in seen:
+                    seen.add(perm[j])
+                    orbit.append(perm[j])
+        classes.append((k, len(orbit)))
+    return tuple(classes)
 
 
 def _weyl_orbit(family: str, mu):
@@ -255,8 +319,8 @@ def tensor_decompose(rs: rootsys.RootSystemData, lam: rootsys.DominantWeight,
                      mu: rootsys.DominantWeight):
     """Brauer-Klimyk: run the weight system of mu against lam + rho.
 
-    Works on the integer lattice scaled by s = lcm(2 scale, denominators of
-    lam), ``scale`` being that of mu's weight system: s(lam + rho) + s nu
+    Works on the integer lattice scaled by s = lcm(2 scale, scale of lam),
+    ``scale`` being that of mu's weight system: s(lam + rho) + s nu
     is an integer tuple, its dominant conjugate less s rho is s times the
     target weight, and the target's coefficients are the coroot pairings
     2<target, alpha_i> / (s <alpha_i, alpha_i>), which must divide exactly.
@@ -264,14 +328,14 @@ def tensor_decompose(rs: rootsys.RootSystemData, lam: rootsys.DominantWeight,
     """
     rootsys.check_weight(rs, lam)
     rootsys.check_weight(rs, mu)
-    mults = WeightSystem(rs.family, *_freudenthal(rs, rootsys.weight_to_eps(rs, mu)))
+    mults = WeightSystem(rs.family, *_freudenthal(rs, *rootsys.weight_lattice(rs, mu)))
     scale = mults.scale
-    lam_eps = rootsys.weight_to_eps(rs, lam)
-    s = lcm(2 * scale, *(x.denominator for x in lam_eps))
+    lam_scale, lam_i = rootsys.weight_lattice(rs, lam)
+    s = lcm(2 * scale, lam_scale)
     step = s // scale
     shift = tuple(s // 2 * r for r in rs.two_rho)
-    base = tuple(int(s * x) + r for x, r in zip(lam_eps, shift))
-    simple = [tuple(map(int, alpha)) for alpha in rs.simple_roots]
+    base = tuple(s // lam_scale * x + r for x, r in zip(lam_i, shift))
+    simple = _root_tables(rs.family, rs.rank)[0]
     pairings = [(alpha, s * sum(map(mul, alpha, alpha))) for alpha in simple]
     out: dict = {}
     for nu, m in mults.lattice_items():
@@ -387,7 +451,7 @@ def _weyl_dimension_cached(family, rank, w):
 def _freudenthal_cached(family, rank, w):
     """Dominant weight multiplicities of the integral highest weight ``w``,
     integer keys, behind a read-only view (the dict is shared)."""
-    return MappingProxyType(_freudenthal(rootsys.build_root_system(family, rank), w)[1])
+    return MappingProxyType(_freudenthal(rootsys.build_root_system(family, rank), 1, w)[1])
 
 
 @dataclass(frozen=True)

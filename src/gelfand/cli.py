@@ -585,12 +585,19 @@ _TIMING_WORDS = {"1": True, "true": True, "yes": True, "0": False, "false": Fals
 
 
 def _parse(kind, key, text):
-    """``kind(text)``, int or float, or a ConfigError naming the setting."""
+    """``kind(text)``, int, float or ``_exact_or_float``, or a ConfigError
+    naming the setting."""
     try:
         return kind(text)
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         what = "an integer" if kind is int else "a number"
         raise ConfigError(f"{key} must be {what}, got {text!r}") from None
+
+
+def _exact_or_float(text):
+    """An integer or ``p/q`` as an exact Fraction; a number written with a
+    point or an exponent (or inf, nan) as a float."""
+    return Fraction(text) if re.fullmatch(r"\s*[+-]?\d+(/\d+)?\s*", text) else float(text)
 
 
 def _coerce(key, text):
@@ -690,7 +697,8 @@ def main(argv=None) -> int:
     exp = sub.add_parser("export-ladder", help="write a degree ladder as JSON")
     exp.add_argument("--backend", required=True, choices=["un-poly", "sphere", "heisenberg"])
     exp.add_argument("--degree", default="2")
-    exp.add_argument("--t", default="1.0")
+    exp.add_argument("--t", default="1.0",
+                     help="central parameter: an integer or p/q is exact, 1.0 a float")
     exp.add_argument("--out", help="output path (stdout otherwise)")
 
     argv = list(sys.argv[1:] if argv is None else argv)
@@ -713,7 +721,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "export-ladder":
             degree = _coerce("degree", args.degree)["degree"]
-            t = _parse(float, "t", args.t)
+            t = _parse(_exact_or_float, "t", args.t)
             _check_writable(args.out)
             if args.backend == "un-poly":
                 ladder = dirlim.un_polynomial_ladder(degree)

@@ -3,7 +3,10 @@
 Roots and weights live in the usual orthonormal-coordinate realization
 (ambient R^{l+1} for A_l, R^l otherwise); the invariant form is the Euclidean
 dot product there, so coroot pairings are exact Fractions; roots and 2 rho
-are integral, so Weyl dimension products are taken in integers.
+are integral.  A dominant weight enters the integer kernels once, as
+``weight_lattice`` reads it: (scale, integer tuple), its epsilon coordinates
+times their least common denominator; Weyl dimension products are then
+taken in integers.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 
 from .exact import fr
@@ -37,6 +40,14 @@ class RootSystemData:
     def two_rho(self):
         """2 rho, the sum of the positive roots, as an integer tuple."""
         return tuple(map(sum, zip(*self.integral_positive_roots)))
+
+    @cached_property
+    def integral_fundamental_weights(self):
+        """(D, the fundamental weights times D as integer tuples), D the least
+        common denominator of their entries: rank + 1 for A, 2 for B and D,
+        1 for C."""
+        d = lcm(*(x.denominator for xi in self.fundamental_weights for x in xi))
+        return d, tuple(tuple(int(d * x) for x in xi) for xi in self.fundamental_weights)
 
 
 @dataclass(frozen=True)
@@ -105,22 +116,26 @@ def check_weight(rs: RootSystemData, weight: DominantWeight) -> None:
                          f"the root system {rs.family}{rs.rank}")
 
 
-def weight_to_eps(rs: RootSystemData, weight: DominantWeight):
-    acc = [Fraction(0)] * rs.ambient_dim
-    for k, xi in zip(weight.coeffs, rs.fundamental_weights):
+def weight_lattice(rs: RootSystemData, weight: DominantWeight):
+    """(scale, integer tuple): the epsilon coordinates of ``weight`` times
+    scale, their least common denominator.  The sum of k_i times the
+    fundamental weights is taken on D times them, then divided by
+    g = gcd(D, entries), so scale = D / g."""
+    d, funds = rs.integral_fundamental_weights
+    acc = [0] * rs.ambient_dim
+    for k, xi in zip(weight.coeffs, funds):
         if k:
             acc = [a + k * x for a, x in zip(acc, xi)]
-    return tuple(acc)
+    g = gcd(d, *acc)
+    return d // g, tuple(a // g for a in acc)
 
 
-def weyl_dimension_eps(rs: RootSystemData, lam_eps) -> int:
-    """Product over positive roots of <lam+rho, alpha>/<rho, alpha>, in
-    integers: with s clearing the denominators of lam, each factor is
-    <2s lam + 2s rho, alpha>/<2s rho, alpha>."""
-    lam = tuple(map(fr, lam_eps))
-    s = lcm(*(x.denominator for x in lam))
+def _weyl_product(rs: RootSystemData, s: int, lam) -> int:
+    """Product over positive roots of <lam/s + rho, alpha>/<rho, alpha> for
+    the integer tuple ``lam``, in integers: each factor is
+    <2 lam + 2s rho, alpha>/<2s rho, alpha>."""
     two_rho = tuple(s * x for x in rs.two_rho)
-    top = tuple(int(2 * s * x) + r for x, r in zip(lam, two_rho))
+    top = tuple(2 * x + r for x, r in zip(lam, two_rho))
     num = den = 1
     for alpha in rs.integral_positive_roots:
         num *= sum(map(mul, top, alpha))
@@ -131,8 +146,15 @@ def weyl_dimension_eps(rs: RootSystemData, lam_eps) -> int:
     return val
 
 
+def weyl_dimension_eps(rs: RootSystemData, lam_eps) -> int:
+    """Product over positive roots of <lam+rho, alpha>/<rho, alpha> for the
+    epsilon tuple ``lam_eps``, s clearing its denominators."""
+    lam = tuple(map(fr, lam_eps))
+    s = lcm(*(x.denominator for x in lam))
+    return _weyl_product(rs, s, tuple(int(s * x) for x in lam))
+
+
 def weyl_dimension(rs: RootSystemData, weight: DominantWeight) -> int:
     """Product over positive roots of <lam+rho, alpha>/<rho, alpha>."""
     check_weight(rs, weight)
-    return weyl_dimension_eps(rs, weight_to_eps(rs, weight))
-
+    return _weyl_product(rs, *weight_lattice(rs, weight))

@@ -5,8 +5,8 @@ import random
 from fractions import Fraction
 from itertools import (accumulate, combinations, combinations_with_replacement, permutations,
                        product)
-from math import comb, lcm
-from operator import add
+from math import comb, gcd, lcm, prod
+from operator import add, mul, sub
 
 import pytest
 from hypothesis import assume, given, settings
@@ -14,11 +14,28 @@ from hypothesis import strategies as st
 
 from gelfand import charring, rootsys, tables
 from gelfand.charring import GL, SO, SP, U1, Construction, Factor, GroupDatum
-from gelfand.exact import dot
+from gelfand.exact import dot, fr
 
 
 def dw(family, rank, coeffs):
     return rootsys.DominantWeight(family, rank, tuple(coeffs))
+
+
+def _weight_to_eps(rs, weight):
+    """Reference: the epsilon coordinates of ``weight`` in Fractions, the
+    sum of its coefficients times the fundamental weights."""
+    acc = [Fraction(0)] * rs.ambient_dim
+    for k, xi in zip(weight.coeffs, rs.fundamental_weights):
+        if k:
+            acc = [a + k * x for a, x in zip(acc, xi)]
+    return tuple(acc)
+
+
+def _lattice(lam):
+    """(scale, integer tuple) of the epsilon tuple ``lam``, scale the least
+    common denominator of its entries."""
+    scale = lcm(*(Fraction(x).denominator for x in lam))
+    return scale, tuple(int(x * scale) for x in lam)
 
 
 # ---------------------------------------------------------------------------
@@ -115,8 +132,7 @@ def _full_lattice_freudenthal(rs, lam):
     """Reference: Freudenthal's recursion on every weight of the module,
     breadth-first by height from ``lam``, on the same integer lattice and
     with the same (scale, {integer tuple: multiplicity}) result."""
-    scale = lcm(*(Fraction(x).denominator for x in lam))
-    lam_i = tuple(int(x * scale) for x in lam)
+    scale, lam_i = _lattice(lam)
     roots_i = [tuple(int(x) * scale for x in alpha) for alpha in rs.positive_roots]
     simple_i = [tuple(int(x) * scale for x in psi) for psi in rs.simple_roots]
     shift = tuple(map(sum, zip(*roots_i)))
@@ -154,7 +170,7 @@ def _full_lattice_freudenthal(rs, lam):
 def _assert_kernels_agree(family, rank, lam):
     # the kernel keeps dominant weights only; their Weyl orbits are the rest
     rs = rootsys.build_root_system(family, rank)
-    scale, dominant = charring._freudenthal(rs, lam)
+    scale, dominant = charring._freudenthal(rs, *_lattice(lam))
     assert all(charring._dominant(family, mu) == mu for mu in dominant)
     mults = {nu: m for mu, m in dominant.items() for nu in charring._weyl_orbit(family, mu)}
     assert (scale, mults) == _full_lattice_freudenthal(rs, lam)
@@ -169,10 +185,10 @@ def test_dominant_freudenthal_matches_full_lattice(data):
     coeffs = data.draw(st.lists(st.integers(min_value=0, max_value=3),
                                 min_size=rank, max_size=rank).filter(lambda c: sum(c) <= 4))
     rs = rootsys.build_root_system(family, rank)
-    _assert_kernels_agree(family, rank, rootsys.weight_to_eps(rs, dw(family, rank, coeffs)))
+    _assert_kernels_agree(family, rank, _weight_to_eps(rs, dw(family, rank, coeffs)))
 
 
-@pytest.mark.parametrize("family,rank,coeffs", [
+SPECIAL_WEIGHTS = [
     # spin weights, scale 2
     ("B", 2, (0, 1)), ("B", 3, (0, 0, 1)), ("B", 3, (1, 0, 1)), ("B", 3, (0, 1, 3)),
     ("D", 3, (0, 0, 1)), ("D", 4, (0, 0, 0, 1)), ("D", 4, (1, 0, 0, 1)),
@@ -182,16 +198,119 @@ def test_dominant_freudenthal_matches_full_lattice(data):
     ("D", 2, (2, 0)), ("D", 2, (3, 1)),
     # fractional ambient coordinates: (2/3, -1/3, -1/3), (1/2, 1/2, -1/2, -1/2)
     ("A", 2, (1, 0)), ("A", 2, (2, 1)), ("A", 3, (0, 1, 0)), ("A", 3, (2, 0, 1)),
-])
+]
+GL_WEIGHTS = [(2, 1, 0), (1, 1, -2), (3, 0, 0)]
+
+
+@pytest.mark.parametrize("family,rank,coeffs", SPECIAL_WEIGHTS)
 def test_dominant_freudenthal_special_weights(family, rank, coeffs):
     rs = rootsys.build_root_system(family, rank)
-    _assert_kernels_agree(family, rank, rootsys.weight_to_eps(rs, dw(family, rank, coeffs)))
+    _assert_kernels_agree(family, rank, _weight_to_eps(rs, dw(family, rank, coeffs)))
 
 
-@pytest.mark.parametrize("lam", [(2, 1, 0), (1, 1, -2), (3, 0, 0)])
+@pytest.mark.parametrize("lam", GL_WEIGHTS)
 def test_dominant_freudenthal_gl_weights_with_a_trace(lam):
     # Factor.dominant_multiplicities hands full gl weights to the A kernel
     _assert_kernels_agree("A", 2, lam)
+
+
+# ---------------------------------------------------------------------------
+# the integer kernel against the one it replaced
+# ---------------------------------------------------------------------------
+
+
+def _unreduced_freudenthal(rs, lam):
+    """Reference: the dominant-weight kernel as it stood with ``Fraction``
+    weights, on the epsilon tuple ``lam``: dominance tested by
+    ``_dominant`` on each candidate, and every positive root's string read
+    for every dominant weight."""
+    family = rs.family
+    scale = lcm(*(fr(x).denominator for x in lam))
+    lam_i = tuple(int(x * scale) for x in lam)
+    roots_i = [tuple(x * scale for x in alpha) for alpha in rs.integral_positive_roots]
+    shift = tuple(x * scale for x in rs.two_rho)
+    dominant = [lam_i]
+    seen = {lam_i}
+    for mu in dominant:
+        for alpha in roots_i:
+            nu = tuple(map(sub, mu, alpha))
+            if nu not in seen and charring._dominant(family, nu) == nu:
+                seen.add(nu)
+                dominant.append(nu)
+    dominant.sort(key=lambda mu: sum(map(mul, mu, shift)), reverse=True)
+    top = sum(a * (a + c) for a, c in zip(lam_i, shift))
+    mults = {lam_i: 1}
+    for mu in dominant[1:]:
+        total = 0
+        for alpha in roots_i:
+            nu = tuple(map(add, mu, alpha))
+            while (m := mults.get(charring._dominant(family, nu))) is not None:
+                total += m * sum(map(mul, nu, alpha))
+                nu = tuple(map(add, nu, alpha))
+        num = 2 * total
+        denom = top - sum(a * (a + c) for a, c in zip(mu, shift))
+        if denom <= 0 or num % denom != 0 or num <= 0:
+            raise ArithmeticError(f"Freudenthal produced a bad multiplicity {num}/{denom}")
+        mults[mu] = num // denom
+    return scale, mults
+
+
+KERNEL_SYSTEMS = [("A", n) for n in range(1, 7)] + [(f, n) for f in "BCD" for n in range(2, 7)]
+
+
+def _kernel_grid(family, rank):
+    """Every dominant weight with coefficient sum <= 3 up to rank 4 and
+    <= 2 at ranks 5-6, then the special weights of the system."""
+    bound = 3 if rank <= 4 else 2
+    grid = [dw(family, rank, c) for c in _grid(rank, bound) if sum(c) <= bound]
+    return grid + [dw(f, r, c) for f, r, c in SPECIAL_WEIGHTS if (f, r) == (family, rank)]
+
+
+@pytest.mark.parametrize("family,rank", KERNEL_SYSTEMS)
+def test_kernel_matches_the_unreduced_recursion(family, rank, cold_caches):
+    # the same scale, multiplicities and dominant-weight order, so the same
+    # weight systems in the same key order
+    rs = rootsys.build_root_system(family, rank)
+    cases = [(rootsys.weight_lattice(rs, w), _weight_to_eps(rs, w))
+             for w in _kernel_grid(family, rank)]
+    if (family, rank) == ("A", 2):
+        cases += [((1, lam), lam) for lam in GL_WEIGHTS]
+    for (scale, lam), eps in cases:
+        got, want = charring._freudenthal(rs, scale, lam), _unreduced_freudenthal(rs, eps)
+        assert got == want and list(got[1]) == list(want[1]), eps
+
+
+@pytest.mark.parametrize("family,rank", KERNEL_SYSTEMS)
+def test_weight_lattice_matches_the_fraction_route(family, rank):
+    rs = rootsys.build_root_system(family, rank)
+    rho = _rho(rs)
+    for w in _kernel_grid(family, rank):
+        scale, ints = rootsys.weight_lattice(rs, w)
+        eps = _weight_to_eps(rs, w)
+        assert tuple(Fraction(a, scale) for a in ints) == eps
+        assert gcd(scale, *ints) == 1
+        shifted = tuple(a + r for a, r in zip(eps, rho))
+        weyl = prod(dot(shifted, alpha) / dot(rho, alpha) for alpha in rs.positive_roots)
+        assert rootsys.weyl_dimension(rs, w) == weyl == rootsys.weyl_dimension_eps(rs, eps)
+    with pytest.raises(ValueError):
+        rootsys.weyl_dimension(rootsys.build_root_system("C", 2), dw("B", 2, (0, 1)))
+
+
+@pytest.mark.parametrize("family,rank", [(f, n) for f in "ABCD"
+                                         for n in range(2 if f == "D" else 1, 7)])
+def test_root_classes_partition_the_positive_roots(family, rank):
+    count = len(rootsys.build_root_system(family, rank).positive_roots)
+    for size in range(rank + 1):
+        for fixed in combinations(range(rank), size):
+            classes = charring._root_classes(family, rank, fixed)
+            assert sum(n for _, n in classes) == count, fixed
+            assert [k for k, _ in classes] == sorted({k for k, _ in classes})
+    assert charring._root_classes(family, rank, ()) == tuple((k, 1) for k in range(count))
+    # the whole Weyl group: one orbit per root length
+    orbits = sorted(n for _, n in charring._root_classes(family, rank, tuple(range(rank))))
+    expected = {"A": [count], "B": [rank, rank * (rank - 1)], "C": [rank, rank * (rank - 1)],
+                "D": [count] if rank >= 3 else [1, 1]}[family]
+    assert orbits == sorted(n for n in expected if n)
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +450,7 @@ def _rho(rs):
 def _fraction_brauer_klimyk(rs, lam, mu):
     """Brauer-Klimyk in Fractions, one ``_eps_to_coeffs`` per weight of mu:
     the reference for the integer-lattice ``tensor_decompose``."""
-    lam_eps = rootsys.weight_to_eps(rs, lam)
+    lam_eps = _weight_to_eps(rs, lam)
     rho = _rho(rs)
     out = {}
     for nu, m in charring.weight_system(rs, mu).items():
@@ -371,7 +490,7 @@ def _eager_weight_system(rs, weight):
     into one dict on the integer lattice, then its keys made ``Fraction``
     epsilon tuples."""
     rootsys.check_weight(rs, weight)
-    scale, dominant = charring._freudenthal(rs, rootsys.weight_to_eps(rs, weight))
+    scale, dominant = charring._freudenthal(rs, *rootsys.weight_lattice(rs, weight))
     mults = {nu: m for mu, m in dominant.items() for nu in charring._weyl_orbit(rs.family, mu)}
     frac = {x: Fraction(x, scale) for x in {x for mu in mults for x in mu}}
     return {tuple(map(frac.__getitem__, mu)): m for mu, m in mults.items()}

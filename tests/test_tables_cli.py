@@ -574,6 +574,32 @@ def test_export_ladder_malformed_t_is_one_error_line(backend, capsys):
     assert captured.err == "error: t must be a number, got 'abc'\n"
 
 
+@pytest.mark.parametrize("t,deg,csq", [
+    ("1", ["1", "3"], "1/3"),
+    ("2/3", ["2/3", "4/3"], "1/3"),
+    ("1.0", [1.0, 3.0], 0.3333333333333333),
+])
+def test_export_ladder_integer_or_ratio_t_is_exact(t, deg, csq, capsys):
+    # an integer or p/q t gives the exact ladder; a t with a point stays float
+    assert cli.main(["export-ladder", "--backend", "heisenberg", "--t", t]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["deg"] == deg and doc["csq"][1][0] == csq
+
+
+def test_export_ladder_default_t_is_the_float_ladder(capsys):
+    assert cli.main(["export-ladder", "--backend", "heisenberg"]) == 0
+    assert capsys.readouterr().out == (
+        '{"backend": "heisenberg", "csq": [[1.0, null], [0.3333333333333333, 1.0]], '
+        '"deg": [1.0, 3.0], "levels": [1, 2]}\n')
+
+
+def test_export_ladder_zero_denominator_t_is_one_error_line(capsys):
+    assert cli.main(["export-ladder", "--backend", "heisenberg", "--t", "1/0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: t must be a number, got '1/0'\n"
+
+
 @pytest.mark.parametrize("t", ["inf", "nan"])
 def test_export_ladder_non_finite_t_is_a_config_error(t, tmp_path, capsys):
     out = tmp_path / "ladder.json"
