@@ -319,8 +319,6 @@ def coefficient_inner_product(t: float, pair_left, pair_right) -> complex:
     n = len(l1)
     if not (len(m1) == len(l2) == len(m2) == n):
         raise ValueError("index lengths disagree")
-    if n > 2:
-        raise ValueError("plane-product quadrature is limited to n <= 2")
     check_t(t)
     total = 1.0 + 0.0j
     for j in range(n):
@@ -362,11 +360,11 @@ def _grid_pairing(l1, m1, l2, m2, order):
 
 
 def regular_norm_sq(n: int, k: int):
-    """Exact (k+n)!/2^{k+n} with its quadrature companion."""
+    """(quadrature, exact) values of (k+n)!/2^{k+n}, in the order of
+    ``numerics.gamma_moment``."""
     if n < 0 or k < 0:
         raise ValueError("need n, k >= 0")
-    quad, exact = numerics.gamma_moment(k + n)
-    return exact, quad
+    return numerics.gamma_moment(k + n)
 
 
 def _add_into(acc, key, coeffs):

@@ -250,8 +250,10 @@ class PfaffianPolynomial:
 
 
 def pfaffian_polynomial(alg: TwoStepAlgebra) -> PfaffianPolynomial:
-    """Pf(B(t)) as an exact polynomial; vanishes at t = 0 whenever there is
-    any flat part, and squares to det B(t).
+    """Pf(B(t)) as an exact polynomial, which squares to det B(t).  It is
+    homogeneous of degree dim_v/2, each step multiplying by one linear form,
+    so it vanishes at t = 0 whenever there is any flat part; an odd dim_v
+    gives no terms.
 
     Memoized Laplace expansion along the first of the remaining indices,
     which stay sorted, so each entry B_ij(t) = t([v_i, v_j]) with i < j is a
@@ -281,8 +283,6 @@ def pfaffian_polynomial(alg: TwoStepAlgebra) -> PfaffianPolynomial:
         return got
 
     terms = expand(tuple(range(alg.dim_v))) if alg.dim_v % 2 == 0 else {}
-    if alg.dim_v > 0 and (0,) * nz in terms:
-        raise ArithmeticError("Pfaffian polynomial must vanish at the origin")
     return PfaffianPolynomial(MultiPoly(nz, {m: Fraction(c, d ** half) for m, c in terms.items()}))
 
 
@@ -321,7 +321,8 @@ def dump_algebra(alg: TwoStepAlgebra) -> str:
 
 
 def load_algebra(text: str) -> TwoStepAlgebra:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
+    """Read the ``dump_algebra`` format; '#' starts a comment."""
+    lines = [ln for ln in (raw.split("#", 1)[0].strip() for raw in text.splitlines()) if ln]
     if not lines:
         raise ValueError("empty algebra definition")
     head = lines[0].split()

@@ -255,15 +255,12 @@ def test_promotion_consistency_sphere_quadrature():
 
 
 def test_promotion_consistency_heisenberg_quadrature():
-    # the plane-product quadrature stops at n = 2, so the quadrature ladder
-    # has no level above its base to promote from: this checks rounding
-    # only, and the constants it shares with the un-poly ladder are checked
-    # above
-    L = heisenberg_ladder(1.0, d=1, levels=(1, 2), method="quadrature")
-    f = LadderedFunction.make("heisenberg", 1, {0: 1.0, 1: -2.0}, kind="invariant")
-    val1 = limit_inner_product(L, f, f)
-    val2 = limit_inner_product(L, apply_nu(L, f, 2), apply_nu(L, f, 2))
-    assert abs(val1 - val2) <= 1e-9 * abs(val1)
+    # from level 2, above the base 1, the pairing needs csq(3, 1) = csq(3, 2) csq(2, 1)
+    L = heisenberg_ladder(1.0, d=1, levels=(1, 2, 3), method="quadrature")
+    f = LadderedFunction.make("heisenberg", 2, {0: 1.0, 1: -2.0}, kind="invariant")
+    val2 = limit_inner_product(L, f, f)
+    val3 = limit_inner_product(L, apply_nu(L, f, 3), apply_nu(L, f, 3))
+    assert abs(val2 - val3) <= 1e-9 * abs(val2)
 
 
 def test_heisenberg_quadrature_degree_ratio_matches_closed_form():

@@ -366,8 +366,14 @@ def test_diagonal_value_times_degree_is_constant():
 def test_n_two_inner_product_and_pre():
     val = coefficient_inner_product(1.0, ((0, 0), (0, 0)), ((0, 0), (0, 0)))
     assert abs(val - math.pi ** 2) < 1e-6
-    with pytest.raises(ValueError):
-        coefficient_inner_product(1.0, ((0, 0, 0), (0, 0, 0)), ((0, 0, 0), (0, 0, 0)))
+    # the integrand is a product over coordinates, so any n is a product of
+    # plane pairings: the n = 3 diagonal is (pi/|t|)^3, distinct pairs are 0
+    for t in (0.5, 1.0, 2.0, -1.0):
+        for p in (((0, 0, 0), (0, 0, 0)), ((1, 0, 2), (0, 1, 2))):
+            val = coefficient_inner_product(t, p, p)
+            assert abs(val - (math.pi / abs(t)) ** 3) <= 1e-12 * (math.pi / abs(t)) ** 3
+        off = coefficient_inner_product(t, ((1, 0, 2), (0, 1, 2)), ((1, 0, 2), (0, 1, 1)))
+        assert abs(off) < 1e-8
 
 
 # acceptance criterion 3's index pairs
@@ -408,12 +414,12 @@ def test_a_second_t_reuses_the_grid_sums(cold_caches):
 
 
 def test_regular_norm_values():
-    exact, quad = regular_norm_sq(1, 0)
+    quad, exact = regular_norm_sq(1, 0)
     assert exact == Fraction(1, 2)
     assert abs(quad - 0.5) < 1e-10
-    exact, quad = regular_norm_sq(0, 0)
+    quad, exact = regular_norm_sq(0, 0)
     assert exact == 1
-    exact, quad = regular_norm_sq(1, 3)
+    quad, exact = regular_norm_sq(1, 3)
     assert exact == Fraction(3, 2)
     assert abs(quad - 1.5) < 1e-10
 

@@ -474,14 +474,16 @@ def test_pfaffian_polynomial_matches_the_matrix_expansion_on_random_algebras():
 
 def test_pfaffian_polynomial_is_homogeneous_of_degree_half_dim_v():
     # each expansion step multiplies by one linear form, so every term has
-    # degree dim_v/2 >= 1 when dim_v > 0: the constant-term (origin) check
-    # in pfaffian_polynomial has nothing to catch
+    # degree dim_v // 2, which is >= 1 when dim_v > 0: the Pfaffian vanishes
+    # at the origin with no check of its own; an odd dim_v gives no terms
     algebras = [tables.algebra(spec) for spec in _ORACLE_SPECS]
     algebras += [_random_algebra(seed) for seed in range(40)]
+    assert any(alg.dim_v % 2 for alg in algebras)
     nonzero = 0
     for alg in algebras:
         terms = pfaffian_polynomial(alg).poly.terms
-        assert all(2 * sum(mono) == alg.dim_v for mono in terms), alg.dim_v
+        assert all(sum(mono) == alg.dim_v // 2 for mono in terms), alg.dim_v
+        assert not (alg.dim_v % 2 and terms), alg.dim_v
         nonzero += bool(terms)
     assert nonzero >= 20
 

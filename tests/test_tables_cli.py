@@ -673,6 +673,10 @@ def test_ladders_degree_zero_checks_a_sphere_ladder(monkeypatch, capsys):
     assert 0 in degrees
 
 
+def _ladders_cases():
+    return {c.case_id: c for c in cli.run_suite("ladders", dict(cli.DEFAULTS)).cases}
+
+
 def test_limit_pairing_promotion_fails_on_a_broken_cocycle(monkeypatch):
     # promoted from the base level the pairing is csq(m, base) / csq(m, base)
     # whatever the constants are; from level 2 it needs csq(3,1) = csq(3,2) csq(2,1)
@@ -687,10 +691,72 @@ def test_limit_pairing_promotion_fails_on_a_broken_cocycle(monkeypatch):
         return dirlim.make_ladder(ladder.backend, ladder.levels, ladder.degrees, pairs)
 
     monkeypatch.setattr(dirlim, "un_polynomial_ladder", halved)
-    cases = {c.case_id: c for c in cli.run_suite("ladders", dict(cli.DEFAULTS)).cases}
-    promotion = cases["limit-pairing-promotion"]
+    promotion = _ladders_cases()["limit-pairing-promotion"]
     assert promotion.status == "fail"
     assert promotion.actual == "exact promotion drift at degree 2, level 3"
+
+
+def test_limit_pairing_promotion_fails_on_a_broken_heisenberg_cocycle(monkeypatch,
+                                                                      cold_caches):
+    # the flat-model function starts at level 2, above the base 1, so a wrong
+    # csq(2, 1) breaks csq(3, 1) = csq(3, 2) csq(2, 1) and shows as drift
+    real = dirlim.make_ladder
+
+    def halved(backend, levels, degrees, csq_pairs):
+        if backend == "heisenberg":
+            csq_pairs = {**csq_pairs, (2, 1): csq_pairs[(2, 1)] / 2}
+        return real(backend, levels, degrees, csq_pairs)
+
+    monkeypatch.setattr(dirlim, "make_ladder", halved)
+    promotion = _ladders_cases()["limit-pairing-promotion"]
+    assert promotion.status == "fail"
+    assert promotion.actual == "flat-model promotion drift 2.500e-01"
+
+
+def test_unitary_polynomial_ladder_fails_on_a_wrong_constant_formula(monkeypatch,
+                                                                     cold_caches):
+    # (q(n)/q(m))^2 is still of the form g(n)/g(m), so every cocycle and
+    # promotion holds: only the enumeration route can catch the formula
+    real = dirlim.un_polynomial_ladder
+
+    def squared(d, levels=(1, 2, 3, 4)):
+        ladder = real(d, levels)
+        return dirlim.make_ladder(ladder.backend, ladder.levels, ladder.degrees,
+                                  {p: c * c for p, c in ladder.csq_pairs.items()})
+
+    monkeypatch.setattr(dirlim, "un_polynomial_ladder", squared)
+    cases = _ladders_cases()
+    assert cases["unitary-polynomial-ladder"].status == "fail"
+    assert cases["unitary-polynomial-ladder"].actual.startswith("routes disagree at d=1")
+    assert cases["limit-pairing-promotion"].status == "pass"
+
+
+def test_sphere_ladder_cocycle_fails_on_one_scaled_entry(monkeypatch, cold_caches):
+    real = dirlim.sphere_ladder
+
+    def scaled(d, levels=(2, 3, 4, 5), method="exact"):
+        ladder = real(d, levels, method)
+        pairs = dict(ladder.csq_pairs)
+        if pairs.get((5, 2), 1) < 1 / 1.01:
+            pairs[(5, 2)] *= 1.01
+        return dirlim.make_ladder(ladder.backend, ladder.levels, ladder.degrees, pairs)
+
+    monkeypatch.setattr(dirlim, "sphere_ladder", scaled)
+    case = _ladders_cases()["sphere-ladder-cocycle"]
+    assert case.status == "fail"
+    assert case.actual.startswith("worst cocycle residual 9.9")
+
+
+@pytest.mark.parametrize("comment", ["  # note\n0 1 0 1\n", "0 1 0 1 # note\n"],
+                         ids=["indented-line", "inline"])
+def test_algebra_file_comments_read_as_in_a_config_file(comment, tmp_path, capsys):
+    path = tmp_path / "plane.alg"
+    path.write_text("2 1\n0 1 0 1\n")
+    assert cli.main(["verify", "pfaffian", "--algebra", str(path)]) == 0
+    plain = capsys.readouterr().out
+    path.write_text("# a Heisenberg plane\n2 1\n" + comment)
+    assert cli.main(["verify", "pfaffian", "--algebra", str(path)]) == 0
+    assert capsys.readouterr().out == plain
 
 
 def test_export_ladder_roundtrips(tmp_path):
