@@ -10,13 +10,16 @@ polynomials against closed-form moments) is asserted by the test suite rather
 than re-derived here.
 
 Each Gauss rule is computed once and shared as ``(nodes, weights)``, two
-read-only float64 arrays.  Sphere sums are numpy pairwise reductions, not BLAS
-dot products, so they do not depend on the BLAS thread count.
+read-only float64 arrays.  So is each sphere product rule ``(points,
+weights)``, with its points stored coordinate-major: each coordinate over all
+points is one contiguous row.  Sphere sums are numpy pairwise reductions, not
+BLAS dot products, so they do not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -70,8 +73,10 @@ class QuadratureError(RuntimeError):
 
 
 def _read_only(nodes, weights):
-    """The rule as float64 arrays no caller can write into the shared copy."""
-    nodes, weights = np.array(nodes, dtype=float), np.array(weights, dtype=float)
+    """The rule as float64 arrays no caller can write into the shared copy.
+    Arrays a rule builder made itself are frozen in place, not copied, so
+    they keep their memory layout."""
+    nodes, weights = np.asarray(nodes, dtype=float), np.asarray(weights, dtype=float)
     nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
 
@@ -202,42 +207,54 @@ def gaussian_plane_integral(f, scale: float):
 def sphere_product_rule(n_ambient: int, order: int):
     """Product quadrature on S^{N-1} with the *normalized* measure.
 
-    Returns (points, weights) as numpy arrays; points has shape (k, N).
-    Spherical coordinates with Gauss-Jacobi rules in each polar angle and a
-    trapezoid-free uniform rule in the final azimuthal angle (exact for
-    trigonometric polynomials of degree < #nodes).  Each polar level is one
-    broadcast: node j carries the whole sub-rule, its points scaled by
-    sqrt(1 - x_j^2) and its weights by w_j / sum(w).
+    Returns (points, weights), read-only float64 arrays computed once per
+    (N, order) and shared; points has shape (k, N) and is the transpose of a
+    C-contiguous (N, k) array, so ``points.T[i]``, coordinate i at every
+    point, is contiguous.  Spherical coordinates with Gauss-Jacobi rules in
+    each polar angle and a trapezoid-free uniform rule in the final
+    azimuthal angle (exact for trigonometric polynomials of degree < #nodes).
+    ``order`` must be an integer >= 1.
     """
     if n_ambient < 2:
         raise ValueError("need ambient dimension >= 2")
+    if isinstance(order, bool) or not isinstance(order, numbers.Integral) or order < 1:
+        raise ValueError(f"quadrature order must be an integer >= 1, got {order!r}")
+    return _sphere_product_rule(n_ambient, order)
+
+
+@lru_cache(maxsize=None)
+def _sphere_product_rule(n_ambient, order):
+    """The rule of ``sphere_product_rule``, built coordinate-major.  Each
+    polar level is one broadcast: node j carries the whole sub-rule, its
+    coordinate rows scaled by sqrt(1 - x_j^2) and its weights by
+    w_j / sum(w)."""
     if n_ambient == 2:
         k = max(4 * order, 8)
         ang = 2 * math.pi * np.arange(k) / k
-        pts = np.stack([np.cos(ang), np.sin(ang)], axis=1)
-        return pts, np.full(k, 1.0 / k)
+        return _read_only(np.stack([np.cos(ang), np.sin(ang)]).T, np.full(k, 1.0 / k))
     # x1 = cos(theta) with density (1-x1^2)^{(N-3)/2} on [-1, 1]
     a = (n_ambient - 3) / 2.0
     nodes, weights = gauss_jacobi(order, a, a)
     sub_pts, sub_wts = sphere_product_rule(n_ambient - 1, order)
-    pts = np.empty((len(nodes), len(sub_pts), n_ambient))
-    pts[:, :, 0] = nodes[:, None]
-    pts[:, :, 1:] = np.sqrt(np.maximum(0.0, 1 - nodes * nodes))[:, None, None] * sub_pts
+    coords = np.empty((n_ambient, len(nodes), len(sub_wts)))
+    coords[0] = nodes[:, None]
+    coords[1:] = np.sqrt(np.maximum(0.0, 1 - nodes * nodes))[None, :, None] * sub_pts.T[:, None, :]
     # left to right, not np.sum's pairwise order: the golden residuals rest on these bits
     total = sum(weights.tolist())
-    return pts.reshape(-1, n_ambient), np.outer(weights / total, sub_wts).ravel()
+    return _read_only(coords.reshape(n_ambient, -1).T, np.outer(weights / total, sub_wts).ravel())
 
 
 def integrate_sphere(f, n_ambient: int, order: int):
     """Integrate f over S^{N-1} against the normalized measure.
 
-    ``f`` is called once with the coordinates as an (N, k) array, so
-    ``x[i]`` is coordinate i at all k rule points, and returns the k values
-    (a scalar is broadcast) as one float.  It may instead return a stack of
-    value rows, a list of r arrays of k values, to integrate r functions on
-    one rule; the result is then a list of r floats, each row summed with
-    the weights exactly as a single-row call would.  Each sum is a pairwise
-    ``np.add.reduce``, not a BLAS dot product: the same bits at any thread count.
+    ``f`` is called once with the coordinates as a read-only (N, k) array,
+    so ``x[i]`` is coordinate i at all k rule points, one contiguous row,
+    and returns the k values (a scalar is broadcast) as one float.  It may
+    instead return a stack of value rows, a list of r arrays of k values, to
+    integrate r functions on one rule; the result is then a list of r
+    floats, each row summed with the weights exactly as a single-row call
+    would.  Each sum is a pairwise ``np.add.reduce``, not a BLAS dot
+    product: the same bits at any thread count.
     """
     pts, wts = sphere_product_rule(n_ambient, order)
     vals = f(pts.T)

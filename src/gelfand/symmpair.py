@@ -25,6 +25,7 @@ sum their rows with numpy's pairwise reduction, never through BLAS.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -198,12 +199,32 @@ def sphere_moment(exponents) -> Fraction:
     return Fraction(num, den)
 
 
+def _integer_terms(p: MultiPoly):
+    """(scale, [(exponents, a)]) with p = (1/scale) sum a x^exponents and
+    every a an integer."""
+    scale = math.lcm(*(c.denominator for c in p.terms.values()))
+    return scale, [(m, c.numerator * (scale // c.denominator)) for m, c in p.terms.items()]
+
+
 def sphere_inner_product(p: MultiPoly, q: MultiPoly) -> Fraction:
-    total = Fraction(0)
-    for m1, c1 in p.terms.items():
-        for m2, c2 in q.terms.items():
-            total += c1 * c2 * sphere_moment(tuple(a + b for a, b in zip(m1, m2)))
-    return total
+    """<p, q> over S^{N-1} with the normalized measure, exactly.
+
+    p and q are scaled to integer coefficients, and the products a b times
+    the moment numerators are summed as integers, one sum per moment
+    denominator, so only one Fraction is made per distinct denominator."""
+    if p.nvars != q.nvars:
+        raise ValueError(f"cannot pair polynomials in {p.nvars} and {q.nvars} variables")
+    p_scale, p_terms = _integer_terms(p)
+    q_scale, q_terms = _integer_terms(q)
+    sums = {}
+    for m1, a in p_terms:
+        for m2, b in q_terms:
+            moment = sphere_moment(tuple(map(operator.add, m1, m2)))
+            if moment:
+                den = moment.denominator
+                sums[den] = sums.get(den, 0) + a * b * moment.numerator
+    return sum((Fraction(total, den * p_scale * q_scale) for den, total in sums.items()),
+               Fraction(0))
 
 
 @lru_cache(maxsize=None)

@@ -226,8 +226,9 @@ def test_gauss_jacobi_matches_chebyshev_closed_forms(alpha, beta):
 
 
 @pytest.mark.parametrize("rule", [lambda: gauss_laguerre(5), lambda: gauss_hermite(5),
-                                  lambda: gauss_jacobi(5, 0.5, 0.5)],
-                         ids=["laguerre", "hermite", "jacobi"])
+                                  lambda: gauss_jacobi(5, 0.5, 0.5),
+                                  lambda: sphere_product_rule(4, 5)],
+                         ids=["laguerre", "hermite", "jacobi", "sphere"])
 def test_cached_rule_arrays_cannot_be_written(rule):
     nodes, weights = rule()
     assert nodes.dtype == weights.dtype == np.float64
@@ -271,6 +272,46 @@ def test_sphere_product_rule_is_bit_identical_to_the_loop_oracle(n, order):
     assert pts.shape == want_pts.shape and wts.shape == want_wts.shape
     assert pts.tobytes() == want_pts.tobytes()
     assert wts.tobytes() == want_wts.tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_sphere_rule_points_are_coordinate_major(n):
+    pts, _ = sphere_product_rule(n, 4)
+    assert pts.T.flags.c_contiguous
+    assert all(pts.T[i].flags.c_contiguous for i in range(n))
+
+
+def test_an_integrand_cannot_corrupt_the_shared_rule():
+    before = integrate_sphere(lambda x: x[0] ** 2, 3, 4)
+
+    def scribble(x):
+        x[0] *= 2.0
+        return x[0]
+
+    with pytest.raises(ValueError):
+        integrate_sphere(scribble, 3, 4)
+    assert integrate_sphere(lambda x: x[0] ** 2, 3, 4) == before
+
+
+def test_cold_caches_rebuild_the_sphere_rule(cold_caches):
+    pts, wts = sphere_product_rule(4, 3)
+    cold_caches()
+    again = sphere_product_rule(4, 3)
+    assert again[0] is not pts and again[1] is not wts
+    assert again[0].tobytes() == pts.tobytes() and again[1].tobytes() == wts.tobytes()
+
+
+@pytest.mark.parametrize("order", [0, -3, 1.5, 2.0, True, None])
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_sphere_rule_rejects_an_order_that_is_not_a_positive_integer(n, order):
+    # a valid rule of the same value is cached first: 2.0 and True must
+    # not reach it as the keys 2 and 1
+    sphere_product_rule(n, 2)
+    sphere_product_rule(n, 1)
+    with pytest.raises(ValueError, match="order"):
+        sphere_product_rule(n, order)
+    with pytest.raises(ValueError, match="order"):
+        integrate_sphere(lambda x: 1.0, n, order)
 
 
 def test_gauss_jacobi_rejects_bad_parameters():

@@ -190,6 +190,85 @@ def test_constant_and_degree_one_moments():
     assert sphere_moment((4, 0, 0)) == Fraction(1, 5)
 
 
+def _fraction_sphere_inner_product(p, q):
+    """The pairing as one Fraction sum over term pairs: the route the
+    integer pairing replaced, kept as its oracle."""
+    total = Fraction(0)
+    for m1, c1 in p.terms.items():
+        for m2, c2 in q.terms.items():
+            total += c1 * c2 * sphere_moment(tuple(a + b for a, b in zip(m1, m2)))
+    return total
+
+
+def _random_poly(rng, n, max_degree=4, nterms=6):
+    """A rational polynomial in n variables with terms of mixed degrees."""
+    terms = {}
+    for _ in range(nterms):
+        mono = [0] * n
+        for _ in range(rng.randint(0, max_degree)):
+            mono[rng.randrange(n)] += 1
+        terms[tuple(mono)] = Fraction(rng.randint(-40, 40), rng.randint(1, 30))
+    return MultiPoly(n, terms)
+
+
+def _assert_pairing_matches_oracle(p, q):
+    got = sphere_inner_product(p, q)
+    assert type(got) is Fraction
+    assert got == _fraction_sphere_inner_product(p, q), (p.terms, q.terms)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_integer_pairing_matches_fraction_oracle_on_harmonic_bases(n):
+    for d in range(5):
+        basis = harmonic_basis(n, d).basis
+        for p in basis:
+            for q in basis:
+                _assert_pairing_matches_oracle(p, q)
+    # across degrees, and on sums that mix them
+    mixed = [sum(harmonic_basis(n, d).basis, MultiPoly.zero(n)) for d in range(5)]
+    for p in mixed:
+        for q in mixed + [sum(mixed, MultiPoly.zero(n))]:
+            _assert_pairing_matches_oracle(p, q)
+
+
+def test_integer_pairing_matches_fraction_oracle_on_zonals():
+    for m in range(2, 7):
+        for n in range(2, m + 1):
+            for d in range(6):
+                zm = symmpair._zonal_poly(m, d)
+                zn = symmpair._embed(symmpair._zonal_poly(n, d), m + 1)
+                for p, q in ((zm, zn), (zn, zn), (zm, zm)):
+                    _assert_pairing_matches_oracle(p, q)
+
+
+def test_integer_pairing_matches_fraction_oracle_on_random_polynomials():
+    rng = random.Random(28)
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        _assert_pairing_matches_oracle(_random_poly(rng, n), _random_poly(rng, n))
+
+
+def test_pairing_with_the_zero_polynomial_is_zero():
+    rng = random.Random(3)
+    for n in (1, 3, 5):
+        zero = MultiPoly.zero(n)
+        for p in (zero, _random_poly(rng, n)):
+            for got in (sphere_inner_product(zero, p), sphere_inner_product(p, zero)):
+                assert got == 0 and type(got) is Fraction
+
+
+def test_pairing_refuses_polynomials_in_different_variable_counts():
+    # x0^2 in 3 variables against x3^2 in 4: truncating the exponents would
+    # pair x0^2 with x0^2 on S^2 and give 1/3
+    p = MultiPoly(3, {(2, 0, 0): 1})
+    q = MultiPoly(4, {(0, 0, 0, 2): 1})
+    with pytest.raises(ValueError, match="variables"):
+        sphere_inner_product(p, q)
+    with pytest.raises(ValueError, match="variables"):
+        sphere_inner_product(q, p)
+    assert sphere_inner_product(symmpair._embed(p, 4), q) == Fraction(1, 24)
+
+
 @pytest.mark.parametrize("n,d", [(3, 1), (3, 2), (3, 4), (4, 3), (5, 2), (6, 2)])
 def test_zonal_vector_unique_and_positive_at_pole(n, d):
     space = harmonic_basis(n, d)
