@@ -290,8 +290,12 @@ def heisenberg_ladder(t, d: int = 1, levels=(1, 2), method: str = "exact") -> De
     with the unitary polynomial constants riding along.
 
     method 'quadrature' replaces |t|^n by the measured reciprocal diagonal
-    coefficient pairing at every level.  The constants are the unitary
-    polynomial ones either way, and the ladder identities read only those.
+    coefficient pairing at every level.  That pairing is (pi/|t|)^n under
+    Lebesgue measure on C^n, so the quadrature degrees are q(n) (|t|/pi)^n,
+    pi^n below the exact method's q(n) |t|^n, with q(n) = deg(n) of the
+    unitary polynomial ladder.  The constants are the unitary polynomial
+    ones either way, and the ladder identities read only those: no ladder
+    verdict reads a degree.
     """
     fock.check_t(t)
     poly = un_polynomial_ladder(d, levels)

@@ -1,7 +1,7 @@
-"""Truncated Bargmann space model of the square-integrable Heisenberg
-representations: group arithmetic, displacement operators, matrix
-coefficients, orthogonality integrals, and the weighted-monomial regular
-functions with their exact norms.
+"""Bargmann space model of the square-integrable Heisenberg representations:
+group arithmetic, truncated displacement operators, matrix coefficients by
+the normal-ordered series, orthogonality integrals, and the weighted-monomial
+regular functions with their exact norms.
 
 Conventions.  A group element is (z, w) with z real (the central coordinate)
 and w in C^n, multiplying as (z,w)(z',w') = (z + z' + Im<w,w'>, w + w') where
@@ -28,7 +28,9 @@ by one row gather per chain length and one pass over contiguous degree rows.
 Truncated generators stay exactly skew-Hermitian, so truncated operators are
 exactly unitary up to rounding; what truncation limits is the group law,
 which is only reproduced on degrees well below the cutoff and for
-displacement amplitudes |t| |w|^2 small against the cutoff.
+displacement amplitudes |t| |w|^2 small against the cutoff.  Matrix
+coefficients do not go through the truncation: each one factors over the
+coordinates into the closed normal-ordered series, exact at any displacement.
 """
 
 from __future__ import annotations
@@ -74,31 +76,11 @@ def multi_indices(n: int, cutoff: int):
 
 
 @lru_cache(maxsize=None)
-def _index_positions(n, cutoff):
-    return {m: i for i, m in enumerate(multi_indices(n, cutoff))}
-
-
-@lru_cache(maxsize=None)
-def _ladder_matrices(n: int, cutoff: int):
-    """Creation matrices a_j^+ on the truncated basis (annihilation is the
-    conjugate transpose).
-
-    The library reads only the one-mode matrix, the chain generator behind
-    ``_chain_eigen``; the n-mode matrices serve the tests' full-generator
-    oracle."""
-    idx = multi_indices(n, cutoff)
-    pos = _index_positions(n, cutoff)
-    mats = []
-    for j in range(n):
-        a = np.zeros((len(idx), len(idx)))
-        for col, m in enumerate(idx):
-            if sum(m) == cutoff:
-                continue
-            up = list(m)
-            up[j] += 1
-            a[pos[tuple(up)], col] = math.sqrt(up[j])
-        mats.append(a)
-    return mats
+def _ladder_matrices(length: int):
+    """Creation matrix a^+ on the one-mode chain of the given length, sqrt(k)
+    on the subdiagonal (annihilation is the transpose): the chain generator
+    behind ``_chain_eigen``."""
+    return np.diag(np.sqrt(np.arange(1.0, length)), -1)
 
 
 @dataclass(frozen=True)
@@ -106,12 +88,6 @@ class FockOperator:
     matrix: np.ndarray
     n: int
     cutoff: int
-
-    def entry(self, left, right) -> complex:
-        pos = _index_positions(self.n, self.cutoff)
-        if tuple(left) not in pos or tuple(right) not in pos:
-            raise ValueError("index beyond cutoff")
-        return complex(self.matrix[pos[tuple(left)], pos[tuple(right)]])
 
 
 def check_t(t) -> None:
@@ -185,7 +161,7 @@ def _chain_eigen(length):
     the discrete variable representation of Light, Hamilton & Lill (J. Chem.
     Phys. 82, 1985).
     """
-    a = _ladder_matrices(1, length - 1)[0]
+    a = _ladder_matrices(length)
     lam, v = np.linalg.eigh(a + a.T)
     # one Newton-Schulz step: eigh leaves V orthogonal to about L eps only
     v = v @ (1.5 * np.eye(length) - 0.5 * (v.T @ v))
@@ -207,7 +183,7 @@ def _rotation_structure(n, cutoff):
     ``multi_indices`` as an integer array.
     """
     idx = multi_indices(n, cutoff)
-    pos = _index_positions(n, cutoff)
+    pos = {m: i for i, m in enumerate(idx)}
     degrees = [sum(m) for m in idx]
     bounds = [degrees.index(d) for d in range(cutoff + 1)] + [len(idx)]
     parents = []
@@ -255,21 +231,22 @@ def _rotation_blocks(u, parents):
     return blocks
 
 
-def matrix_coefficient(t: float, left, right, g: HeisenbergPoint,
-                       cutoff: int | None = None) -> complex:
-    """<mu_left, pi_t(g) mu_right> read off the truncated operator."""
-    n = g.n
-    if len(left) != n or len(right) != n:
+# ---------------------------------------------------------------------------
+# matrix coefficients (normal-ordered series)
+# ---------------------------------------------------------------------------
+
+
+def matrix_coefficient(t: float, left, right, g: HeisenbergPoint) -> complex:
+    """<mu_left, pi_t(g) mu_right> by the normal-ordered series: the central
+    phase times, per coordinate, e^{-|alpha_j|^2/2} G(alpha_j) (Cahill &
+    Glauber, Phys. Rev. 177, 1969), exact at any displacement."""
+    if len(left) != g.n or len(right) != g.n:
         raise ValueError("index length must match the point dimension")
-    if cutoff is None:
-        cutoff = max(sum(left), sum(right)) * 2 + 12
-    op = fock_operator(n, t, g, cutoff)
-    return op.entry(tuple(left), tuple(right))
-
-
-# ---------------------------------------------------------------------------
-# normal-ordered series route (exact Gaussian factor)
-# ---------------------------------------------------------------------------
+    check_t(t)
+    val = complex(math.cos(t * g.z), math.sin(t * g.z))
+    for l, m, al in zip(left, right, _alpha(t, g.w)):
+        val *= math.exp(-abs(al) ** 2 / 2) * _displacement_polypart(l, m, al)
+    return val
 
 
 def _displacement_polypart(l: int, m: int, alpha: complex) -> complex:
@@ -284,22 +261,6 @@ def _displacement_polypart(l: int, m: int, alpha: complex) -> complex:
             / (math.factorial(j) * math.factorial(l - m + j) * math.factorial(m - j))
         )
     return sql * total
-
-
-def displacement_series_element(alpha: complex, l: int, m: int) -> complex:
-    return math.exp(-abs(alpha) ** 2 / 2) * _displacement_polypart(l, m, alpha)
-
-
-def coefficient_series(t: float, left, right, g: HeisenbergPoint) -> complex:
-    """Same matrix coefficient through the closed normal-ordered series;
-    stable at any displacement size, used under the orthogonality
-    integrals where the truncated operator cannot reach."""
-    check_t(t)
-    alpha = _alpha(t, g.w)
-    val = complex(math.cos(t * g.z), math.sin(t * g.z))
-    for l, m, al in zip(left, right, alpha):
-        val *= displacement_series_element(al, l, m)
-    return val
 
 
 # ---------------------------------------------------------------------------
@@ -423,11 +384,13 @@ class RegularFunction:
         return RegularFunction(self.n, tuple(sorted(acc.items())))
 
     def eval(self, t: float, g: HeisenbergPoint) -> complex:
+        if g.n != self.n:
+            raise ValueError("dimension mismatch")
         total = 0.0 + 0.0j
         damp = math.exp(-abs(t))
         for (m, mprime), coeffs in self.terms:
             p = sum(float(c) * t ** i for i, c in enumerate(coeffs))
-            total += damp * p * coefficient_series(t, m, mprime, g)
+            total += damp * p * matrix_coefficient(t, m, mprime, g)
         return total
 
 

@@ -44,10 +44,6 @@ class Tolerances:
     orthogonality: bound on a pairing of distinct Fock matrix coefficients.
     formal_degree: bound on the relative spread of |t| <c, c> over the
         diagonal pairings.
-    sphere_cocycle: bound on the cocycle residual of a quadrature sphere
-        ladder.
-    promotion: relative drift allowed in a float limit pairing under
-        promotion.
     """
 
     quadrature_agreement: float = 1e-8
@@ -56,8 +52,6 @@ class Tolerances:
     unitarity: float = 1e-8
     orthogonality: float = 1e-8
     formal_degree: float = 1e-6
-    sphere_cocycle: float = 1e-9
-    promotion: float = 1e-9
 
 
 DEFAULT_TOLERANCES = Tolerances()

@@ -16,7 +16,6 @@ from gelfand.fock import (
     HeisenbergPoint,
     RegularFunction,
     coefficient_inner_product,
-    coefficient_series,
     fock_operator,
     heis_mul,
     matrix_coefficient,
@@ -130,12 +129,12 @@ def test_truncated_operator_is_unitary():
 
 
 def test_coherent_overlap_matches_series_oracle():
-    # operator route vs the normal-ordered series at small displacement
+    # truncated operator vs the normal-ordered series at small displacement
     for t in (0.5, 1.0, 2.0, -1.0):
         for v in (0.5, 0.3 + 0.2j, 0.1 - 0.45j):
             g = HeisenbergPoint(0.0, (v,))
-            got = matrix_coefficient(t, (0,), (0,), g, cutoff=20)
-            want = coefficient_series(t, (0,), (0,), g)
+            got = fock_operator(1, t, g, 20).matrix[0, 0]
+            want = matrix_coefficient(t, (0,), (0,), g)
             assert abs(got - want) < 1e-10
             assert abs(want - math.exp(-abs(t) * abs(v) ** 2 / 2)) < 1e-12
 
@@ -147,17 +146,37 @@ def test_matrix_coefficient_identity_and_center():
     assert abs(val - complex(math.cos(1.35), math.sin(1.35))) < 1e-15
 
 
-def test_index_beyond_cutoff_rejected():
-    op = fock_operator(1, 1.0, heis_identity(1), 4)
+def test_matrix_coefficient_is_exact_at_any_displacement():
+    # |t| |w|^2 = 9: past the amplitude guard of any cutoff below 18, yet
+    # <l| D(alpha) |m> is e^{-|alpha|^2/2} times a finite sum
+    g = HeisenbergPoint(0.0, (3 + 0j,))
+    assert abs(matrix_coefficient(1.0, (0,), (0,), g) - math.exp(-4.5)) <= 1e-15 * math.exp(-4.5)
+    for t, v in ((1.0, 3 + 0j), (2.0, 1.5 - 2j), (-0.5, 4j)):
+        g = HeisenbergPoint(0.0, (v,))
+        alpha = fock._alpha(t, g.w)[0]
+        gauss = math.exp(-abs(alpha) ** 2 / 2)
+        assert abs(matrix_coefficient(t, (1,), (0,), g) - gauss * alpha) <= 1e-15 * abs(alpha)
+        assert abs(matrix_coefficient(t, (0,), (1,), g) + gauss * alpha.conjugate()) \
+            <= 1e-15 * abs(alpha)
+
+
+def test_an_index_of_the_wrong_length_is_refused():
+    g = HeisenbergPoint(0.0, (0.3 + 0.1j, -0.2j))
+    for left, right in (((1,), (1, 2)), ((1, 2), (1,)), ((1,), (1,)), ((0, 0, 0), (0, 0))):
+        with pytest.raises(ValueError, match="index length"):
+            matrix_coefficient(1.0, left, right, g)
+    f = RegularFunction.from_term(1, (1,), (1,), (0,))
     with pytest.raises(ValueError):
-        op.entry((5,), (0,))
+        f.eval(1.0, g)
+    with pytest.raises(ValueError):
+        RegularFunction.zero(1).eval(1.0, g)
 
 
 def test_conjugate_symmetry_under_inverse():
     g = HeisenbergPoint(0.2, (0.3 + 0.1j,))
     for (l, m) in [((0,), (1,)), ((2,), (3,)), ((1,), (1,))]:
-        a = matrix_coefficient(1.0, l, m, heis_inv(g), cutoff=20)
-        b = matrix_coefficient(1.0, m, l, g, cutoff=20)
+        a = matrix_coefficient(1.0, l, m, heis_inv(g))
+        b = matrix_coefficient(1.0, m, l, g)
         assert abs(a - b.conjugate()) < 1e-10
 
 
@@ -180,9 +199,26 @@ def test_representation_property_small_displacements(t):
 def test_two_coordinate_operator_factorizes():
     t = 1.0
     g = HeisenbergPoint(0.0, (0.3 + 0.1j, -0.2 + 0.25j))
-    got = matrix_coefficient(t, (1, 0), (0, 1), g, cutoff=12)
-    want = coefficient_series(t, (1, 0), (0, 1), g)
+    idx = multi_indices(2, 12)
+    got = fock_operator(2, t, g, 12).matrix[idx.index((1, 0)), idx.index((0, 1))]
+    want = matrix_coefficient(t, (1, 0), (0, 1), g)
     assert abs(got - want) < 1e-9
+
+
+def _n_mode_ladder_matrices(n, cutoff):
+    """Creation matrices a_j^+ on the truncated n-mode basis, rows and
+    columns in ``multi_indices`` order (annihilation is the transpose)."""
+    idx = multi_indices(n, cutoff)
+    pos = {m: i for i, m in enumerate(idx)}
+    mats = []
+    for j in range(n):
+        a = np.zeros((len(idx), len(idx)))
+        for col, m in enumerate(idx):
+            if sum(m) < cutoff:
+                up = m[:j] + (m[j] + 1,) + m[j + 1:]
+                a[pos[up], col] = math.sqrt(up[j])
+        mats.append(a)
+    return mats
 
 
 def _full_generator_expm(n, t, g, cutoff):
@@ -190,7 +226,7 @@ def _full_generator_expm(n, t, g, cutoff):
     sum_j alpha_j a_j^+ - conj(alpha_j) a_j, times the central phase."""
     alpha = fock._alpha(t, g.w)
     gen = sum(al * a - np.conjugate(al) * a.T
-              for a, al in zip(fock._ladder_matrices(n, cutoff), alpha))
+              for a, al in zip(_n_mode_ladder_matrices(n, cutoff), alpha))
     return complex(math.cos(t * g.z), math.sin(t * g.z)) * scipy_expm(gen)
 
 
@@ -299,10 +335,16 @@ def test_chain_exponentials_keep_unitarity_to_rounding():
 def test_chain_eigenbasis_matches_pade_exponential():
     for length in range(1, 45):
         lam, w = fock._chain_eigen(length)
-        a = fock._ladder_matrices(1, length - 1)[0]
+        a = fock._ladder_matrices(length)
         for r in (0.05, 0.5, 1.0, 2.0, 4.5):
             got = (w * np.exp(-1j * r * lam)) @ w.conj().T
             assert np.abs(got - numerics.matrix_exp(r * (a - a.T))).max() < 1e-14
+
+
+def test_chain_generator_equals_the_one_mode_oracle_bit_for_bit():
+    for length in range(1, 45):
+        assert np.array_equal(fock._ladder_matrices(length),
+                              _n_mode_ladder_matrices(1, length - 1)[0])
 
 
 def test_operator_builds_only_one_mode_ladders():
@@ -312,7 +354,7 @@ def test_operator_builds_only_one_mode_ladders():
     fock_operator(3, 1.0, HeisenbergPoint(0.1, (0.2j, -0.1 + 0j, 0.05 + 0.1j)), 14)
     assert fock._ladder_matrices.cache_info().currsize == 15
     for length in range(1, 16):
-        fock._ladder_matrices(1, length - 1)
+        fock._ladder_matrices(length)
     info = fock._ladder_matrices.cache_info()
     assert (info.hits, info.misses, info.currsize) == (15, 15, 15)
 
@@ -472,13 +514,18 @@ def test_regular_function_eval_wrapper():
 
 
 def test_operator_csv_export():
-    op = fock_operator(1, 1.0, HeisenbergPoint(0.1, (0.2 + 0.1j,)), 3)
-    # rows and columns follow multi_indices, degree-major
+    # rows and columns follow multi_indices, degree-major: on the low
+    # degrees each entry is the matrix coefficient of its index pair
     assert multi_indices(1, 3) == ((0,), (1,), (2,), (3,))
-    assert op.matrix.shape == (4, 4)
-    for i, left in enumerate(multi_indices(1, 3)):
-        for j, right in enumerate(multi_indices(1, 3)):
-            assert op.entry(left, right) == op.matrix[i, j]
+    assert fock_operator(1, 1.0, HeisenbergPoint(0.1, (0.2 + 0.1j,)), 3).matrix.shape == (4, 4)
+    for n, g in ((1, HeisenbergPoint(0.1, (0.2 + 0.1j,))),
+                 (2, HeisenbergPoint(-0.3, (0.2 + 0.1j, -0.15 + 0.05j)))):
+        op = fock_operator(n, 1.0, g, 16)
+        low = multi_indices(n, 3)
+        assert op.matrix.shape == (len(multi_indices(n, 16)),) * 2
+        for i, left in enumerate(low):
+            for j, right in enumerate(low):
+                assert abs(op.matrix[i, j] - matrix_coefficient(1.0, left, right, g)) < 1e-12
 
 
 def test_operator_preserves_inner_products_on_protected_range():

@@ -28,7 +28,6 @@ _COMPREHENSIONS = {ast.ListComp: "listcomp", ast.SetComp: "setcomp",
 
 KEEP = {
     # the paper's objects
-    "fock.matrix_coefficient": "the paper's matrix coefficients of the Fock model",
     "fock.RegularFunction": "the paper's regular functions on the Heisenberg group",
     "fock.regular_gram": "Gram matrix of the regular functions",
     "dirlim.apply_zeta": "the paper's map zeta_{m,n}",

@@ -220,6 +220,32 @@ def test_fock_orthogonality_diagonal_crash_is_a_failed_case(monkeypatch, capsys)
     assert "FAIL" not in out
 
 
+def test_formal_degree_constancy_fails_on_a_wrong_diagonal(cold_caches, monkeypatch):
+    # every diagonal pairing at t = 2 is 1% too large: still positive, so
+    # only the constancy case can see it
+    def scaled(t, p, q):
+        val = _true_coefficient_inner_product(t, p, q)
+        return 1.01 * val if t == 2 and p == q else val
+
+    monkeypatch.setattr(fock, "coefficient_inner_product", scaled)
+    report = cli.run_suite("fock-orthogonality", dict(cli.DEFAULTS))
+    statuses = {c.case_id: c.status for c in report.cases}
+    assert statuses.pop("formal-degree-constancy") == "fail"
+    assert len(statuses) == 30 and set(statuses.values()) == {"pass"}
+
+
+def test_a_repeated_t_runs_once(capsys):
+    reports = {}
+    for ts in ("1", "1,1"):
+        for fmt in ("text", "csv", "json"):
+            assert cli.main(["verify", "fock-orthogonality", "--t", ts, "--format", fmt]) == 0
+            reports[ts, fmt] = capsys.readouterr().out
+    assert reports["1,1", "text"] == reports["1", "text"]
+    assert reports["1,1", "csv"] == reports["1", "csv"]
+    once, twice = (json.loads(reports[ts, "json"])["cases"] for ts in ("1", "1,1"))
+    assert twice == once and len(once) == 11
+
+
 def _thunk_suite(*thunks):
     def suite(cfg, rec):
         for i, thunk in enumerate(thunks):
@@ -247,7 +273,7 @@ def _wrong():
 ])
 def test_crash_is_an_error_and_a_wrong_value_a_failure(thunks, statuses, code,
                                                         monkeypatch, capsys):
-    monkeypatch.setitem(cli.SUITES, "gamma", _thunk_suite(*thunks))
+    monkeypatch.setitem(cli.SUITES, "gamma", (cli.SUITES["gamma"][0], _thunk_suite(*thunks)))
     assert cli.main(["verify", "gamma", "--format", "json"]) == code
     doc = json.loads(capsys.readouterr().out)
     assert doc["version"] == "2"
@@ -296,7 +322,7 @@ def test_csv_and_text_formats(capsys):
 
 
 def test_empty_report_documents():
-    report = cli.VerificationReport("gamma", cli.SUITE_ANCHORS["gamma"], [], {"seed": 0})
+    report = cli.VerificationReport("gamma", cli.SUITES["gamma"][0], [], {"seed": 0})
     doc = json.loads(cli.emit_report(report, "json"))
     assert doc["cases"] == []
     assert doc["seed"] == 0
@@ -330,7 +356,7 @@ class _ColumnRecorder:
 
 def _suite_columns(name):
     rec = _ColumnRecorder()
-    cli.SUITES[name](dict(cli.DEFAULTS), rec)
+    cli.SUITES[name][1](dict(cli.DEFAULTS), rec)
     return rec.columns
 
 
@@ -343,22 +369,21 @@ def test_named_tolerance_columns_are_pinned():
     assert rep["representation-property"] == ("< 1e-06", "1e-06")
     assert rep["unitarity"] == ("< 1e-08", "1e-08")
     ladders = _suite_columns("ladders")
-    assert ladders["sphere-ladder-cocycle"] == ("<= 1e-09", "1e-09")
+    assert ladders["sphere-ladder-cocycle"] == ("<= 1e-10", "1e-10")
     assert ladders["limit-pairing-promotion"] == ("invariant under promotion",
-                                                  "exact / 1e-09")
+                                                  "exact / 1e-10")
 
 
 def test_suites_read_the_named_tolerances(monkeypatch):
     monkeypatch.setattr(cli, "TOL", numerics.Tolerances(
-        unitarity=2e-8, orthogonality=3e-8, formal_degree=4e-6,
-        sphere_cocycle=5e-9, promotion=6e-9))
+        exact_identity=5e-11, unitarity=2e-8, orthogonality=3e-8, formal_degree=4e-6))
     orth = _suite_columns("fock-orthogonality")
     assert orth["formal-degree-constancy"] == ("relative spread <= 4e-06", "4e-06")
     assert {v for k, v in orth.items() if k.startswith("orthogonality-")} == {("0", "3e-08")}
     assert _suite_columns("fock-representation")["unitarity"] == ("< 2e-08", "2e-08")
     ladders = _suite_columns("ladders")
-    assert ladders["sphere-ladder-cocycle"] == ("<= 5e-09", "5e-09")
-    assert ladders["limit-pairing-promotion"][1] == "exact / 6e-09"
+    assert ladders["sphere-ladder-cocycle"] == ("<= 5e-11", "5e-11")
+    assert ladders["limit-pairing-promotion"][1] == "exact / 5e-11"
 
 
 def test_config_file_with_flag_override(tmp_path):
