@@ -13,7 +13,11 @@ which is what degree-d polynomials transform by.  Their weight multisets
 come from the complete homogeneous recursion h_d, run once per (factors,
 construction) for every degree up to the highest one asked; the torus
 quotient is left out of that key because it only shifts the labels
-afterwards.
+afterwards.  The recursion keeps only partial weights whose finished slots
+(those no later coordinate touches) are dominant.  That is exact: finished
+slots never change again, and the leading slots of a dominant weight are
+dominant themselves, so a dropped weight only leads to weights that are not
+dominant.
 
 Weights are kept in orthonormal epsilon coordinates, an integer tuple per
 factor: the full gl weight (one entry per column) for unitary factors, one
@@ -124,14 +128,8 @@ def _freudenthal(rs: rootsys.RootSystemData, scale: int, lam):
     their Weyl orbits.
     """
     family, rank = rs.family, rs.rank
-    simple, rows, _ = _root_tables(family, rank)
-    roots_i = [tuple(scale * x for x in alpha) for alpha in rs.integral_positive_roots]
-    # mu - alpha is dominant iff mu pairs with each simple root at least as
-    # alpha does, which needs checking only where alpha pairs positively
-    steps = [(alpha, tuple(scale * c for c in row),
-              [(i, scale * c) for i, c in enumerate(row) if c > 0])
-             for alpha, row in zip(roots_i, rows)]
-    shift = tuple(scale * x for x in rs.two_rho)
+    simple = _root_tables(family, rank)[0]
+    roots_i, steps, shift = _scaled_tables(family, rank, scale)
     # Stembridge: every dominant weight of the module is reached from lam by
     # subtracting positive roots through dominant weights
     dominant = [lam]
@@ -187,6 +185,22 @@ def _root_tables(family: str, rank: int):
                   for alpha, row in zip(roots, rows))
         reflections.append(tuple(map(index.__getitem__, images)))
     return simple, rows, tuple(reflections)
+
+
+@lru_cache(maxsize=None)
+def _scaled_tables(family: str, rank: int, scale: int):
+    """``_freudenthal``'s tables at one lattice scale, all times ``scale``:
+    the positive roots; per root a step (the root, its pairings with the
+    simple roots, the positive ones as (i, pairing)); and 2 rho."""
+    rs = rootsys.build_root_system(family, rank)
+    rows = _root_tables(family, rank)[1]
+    roots_i = tuple(tuple(scale * x for x in alpha) for alpha in rs.integral_positive_roots)
+    # mu - alpha is dominant iff mu pairs with each simple root at least as
+    # alpha does, which needs checking only where alpha pairs positively
+    steps = tuple((alpha, tuple(scale * c for c in row),
+                   tuple((i, scale * c) for i, c in enumerate(row) if c > 0))
+                  for alpha, row in zip(roots_i, rows))
+    return roots_i, steps, tuple(scale * x for x in rs.two_rho)
 
 
 @lru_cache(maxsize=None)
@@ -422,11 +436,7 @@ class Factor:
         rt = self._root_type()
         if rt is None:
             return {w: 1}
-        # the polynomial-module machinery lives on the integral lattice; a
-        # half-integral (spin) label here would be a caller bug
-        if any(fr(x).denominator != 1 for x in w):
-            raise ValueError(f"non-integral factor weight {w}")
-        return _freudenthal_cached(*rt, tuple(map(int, w)))
+        return _freudenthal_cached(*rt, tuple(w))
 
     def rho_strict(self):
         """A strictly dominant integer functional, used to pick off highest
@@ -450,8 +460,14 @@ def _weyl_dimension_cached(family, rank, w):
 @lru_cache(maxsize=None)
 def _freudenthal_cached(family, rank, w):
     """Dominant weight multiplicities of the integral highest weight ``w``,
-    integer keys, behind a read-only view (the dict is shared)."""
-    return MappingProxyType(_freudenthal(rootsys.build_root_system(family, rank), 1, w)[1])
+    integer keys, behind a read-only view (the dict is shared).  ``w`` may
+    hold Fractions: an integral one hashes as its int and shares the entry."""
+    # the polynomial-module machinery lives on the integral lattice; a
+    # half-integral (spin) label here would be a caller bug
+    if any(fr(x).denominator != 1 for x in w):
+        raise ValueError(f"non-integral factor weight {w}")
+    return MappingProxyType(_freudenthal(rootsys.build_root_system(family, rank), 1,
+                                         tuple(map(int, w)))[1])
 
 
 @dataclass(frozen=True)
@@ -616,24 +632,42 @@ def _sym_powers(factors, construction, lo, hi):
     """Yield the decompositions of degrees lo..hi from one run of
     h_d(x_1..x_k) = h_d(x_1..x_{k-1}) + x_k h_{d-1}(x_1..x_k), the
     coefficient of t^d in prod_i 1/(1 - t e^{w_i}) (Macdonald I.2), on flat
-    integer weights, eps_rank slots per factor.  Only keys dominant in every
-    factor are cut into labels."""
-    coords = _construction_weights(factors, construction)
+    integer weights, eps_rank slots per factor.
+
+    Only the keys dominant in every factor are kept, and they are kept so
+    from the start.  The coordinates run low slots first; once no later
+    coordinate touches slots a..k of a factor, those slots are final, and a
+    key whose slots a..k are not dominant is dropped from every level.  That
+    is exact: the leading slots of a dominant A-D weight are dominant
+    themselves, so a dropped key only leads to keys that are not dominant.
+    When the run ends every slot is final, so what is left is the dominant
+    part of each h_d."""
     ends = list(accumulate((f.eps_rank for f in factors), initial=0))
+    cuts = list(zip(ends, ends[1:]))
+    chambers = [(rt[0], a, b) for f, (a, b) in zip(factors, cuts) if (rt := f._root_type())]
+
+    def last_slots(w):
+        return tuple(max((i - a for i in range(a, b) if w[i]), default=-1) for _, a, b in chambers)
+
+    coords = sorted((tuple(-x for v in row for x in v)
+                     for row in _construction_weights(factors, construction)), key=last_slots)
+    # the last coordinate touching each slot
+    last = [max((k for k, w in enumerate(coords) if w[i]), default=-1) for i in range(ends[-1])]
+    finished = [a for _, a, _ in chambers]  # each chamber's finished slots end here
     h = [{(0,) * ends[-1]: 1}] + [{} for _ in range(hi)]
-    for row in coords:
-        w = tuple(-x for v in row for x in v)
+    for k, w in enumerate(coords):
         for lower, upper in zip(h, h[1:]):  # lower already holds this weight
             for mu, m in lower.items():
                 key = tuple(map(add, mu, w))
                 upper[key] = upper.get(key, 0) + m
-    cuts = list(zip(ends, ends[1:]))
-    chambers = [(rt[0], a, b) for f, (a, b) in zip(factors, cuts) if (rt := f._root_type())]
+        for c, (fam, a, b) in enumerate(chambers):
+            end = next((i for i in range(a, b) if last[i] > k), b)
+            if end > finished[c]:
+                finished[c] = end
+                h[1:] = [{mu: m for mu, m in level.items()
+                          if _dominant(fam, mu[a:end]) == mu[a:end]} for level in h[1:]]
     for d in range(lo, hi + 1):
-        items = h[d].items()
-        for fam, a, b in chambers:
-            items = [(key, m) for key, m in items if _dominant(fam, key[a:b]) == key[a:b]]
-        multiset = {tuple(key[a:b] for a, b in cuts): m for key, m in items}
+        multiset = {tuple(key[a:b] for a, b in cuts): m for key, m in h[d].items()}
         entries = decompose_weight_multiset(factors, multiset)
         expected = comb(len(coords) + d - 1, d)
         total = sum(m * _label_dim(factors, lab) for lab, m in entries)

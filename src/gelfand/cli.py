@@ -119,7 +119,6 @@ def _suite_fock_orthogonality(cfg, rec, pairs=(((0,), (0,)), ((1,), (0,)),
         raise ConfigError("fock-orthogonality needs t values")
     for t in ts:
         fock.check_t(t)
-    ts = list(dict.fromkeys(ts))
     off_tol, diag_tol = TOL.orthogonality, TOL.formal_degree
     for t in ts:
         for i, p in enumerate(pairs):
@@ -592,7 +591,8 @@ def _coerce(key, text):
         items = text.split(",") if text.strip() else []
         if not all(x.strip() for x in items):
             raise ConfigError(f"empty item in the t list {text!r}")
-        return {key: [_parse(float, "t", x) for x in items]}
+        # a repeated t is one t: the list keeps its first-seen order
+        return {key: list(dict.fromkeys(_parse(float, "t", x) for x in items))}
     if key == "timing":
         if text.lower() not in _TIMING_WORDS:
             raise ConfigError(f"timing is one of {', '.join(_TIMING_WORDS)}; got {text!r}")

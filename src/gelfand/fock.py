@@ -86,8 +86,6 @@ def _ladder_matrices(length: int):
 @dataclass(frozen=True)
 class FockOperator:
     matrix: np.ndarray
-    n: int
-    cutoff: int
 
 
 def check_t(t) -> None:
@@ -118,7 +116,7 @@ def fock_operator(n: int, t: float, g: HeisenbergPoint, cutoff: int) -> FockOper
     phase = complex(math.cos(t * g.z), math.sin(t * g.z))
     dim = len(multi_indices(n, cutoff))
     if not any(abs(x) for x in g.w):
-        return FockOperator(phase * np.eye(dim, dtype=complex), n, cutoff)
+        return FockOperator(phase * np.eye(dim, dtype=complex))
     amp = abs(t) * sum(abs(x) ** 2 for x in g.w)
     if amp > cutoff / 2:
         raise ValueError(
@@ -148,7 +146,7 @@ def fock_operator(n: int, t: float, g: HeisenbergPoint, cutoff: int) -> FockOper
     f = np.exp(1j * (index @ np.angle(alpha)))
     out = np.multiply.outer(phase * f, f.conj())
     out *= mat
-    return FockOperator(out, n, cutoff)
+    return FockOperator(out)
 
 
 @lru_cache(maxsize=None)

@@ -882,6 +882,55 @@ def test_freeness_and_stability_share_one_recursion_per_datum(monkeypatch):
     assert runs == [(0, 5), (0, 5)]
 
 
+def test_pruned_recursion_hands_the_peel_the_dominant_multiset(monkeypatch, cold_caches):
+    # the recursion drops partial weights whose finished slots are not
+    # dominant; what reaches the peel must be the dominant part of the full
+    # h_d, key for key, on a D chamber, an odd SO with its zero weight and
+    # a tensor of two chambered factors among the rest
+    seen = []
+    real = charring.decompose_weight_multiset
+
+    def recording(factors, multiset):
+        seen.append(dict(multiset))
+        return real(factors, multiset)
+
+    monkeypatch.setattr(charring, "decompose_weight_multiset", recording)
+    data = _ladder_grid() + _SMALL_CONSTRUCTIONS
+    keys = {(datum.factors, datum.construction) for datum in data}
+    for rid, r, s in (("jaw:5a", 4, None), ("jaw:5b", 3, None), ("kac:11", 2, 2)):
+        datum = tables.group_datum(rid, r, s)
+        assert (datum.factors, datum.construction) in keys, rid
+    for datum in data:
+        charring._SYM_POWERS.clear()
+        seen.clear()
+        charring.sym_power_decompose(datum, 5)
+        chambers = [(i, rt[0]) for i, f in enumerate(datum.factors) if (rt := f._root_type())]
+        assert len(seen) == 6
+        for d, got in enumerate(seen):
+            want = {lab: m for lab, m in _enumerated_sym_power_multiset(datum, d).items()
+                    if all(charring._dominant(fam, lab[i]) == lab[i] for i, fam in chambers)}
+            assert got == want, (datum, d)
+
+
+def test_freudenthal_cache_checks_integrality_on_every_call(cold_caches):
+    f = Factor(GL, 2)
+    # an lru cache keeps no exception, so the check runs on each call
+    for _ in range(2):
+        with pytest.raises(ValueError, match="non-integral"):
+            f.dominant_multiplicities((Fraction(1, 2), 0))
+    # Fraction(2) hashes as 2: one cache entry serves both spellings
+    assert f.dominant_multiplicities((Fraction(2), 0)) is f.dominant_multiplicities((2, 0))
+    assert dict(f.dominant_multiplicities((2, 0))) == {(2, 0): 1, (1, 1): 1}
+
+
+def test_scaled_tables_are_built_once_per_root_system(cold_caches):
+    rs = rootsys.build_root_system("C", 2)
+    for coeffs in ((1, 0), (0, 1)):
+        charring.weight_system(rs, dw("C", 2, coeffs))
+    info = charring._scaled_tables.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
 def test_freeness_verdict_is_the_first_repeat(monkeypatch):
     # det is an invariant of degree 2 of S(U(2) x U(2)) on C^2 (x) C^2, so the
     # trivial label of degree 0 repeats in degree 2; degrees 3..5 are now

@@ -242,8 +242,10 @@ def test_a_repeated_t_runs_once(capsys):
             reports[ts, fmt] = capsys.readouterr().out
     assert reports["1,1", "text"] == reports["1", "text"]
     assert reports["1,1", "csv"] == reports["1", "csv"]
-    once, twice = (json.loads(reports[ts, "json"])["cases"] for ts in ("1", "1,1"))
-    assert twice == once and len(once) == 11
+    # the t list is settled where it enters: the echoed config matches too
+    once, twice = (json.loads(reports[ts, "json"]) for ts in ("1", "1,1"))
+    assert twice == once and len(once["cases"]) == 11
+    assert once["config"]["t_values"] == [1.0]
 
 
 def _thunk_suite(*thunks):
