@@ -31,7 +31,8 @@ from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, combinations, combinations_with_replacement, product, repeat
+from itertools import (accumulate, chain, combinations, combinations_with_replacement, product,
+                       repeat)
 from math import comb, factorial, lcm, prod
 from operator import add, mul, sub
 from types import MappingProxyType
@@ -108,8 +109,8 @@ class _WeightItems(ItemsView):
 class _WeightValues(ValuesView):
     def __iter__(self):
         ws = self._mapping
-        for mu, m in ws.dominant.items():
-            yield from repeat(m, _orbit_size(ws.family, mu))
+        return chain.from_iterable(repeat(m, _orbit_size(ws.family, mu))
+                                   for mu, m in ws.dominant.items())
 
 
 def _freudenthal(rs: rootsys.RootSystemData, scale: int, lam):
@@ -123,20 +124,34 @@ def _freudenthal(rs: rootsys.RootSystemData, scale: int, lam):
     dominant weights only, each root-string term being read at its dominant
     conjugate, and the string sum is the same for every root of a W_mu class
     (Moody-Patera): one string is read per class and weighted by its size.
+
+    Two prunings skip only checks whose answer is already known.  Where
+    <mu, alpha_i> = 0, mu - alpha is dominant only if <alpha, alpha_i> <= 0,
+    so the search for dominant weights tries only the roots that pair
+    positively with no simple root of mu's zero set.  Every weight nu of the
+    module lies in the convex hull of W lam, so |nu|^2 <= |lam|^2 (Humphreys,
+    Introduction to Lie Algebras and Representation Theory, 13.4 and 21.3;
+    Moody-Patera 1982): a root string stops once |mu + k alpha|^2 passes
+    |lam|^2, without the lookup that would miss.
     Returns (scale, {dominant integer tuple: multiplicity}), the keys being
     the weights multiplied by ``scale``; ``WeightSystem`` reads them over
     their Weyl orbits.
     """
     family, rank = rs.family, rs.rank
     simple = _root_tables(family, rank)[0]
-    roots_i, steps, shift = _scaled_tables(family, rank, scale)
+    roots, steps, shift, open_steps = _scaled_tables(family, rank, scale)
     # Stembridge: every dominant weight of the module is reached from lam by
     # subtracting positive roots through dominant weights
     dominant = [lam]
     pairings = {lam: tuple(sum(map(mul, lam, psi)) for psi in simple)}
+    zeros = {}
     for mu in dominant:
         p = pairings[mu]
-        for alpha, row, positive in steps:
+        fixed = zeros[mu] = tuple(i for i, x in enumerate(p) if not x)
+        if (opened := open_steps.get(fixed)) is None:
+            opened = open_steps[fixed] = tuple(
+                step for step in steps if all(i not in fixed for i, _ in step[2]))
+        for alpha, row, positive in opened:
             if all(p[i] >= c for i, c in positive):
                 nu = tuple(map(sub, mu, alpha))
                 if nu not in pairings:
@@ -145,21 +160,26 @@ def _freudenthal(rs: rootsys.RootSystemData, scale: int, lam):
     # every string term mu + k alpha, and so its dominant conjugate, pairs
     # higher with 2 rho than mu does: its multiplicity is known before mu's
     dominant.sort(key=lambda mu: sum(map(mul, mu, shift)), reverse=True)
-    top = sum(a * (a + c) for a, c in zip(lam, shift))
+    lam_sq = sum(a * a for a in lam)
+    top = lam_sq + sum(map(mul, lam, shift))
     mults = {lam: 1}
     for mu in dominant[1:]:
-        fixed = tuple(i for i, x in enumerate(pairings[mu]) if not x)
+        mu_sq = sum(a * a for a in mu)
         total = 0
-        for k, size in _root_classes(family, rank, fixed):
-            alpha = roots_i[k]
+        for k, size in _root_classes(family, rank, zeros[mu]):
+            alpha, alpha_sq = roots[k]
             nu = tuple(map(add, mu, alpha))
+            pair = sum(map(mul, nu, alpha))
+            gap = lam_sq - mu_sq - 2 * pair + alpha_sq  # |lam|^2 - |nu|^2
             string = 0
-            while (m := mults.get(_dominant(family, nu))) is not None:
-                string += m * sum(map(mul, nu, alpha))
+            while gap >= 0 and (m := mults.get(_dominant(family, nu))) is not None:
+                string += m * pair
+                gap -= 2 * pair + alpha_sq
+                pair += alpha_sq
                 nu = tuple(map(add, nu, alpha))
             total += size * string
         num = 2 * total
-        denom = top - sum(a * (a + c) for a, c in zip(mu, shift))
+        denom = top - mu_sq - sum(map(mul, mu, shift))
         if denom <= 0 or num % denom != 0 or num <= 0:
             raise ArithmeticError(f"Freudenthal produced a bad multiplicity {num}/{denom}")
         mults[mu] = num // denom
@@ -190,8 +210,10 @@ def _root_tables(family: str, rank: int):
 @lru_cache(maxsize=None)
 def _scaled_tables(family: str, rank: int, scale: int):
     """``_freudenthal``'s tables at one lattice scale, all times ``scale``:
-    the positive roots; per root a step (the root, its pairings with the
-    simple roots, the positive ones as (i, pairing)); and 2 rho."""
+    per positive root the root and |root|^2; per root a step (the root, its
+    pairings with the simple roots, the positive ones as (i, pairing));
+    2 rho; and a dict, filled by ``_freudenthal``, of the steps open at each
+    zero set of pairings."""
     rs = rootsys.build_root_system(family, rank)
     rows = _root_tables(family, rank)[1]
     roots_i = tuple(tuple(scale * x for x in alpha) for alpha in rs.integral_positive_roots)
@@ -200,7 +222,8 @@ def _scaled_tables(family: str, rank: int, scale: int):
     steps = tuple((alpha, tuple(scale * c for c in row),
                    tuple((i, scale * c) for i, c in enumerate(row) if c > 0))
                   for alpha, row in zip(roots_i, rows))
-    return roots_i, steps, tuple(scale * x for x in rs.two_rho)
+    roots = tuple((alpha, sum(x * x for x in alpha)) for alpha in roots_i)
+    return roots, steps, tuple(scale * x for x in rs.two_rho), {}
 
 
 @lru_cache(maxsize=None)
@@ -266,6 +289,7 @@ def _distinct_permutations(values):
         out.append(tuple(a))
 
 
+@lru_cache(maxsize=None)
 def _orbit_size(family: str, mu) -> int:
     """Size of the Weyl orbit of the dominant ``mu``, without listing it: the
     multinomial of the entries for A; for B and C the distinct orderings of

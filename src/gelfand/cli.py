@@ -23,7 +23,7 @@ import random
 import re
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
@@ -492,7 +492,7 @@ def emit_report(report: VerificationReport, fmt: str = "text") -> str:
             "version": REPORT_VERSION,
             "suite": report.suite,
             "anchor": report.anchor,
-            "cases": [{**asdict(c), "anchor": report.anchor} for c in report.cases],
+            "cases": [{**vars(c), "anchor": report.anchor} for c in report.cases],
             "config": report.config,
             "seed": report.seed,
         }

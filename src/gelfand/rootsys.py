@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import mul
 
 from .exact import fr
@@ -40,6 +40,11 @@ class RootSystemData:
     def two_rho(self):
         """2 rho, the sum of the positive roots, as an integer tuple."""
         return tuple(map(sum, zip(*self.integral_positive_roots)))
+
+    @cached_property
+    def weyl_denominator(self) -> int:
+        """The product over positive roots of <2 rho, alpha>."""
+        return prod(sum(map(mul, self.two_rho, alpha)) for alpha in self.integral_positive_roots)
 
     @cached_property
     def integral_fundamental_weights(self):
@@ -133,13 +138,12 @@ def weight_lattice(rs: RootSystemData, weight: DominantWeight):
 def _weyl_product(rs: RootSystemData, s: int, lam) -> int:
     """Product over positive roots of <lam/s + rho, alpha>/<rho, alpha> for
     the integer tuple ``lam``, in integers: each factor is
-    <2 lam + 2s rho, alpha>/<2s rho, alpha>."""
-    two_rho = tuple(s * x for x in rs.two_rho)
-    top = tuple(2 * x + r for x, r in zip(lam, two_rho))
-    num = den = 1
-    for alpha in rs.integral_positive_roots:
-        num *= sum(map(mul, top, alpha))
-        den *= sum(map(mul, two_rho, alpha))
+    <2 lam + 2s rho, alpha>/<2s rho, alpha>, so the denominator is
+    s^N times the system's ``weyl_denominator``, N the number of roots."""
+    roots = rs.integral_positive_roots
+    top = tuple(2 * x + s * r for x, r in zip(lam, rs.two_rho))
+    num = prod(sum(map(mul, top, alpha)) for alpha in roots)
+    den = s ** len(roots) * rs.weyl_denominator
     val, rem = divmod(num, den)
     if rem or val <= 0:
         raise ValueError(f"Weyl product is not a positive integer: {Fraction(num, den)}")

@@ -222,8 +222,9 @@ def test_dominant_freudenthal_gl_weights_with_a_trace(lam):
 def _unreduced_freudenthal(rs, lam):
     """Reference: the dominant-weight kernel as it stood with ``Fraction``
     weights, on the epsilon tuple ``lam``: dominance tested by
-    ``_dominant`` on each candidate, and every positive root's string read
-    for every dominant weight."""
+    ``_dominant`` on each candidate, every positive root tried as a step
+    from every dominant weight, and every positive root's string read for
+    every dominant weight up to its first miss, with no norm bound."""
     family = rs.family
     scale = lcm(*(fr(x).denominator for x in lam))
     lam_i = tuple(int(x * scale) for x in lam)
@@ -269,7 +270,8 @@ def _kernel_grid(family, rank):
 @pytest.mark.parametrize("family,rank", KERNEL_SYSTEMS)
 def test_kernel_matches_the_unreduced_recursion(family, rank, cold_caches):
     # the same scale, multiplicities and dominant-weight order, so the same
-    # weight systems in the same key order
+    # weight systems in the same key order; the oracle of both prunings, the
+    # zero-set steps and the norm bound on strings
     rs = rootsys.build_root_system(family, rank)
     cases = [(rootsys.weight_lattice(rs, w), _weight_to_eps(rs, w))
              for w in _kernel_grid(family, rank)]
@@ -278,6 +280,22 @@ def test_kernel_matches_the_unreduced_recursion(family, rank, cold_caches):
     for (scale, lam), eps in cases:
         got, want = charring._freudenthal(rs, scale, lam), _unreduced_freudenthal(rs, eps)
         assert got == want and list(got[1]) == list(want[1]), eps
+
+
+@pytest.mark.parametrize("family,rank", [(f, n) for f in "ABCD"
+                                         for n in range(2 if f == "D" else 1, 5)])
+def test_weights_lie_in_the_ball_of_the_highest_weight(family, rank):
+    # the invariant the norm bound on root strings relies on: |nu| <= |lam|,
+    # with equality exactly on the Weyl orbit of lam
+    rs = rootsys.build_root_system(family, rank)
+    for w in _kernel_grid(family, rank):
+        lam = rootsys.weight_lattice(rs, w)[1]
+        top = sum(a * a for a in lam)
+        norms = {nu: sum(a * a for a in nu)
+                 for nu, _ in charring.weight_system(rs, w).lattice_items()}
+        assert max(norms.values()) <= top, w
+        on_sphere = {nu for nu, n in norms.items() if n == top}
+        assert on_sphere == set(charring._weyl_orbit(family, lam)), w
 
 
 @pytest.mark.parametrize("family,rank", KERNEL_SYSTEMS)
