@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import ItemsView, Mapping, ValuesView
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import (accumulate, chain, combinations, combinations_with_replacement, product,
@@ -38,7 +37,7 @@ from operator import add, mul, sub
 from types import MappingProxyType
 
 from . import rootsys
-from .exact import fr
+from .exact import Record, fr
 
 # ---------------------------------------------------------------------------
 # single root system: Freudenthal and Brauer-Klimyk
@@ -398,20 +397,24 @@ def tensor_decompose(rs: rootsys.RootSystemData, lam: rootsys.DominantWeight,
 # ---------------------------------------------------------------------------
 
 GL, SO, SP, U1 = "gl", "so", "sp", "u1"
+_MIN_SIZE = {GL: 1, SO: 2, SP: 1, U1: 0}
 _SYM_POWERS: dict = {}  # (factors, construction) -> Decompositions of degree 0, 1, ...
 
 
-@dataclass(frozen=True)
-class Factor:
+class Factor(Record):
     """One factor of the acting group.
 
-    kind 'gl' with size n: the unitary group on C^n (weights are full
-    integer n-tuples); 'so' with size n: SO(n); 'sp' with size n: Sp(n)
-    acting on C^{2n}; 'u1': a circle acting by scalars.
+    kind 'gl' with size n >= 1: the unitary group on C^n (weights are full
+    integer n-tuples); 'so' with size n >= 2: SO(n); 'sp' with size n >= 1:
+    Sp(n) acting on C^{2n}; 'u1', size left at 0: a circle acting by scalars.
     """
 
-    kind: str
-    size: int = 0
+    def __init__(self, kind: str, size: int = 0):
+        if (kind not in _MIN_SIZE or type(size) is not int or size < _MIN_SIZE[kind]
+                or (kind == U1 and size)):
+            raise ValueError(f"no factor of kind {kind!r} and size {size!r}")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "size", size)
 
     @property
     def eps_rank(self) -> int:
@@ -494,13 +497,13 @@ def _freudenthal_cached(family, rank, w):
                                          tuple(map(int, w)))[1])
 
 
-@dataclass(frozen=True)
-class Construction:
+class Construction(Record):
     """How the group acts on the module: tag plus the factor indices used."""
 
-    tag: str  # standard | sym2 | lambda2 | tensor | trivial | dsum
-    args: tuple = ()
-    parts: tuple = ()  # for dsum: sub-constructions
+    def __init__(self, tag: str, args: tuple = (), parts: tuple = ()):
+        object.__setattr__(self, "tag", tag)  # standard | sym2 | lambda2 | tensor | trivial | dsum
+        object.__setattr__(self, "args", args)
+        object.__setattr__(self, "parts", parts)  # for dsum: sub-constructions
 
 
 def _check_construction(con: Construction, n_factors: int) -> None:
@@ -521,8 +524,7 @@ def _check_construction(con: Construction, n_factors: int) -> None:
         _check_construction(part, n_factors)
 
 
-@dataclass(frozen=True)
-class GroupDatum:
+class GroupDatum(Record):
     """A table row instance: factors, module construction, and the torus
     quotient that labels are read modulo.
 
@@ -532,12 +534,11 @@ class GroupDatum:
     across both.  Empty: every factor keeps its full character data.
     """
 
-    factors: tuple
-    construction: Construction
-    quotient: tuple = ()
-
-    def __post_init__(self):
-        _check_construction(self.construction, len(self.factors))
+    def __init__(self, factors: tuple, construction: Construction, quotient: tuple = ()):
+        object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "construction", construction)
+        object.__setattr__(self, "quotient", quotient)
+        _check_construction(construction, len(factors))
         seen = set()
         for group in self.quotient:
             if not group:
@@ -579,15 +580,15 @@ def _construction_weights(factors, con: Construction):
     return [tuple(cell.get(k, w) for k, w in enumerate(default)) for cell in cells]
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(Record):
     """List of (label, multiplicity) with the total dimension it must carry.
 
     A label is a tuple holding one dominant weight per factor.
     """
 
-    entries: tuple
-    dimension: int
+    def __init__(self, entries: tuple, dimension: int):
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "dimension", dimension)
 
 
 def _label_dim(factors, label) -> int:

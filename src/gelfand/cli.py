@@ -23,7 +23,6 @@ import random
 import re
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
@@ -31,28 +30,22 @@ import numpy as np
 
 from . import dirlim, fock, nilpf, numerics, rootsys, symmpair, tables
 from . import charring
-from .exact import MultiPoly, det, dot
+from .exact import MultiPoly, Record, det, dot
 
 REPORT_VERSION = "2"
 
 TOL = numerics.DEFAULT_TOLERANCES
 
-@dataclass
-class Case:
-    case_id: str
-    status: str
-    expected: str
-    actual: str
-    tolerance: str
-    runtime_ms: float | None = None
+class Case(Record, mutable=True):
+    def __init__(self, case_id: str, status: str, expected: str, actual: str, tolerance: str,
+                 runtime_ms: float | None = None):
+        self.case_id, self.status, self.expected = case_id, status, expected
+        self.actual, self.tolerance, self.runtime_ms = actual, tolerance, runtime_ms
 
 
-@dataclass
-class VerificationReport:
-    suite: str
-    anchor: str
-    cases: list
-    config: dict
+class VerificationReport(Record, mutable=True):
+    def __init__(self, suite: str, anchor: str, cases: list, config: dict):
+        self.suite, self.anchor, self.cases, self.config = suite, anchor, cases, config
 
     @property
     def seed(self) -> int:

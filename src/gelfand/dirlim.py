@@ -28,30 +28,28 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, combinations_with_replacement
 from math import comb
 
 from . import fock, numerics, symmpair
+from .exact import Record
 
 
-@dataclass(frozen=True)
-class DegreeLadder:
-    backend: str
-    levels: tuple
-    degrees: dict
-    csq_pairs: dict  # (m, n) with m > n -> squared constant
-
-    def __post_init__(self):
-        if any(a >= b for a, b in zip(self.levels, self.levels[1:])):
+class DegreeLadder(Record):
+    def __init__(self, backend: str, levels: tuple, degrees: dict, csq_pairs: dict):
+        object.__setattr__(self, "backend", backend)
+        object.__setattr__(self, "levels", levels)
+        object.__setattr__(self, "degrees", degrees)
+        object.__setattr__(self, "csq_pairs", csq_pairs)  # (m, n) with m > n -> squared constant
+        if any(a >= b for a, b in zip(levels, levels[1:])):
             raise ValueError("levels must be strictly increasing")
-        for n in self.levels:
+        for n in levels:
             # NaN fails both comparisons
-            if n not in self.degrees or not 0 < self.degrees[n] < math.inf:
+            if n not in degrees or not 0 < degrees[n] < math.inf:
                 raise ValueError(f"level {n} has no finite positive degree")
-        for m, n in _pairs(self.levels):
+        for m, n in _pairs(levels):
             csq = self.csq(m, n)
             if not 0 < csq <= 1:
                 raise ValueError(f"c({m},{n})^2 = {csq} outside (0, 1]")
@@ -118,16 +116,16 @@ def eta_scale(ladder: DegreeLadder, n) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LadderedFunction:
+class LadderedFunction(Record):
     """A finite coefficient list plus a positive scalar prefactor, stored
     squared so the system maps stay exact on rational ladders."""
 
-    backend: str
-    level: int
-    kind: str  # 'coeff' | 'invariant'
-    coeffs: tuple  # sorted (key, value) pairs
-    scale_sq: object = Fraction(1)
+    def __init__(self, backend: str, level: int, kind: str, coeffs: tuple, scale_sq=Fraction(1)):
+        object.__setattr__(self, "backend", backend)
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "kind", kind)  # 'coeff' | 'invariant'
+        object.__setattr__(self, "coeffs", coeffs)  # sorted (key, value) pairs
+        object.__setattr__(self, "scale_sq", scale_sq)
 
     @classmethod
     def make(cls, backend, level, coeffs, kind="coeff"):
@@ -142,7 +140,7 @@ def apply_zeta(ladder: DegreeLadder, f: LadderedFunction, m) -> LadderedFunction
     encoding the rescaled inclusion leaves the coefficients alone, which is
     exactly its isometry."""
     _check(ladder, f, "coeff", f.level, m)
-    return replace(f, level=m)
+    return LadderedFunction(f.backend, m, f.kind, f.coeffs, f.scale_sq)
 
 
 def apply_nu(ladder: DegreeLadder, f: LadderedFunction, m) -> LadderedFunction:
@@ -151,13 +149,13 @@ def apply_nu(ladder: DegreeLadder, f: LadderedFunction, m) -> LadderedFunction:
     invariant vector of the higher level contributes 1/c(m,n) through the
     squared prefactor."""
     _check(ladder, f, "invariant", f.level, m)
-    return replace(f, level=m, scale_sq=f.scale_sq / ladder.csq(m, f.level))
+    return LadderedFunction(f.backend, m, f.kind, f.coeffs, f.scale_sq / ladder.csq(m, f.level))
 
 
 def backend_restrict(ladder: DegreeLadder, f: LadderedFunction, n) -> LadderedFunction:
     """Restriction of an invariant-encoded function down to level n."""
     _check(ladder, f, "invariant", n, f.level)
-    return replace(f, level=n, scale_sq=f.scale_sq * ladder.csq(f.level, n))
+    return LadderedFunction(f.backend, n, f.kind, f.coeffs, f.scale_sq * ladder.csq(f.level, n))
 
 
 def _check(ladder, f, kind, low, high):

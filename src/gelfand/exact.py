@@ -10,6 +10,42 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import attrgetter
+
+
+class Record:
+    """Base of the record classes, written by hand so that import generates
+    no code.  The fields are the parameters of ``__init__``, in order; records
+    of one class are equal and hash as their field tuples, and the repr is
+    ``Name(field=value, ...)``.  Fields cannot be assigned or deleted, so
+    ``__init__`` sets each with ``object.__setattr__``, unless the class is
+    declared with ``mutable=True``, which also makes it unhashable."""
+
+    def __init_subclass__(cls, mutable=False):
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1:code.co_argcount]
+        get = attrgetter(*cls._fields)
+        cls._values = staticmethod(get if len(cls._fields) > 1 else lambda r: (get(r),))
+        if mutable:
+            cls.__setattr__, cls.__delattr__ = object.__setattr__, object.__delattr__
+            cls.__hash__ = None
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == other._values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{k}={v!r}" for k, v in zip(self._fields, self._values(self)))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
 
 
 def fr(x) -> Fraction:

@@ -36,20 +36,19 @@ coordinates into the closed normal-ordered series, exact at any displacement.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
 from . import numerics
-from .exact import monomials
+from .exact import Record, monomials
 
 
-@dataclass(frozen=True)
-class HeisenbergPoint:
-    z: float
-    w: tuple
+class HeisenbergPoint(Record):
+    def __init__(self, z: float, w: tuple):
+        object.__setattr__(self, "z", z)
+        object.__setattr__(self, "w", w)
 
     @property
     def n(self) -> int:
@@ -83,9 +82,9 @@ def _ladder_matrices(length: int):
     return np.diag(np.sqrt(np.arange(1.0, length)), -1)
 
 
-@dataclass(frozen=True)
-class FockOperator:
-    matrix: np.ndarray
+class FockOperator(Record):
+    def __init__(self, matrix: np.ndarray):
+        object.__setattr__(self, "matrix", matrix)
 
 
 def check_t(t) -> None:
@@ -336,15 +335,15 @@ def _add_into(acc, key, coeffs):
     acc[key] = tuple(merged)
 
 
-@dataclass(frozen=True)
-class RegularFunction:
+class RegularFunction(Record):
     """Finite combination of e^{-|t|} p(t) mu_m (x) conj(mu_{m'}).
 
     terms maps (m, m') index pairs to polynomial coefficient tuples in t.
     """
 
-    n: int
-    terms: tuple  # ((m, m'), coeff tuple) pairs, coeffs exact or float
+    def __init__(self, n: int, terms: tuple):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "terms", terms)  # ((m, m'), coeffs) pairs, exact or float
 
     @classmethod
     def zero(cls, n):

@@ -17,17 +17,16 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import MultiPoly, fr
+from .exact import MultiPoly, Record, fr
 
 
-@dataclass(frozen=True)
-class TwoStepAlgebra:
-    dim_v: int
-    dim_z: int
-    brackets: tuple  # ((i, j), center vector) with i < j, sparse
+class TwoStepAlgebra(Record):
+    def __init__(self, dim_v: int, dim_z: int, brackets: tuple):
+        object.__setattr__(self, "dim_v", dim_v)
+        object.__setattr__(self, "dim_z", dim_z)
+        object.__setattr__(self, "brackets", brackets)  # ((i, j), center vector), i < j, sparse
 
 
 def build_two_step(dim_v: int, dim_z: int, brackets) -> TwoStepAlgebra:
@@ -238,9 +237,9 @@ def pfaffian(mat):
     return Fraction(sign * prev, d ** (n // 2))
 
 
-@dataclass(frozen=True)
-class PfaffianPolynomial:
-    poly: MultiPoly
+class PfaffianPolynomial(Record):
+    def __init__(self, poly: MultiPoly):
+        object.__setattr__(self, "poly", poly)
 
     def __call__(self, t):
         return self.poly.eval(tuple(fr(x) for x in t))

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -28,9 +27,10 @@ import numpy as np
 from numpy.polynomial.hermite import hermgauss
 from numpy.polynomial.laguerre import laggauss
 
+from .exact import Record
 
-@dataclass(frozen=True)
-class Tolerances:
+
+class Tolerances(Record):
     """Central tolerance configuration.
 
     quadrature_agreement: two successive quadrature orders must agree to this
@@ -46,12 +46,15 @@ class Tolerances:
         diagonal pairings.
     """
 
-    quadrature_agreement: float = 1e-8
-    exact_identity: float = 1e-10
-    truncated_operator: float = 1e-6
-    unitarity: float = 1e-8
-    orthogonality: float = 1e-8
-    formal_degree: float = 1e-6
+    def __init__(self, quadrature_agreement: float = 1e-8, exact_identity: float = 1e-10,
+                 truncated_operator: float = 1e-6, unitarity: float = 1e-8,
+                 orthogonality: float = 1e-8, formal_degree: float = 1e-6):
+        object.__setattr__(self, "quadrature_agreement", quadrature_agreement)
+        object.__setattr__(self, "exact_identity", exact_identity)
+        object.__setattr__(self, "truncated_operator", truncated_operator)
+        object.__setattr__(self, "unitarity", unitarity)
+        object.__setattr__(self, "orthogonality", orthogonality)
+        object.__setattr__(self, "formal_degree", formal_degree)
 
 
 DEFAULT_TOLERANCES = Tolerances()

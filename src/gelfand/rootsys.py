@@ -11,25 +11,25 @@ taken in integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm, prod
 from operator import mul
 
-from .exact import fr
+from .exact import Record, fr
 
 FAMILIES = ("A", "B", "C", "D")
 
 
-@dataclass(frozen=True)
-class RootSystemData:
-    family: str
-    rank: int
-    ambient_dim: int
-    simple_roots: tuple
-    positive_roots: tuple
-    fundamental_weights: tuple
+class RootSystemData(Record):
+    def __init__(self, family: str, rank: int, ambient_dim: int, simple_roots: tuple,
+                 positive_roots: tuple, fundamental_weights: tuple):
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "ambient_dim", ambient_dim)
+        object.__setattr__(self, "simple_roots", simple_roots)
+        object.__setattr__(self, "positive_roots", positive_roots)
+        object.__setattr__(self, "fundamental_weights", fundamental_weights)
 
     @cached_property
     def integral_positive_roots(self):
@@ -55,16 +55,15 @@ class RootSystemData:
         return d, tuple(tuple(int(d * x) for x in xi) for xi in self.fundamental_weights)
 
 
-@dataclass(frozen=True)
-class DominantWeight:
-    family: str
-    rank: int
-    coeffs: tuple
-
-    def __post_init__(self):
-        if len(self.coeffs) != self.rank:
+class DominantWeight(Record):
+    def __init__(self, family: str, rank: int, coeffs: tuple):
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "coeffs", coeffs)
+        if len(coeffs) != rank:
             raise ValueError("coefficient count must equal the rank")
-        if any((not isinstance(k, int)) or k < 0 for k in self.coeffs):
+        # bool is an int subclass, but True is not a coefficient
+        if any(isinstance(k, bool) or not isinstance(k, int) or k < 0 for k in coeffs):
             raise ValueError("dominant weights need nonnegative integer coefficients")
 
 

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -34,22 +33,24 @@ from math import comb
 import numpy as np
 
 from . import numerics, rootsys
-from .exact import MultiPoly, dot, fr, monomials, nullspace, solve
+from .exact import MultiPoly, Record, dot, fr, monomials, nullspace, solve
 
 # ---------------------------------------------------------------------------
 # restricted pair data
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RestrictedPairData:
-    family_id: int
-    rank: int
-    restricted_type: str  # A | B | C | D | BC
-    simple_roots: tuple  # exact epsilon vectors
-    positive_roots: tuple  # (vector, multiplicity) pairs
-    doubled_indices: frozenset  # i with 2*psi_i a restricted root
-    class_one_weights: tuple  # exact epsilon vectors
+class RestrictedPairData(Record):
+    def __init__(self, family_id: int, rank: int, restricted_type: str, simple_roots: tuple,
+                 positive_roots: tuple, doubled_indices: frozenset, class_one_weights: tuple):
+        object.__setattr__(self, "family_id", family_id)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "restricted_type", restricted_type)  # A | B | C | D | BC
+        object.__setattr__(self, "simple_roots", simple_roots)  # exact epsilon vectors
+        object.__setattr__(self, "positive_roots", positive_roots)  # (vector, multiplicity) pairs
+        # i with 2*psi_i a restricted root
+        object.__setattr__(self, "doubled_indices", doubled_indices)
+        object.__setattr__(self, "class_one_weights", class_one_weights)  # exact epsilon vectors
 
 
 # family rows: given (rank l, excess) return (type, multiplicity dict)
@@ -154,11 +155,11 @@ def cartan_helgason_filter(pair: RestrictedPairData, lam) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HarmonicSpace:
-    ambient_dim: int
-    degree: int
-    basis: tuple  # MultiPoly, rational coefficients
+class HarmonicSpace(Record):
+    def __init__(self, ambient_dim: int, degree: int, basis: tuple):
+        object.__setattr__(self, "ambient_dim", ambient_dim)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "basis", basis)  # MultiPoly, rational coefficients
 
     @property
     def dim(self) -> int:

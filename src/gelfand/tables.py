@@ -6,19 +6,19 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
 from importlib import resources
 
 from . import nilpf
 from .charring import GL, SO, SP, U1, Construction, Factor, GroupDatum
+from .exact import Record
 
 
-@dataclass(frozen=True)
-class TableRow:
-    identifier: str
-    factor_spec: str
-    construction_spec: str
-    constraints: str
+class TableRow(Record):
+    def __init__(self, identifier: str, factor_spec: str, construction_spec: str, constraints: str):
+        object.__setattr__(self, "identifier", identifier)
+        object.__setattr__(self, "factor_spec", factor_spec)
+        object.__setattr__(self, "construction_spec", construction_spec)
+        object.__setattr__(self, "constraints", constraints)
 
 
 def _load_rows():

@@ -1298,6 +1298,25 @@ def test_group_datum_rejects_a_bad_quotient(factors, quotient):
         GroupDatum(factors, Construction("standard", (0,)), quotient)
 
 
+@pytest.mark.parametrize("kind,size", [
+    ("bogus", 3), ("GL", 2), ("so", -2), ("so", 1), ("so", 0), ("gl", 0), ("sp", 0),
+    ("gl", -1), ("u1", 1), ("gl", True), ("gl", 2.0), ("sp", "2"),
+])
+def test_factor_rejects_an_unknown_kind_or_size(kind, size):
+    # unchecked, an unknown kind gets a multiplicity-free verdict and a size
+    # below the kind's least one crashes deep in the weight code
+    with pytest.raises(ValueError):
+        Factor(kind, size)
+
+
+def test_factor_accepts_the_smallest_sizes_the_tables_build():
+    for kind, size in [(GL, 1), (SO, 2), (SO, 3), (SP, 1), (U1, 0)]:
+        assert Factor(kind, size).size == size
+    assert Factor(U1) == Factor(U1, 0)
+    datum = GroupDatum((Factor(GL, 1),), Construction("standard", (0,)))
+    assert charring.is_multiplicity_free_polynomial_action(datum, 3)[0]
+
+
 _U2_U3 = (Factor(GL, 2), Factor(GL, 3))
 
 

@@ -124,6 +124,14 @@ def test_is_dominant():
         rootsys.DominantWeight("A", 2, (-1, 0))
 
 
+@pytest.mark.parametrize("coeffs", [(True, False), (1, True), (0, False), (1.0, 0), (Fraction(1), 0)])
+def test_dominant_weight_rejects_coefficients_that_are_not_ints(coeffs):
+    # a bool is an int to isinstance, and weyl_dimension would read
+    # (True, False) as (1, 0)
+    with pytest.raises(ValueError):
+        rootsys.DominantWeight("A", 2, coeffs)
+
+
 def _stabilize(weight, target_rank):
     """The weight's coefficients padded with zeros up to ``target_rank``."""
     coeffs = weight.coeffs + (0,) * (target_rank - weight.rank)
