@@ -26,12 +26,11 @@ entry per epsilon for so/sp factors, and a 1-tuple for circle factors.
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import ItemsView, Mapping, ValuesView
 from fractions import Fraction
 from functools import lru_cache
-from itertools import (accumulate, chain, combinations, combinations_with_replacement, product,
-                       repeat)
+from itertools import (accumulate, chain, combinations, combinations_with_replacement, groupby,
+                       product, repeat)
 from math import comb, factorial, lcm, prod
 from operator import add, mul, sub
 from types import MappingProxyType
@@ -132,6 +131,12 @@ def _freudenthal(rs: rootsys.RootSystemData, scale: int, lam):
     Introduction to Lie Algebras and Representation Theory, 13.4 and 21.3;
     Moody-Patera 1982): a root string stops once |mu + k alpha|^2 passes
     |lam|^2, without the lookup that would miss.
+
+    Each string point nu = mu + k alpha has its dominant conjugate looked up
+    once per call: a memo keeps the multiplicity, or 0 where nu is not a
+    weight.  That is exact: dom(nu) pairs strictly higher with 2 rho than mu,
+    and mu is reached in decreasing order of that pairing, so whether dom(nu)
+    is a weight, and with what multiplicity, is final when nu is first read.
     Returns (scale, {dominant integer tuple: multiplicity}), the keys being
     the weights multiplied by ``scale``; ``WeightSystem`` reads them over
     their Weyl orbits.
@@ -151,7 +156,10 @@ def _freudenthal(rs: rootsys.RootSystemData, scale: int, lam):
             opened = open_steps[fixed] = tuple(
                 step for step in steps if all(i not in fixed for i, _ in step[2]))
         for alpha, row, positive in opened:
-            if all(p[i] >= c for i, c in positive):
+            for i, c in positive:
+                if p[i] < c:
+                    break
+            else:
                 nu = tuple(map(sub, mu, alpha))
                 if nu not in pairings:
                     pairings[nu] = tuple(map(sub, p, row))
@@ -162,6 +170,7 @@ def _freudenthal(rs: rootsys.RootSystemData, scale: int, lam):
     lam_sq = sum(a * a for a in lam)
     top = lam_sq + sum(map(mul, lam, shift))
     mults = {lam: 1}
+    point = {}  # string point -> multiplicity of its dominant conjugate, 0 off the module
     for mu in dominant[1:]:
         mu_sq = sum(a * a for a in mu)
         total = 0
@@ -171,7 +180,11 @@ def _freudenthal(rs: rootsys.RootSystemData, scale: int, lam):
             pair = sum(map(mul, nu, alpha))
             gap = lam_sq - mu_sq - 2 * pair + alpha_sq  # |lam|^2 - |nu|^2
             string = 0
-            while gap >= 0 and (m := mults.get(_dominant(family, nu))) is not None:
+            while gap >= 0:
+                if (m := point.get(nu)) is None:
+                    m = point[nu] = mults.get(_dominant(family, nu), 0)
+                if not m:
+                    break
                 string += m * pair
                 gap -= 2 * pair + alpha_sq
                 pair += alpha_sq
@@ -295,8 +308,10 @@ def _orbit_size(family: str, mu) -> int:
     the absolute values times 2^(nonzero entries); for D the same, except
     that with no zero entry only the even sign changes count, 2^(n-1)."""
     size = factorial(len(mu))
-    for count in Counter(mu if family == "A" else map(abs, mu)).values():
-        size //= factorial(count)
+    # mu is dominant, so equal entries (equal absolute values outside A) are
+    # adjacent: each run is one repeated value
+    for _, run in groupby(mu if family == "A" else map(abs, mu)):
+        size //= factorial(len(tuple(run)))
     if family == "A":
         return size
     signs = sum(1 for x in mu if x)

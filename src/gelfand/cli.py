@@ -318,6 +318,7 @@ def _suite_carcano(cfg, rec):
 
         def sp_single():
             datum = tables.group_datum("kac:3", 2)
+            charring.sym_power_decompose(datum, degree)  # one h recursion fills every degree
             for q in range(degree + 1):
                 dec = charring.sym_power_decompose(datum, q)
                 if len(dec.entries) != 1 or dec.entries[0][1] != 1:
@@ -348,6 +349,8 @@ def _suite_xstability(cfg, rec):
     for rid, small, big, a, b in jobs:
         for d in range(degree + 1):
             def thunk(a=a, b=b, d=d):
+                for datum in (a, b):  # the top degree first: one h recursion each
+                    charring.sym_power_decompose(datum, degree)
                 ok, missing = charring.check_stability(a, b, d)
                 return ok, "stable" if ok else f"missing {missing}"
             rec.run(f"stability-{rid}-{small}to{big}-d{d}", "contained", "exact", thunk)

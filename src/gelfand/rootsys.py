@@ -5,8 +5,9 @@ Roots and weights live in the usual orthonormal-coordinate realization
 dot product there, so coroot pairings are exact Fractions; roots and 2 rho
 are integral.  A dominant weight enters the integer kernels once, as
 ``weight_lattice`` reads it: (scale, integer tuple), its epsilon coordinates
-times their least common denominator; Weyl dimension products are then
-taken in integers.
+times their least common denominator, cached per weight; Weyl dimension
+products are then taken in integers, each positive root read through its
+at most two nonzero entries.
 """
 
 from __future__ import annotations
@@ -35,6 +36,18 @@ class RootSystemData(Record):
     def integral_positive_roots(self):
         """The positive roots as integer tuples (every root is integral)."""
         return tuple(tuple(int(x) for x in alpha) for alpha in self.positive_roots)
+
+    @cached_property
+    def sparse_positive_roots(self):
+        """Each positive root as its two nonzero entries ((i, a), (j, b)), so a
+        pairing with it is top[i] * a + top[j] * b: e_i -+ e_j for every
+        family; a root with one nonzero entry (e_i for B, 2 e_i for C) repeats
+        its index with b = 0."""
+        out = []
+        for alpha in self.integral_positive_roots:
+            (i, a), *rest = [(i, x) for i, x in enumerate(alpha) if x]
+            out.append(((i, a), rest[0] if rest else (i, 0)))
+        return tuple(out)
 
     @cached_property
     def two_rho(self):
@@ -125,11 +138,15 @@ def weight_lattice(rs: RootSystemData, weight: DominantWeight):
     scale, their least common denominator.  The sum of k_i times the
     fundamental weights is taken on D times them, then divided by
     g = gcd(D, entries), so scale = D / g."""
-    d, funds = rs.integral_fundamental_weights
-    acc = [0] * rs.ambient_dim
-    for k, xi in zip(weight.coeffs, funds):
-        if k:
-            acc = [a + k * x for a, x in zip(acc, xi)]
+    return _lattice(rs.family, rs.rank, weight.coeffs)
+
+
+@lru_cache(maxsize=None)
+def _lattice(family: str, rank: int, coeffs: tuple):
+    """``weight_lattice`` once per weight: the Weyl dimension and the weight
+    system of one weight both ask for it."""
+    d, funds = build_root_system(family, rank).integral_fundamental_weights
+    acc = [sum(map(mul, coeffs, column)) for column in zip(*funds)]
     g = gcd(d, *acc)
     return d // g, tuple(a // g for a in acc)
 
@@ -139,9 +156,9 @@ def _weyl_product(rs: RootSystemData, s: int, lam) -> int:
     the integer tuple ``lam``, in integers: each factor is
     <2 lam + 2s rho, alpha>/<2s rho, alpha>, so the denominator is
     s^N times the system's ``weyl_denominator``, N the number of roots."""
-    roots = rs.integral_positive_roots
-    top = tuple(2 * x + s * r for x, r in zip(lam, rs.two_rho))
-    num = prod(sum(map(mul, top, alpha)) for alpha in roots)
+    roots = rs.sparse_positive_roots
+    top = [2 * x + s * r for x, r in zip(lam, rs.two_rho)]
+    num = prod(top[i] * a + top[j] * b for (i, a), (j, b) in roots)
     den = s ** len(roots) * rs.weyl_denominator
     val, rem = divmod(num, den)
     if rem or val <= 0:
@@ -151,7 +168,10 @@ def _weyl_product(rs: RootSystemData, s: int, lam) -> int:
 
 def weyl_dimension_eps(rs: RootSystemData, lam_eps) -> int:
     """Product over positive roots of <lam+rho, alpha>/<rho, alpha> for the
-    epsilon tuple ``lam_eps``, s clearing its denominators."""
+    epsilon tuple ``lam_eps``, s clearing its denominators (s = 1, and no
+    Fraction is made, when every entry is an int)."""
+    if all(type(x) is int for x in lam_eps):
+        return _weyl_product(rs, 1, lam_eps)
     lam = tuple(map(fr, lam_eps))
     s = lcm(*(x.denominator for x in lam))
     return _weyl_product(rs, s, tuple(int(s * x) for x in lam))

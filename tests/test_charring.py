@@ -949,6 +949,54 @@ def test_scaled_tables_are_built_once_per_root_system(cold_caches):
     assert (info.misses, info.hits) == (1, 1)
 
 
+def _string_reads(rs, scale, lam, mults, dominant):
+    """The string points Freudenthal's reading must look up, read off the
+    finished multiplicities, with repeats: per dominant mu below lam and per
+    W_mu root class, mu + k alpha for k = 1, 2, ... inside the norm bound, up
+    to and including the first point off the module.  Returns (point, on the
+    module) pairs."""
+    family, rank = rs.family, rs.rank
+    simple = charring._root_tables(family, rank)[0]
+    roots = charring._scaled_tables(family, rank, scale)[0]
+    top = sum(a * a for a in lam)
+    reads = []
+    for mu in list(mults)[1:]:
+        fixed = tuple(i for i, psi in enumerate(simple) if not sum(map(mul, mu, psi)))
+        for k, _ in charring._root_classes(family, rank, fixed):
+            alpha = roots[k][0]
+            nu = tuple(map(add, mu, alpha))
+            while sum(a * a for a in nu) <= top:
+                reads.append((nu, dominant(family, nu) in mults))
+                if not reads[-1][1]:
+                    break
+                nu = tuple(map(add, nu, alpha))
+    return reads
+
+
+@pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("C", 3), ("B", 4), ("D", 4)])
+def test_freudenthal_reads_each_string_point_once(family, rank, monkeypatch):
+    # every string point's dominant conjugate is computed once per call, a
+    # point off the module included, and a string stops at its first such
+    # point: the memo is exact because those multiplicities are final
+    rs = rootsys.build_root_system(family, rank)
+    real = charring._dominant
+    asked = []
+    monkeypatch.setattr(charring, "_dominant", lambda fam, v: asked.append(v) or real(fam, v))
+    repeated_misses = 0
+    for w in _kernel_grid(family, rank):
+        scale, lam = rootsys.weight_lattice(rs, w)
+        asked.clear()
+        mults = charring._freudenthal(rs, scale, lam)[1]
+        reads = _string_reads(rs, scale, lam, mults, real)
+        assert len(asked) == len(set(asked)), w
+        assert set(asked) == {nu for nu, _ in reads}, w
+        misses = [nu for nu, on in reads if not on]
+        repeated_misses += len(misses) - len(set(misses))
+    # strings of different weights meet at points off the module, so the
+    # memo's record of a miss is read again
+    assert repeated_misses > 0
+
+
 def test_freeness_verdict_is_the_first_repeat(monkeypatch):
     # det is an invariant of degree 2 of S(U(2) x U(2)) on C^2 (x) C^2, so the
     # trivial label of degree 0 repeats in degree 2; degrees 3..5 are now

@@ -1,6 +1,8 @@
 """Root-system invariants checked in exact arithmetic."""
 
 from fractions import Fraction
+from math import prod
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -283,3 +285,77 @@ def test_build_matches_the_family_by_family_oracle(family, rank):
         assert got == want  # the same vectors in the same order
         assert _entry_types(got) == _entry_types(want)
         assert all(t is Fraction for row in _entry_types(got) for t in row)
+
+
+# ---------------------------------------------------------------------------
+# the integer Weyl product: sparse roots, the int route, one lattice per weight
+# ---------------------------------------------------------------------------
+
+
+SPARSE_CASES = [(f, r) for f in "ABC" for r in range(1, 7)] + [("D", r) for r in range(2, 7)]
+
+
+def _eps_grid(family, rank, bound):
+    """(scale, integer tuple) of every dominant weight with coefficients
+    <= ``bound``: spin weights of B and D included, as scale 2."""
+    rs = rootsys.build_root_system(family, rank)
+    for coeffs in _coeff_grid(rank, bound):
+        yield rootsys.weight_lattice(rs, rootsys.DominantWeight(family, rank, coeffs))
+
+
+@pytest.mark.parametrize("family,rank", SPARSE_CASES)
+def test_sparse_roots_give_the_dense_weyl_product(family, rank):
+    rs = rootsys.build_root_system(family, rank)
+    # each sparse pair writes its root back out exactly
+    for ((i, a), (j, b)), alpha in zip(rs.sparse_positive_roots, rs.integral_positive_roots):
+        dense = [0] * rs.ambient_dim
+        dense[i] += a
+        dense[j] += b
+        assert tuple(dense) == alpha
+    scales = set()
+    for s, lam in _eps_grid(family, rank, 2 if rank <= 3 else 1):
+        scales.add(s)
+        top = tuple(2 * x + s * r for x, r in zip(lam, rs.two_rho))
+        num = prod(sum(map(mul, top, alpha)) for alpha in rs.integral_positive_roots)
+        den = s ** len(rs.integral_positive_roots) * rs.weyl_denominator
+        assert num % den == 0
+        assert rootsys._weyl_product(rs, s, lam) == num // den, (s, lam)
+    # half-integral (spin) and traceless weights are in the grid wherever
+    # the system has them
+    assert max(scales) == rs.integral_fundamental_weights[0]
+
+
+@pytest.mark.parametrize("family,rank", [(f, r) for f, r in SPARSE_CASES if r <= 4])
+def test_int_labels_and_fraction_labels_give_one_weyl_dimension(family, rank):
+    rs = rootsys.build_root_system(family, rank)
+    for coeffs in _coeff_grid(rank, 2):
+        weight = rootsys.DominantWeight(family, rank, coeffs)
+        s, lam = rootsys.weight_lattice(rs, weight)
+        eps = tuple(Fraction(x, s) for x in lam)
+        want = rootsys.weyl_dimension(rs, weight)
+        assert rootsys.weyl_dimension_eps(rs, eps) == want, coeffs
+        if s == 1:
+            assert rootsys.weyl_dimension_eps(rs, lam) == want, coeffs
+            assert rootsys.weyl_dimension_eps(rs, list(lam)) == want, coeffs
+
+
+def test_int_labels_make_no_fraction(monkeypatch):
+    rs = rootsys.build_root_system("C", 3)
+    want = rootsys.weyl_dimension(rs, rootsys.DominantWeight("C", 3, (1, 1, 0)))
+    monkeypatch.setattr(rootsys, "fr", None)  # the Fraction route would call it
+    assert rootsys.weyl_dimension_eps(rs, (2, 1, 0)) == want == 64
+    with pytest.raises(TypeError):
+        rootsys.weyl_dimension_eps(rs, (Fraction(2), 1, 0))
+
+
+def test_weight_lattice_is_computed_once_per_weight(cold_caches):
+    rs = rootsys.build_root_system("D", 4)
+    weights = [rootsys.DominantWeight("D", 4, c) for c in ((0, 0, 1, 1), (1, 0, 0, 1))]
+    for w in weights + weights:
+        charring.weight_system(rs, w)
+        rootsys.weyl_dimension(rs, w)
+    # a weight of another system with the same coefficients is its own entry
+    rootsys.weyl_dimension(rootsys.build_root_system("B", 4),
+                           rootsys.DominantWeight("B", 4, (0, 0, 1, 1)))
+    info = rootsys._lattice.cache_info()
+    assert (info.misses, info.hits) == (3, 6)

@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 from gelfand import charring, cli, dirlim, fock, nilpf, numerics, tables
-from gelfand.charring import GL, SO, U1
+from gelfand.charring import GL, SO, U1, Construction, Factor, GroupDatum
+from gelfand.exact import Record
 
 
 # ---------------------------------------------------------------------------
@@ -60,6 +61,69 @@ def test_constraints_enforced():
         tables.group_datum("kac:9", 2, 2)  # r != s
     with pytest.raises(KeyError):
         tables.group_datum("kac:99", 2)
+
+
+def test_group_datum_is_built_once_per_row_and_rank(cold_caches):
+    datum = tables.group_datum("kac:10", 2, 3)
+    assert tables.group_datum("kac:10", 2, 3) is datum
+    assert tables.group_datum("kac:10", 3, 2) is not datum
+    info = tables.group_datum.cache_info()
+    assert (info.misses, info.hits) == (2, 1)
+
+
+@pytest.mark.parametrize("args,error", [(("kac:1", 1), ValueError), (("kac:9", 2, 2), ValueError),
+                                        (("kac:10", 2), ValueError), (("kac:99", 2), KeyError),
+                                        (("vin:17", 2), ValueError)])
+def test_a_bad_row_or_rank_raises_on_every_call(args, error, cold_caches):
+    for _ in range(3):
+        with pytest.raises(error):
+            tables.group_datum(*args)
+    assert tables.group_datum.cache_info().currsize == 0
+
+
+def test_symmetric_power_cache_meets_table_data_without_comparing_records(monkeypatch,
+                                                                        cold_caches):
+    # table data share their factor and construction records, whatever the
+    # row, the quotient or the spelling of the call, so the symmetric-power
+    # cache matches them by identity; equal records built apart are
+    # compared field by field on every lookup
+    calls = []
+    real = Record.__eq__
+
+    def counting(self, other):
+        calls.append(type(self).__name__)
+        return real(self, other)
+
+    monkeypatch.setattr(Record, "__eq__", counting)
+    data = [tables.group_datum("jaw:10", 2, 2), tables.group_datum("kac:10", 2, 2),
+            tables.group_datum(row_id="jaw:10", rank=2, rank2=2)]
+    assert data[0].quotient != data[1].quotient
+    for datum in data:
+        for d in range(4):
+            charring.sym_power_decompose(datum, d)
+    assert calls == []
+    factors = tuple(Factor(f.kind, f.size) for f in data[0].factors)
+    con = data[0].construction
+    charring.sym_power_decompose(GroupDatum(factors, Construction(con.tag, con.args)), 2)
+    assert sorted(calls) == ["Construction", "Factor", "Factor"]
+
+
+@pytest.mark.parametrize("suite,runs", [("xstability", 6), ("carcano", 8)])
+def test_suites_run_one_h_recursion_per_datum(suite, runs, monkeypatch, cold_caches, capsys):
+    # each suite asks a datum's top degree first, so one run of the
+    # recursion fills every degree below it
+    calls = []
+    real = charring._sym_powers
+
+    def counting(factors, construction, lo, hi):
+        calls.append((lo, hi))
+        return real(factors, construction, lo, hi)
+
+    monkeypatch.setattr(charring, "_sym_powers", counting)
+    assert cli.main(["verify", suite, "--format", "json"]) == 0
+    assert all(case["status"] == "pass" for case in json.loads(capsys.readouterr().out)["cases"])
+    assert len(calls) == runs
+    assert {lo for lo, _ in calls} == {0}
 
 
 @pytest.mark.parametrize("clause,r,s,message", [
