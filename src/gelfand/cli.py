@@ -34,7 +34,6 @@ from .exact import MultiPoly, Record, det, dot
 
 REPORT_VERSION = "2"
 
-TOL = numerics.DEFAULT_TOLERANCES
 
 class Case(Record, mutable=True):
     def __init__(self, case_id: str, status: str, expected: str, actual: str, tolerance: str,
@@ -75,34 +74,34 @@ class _Recorder:
 # ---------------------------------------------------------------------------
 
 
-def _closed_form(expected, exact, quad):
+def _closed_form(expected, exact, quad, tol):
     """Verdict on a closed form: the library's exact value must equal
-    ``expected`` and its quadrature value must match it to
-    ``exact_identity``."""
+    ``expected`` and its quadrature value must match it to ``tol``."""
     if exact != expected:
         return False, f"exact value {exact}"
     rel = abs(quad - float(exact)) / float(exact)
-    return rel <= TOL.exact_identity, f"{quad!r} (rel err {rel:.3e})"
+    return rel <= tol, f"{quad!r} (rel err {rel:.3e})"
 
 
 def _suite_gamma(cfg, rec):
+    tol = numerics.DEFAULT_TOLERANCES.exact_identity
     for k in range(cfg["max_k"] + 1):
         expected = Fraction(math.factorial(k), 2 ** k)
         def thunk(k=k, expected=expected):
             quad, exact = numerics.gamma_moment(k)
-            return _closed_form(expected, exact, quad)
-        rec.run(f"gamma-moment-k{k}", str(expected), TOL.exact_identity, thunk)
+            return _closed_form(expected, exact, quad, tol)
+        rec.run(f"gamma-moment-k{k}", str(expected), tol, thunk)
 
 
 def _suite_regnorms(cfg, rec):
+    tol = numerics.DEFAULT_TOLERANCES.exact_identity
     for total in range(cfg["max_k"] + 1):
         expected = Fraction(math.factorial(total), 2 ** total)
         for n in range(total + 1):
             def thunk(n=n, k=total - n, expected=expected):
                 quad, exact = fock.regular_norm_sq(n, k)
-                return _closed_form(expected, exact, quad)
-            rec.run(f"regular-norm-n{n}-k{total - n}", str(expected),
-                    TOL.exact_identity, thunk)
+                return _closed_form(expected, exact, quad, tol)
+            rec.run(f"regular-norm-n{n}-k{total - n}", str(expected), tol, thunk)
 
 
 def _suite_fock_orthogonality(cfg, rec, pairs=(((0,), (0,)), ((1,), (0,)),
@@ -112,7 +111,8 @@ def _suite_fock_orthogonality(cfg, rec, pairs=(((0,), (0,)), ((1,), (0,)),
         raise ConfigError("fock-orthogonality needs t values")
     for t in ts:
         fock.check_t(t)
-    off_tol, diag_tol = TOL.orthogonality, TOL.formal_degree
+    tols = numerics.DEFAULT_TOLERANCES
+    off_tol, diag_tol = tols.orthogonality, tols.formal_degree
     for t in ts:
         for i, p in enumerate(pairs):
             for j, q in enumerate(pairs):
@@ -140,7 +140,8 @@ def _suite_fock_orthogonality(cfg, rec, pairs=(((0,), (0,)), ((1,), (0,)),
 
 def _suite_fock_representation(cfg, rec):
     t, cutoff = 1.0, cfg["cutoff"]
-    tol = TOL.truncated_operator
+    tols = numerics.DEFAULT_TOLERANCES
+    tol, unit_tol = tols.truncated_operator, tols.unitarity
     g = fock.HeisenbergPoint(0.15, (0.3 + 0.4j,))
     h = fock.HeisenbergPoint(-0.4, (-0.3 - 0.4j,))
 
@@ -168,9 +169,9 @@ def _suite_fock_representation(cfg, rec):
     def unitary():
         op = fock.fock_operator(1, t, g, cutoff)
         res = float(np.linalg.norm(op.matrix.conj().T @ op.matrix - np.eye(cutoff + 1)))
-        return res < TOL.unitarity, f"{res:.3e}"
+        return res < unit_tol, f"{res:.3e}"
 
-    rec.run("unitarity", f"< {TOL.unitarity}", TOL.unitarity, unitary)
+    rec.run("unitarity", f"< {unit_tol}", unit_tol, unitary)
 
 
 def _suite_pfaffian(cfg, rec):
@@ -357,7 +358,7 @@ def _suite_xstability(cfg, rec):
 
 
 def _suite_ladders(cfg, rec):
-    degree = cfg["degree"]
+    degree, tol = cfg["degree"], numerics.DEFAULT_TOLERANCES.exact_identity
 
     def un_exact():
         for d in range(degree + 1):
@@ -379,41 +380,37 @@ def _suite_ladders(cfg, rec):
         worst = max(abs(float(res)) for _, res in verdicts)
         return all(ok for ok, _ in verdicts), f"worst cocycle residual {worst:.3e}"
 
-    rec.run("sphere-ladder-cocycle", f"<= {TOL.exact_identity}", TOL.exact_identity,
-            sphere_quad)
+    rec.run("sphere-ladder-cocycle", f"<= {tol}", tol, sphere_quad)
 
     # Each function starts one level above its ladder's base: promoted from
     # the base, the pairing is csq(m, base) / csq(m, base) whatever the
     # constants are, and from above it holds only where the cocycle does.
     def promotion():
-        un = dirlim.LadderedFunction.make("un-poly", 2, {0: Fraction(2), 1: Fraction(1)},
-                                          kind="invariant")
+        un = dirlim.LadderedFunction.make("un-poly", 2, {0: Fraction(2), 1: Fraction(1)})
         parts = [(f"exact promotion drift at degree {d}, level 3",
                   dirlim.un_polynomial_ladder(d, levels=(1, 2, 3)), un, 3) for d in (2, 3)]
         parts.append(("sphere promotion drift",
                       dirlim.sphere_ladder(2, levels=(2, 3, 4), method="quadrature"),
-                      dirlim.LadderedFunction.make("sphere", 3, {0: 1.0, 1: 0.5},
-                                                   kind="invariant"), 4))
+                      dirlim.LadderedFunction.make("sphere", 3, {0: 1.0, 1: 0.5}), 4))
         parts.append(("flat-model promotion drift",
                       dirlim.heisenberg_ladder(1.0, d=1, levels=(1, 2, 3), method="quadrature"),
-                      dirlim.LadderedFunction.make("heisenberg", 2, {0: 1.0},
-                                                   kind="invariant"), 3))
+                      dirlim.LadderedFunction.make("heisenberg", 2, {0: 1.0}), 3))
         for label, L, f, m in parts:
             up = dirlim.apply_nu(L, f, m)
             v0 = dirlim.limit_inner_product(L, f, f)
             drift = abs(dirlim.limit_inner_product(L, up, up) - v0)
-            if drift > (0 if L.exact else TOL.exact_identity * abs(v0)):
+            if drift > (0 if L.exact else tol * abs(v0)):
                 return False, label if L.exact else f"{label} {drift:.3e}"
         return True, "promotion-invariant on all three backends"
 
     rec.run("limit-pairing-promotion", "invariant under promotion",
-            f"exact / {TOL.exact_identity}", promotion)
+            f"exact / {tol}", promotion)
 
 
 def _suite_zonal(cfg, rec):
     degree = cfg["degree"]
     top = cfg["rank"]
-    tol = TOL.exact_identity
+    tol = numerics.DEFAULT_TOLERANCES.exact_identity
     for n in range(2, top + 1):
         def self_case(n=n):
             # reproducing kernel at the pole, where the zonal is 1 (the

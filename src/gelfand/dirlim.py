@@ -1,4 +1,4 @@
-"""Degree ladders and the rescaled map algebra of direct systems.
+"""Degree ladders of direct systems and the system map nu on functions.
 
 A DegreeLadder carries, per level, a formal degree, and per level pair the
 squared projection constant c(m,n)^2 of the distinguished invariant vectors.
@@ -10,14 +10,10 @@ positive quantities, so it holds iff it holds for the squares, and the
 squares are rational for the exact backends while the constants themselves
 are surds.
 
-Functions at a level are finite coefficient lists.  Two encodings appear:
-
-* kind 'coeff': coefficients over the orthonormal coefficient functions of
-  the level (the square-integrable normalization absorbed), so the rescaled
-  inclusion is literally the identity on coefficients;
-* kind 'invariant': coefficients over matrix coefficients against the unit
-  invariant vector of the level; the restriction-inverse system map then
-  divides by c(m,n), and restriction multiplies it back.
+Functions at a level are finite coefficient lists over matrix coefficients
+against the unit invariant vector of the level, with a squared scalar
+prefactor: the restriction-inverse system map nu_{m,n} leaves the list alone
+and divides the prefactor by c(m,n)^2.
 
 Backends supplied: binomial ladders for the unitary polynomial model, zonal
 ladders for spheres, and central-parameter ladders for the flat model, in
@@ -95,80 +91,40 @@ def _pairs(levels):
 
 
 # ---------------------------------------------------------------------------
-# scalar maps
-# ---------------------------------------------------------------------------
-
-
-def zeta_scale(ladder: DegreeLadder, m, n) -> float:
-    """sqrt(deg m / deg n), the rescaling of the coefficient inclusion."""
-    if m < n:
-        raise ValueError("need m >= n")
-    return math.sqrt(float(ladder.deg(m)) / float(ladder.deg(n)))
-
-
-def eta_scale(ladder: DegreeLadder, n) -> float:
-    """sqrt(deg n), the comparison into the square-integrable completion."""
-    return math.sqrt(float(ladder.deg(n)))
-
-
-# ---------------------------------------------------------------------------
 # laddered functions
 # ---------------------------------------------------------------------------
 
 
 class LadderedFunction(Record):
-    """A finite coefficient list plus a positive scalar prefactor, stored
-    squared so the system maps stay exact on rational ladders."""
+    """A finite coefficient list over the invariant matrix coefficients of
+    its level plus a positive scalar prefactor, stored squared so the system
+    maps stay exact on rational ladders."""
 
-    def __init__(self, backend: str, level: int, kind: str, coeffs: tuple, scale_sq=Fraction(1)):
+    def __init__(self, backend: str, level: int, coeffs: tuple, scale_sq=Fraction(1)):
         object.__setattr__(self, "backend", backend)
         object.__setattr__(self, "level", level)
-        object.__setattr__(self, "kind", kind)  # 'coeff' | 'invariant'
         object.__setattr__(self, "coeffs", coeffs)  # sorted (key, value) pairs
         object.__setattr__(self, "scale_sq", scale_sq)
 
     @classmethod
-    def make(cls, backend, level, coeffs, kind="coeff"):
-        if kind not in ("coeff", "invariant"):
-            raise ValueError("kind must be 'coeff' or 'invariant'")
+    def make(cls, backend, level, coeffs, kind="invariant"):
+        if kind != "invariant":
+            raise ValueError(f"kind must be 'invariant', got {kind!r}")
         items = tuple(sorted((k, v) for k, v in dict(coeffs).items() if v != 0))
-        return cls(backend, level, kind, items)
-
-
-def apply_zeta(ladder: DegreeLadder, f: LadderedFunction, m) -> LadderedFunction:
-    """Promote a coefficient-encoded function; in the orthonormal coefficient
-    encoding the rescaled inclusion leaves the coefficients alone, which is
-    exactly its isometry."""
-    _check(ladder, f, "coeff", f.level, m)
-    return LadderedFunction(f.backend, m, f.kind, f.coeffs, f.scale_sq)
+        return cls(backend, level, items)
 
 
 def apply_nu(ladder: DegreeLadder, f: LadderedFunction, m) -> LadderedFunction:
-    """Promote an invariant-encoded function without changing it as a
-    function: the coefficient list is re-targeted untouched, and the unit
-    invariant vector of the higher level contributes 1/c(m,n) through the
-    squared prefactor."""
-    _check(ladder, f, "invariant", f.level, m)
-    return LadderedFunction(f.backend, m, f.kind, f.coeffs, f.scale_sq / ladder.csq(m, f.level))
-
-
-def backend_restrict(ladder: DegreeLadder, f: LadderedFunction, n) -> LadderedFunction:
-    """Restriction of an invariant-encoded function down to level n."""
-    _check(ladder, f, "invariant", n, f.level)
-    return LadderedFunction(f.backend, n, f.kind, f.coeffs, f.scale_sq * ladder.csq(f.level, n))
-
-
-def _check(ladder, f, kind, low, high):
-    """``f`` is a ``kind`` function of the ladder's backend at one of its
-    levels, and the map runs between levels ``low`` <= ``high``."""
+    """Promote a function without changing it as a function: the
+    coefficient list is re-targeted untouched, and the unit invariant vector
+    of the higher level contributes 1/c(m,n) through the squared prefactor."""
     if f.backend != ladder.backend:
         raise ValueError("function belongs to a different backend")
-    if f.kind != kind:
-        raise ValueError(f"operation needs kind {kind!r}")
     if f.level not in ladder.levels:
         raise ValueError(f"level {f.level} not in ladder")
-    if low > high:
-        raise ValueError(f"level {high} is below level {low}")
+    if f.level > m:
+        raise ValueError(f"level {m} is below level {f.level}")
+    return LadderedFunction(f.backend, m, f.coeffs, f.scale_sq / ladder.csq(m, f.level))
 
 
 def limit_inner_product(ladder: DegreeLadder, f: LadderedFunction,
@@ -181,10 +137,8 @@ def limit_inner_product(ladder: DegreeLadder, f: LadderedFunction,
     functions, and the invariant vector of the level contributes its squared
     length 1/csq(level, base) once against the base normalization.
     """
-    if f.backend != g.backend or f.level != g.level or f.kind != g.kind:
-        raise ValueError("functions must share backend, level and kind")
-    if f.kind != "invariant":
-        raise ValueError("the limit pairing is defined on invariant-encoded functions")
+    if f.backend != g.backend or f.level != g.level:
+        raise ValueError("functions must share backend and level")
     gd = dict(g.coeffs)
     pairing = sum(v * gd[k].conjugate() for k, v in f.coeffs if k in gd)
     return ladder.csq(f.level, ladder.base) * _sqrt_product(f.scale_sq, g.scale_sq) * pairing
@@ -326,16 +280,3 @@ def ladder_to_json(ladder: DegreeLadder) -> str:
                        "csq": [[ladder.csq(m, n) if m >= n else None for n in levels]
                                for m in levels]}, sort_keys=True, default=str)
 
-
-def ladder_from_json(text: str) -> DegreeLadder:
-    """Strings read as Fractions and numbers as floats."""
-    doc = json.loads(text)
-    levels = doc["levels"]
-    pos = {n: i for i, n in enumerate(levels)}
-
-    def number(x):
-        return Fraction(x) if isinstance(x, str) else float(x)
-
-    degrees = {n: number(x) for n, x in zip(levels, doc["deg"])}
-    csq = {(m, n): number(doc["csq"][pos[m]][pos[n]]) for m, n in _pairs(levels)}
-    return make_ladder(doc["backend"], levels, degrees, csq)

@@ -79,7 +79,14 @@ def _ladder_matrices(length: int):
     """Creation matrix a^+ on the one-mode chain of the given length, sqrt(k)
     on the subdiagonal (annihilation is the transpose): the chain generator
     behind ``_chain_eigen``."""
-    return np.diag(np.sqrt(np.arange(1.0, length)), -1)
+    return _frozen(np.diag(np.sqrt(np.arange(1.0, length)), -1))
+
+
+def _frozen(a):
+    """``a`` made read-only in place: a cached array is shared by every
+    later call, so no caller may write into it."""
+    a.flags.writeable = False
+    return a
 
 
 class FockOperator(Record):
@@ -163,7 +170,7 @@ def _chain_eigen(length):
     # one Newton-Schulz step: eigh leaves V orthogonal to about L eps only
     v = v @ (1.5 * np.eye(length) - 0.5 * (v.T @ v))
     powers = np.array([1, 1j, -1, -1j])[np.arange(length) % 4]
-    return lam, powers[:, None] * v
+    return _frozen(lam), _frozen(powers[:, None] * v)
 
 
 @lru_cache(maxsize=None)
@@ -195,7 +202,8 @@ def _rotation_structure(n, cutoff):
                     coef[i, c] = math.sqrt(m[i])
         modes = (coef > 0).argmax(axis=0)
         cols = np.arange(len(block))
-        parents.append((modes, src[modes, cols], coef[modes, cols], src, coef))
+        parents.append(tuple(map(_frozen, (modes, src[modes, cols], coef[modes, cols],
+                                           src, coef))))
     chains = {}
     for m in idx:
         if m[0] == 0:
@@ -203,8 +211,8 @@ def _rotation_structure(n, cutoff):
             chains.setdefault(length, []).append(
                 [pos[(k,) + m[1:]] for k in range(length)])
     return (tuple(bounds), tuple(parents),
-            tuple((length, np.array(rows)) for length, rows in sorted(chains.items())),
-            np.array(idx))
+            tuple((length, _frozen(np.array(rows))) for length, rows in sorted(chains.items())),
+            _frozen(np.array(idx)))
 
 
 def _first_column_unitary(v):

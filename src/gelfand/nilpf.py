@@ -308,19 +308,9 @@ def sample_centre_point(rng: random.Random, dim_z: int) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def dump_algebra(alg: TwoStepAlgebra) -> str:
-    """Text form: header 'dim_v dim_z', then one line 'i j k num/den' per
-    nonzero c_ij^k with i < j, zero-based."""
-    lines = [f"{alg.dim_v} {alg.dim_z}"]
-    for (i, j), vec in alg.brackets:
-        for k, c in enumerate(vec):
-            if c:
-                lines.append(f"{i} {j} {k} {c.numerator}/{c.denominator}")
-    return "\n".join(lines) + "\n"
-
-
 def load_algebra(text: str) -> TwoStepAlgebra:
-    """Read the ``dump_algebra`` format; '#' starts a comment."""
+    """Text form: header 'dim_v dim_z', then one line 'i j k num/den' per
+    nonzero c_ij^k with i < j, zero-based; '#' starts a comment."""
     lines = [ln for ln in (raw.split("#", 1)[0].strip() for raw in text.splitlines()) if ln]
     if not lines:
         raise ValueError("empty algebra definition")

@@ -76,34 +76,26 @@ def _check_constraints(constraints: str, r: int, s: int | None):
         raise ValueError(f"unparseable constraint {clause!r}")
 
 
-@lru_cache(maxsize=None)
-def _shared(cls, *args):
-    """One record per class and arguments: data of different rows and ranks
-    share their factors and construction, so a cache keyed on them matches
-    them by identity."""
-    return cls(*args)
-
-
 def _parse_factor(token: str, r: int, s: int | None):
     """(factors, quotiented): the factors a token names, and whether their
     determinant characters are quotiented together (SU, S(U x U))."""
     token = token.strip()
     if token == "U1":
-        return [_shared(Factor, U1)], False
+        return [Factor(U1)], False
     m = re.fullmatch(r"(SU|U|SO|Sp)\((\w+)\)", token)
     if m:
         name, arg = m.group(1), m.group(2)
         size = {"r": r, "s": s}.get(arg)
         if size is None:
             size = int(arg)
-        return [_shared(Factor, {"SU": GL, "U": GL, "SO": SO, "Sp": SP}[name], size)], name == "SU"
+        return [Factor({"SU": GL, "U": GL, "SO": SO, "Sp": SP}[name], size)], name == "SU"
     m = re.fullmatch(r"S\(U\((\w+)\)xU\((\w+)\)\)", token)
     if m:
         sizes = []
         for arg in m.groups():
             size = {"r": r, "s": s}.get(arg)
             sizes.append(int(arg) if size is None else size)
-        return [_shared(Factor, GL, sizes[0]), _shared(Factor, GL, sizes[1])], True
+        return [Factor(GL, sizes[0]), Factor(GL, sizes[1])], True
     raise ValueError(f"unparseable factor {token!r}")
 
 
@@ -125,7 +117,7 @@ def group_datum(row_id: str, rank: int, rank2: int | None = None) -> GroupDatum:
         factors += new
     tag, _, idxs = row.construction_spec.partition(":")
     args = tuple(int(x) for x in idxs.split(",")) if idxs else ()
-    return GroupDatum(tuple(factors), _shared(Construction, tag, args), tuple(quotient))
+    return GroupDatum(tuple(factors), Construction(tag, args), tuple(quotient))
 
 
 _ALGEBRA_BUILDERS = {

@@ -1,5 +1,6 @@
-"""Ladder algebra: scalar maps, commuting squares, cocycles, and the limit
-pairing's invariance under level promotion."""
+"""Ladder algebra: degrees and constants, the system map nu, commuting
+squares, cocycles, the limit pairing's invariance under level promotion, and
+the export-ladder file read back as the ladder it was written from."""
 
 import json
 import math
@@ -11,12 +12,9 @@ import pytest
 from gelfand import cli
 from gelfand.dirlim import (
     LadderedFunction,
+    _pairs,
     apply_nu,
-    apply_zeta,
-    backend_restrict,
-    eta_scale,
     heisenberg_ladder,
-    ladder_from_json,
     ladder_to_json,
     limit_inner_product,
     make_ladder,
@@ -25,7 +23,6 @@ from gelfand.dirlim import (
     un_polynomial_ladder,
     verify_cocycle,
     verify_commuting_square,
-    zeta_scale,
 )
 
 
@@ -34,37 +31,52 @@ def _c(ladder, m, n):
     return math.sqrt(float(ladder.csq(m, n)))
 
 
+def ladder_from_json(text: str):
+    """The export-ladder file read back: "p/q" strings as Fractions and
+    numbers as floats."""
+    doc = json.loads(text)
+    levels = doc["levels"]
+    pos = {n: i for i, n in enumerate(levels)}
+
+    def number(x):
+        return Fraction(x) if isinstance(x, str) else float(x)
+
+    degrees = {n: number(x) for n, x in zip(levels, doc["deg"])}
+    csq = {(m, n): number(doc["csq"][pos[m]][pos[n]]) for m, n in _pairs(levels)}
+    return make_ladder(doc["backend"], levels, degrees, csq)
+
+
 # ---------------------------------------------------------------------------
-# scalar maps
+# degrees and constants
 # ---------------------------------------------------------------------------
 
 
-def test_zeta_scale_identity_level():
-    L = un_polynomial_ladder(2)
-    assert zeta_scale(L, 3, 3) == 1.0
+def test_same_level_constant_is_one():
+    for L, number in ((un_polynomial_ladder(2), Fraction), (heisenberg_ladder(0.5, d=2), float)):
+        for n in L.levels:
+            assert L.csq(n, n) == 1 and type(L.csq(n, n)) is number
 
 
-def test_heisenberg_zeta_scale_is_power_of_t():
+def test_heisenberg_degree_ratio_is_t():
+    # at d = 0 the degrees are |t|^n, so one level up multiplies by t exactly
     for t in (Fraction(1, 2), Fraction(2), Fraction(3)):
         L = heisenberg_ladder(t, d=0, levels=(1, 2))
-        assert math.isclose(zeta_scale(L, 2, 1), math.sqrt(float(t)), rel_tol=1e-12)
+        assert L.deg(2) / L.deg(1) == t
 
 
 def test_tilde_bounded_by_plain():
+    # the tilde map is c(m, n) times the plain one, a contraction iff c <= 1
     L = sphere_ladder(2, levels=(2, 3, 4))
-    for m in (3, 4):
-        for n in (2, 3):
-            if m >= n:
-                assert _c(L, m, n) * zeta_scale(L, m, n) <= zeta_scale(L, m, n) + 1e-15
-    assert _c(L, 4, L.base) * eta_scale(L, 4) <= eta_scale(L, 4)
+    for m, n in _pairs(L.levels):
+        assert 0 < L.csq(m, n) <= 1
 
 
 def test_missing_level_errors():
     L = un_polynomial_ladder(1, levels=(1, 2))
     with pytest.raises(KeyError):
         L.deg(5)
-    with pytest.raises(ValueError):
-        zeta_scale(L, 1, 2)
+    with pytest.raises(ValueError, match="need m >= n"):
+        L.csq(1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -72,35 +84,30 @@ def test_missing_level_errors():
 # ---------------------------------------------------------------------------
 
 
-def test_apply_zeta_is_coefficient_isometry():
-    L = un_polynomial_ladder(2)
-    f = LadderedFunction.make("un-poly", 2, {"a": 1.0, "b": -2.5j})
-    g = apply_zeta(L, f, 4)
-    assert g.level == 4
-    norms = [h.scale_sq * sum(abs(v) ** 2 for _, v in h.coeffs) for h in (f, g)]
-    assert norms[1] == norms[0]
-    assert apply_zeta(L, f, 2) == f
+def test_only_the_invariant_encoding_is_made():
+    f = LadderedFunction.make("sphere", 2, {0: 1}, kind="invariant")
+    assert f == LadderedFunction.make("sphere", 2, {0: 1})
+    assert (f.backend, f.level, f.coeffs, f.scale_sq) == ("sphere", 2, ((0, 1),), 1)
+    with pytest.raises(ValueError, match="kind must be 'invariant'"):
+        LadderedFunction.make("sphere", 2, {0: 1}, kind="coeff")
 
 
 def test_apply_nu_then_restrict_is_identity():
+    # restriction back to level 2 multiplies the prefactor by c(4, 2)^2
     L = sphere_ladder(3, levels=(2, 3, 4))
     f = LadderedFunction.make("sphere", 2, {0: Fraction(2), 1: Fraction(-1)},
                               kind="invariant")
     up = apply_nu(L, f, 4)
-    back = backend_restrict(L, up, 2)
+    assert (up.level, up.coeffs) == (4, f.coeffs)
+    back = LadderedFunction(up.backend, 2, up.coeffs, up.scale_sq * L.csq(4, 2))
     assert back == f
 
 
 def test_level_order_enforced():
     L = un_polynomial_ladder(1)
     f = LadderedFunction.make("un-poly", 3, {"a": 1.0}, kind="invariant")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="level 2 is below level 3"):
         apply_nu(L, f, 2)
-    with pytest.raises(ValueError):
-        apply_zeta(L, LadderedFunction.make("un-poly", 3, {"a": 1.0}), 2)
-    low = LadderedFunction.make("un-poly", 2, {"a": 1.0}, kind="invariant")
-    with pytest.raises(ValueError, match="is below level"):
-        backend_restrict(L, low, 3)
 
 
 def test_backend_mismatch_rejected():

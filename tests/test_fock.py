@@ -359,6 +359,18 @@ def test_operator_builds_only_one_mode_ladders():
     assert (info.hits, info.misses, info.currsize) == (15, 15, 15)
 
 
+def test_a_caller_cannot_corrupt_the_cached_operator_structure():
+    g = HeisenbergPoint(0.1, (0.2j, -0.1 + 0j))
+    before = fock_operator(2, 1.0, g, 8).matrix
+    bounds, parents, chains, index = fock._rotation_structure(2, 8)
+    cached = [fock._ladder_matrices(9), *fock._chain_eigen(9), index,
+              *(rows for _, rows in chains), *(a for block in parents for a in block)]
+    for a in cached:
+        with pytest.raises(ValueError, match="read-only"):
+            a *= 2
+    assert fock_operator(2, 1.0, g, 8).matrix.tobytes() == before.tobytes()
+
+
 def test_tiny_displacement_components_match_full_generator_expm():
     # subnormal displacements, and a subnormal first component of alpha
     for w in ((1e-320 + 0j,), (0j, 3e-320j, 0j), (1e-310 + 1e-310j, 0.3j),

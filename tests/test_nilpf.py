@@ -18,7 +18,6 @@ from gelfand.nilpf import (
     build_two_step,
     build_un_type,
     direct_sum,
-    dump_algebra,
     is_generically_square_integrable,
     load_algebra,
     pfaffian,
@@ -754,12 +753,24 @@ def _congruence(T, b):
 # ---------------------------------------------------------------------------
 
 
+def dump_algebra(alg):
+    """The text that ``load_algebra`` reads: header 'dim_v dim_z', then one
+    line 'i j k num/den' per nonzero c_ij^k with i < j, zero-based."""
+    lines = [f"{alg.dim_v} {alg.dim_z}"]
+    for (i, j), vec in alg.brackets:
+        for k, c in enumerate(vec):
+            if c:
+                lines.append(f"{i} {j} {k} {c.numerator}/{c.denominator}")
+    return "\n".join(lines) + "\n"
+
+
 def test_algebra_text_roundtrip():
-    alg = build_heisenberg(1, "H")
-    text = dump_algebra(alg)
-    back = load_algebra(text)
-    assert back.dim_v == alg.dim_v and back.dim_z == alg.dim_z
-    assert back.brackets == alg.brackets
+    # un:3 carries the non-integer constants +-1/2
+    for alg in (build_heisenberg(1, "H"), build_free_two_step(3), build_un_type(3)):
+        text = dump_algebra(alg)
+        back = load_algebra(text)
+        assert back.dim_v == alg.dim_v and back.dim_z == alg.dim_z
+        assert back.brackets == alg.brackets
 
 
 def test_load_rejects_garbage():

@@ -37,8 +37,8 @@ RECORDS = {
     dirlim.DegreeLadder: (("backend", "levels", "degrees", "csq_pairs"),
                           ("sphere", (1, 2), {1: Fraction(2), 2: Fraction(3)},
                            {(2, 1): Fraction(1, 2)})),
-    dirlim.LadderedFunction: (("backend", "level", "kind", "coeffs", "scale_sq"),
-                              ("sphere", 2, "coeff", ((0, Fraction(1)),), Fraction(1))),
+    dirlim.LadderedFunction: (("backend", "level", "coeffs", "scale_sq"),
+                              ("sphere", 2, ((0, Fraction(1)),), Fraction(1))),
     fock.HeisenbergPoint: (("z", "w"), (0.5, (1 + 2j,))),
     fock.FockOperator: (("matrix",), (_MATRIX,)),
     fock.RegularFunction: (("n", "terms"), (1, ((((0,), (0,)), (Fraction(1),)),))),

@@ -1,6 +1,7 @@
 """The library's public surface: every public top-level function or class in
 ``src/gelfand``, and every method or property of such a class, is used by
-the library or the benchmark harness, or is kept on purpose.
+the library or the benchmark harness, or is kept for the ROADMAP item that
+will call it.
 
 A top-level name counts as used when ``src/gelfand`` or ``perfbench``
 reads it outside its own definition: as a name that ``symtable`` resolves
@@ -27,20 +28,15 @@ _COMPREHENSIONS = {ast.ListComp: "listcomp", ast.SetComp: "setcomp",
                    ast.DictComp: "dictcomp", ast.GeneratorExp: "genexpr"}
 
 KEEP = {
-    # the paper's objects
-    "fock.RegularFunction": "the paper's regular functions on the Heisenberg group",
-    "fock.regular_gram": "Gram matrix of the regular functions",
-    "dirlim.apply_zeta": "the paper's map zeta_{m,n}",
-    "dirlim.zeta_scale": "the rescaling of zeta_{m,n}",
-    "dirlim.eta_scale": "the comparison into the square-integrable completion",
-    "dirlim.backend_restrict": "the restriction a ladder's backend applies",
-    "nilpf.plancherel_density": "the Plancherel density |Pf(b_t)|",
-    "dirlim.ladder_from_json": "reader of the export-ladder output",
-    # file formats and planned callers
-    "nilpf.dump_algebra": "writer of the --algebra FILE format that load_algebra reads",
-    "symmpair.build_symmetric_pair": "restricted root data for the compact rank-one suite",
-    "symmpair.cartan_helgason_filter": "class-1 weights for the compact rank-one suite",
+    # the paper's objects that a ROADMAP item will give a CLI caller
+    "fock.RegularFunction": "the paper's regular functions on the Heisenberg group: ROADMAP item 4",
+    "fock.regular_gram": "Gram matrix of the regular functions: ROADMAP item 4",
+    "nilpf.plancherel_density": "the Plancherel density |Pf(b_t)|: ROADMAP item 6",
+    "symmpair.build_symmetric_pair": "restricted root data of the rank-one suite: ROADMAP item 2",
+    "symmpair.cartan_helgason_filter":
+        "class-1 weights of the rank-one and branching suites: ROADMAP items 2 and 10",
 }
+_ROADMAP_ITEMS = re.compile(r"ROADMAP items? (\d+(?:(?:, | and )\d+)*)\Z")
 
 
 def _public_definitions():
@@ -159,6 +155,15 @@ def test_keep_list_names_exist():
     defs = _public_definitions()
     assert sorted(k for k in KEEP if k not in defs) == []
     assert all(reason.strip() for reason in KEEP.values())
+
+
+def test_every_keep_reason_names_its_roadmap_item():
+    roadmap = (ROOT / "ROADMAP.md").read_text(encoding="utf-8")
+    items = set(re.findall(r"^- \*\*(\d+)\. ", roadmap, re.MULTILINE))
+    for name, reason in KEEP.items():
+        named = _ROADMAP_ITEMS.search(reason)
+        assert named, f"{name}: the reason names no ROADMAP item"
+        assert set(re.findall(r"\d+", named.group(1))) <= items, name
 
 
 def test_keep_list_holds_only_unreferenced_names():

@@ -10,7 +10,6 @@ import pytest
 
 from gelfand import charring, cli, dirlim, fock, nilpf, numerics, tables
 from gelfand.charring import GL, SO, U1, Construction, Factor, GroupDatum
-from gelfand.exact import Record
 
 
 # ---------------------------------------------------------------------------
@@ -81,31 +80,32 @@ def test_a_bad_row_or_rank_raises_on_every_call(args, error, cold_caches):
     assert tables.group_datum.cache_info().currsize == 0
 
 
-def test_symmetric_power_cache_meets_table_data_without_comparing_records(monkeypatch,
-                                                                        cold_caches):
-    # table data share their factor and construction records, whatever the
-    # row, the quotient or the spelling of the call, so the symmetric-power
-    # cache matches them by identity; equal records built apart are
-    # compared field by field on every lookup
+def test_symmetric_power_cache_meets_equal_table_data(monkeypatch, cold_caches):
+    # the cache is keyed on a datum's factors and construction: data of
+    # another row with the same group, another spelling of the call and
+    # records built by hand run no second h_d recursion
     calls = []
-    real = Record.__eq__
+    real = charring._sym_powers
 
-    def counting(self, other):
-        calls.append(type(self).__name__)
-        return real(self, other)
+    def counting(factors, construction, lo, hi):
+        calls.append((lo, hi))
+        return real(factors, construction, lo, hi)
 
-    monkeypatch.setattr(Record, "__eq__", counting)
+    monkeypatch.setattr(charring, "_sym_powers", counting)
     data = [tables.group_datum("jaw:10", 2, 2), tables.group_datum("kac:10", 2, 2),
             tables.group_datum(row_id="jaw:10", rank=2, rank2=2)]
     assert data[0].quotient != data[1].quotient
-    for datum in data:
-        for d in range(4):
-            charring.sym_power_decompose(datum, d)
-    assert calls == []
     factors = tuple(Factor(f.kind, f.size) for f in data[0].factors)
     con = data[0].construction
-    charring.sym_power_decompose(GroupDatum(factors, Construction(con.tag, con.args)), 2)
-    assert sorted(calls) == ["Construction", "Factor", "Factor"]
+    data.append(GroupDatum(factors, Construction(con.tag, con.args)))
+    for d in range(4):
+        charring.sym_power_decompose(data[0], d)
+    runs = list(calls)
+    assert runs
+    for datum in data[1:]:
+        for d in range(4):
+            charring.sym_power_decompose(datum, d)
+    assert calls == runs
 
 
 @pytest.mark.parametrize("suite,runs", [("xstability", 6), ("carcano", 8)])
@@ -195,10 +195,13 @@ def test_unknown_key_error_prints_unquoted(argv, message, capsys):
 
 
 def test_algebra_from_file(tmp_path):
+    # the quaternionic Heisenberg algebra H_1 in the --algebra FILE format
     path = tmp_path / "alg.txt"
-    path.write_text(nilpf.dump_algebra(nilpf.build_heisenberg(1, "H")))
+    path.write_text("4 3\n0 1 0 1/1\n0 2 1 1/1\n0 3 2 1/1\n"
+                    "1 2 2 -1/1\n1 3 1 1/1\n2 3 0 -1/1\n")
     alg = tables.algebra(str(path))
     assert (alg.dim_v, alg.dim_z) == (4, 3)
+    assert alg.brackets == nilpf.build_heisenberg(1, "H").brackets
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +444,7 @@ def test_named_tolerance_columns_are_pinned():
 
 
 def test_suites_read_the_named_tolerances(monkeypatch):
-    monkeypatch.setattr(cli, "TOL", numerics.Tolerances(
+    monkeypatch.setattr(numerics, "DEFAULT_TOLERANCES", numerics.Tolerances(
         exact_identity=5e-11, unitarity=2e-8, orthogonality=3e-8, formal_degree=4e-6))
     orth = _suite_columns("fock-orthogonality")
     assert orth["formal-degree-constancy"] == ("relative spread <= 4e-06", "4e-06")
@@ -768,6 +771,16 @@ def _ladders_cases():
     return {c.case_id: c for c in cli.run_suite("ladders", dict(cli.DEFAULTS)).cases}
 
 
+def test_sphere_ladder_cocycle_is_judged_at_the_tolerance_it_prints(monkeypatch):
+    # the quadrature ladders close their cocycle to about 7e-16, so at 1e-30
+    # the case fails, and its columns print the bound it was judged at
+    monkeypatch.setattr(numerics, "DEFAULT_TOLERANCES",
+                        numerics.Tolerances(exact_identity=1e-30))
+    case = _ladders_cases()["sphere-ladder-cocycle"]
+    assert (case.status, case.expected, case.tolerance) == ("fail", "<= 1e-30", "1e-30")
+    assert case.actual.startswith("worst cocycle residual ")
+
+
 def test_limit_pairing_promotion_fails_on_a_broken_cocycle(monkeypatch):
     # promoted from the base level the pairing is csq(m, base) / csq(m, base)
     # whatever the constants are; from level 2 it needs csq(3,1) = csq(3,2) csq(2,1)
@@ -851,14 +864,14 @@ def test_algebra_file_comments_read_as_in_a_config_file(comment, tmp_path, capsy
 
 
 def test_export_ladder_roundtrips(tmp_path):
+    # the file is the builder ladder's JSON; tests/test_dirlim.py reads every
+    # builder's file back as the ladder it was written from
     out = tmp_path / "ladder.json"
     assert cli.main(["export-ladder", "--backend", "sphere", "--degree", "2",
                      "--out", str(out)]) == 0
-    from gelfand import dirlim
-    ladder = dirlim.ladder_from_json(out.read_text())
-    assert ladder.backend == "sphere"
-    ok, res = dirlim.verify_cocycle(ladder)
-    assert abs(float(res)) < 1e-12
+    ladder = dirlim.sphere_ladder(2)
+    assert out.read_text() == dirlim.ladder_to_json(ladder) + "\n"
+    assert dirlim.verify_cocycle(ladder) == (True, 0)
 
 
 def test_console_entry_point_runs():
