@@ -12,12 +12,10 @@ Lambda^2 / outer tensor, and decomposes symmetric powers of the dual module,
 which is what degree-d polynomials transform by.  Their weight multisets
 come from the complete homogeneous recursion h_d, run once per (factors,
 construction) for every degree up to the highest one asked; the torus
-quotient is left out of that key because it only shifts the labels
-afterwards.  The recursion keeps only partial weights whose finished slots
-(those no later coordinate touches) are dominant.  That is exact: finished
-slots never change again, and the leading slots of a dominant weight are
-dominant themselves, so a dropped weight only leads to weights that are not
-dominant.
+quotient only shifts labels afterwards, so it stays out of that key.  The
+recursion packs each partial weight into one int, a biased bit field per
+slot, and drops it as soon as its finished slots (those no later
+coordinate touches) leave the dominant chamber (``_sym_powers``).
 
 Weights are kept in orthonormal epsilon coordinates, an integer tuple per
 factor: the full gl weight (one entry per column) for unitary factors, one
@@ -32,7 +30,7 @@ from functools import lru_cache
 from itertools import (accumulate, chain, combinations, combinations_with_replacement, groupby,
                        product, repeat)
 from math import comb, factorial, lcm, prod
-from operator import add, mul, sub
+from operator import add, ge, mul, sub
 from types import MappingProxyType
 
 from . import rootsys
@@ -332,6 +330,16 @@ def _dominant(family: str, v):
     return tuple(out)
 
 
+def _is_dominant(family: str, v) -> bool:
+    """Whether ``_dominant(family, v) == v``, as one chain v[0] >= ... >=
+    v[-1], then >= 0 for B and C; for D the chain ends v[-2] >= |v[-1]|."""
+    if family == "D":
+        v = (*v[:-1], abs(v[-1]))
+    elif family != "A":
+        v = (*v, 0)
+    return all(map(ge, v, v[1:]))
+
+
 def _reflect_to_dominant(family: str, vec):
     """Weyl-reflect ``vec`` into the closed dominant chamber.
 
@@ -351,20 +359,14 @@ def _reflect_to_dominant(family: str, vec):
 
 
 def _perm_sign(order):
-    seen = [False] * len(order)
-    sign = 1
-    for i in range(len(order)):
-        if seen[i]:
-            continue
-        j = i
-        length = 0
-        while not seen[j]:
-            seen[j] = True
-            j = order[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+    """(-1)^(n - number of cycles): the sign of the permutation ``order``."""
+    seen, cycles = [False] * len(order), 0
+    for i in order:
+        cycles += not seen[i]
+        while not seen[i]:
+            seen[i] = True
+            i = order[i]
+    return -1 if (len(order) - cycles) % 2 else 1
 
 
 def tensor_decompose(rs: rootsys.RootSystemData, lam: rootsys.DominantWeight,
@@ -433,37 +435,27 @@ class Factor(Record):
 
     @property
     def eps_rank(self) -> int:
-        if self.kind == GL:
-            return self.size
-        if self.kind == SO:
-            return self.size // 2
-        if self.kind == SP:
-            return self.size
-        return 1
+        return self.size // 2 if self.kind == SO else self.size or 1
 
     def standard_weights(self):
         """Weights of the defining module (the space the factor acts on)."""
         if self.kind == U1:
             return [(1,)]  # u1 scaling: weight one per coordinate
         r = self.eps_rank
-        units = [_unit(r, i, 1) for i in range(r)]
+        units = [tuple(int(i == j) for j in range(r)) for i in range(r)]
         if self.kind == GL:
             return units
         # so/sp: +-e_i, and the zero weight for odd orthogonal groups
-        units += [_unit(r, i, -1) for i in range(r)]
+        units += [tuple(-x for x in e) for e in units]
         return units + [(0,) * r] if self.kind == SO and self.size % 2 else units
 
     def _root_type(self):
         """(family, rank) of the factor's root system; None for a torus."""
-        if self.kind == GL:
-            return ("A", self.size - 1) if self.size >= 2 else None
-        if self.kind == SO:
-            if self.size == 2:
-                return None
-            return ("D" if self.size % 2 == 0 else "B", self.size // 2)
-        if self.kind == SP:
-            return ("C", self.size)
-        return None
+        if self.kind == GL and self.size >= 2:
+            return "A", self.size - 1
+        if self.kind == SO and self.size > 2:
+            return "D" if self.size % 2 == 0 else "B", self.size // 2
+        return ("C", self.size) if self.kind == SP else None
 
     def dim(self, w) -> int:
         # gl weights go to A_{n-1} ambient coordinates unchanged (the Weyl
@@ -489,10 +481,6 @@ class Factor(Record):
         return tuple(range(self.eps_rank, 0, -1))
 
 
-def _unit(n, i, sign):
-    return tuple(sign if j == i else 0 for j in range(n))
-
-
 @lru_cache(maxsize=None)
 def _weyl_dimension_cached(family, rank, w):
     """Weyl dimension of the epsilon weight ``w``; labels repeat it often."""
@@ -503,9 +491,8 @@ def _weyl_dimension_cached(family, rank, w):
 def _freudenthal_cached(family, rank, w):
     """Dominant weight multiplicities of the integral highest weight ``w``,
     integer keys, behind a read-only view (the dict is shared).  ``w`` may
-    hold Fractions: an integral one hashes as its int and shares the entry."""
-    # the polynomial-module machinery lives on the integral lattice; a
-    # half-integral (spin) label here would be a caller bug
+    hold Fractions: an integral one hashes as its int and shares the entry.
+    A half-integral (spin) label is a caller bug: polynomials are integral."""
     if any(fr(x).denominator != 1 for x in w):
         raise ValueError(f"non-integral factor weight {w}")
     return MappingProxyType(_freudenthal(rootsys.build_root_system(family, rank), 1,
@@ -546,8 +533,7 @@ class GroupDatum(Record):
     Each entry of ``quotient`` is a group of gl factor indices whose
     determinant characters are quotiented together: ``(i,)`` reads factor i
     as SU, ``(i, j)`` as S(U x U), one shift by the last entry of factor j
-    across both.  Empty: every factor keeps its full character data.
-    """
+    across both.  Empty: every factor keeps its full character data."""
 
     def __init__(self, factors: tuple, construction: Construction, quotient: tuple = ()):
         object.__setattr__(self, "factors", factors)
@@ -573,8 +559,7 @@ def _construction_weights(factors, con: Construction):
 
     Each construction yields cells {factor index: weight}; every factor a
     cell leaves out acts by its default, weight one for a scalar circle and
-    zero otherwise.  On ``trivial`` coordinates circles act trivially too.
-    """
+    zero otherwise.  On ``trivial`` coordinates circles act trivially too."""
     if con.tag == "dsum":
         return [row for part in con.parts for row in _construction_weights(factors, part)]
     if con.tag == "trivial":
@@ -596,10 +581,8 @@ def _construction_weights(factors, con: Construction):
 
 
 class Decomposition(Record):
-    """List of (label, multiplicity) with the total dimension it must carry.
-
-    A label is a tuple holding one dominant weight per factor.
-    """
+    """List of (label, multiplicity) with the total dimension it must carry;
+    a label is a tuple holding one dominant weight per factor."""
 
     def __init__(self, entries: tuple, dimension: int):
         object.__setattr__(self, "entries", entries)
@@ -607,10 +590,7 @@ class Decomposition(Record):
 
 
 def _label_dim(factors, label) -> int:
-    d = 1
-    for f, w in zip(factors, label):
-        d *= f.dim(w)
-    return d
+    return prod(f.dim(w) for f, w in zip(factors, label))
 
 
 def decompose_weight_multiset(factors, multiset) -> tuple:
@@ -625,11 +605,11 @@ def decompose_weight_multiset(factors, multiset) -> tuple:
     chambers = [(i, rt[0]) for i, f in enumerate(factors) if (rt := f._root_type())]
     remaining = {
         lab: m for lab, m in multiset.items()
-        if all(_dominant(fam, lab[i]) == lab[i] for i, fam in chambers)
+        if all(_is_dominant(fam, lab[i]) for i, fam in chambers)
     }
     entries = []
-    for best in sorted(remaining, key=lambda lab: (_extract_score(lab, rhos), lab),
-                       reverse=True):
+    for best in sorted(remaining, reverse=True, key=lambda lab: (
+            sum(a * b for w, rho in zip(lab, rhos) for a, b in zip(w, rho)), lab)):
         mult = remaining[best]
         if mult < 0:
             raise ArithmeticError("negative multiplicity during extraction")
@@ -646,10 +626,6 @@ def decompose_weight_multiset(factors, multiset) -> tuple:
     return tuple(entries)
 
 
-def _extract_score(label, rhos):
-    return sum(a * b for w, rho in zip(label, rhos) for a, b in zip(w, rho))
-
-
 def sym_power_decompose(datum: GroupDatum, d: int) -> Decomposition:
     """Decompose degree-d polynomials on the module under the group.
 
@@ -658,8 +634,7 @@ def sym_power_decompose(datum: GroupDatum, d: int) -> Decomposition:
     coordinate weights.  The result is checked for exact dimension
     conservation and kept in one list per (factors, construction): the torus
     quotient only shifts labels afterwards (``canonical_label``), so data
-    that differ only there share one ``Decomposition``.
-    """
+    that differ only there share one ``Decomposition``."""
     if d < 0:
         raise ValueError("degree must be >= 0")
     done = _SYM_POWERS.setdefault((datum.factors, datum.construction), [])
@@ -674,40 +649,51 @@ def _sym_powers(factors, construction, lo, hi):
     coefficient of t^d in prod_i 1/(1 - t e^{w_i}) (Macdonald I.2), on flat
     integer weights, eps_rank slots per factor.
 
-    Only the keys dominant in every factor are kept, and they are kept so
-    from the start.  The coordinates run low slots first; once no later
-    coordinate touches slots a..k of a factor, those slots are final, and a
-    key whose slots a..k are not dominant is dropped from every level.  That
-    is exact: the leading slots of a dominant A-D weight are dominant
-    themselves, so a dropped key only leads to keys that are not dominant.
-    When the run ends every slot is final, so what is left is the dominant
-    part of each h_d."""
+    A weight is one int: slot i at bits [b i, b (i + 1)), biased by 2^(b-1).
+    No slot of a degree <= hi weight exceeds hi max|coordinate entry| in
+    size, and b is one bit more than that takes, so each biased slot stays
+    in [0, 2^b) and adding a coordinate is one int addition with no carry.
+
+    Only keys dominant in every factor are kept, from the start.  The
+    coordinates run low slots first; once no later coordinate touches slots
+    a..end of a factor, those slots are final, and a key whose slots a..end
+    are not dominant is dropped from every level.  That is exact, since the
+    leading slots of a dominant A-D weight are dominant themselves.  The
+    check reads only the newly final slots and the one before them
+    (``_finished_dominant``): a chamber is a chain v[i-1] >= v[i] with a
+    condition on its last slot (``_is_dominant``), every key left passed the
+    earlier links, and the new chain implies the old last-slot condition.
+    At the end every slot is final: what is left is the dominant part of
+    each h_d, and only its degree lo..hi keys are read back as labels."""
     ends = list(accumulate((f.eps_rank for f in factors), initial=0))
     cuts = list(zip(ends, ends[1:]))
     chambers = [(rt[0], a, b) for f, (a, b) in zip(factors, cuts) if (rt := f._root_type())]
-
-    def last_slots(w):
-        return tuple(max((i - a for i in range(a, b) if w[i]), default=-1) for _, a, b in chambers)
-
     coords = sorted((tuple(-x for v in row for x in v)
-                     for row in _construction_weights(factors, construction)), key=last_slots)
+                     for row in _construction_weights(factors, construction)),
+                    key=lambda w: [max((i - a for i in range(a, b) if w[i]), default=-1)
+                                   for _, a, b in chambers])
     # the last coordinate touching each slot
     last = [max((k for k, w in enumerate(coords) if w[i]), default=-1) for i in range(ends[-1])]
+    width = (hi * max(map(abs, chain(*coords)), default=0)).bit_length() + 1
+    zero = sum(1 << width * i + width - 1 for i in range(ends[-1]))  # every slot at its bias
     finished = [a for _, a, _ in chambers]  # each chamber's finished slots end here
-    h = [{(0,) * ends[-1]: 1}] + [{} for _ in range(hi)]
+    h = [{zero: 1}] + [{} for _ in range(hi)]
     for k, w in enumerate(coords):
+        w = sum(x << width * i for i, x in enumerate(w))
         for lower, upper in zip(h, h[1:]):  # lower already holds this weight
             for mu, m in lower.items():
-                key = tuple(map(add, mu, w))
+                key = mu + w
                 upper[key] = upper.get(key, 0) + m
         for c, (fam, a, b) in enumerate(chambers):
             end = next((i for i in range(a, b) if last[i] > k), b)
             if end > finished[c]:
+                shift, mask, judge = _finished_dominant(fam, a, finished[c], end, width)
                 finished[c] = end
-                h[1:] = [{mu: m for mu, m in level.items()
-                          if _dominant(fam, mu[a:end]) == mu[a:end]} for level in h[1:]]
+                h[1:] = [{mu: m for mu, m in level.items() if judge(mu >> shift & mask)}
+                         for level in h[1:]]
     for d in range(lo, hi + 1):
-        multiset = {tuple(key[a:b] for a, b in cuts): m for key, m in h[d].items()}
+        multiset = {tuple(v[a:b] for a, b in cuts): m for v, m in zip(
+            map(_unpack, h[d], repeat(ends[-1]), repeat(width)), h[d].values())}
         entries = decompose_weight_multiset(factors, multiset)
         expected = comb(len(coords) + d - 1, d)
         total = sum(m * _label_dim(factors, lab) for lab, m in entries)
@@ -715,6 +701,26 @@ def _sym_powers(factors, construction, lo, hi):
             raise ArithmeticError(f"dimension conservation failed: {total} != {expected}"
                                   f" at degree {d}")
         yield Decomposition(entries, expected)
+
+
+def _unpack(key, n, width):
+    """The first n slots of a packed key (``_sym_powers``), unbiased."""
+    mask, bias = (1 << width) - 1, 1 << width - 1
+    return tuple([(key >> s & mask) - bias for s in range(0, n * width, width)])
+
+
+def _finished_dominant(family, a, old, end, width):
+    """(shift, mask, judge) for the slots a..end of a chamber whose slots
+    a..old (none if old = a) are known dominant: judge(key >> shift & mask)
+    says whether the packed key's slots a..end are, reading slots old-1..end."""
+    start = max(old - 1, a)
+    return width * start, (1 << width * (end - start)) - 1, _window_judge(family, end - start, width)
+
+
+@lru_cache(maxsize=None)
+def _window_judge(family, n, width):
+    """``_is_dominant`` on n-slot packed windows, memoized: windows recur."""
+    return lru_cache(maxsize=None)(lambda window: _is_dominant(family, _unpack(window, n, width)))
 
 
 # ---------------------------------------------------------------------------
@@ -768,23 +774,18 @@ def _stabilize_factor_weight(factor: Factor, bigger: Factor, w):
     so/sp epsilon tuples gain zeros on the right; gl tuples gain zeros as a
     sorted multiset (the consistent enumeration for unitary direct systems
     runs from the opposite end of the diagram, so zero-padding happens at
-    the top of the column weights).
-    """
+    the top of the column weights)."""
     if factor.kind != bigger.kind:
         raise ValueError("stabilization needs matching factor kinds")
     extra = bigger.eps_rank - factor.eps_rank
     if extra < 0:
         raise ValueError("target factor is smaller than the source")
-    if factor.kind == GL:
-        return tuple(sorted(list(w) + [0] * extra, reverse=True))
-    return tuple(list(w) + [0] * extra)
+    padded = tuple(w) + (0,) * extra
+    return tuple(sorted(padded, reverse=True)) if factor.kind == GL else padded
 
 
 def stabilize_label(small: GroupDatum, big: GroupDatum, label):
-    return tuple(
-        _stabilize_factor_weight(f, g, w)
-        for f, g, w in zip(small.factors, big.factors, label)
-    )
+    return tuple(map(_stabilize_factor_weight, small.factors, big.factors, label))
 
 
 def check_stability(small: GroupDatum, big: GroupDatum, d: int):
@@ -797,9 +798,7 @@ def check_stability(small: GroupDatum, big: GroupDatum, d: int):
 
     Returns (flag, missing labels).
     """
-    if len(small.factors) != len(big.factors) or any(
-        f.kind != g.kind for f, g in zip(small.factors, big.factors)
-    ):
+    if [f.kind for f in small.factors] != [g.kind for g in big.factors]:
         raise ValueError("rows have different factor shapes")
     x_big = highest_weight_set(big, d)
     missing = []

@@ -36,7 +36,12 @@ class Record:
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._values(self))
+        if (h := self.__dict__.get("_hash")) is None:
+            h = self.__dict__["_hash"] = hash(self._values(self))
+        return h
+
+    def __reduce__(self):
+        return type(self), self._values(self)
 
     def __repr__(self):
         fields = ", ".join(f"{k}={v!r}" for k, v in zip(self._fields, self._values(self)))

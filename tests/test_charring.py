@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gelfand import charring, rootsys, tables
+from gelfand import charring, exact, rootsys, tables
 from gelfand.charring import GL, SO, SP, U1, Construction, Factor, GroupDatum
 from gelfand.exact import dot, fr
 
@@ -928,6 +928,67 @@ def test_pruned_recursion_hands_the_peel_the_dominant_multiset(monkeypatch, cold
             want = {lab: m for lab, m in _enumerated_sym_power_multiset(datum, d).items()
                     if all(charring._dominant(fam, lab[i]) == lab[i] for i, fam in chambers)}
             assert got == want, (datum, d)
+
+
+@pytest.mark.parametrize("family", "ABCD")
+def test_incremental_chamber_check_agrees_with_the_full_prefix_test(family):
+    # random packed keys whose chamber slots a..old are dominant: the check
+    # that reads only slots old-1..end must agree with _dominant on slots
+    # a..end, whatever the slots of the other factors around the chamber hold
+    rng = random.Random(35)
+    width, a, n = 4, 2, 5
+    outcomes = set()
+    for _ in range(3000):
+        old = rng.randrange(a, a + n)
+        end = rng.randrange(old + 1, a + n + 1)
+        v = [rng.randint(-3, 3) for _ in range(a + n + 2)]
+        if old > a:
+            v[a:old] = charring._dominant(family, v[a:old])
+        key = sum(x + 8 << width * i for i, x in enumerate(v))
+        shift, mask, judge = charring._finished_dominant(family, a, old, end, width)
+        want = charring._dominant(family, v[a:end]) == tuple(v[a:end])
+        assert judge(key >> shift & mask) == want, (v, old, end)
+        assert charring._is_dominant(family, tuple(v[a:end])) == want, v[a:end]
+        outcomes.add((want, v[end - 1] < 0))
+    # a negative last slot is dominant for A and D only
+    assert outcomes == {(True, False), (False, False), (False, True)} | (
+        {(True, True)} if family in "AD" else set())
+
+
+_SLOT_WIDTH_ROWS = [GroupDatum((Factor(SO, 3),), Construction("sym2", (0,))),  # entries +-2, 0
+                    un_row(4),  # dual entries -1, 0
+                    GroupDatum((Factor(U1),), Construction("standard", (0,)))]
+
+
+@pytest.mark.parametrize("datum", _SLOT_WIDTH_ROWS, ids=["sym2", "gl", "u1"])
+def test_packed_slots_hold_every_weight_up_to_the_top_degree(datum, monkeypatch):
+    # each top degree d sizes the slots from d max|entry|: the extreme slot
+    # values -d max|entry| (and +2d on sym2) must neither borrow from nor
+    # carry into a neighbour; ascending degrees on a cold cache run one
+    # recursion per top degree
+    monkeypatch.setattr(charring, "_SYM_POWERS", {})
+    assert max(abs(x) for row in _module_weights(datum) for w in row for x in w) == (
+        2 if datum.construction.tag == "sym2" else 1)
+    _assert_recursion_matches_enumeration(datum, range(11))
+
+
+def test_repeated_lookups_hash_each_record_once(monkeypatch):
+    # records never change, so a record's field tuple is hashed once: the
+    # symmetric-power cache, the freeness check and the label sets look the
+    # datum up again and again without rehashing its factors or construction
+    factors, construction = (Factor(GL, 2), Factor(SP, 1)), Construction("tensor", (0, 1))
+    datum = GroupDatum(factors, construction)
+    hashed = []
+    monkeypatch.setattr(exact, "hash", lambda fields: hashed.append(fields) or hash(fields),
+                        raising=False)
+    first = charring.sym_power_decompose(datum, 3)
+    for d in (3, 1, 3, 2, 3):
+        assert charring.sym_power_decompose(datum, d) is charring._SYM_POWERS[factors,
+                                                                              construction][d]
+    assert charring.sym_power_decompose(datum, 3) is first
+    assert charring.is_multiplicity_free_polynomial_action(datum, 3) == (True, None)
+    assert charring.highest_weight_set(datum, 2)
+    assert sorted(map(repr, hashed)) == sorted(repr(r._values(r)) for r in (*factors, construction))
 
 
 def test_freudenthal_cache_checks_integrality_on_every_call(cold_caches):

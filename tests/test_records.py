@@ -2,6 +2,7 @@
 frozen dataclass over the same fields would give them, and a package import
 that generates no code."""
 
+import pickle
 import subprocess
 import sys
 from fractions import Fraction
@@ -114,6 +115,21 @@ def test_cached_values_leave_hash_and_equality_alone():
     assert rs.weyl_denominator and rs.two_rho
     assert hash(rs) == before == hash(fields)
     assert rs == rootsys.RootSystemData(*fields)
+
+
+def test_a_record_pickles_as_its_fields():
+    # the hash memo stays behind: another interpreter seeds its string
+    # hashes anew, so a memo carried over would misfile the record in a dict
+    for cls, (names, values) in RECORDS.items():
+        if cls in MUTABLE or not _hashable(values):
+            continue
+        x = cls(*values)
+        assert hash(x) == hash(values)
+        y = pickle.loads(pickle.dumps(x))
+        assert type(y) is cls and y == x and "_hash" not in vars(y)
+        assert hash(y) == hash(values)
+    case = cli.Case("c", "pass", "1", "1", "exact", 2.5)
+    assert vars(pickle.loads(pickle.dumps(case))) == vars(case)
 
 
 def test_report_cases_serialize_by_field():
