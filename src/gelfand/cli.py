@@ -24,6 +24,7 @@ import re
 import sys
 import time
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -633,7 +634,8 @@ def _write(text: str, path) -> None:
         sys.stdout.write(text)
 
 
-def main(argv=None) -> int:
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gelfand",
         description="verification suites for the direct-system scalar identities",
@@ -658,7 +660,7 @@ def main(argv=None) -> int:
     verify.add_argument("--timing", action="store_true", default=None,
                         help="fill runtime_ms (breaks byte-identical reruns)")
 
-    listp = sub.add_parser("list-suites", help="list suites and what they verify")
+    sub.add_parser("list-suites", help="list suites and what they verify")
 
     exp = sub.add_parser("export-ladder", help="write a degree ladder as JSON")
     exp.add_argument("--backend", required=True, choices=["un-poly", "sphere", "heisenberg"])
@@ -666,13 +668,16 @@ def main(argv=None) -> int:
     exp.add_argument("--t", default="1.0",
                      help="central parameter: an integer or p/q is exact, 1.0 a float")
     exp.add_argument("--out", help="output path (stdout otherwise)")
+    return parser
 
+
+def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     # argparse takes a spaced value such as -0.5,1 for an option string
     for i in reversed(range(2, len(argv)) if argv[:1] == ["verify"] else ()):
         if argv[i - 1] == "--t" and re.match(r"-\.?\d", argv[i]):
             argv[i - 1:i + 1] = [f"--t={argv[i]}"]
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
 
     if args.command == "list-suites":
         for name, (anchor, _) in sorted(SUITES.items()):
@@ -680,7 +685,7 @@ def main(argv=None) -> int:
         return 0
 
     if args.command not in ("verify", "export-ladder"):
-        parser.print_help()
+        _parser().print_help()
         return 2
 
     # a file that cannot be read or written is a usage error, like a bad key

@@ -294,7 +294,9 @@ def _embed(poly: MultiPoly, n_ambient: int) -> MultiPoly:
 
 
 def _check_zonal_args(m_sphere: int, n_sphere: int, degree: int) -> None:
-    """Inputs every zonal-constant route accepts."""
+    """Inputs every zonal-constant route accepts, checked before any memo."""
+    if any(isinstance(v, bool) or not isinstance(v, int) for v in (m_sphere, n_sphere, degree)):
+        raise ValueError(f"m, n and degree must be ints, got {(m_sphere, n_sphere, degree)}")
     if not m_sphere >= n_sphere >= 1:
         raise ValueError(f"need m >= n >= 1, got m = {m_sphere}, n = {n_sphere}")
     if degree < 0:
@@ -341,9 +343,10 @@ def zonal_projection_constant(m_sphere: int, n_sphere: int, degree: int,
     return _zonal_constant_gegenbauer(m_sphere, n_sphere, degree)
 
 
+@lru_cache(maxsize=None)
 def _zonal_constant_quadrature(m_sphere, n_sphere, degree):
     """The overlap on one product rule of S^m, each zonal evaluated once:
-    the rows vm*vn, vm*vm, vn*vn integrate together."""
+    the rows vm*vn, vm*vm, vn*vn integrate together; memoized per (m, n, d)."""
     fm = _poly_to_callable(_zonal_poly(m_sphere, degree))
     fn = _poly_to_callable(_embed(_zonal_poly(n_sphere, degree), m_sphere + 1))
 
@@ -404,8 +407,9 @@ def _zonal_on_sphere(n_sphere: int, degree: int, s, rho_sq):
             / _gegenbauer_value(alpha, degree, 1.0, 1.0))
 
 
+@lru_cache(maxsize=None)
 def _zonal_constant_gegenbauer(m_sphere, n_sphere, degree):
-    """Projection constant through the (s, u) reduction.
+    """Projection constant through the (s, u) reduction, memoized per (m, n, d).
 
     On S^m split x = (s, y, w) with y the n zonal-frame coordinates of the
     smaller sphere; with u = |y|^2/(1 - s^2) the normalized measure

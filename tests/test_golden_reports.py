@@ -61,6 +61,16 @@ def test_sphere_reports_do_not_depend_on_the_blas_thread_count(name, fmt):
     _check_golden(name, fmt, threads="2")
 
 
+@pytest.mark.parametrize("order", [("ladders", "zonal", "zonal-rank-5"),
+                                   ("zonal-rank-5", "zonal", "ladders")])
+def test_warm_sphere_memos_leave_the_reports_unchanged(order, cold_caches, capsys):
+    # one process runs the sphere suites in turn, so each later suite reads
+    # the zonal overlaps an earlier one left in the memo
+    for name in order:
+        assert cli.main(["verify", *REPORTS[name], "--format", "json"]) == 0
+        assert capsys.readouterr().out == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+
+
 @pytest.mark.parametrize("name", sorted(REPORTS))
 def test_csv_golden_parses_into_rows_of_seven_fields(name):
     with open(GOLDEN / f"{name}.csv", newline="", encoding="utf-8") as fh:

@@ -440,7 +440,7 @@ def test_unknown_method_is_rejected_before_any_work(d, monkeypatch):
         zonal_projection_constant(3, 2, d, "bogus")
 
 
-def test_quadrature_route_integrates_once(monkeypatch):
+def test_quadrature_route_integrates_once(monkeypatch, cold_caches):
     calls = []
     integrate = numerics.integrate_sphere
 
@@ -452,6 +452,53 @@ def test_quadrature_route_integrates_once(monkeypatch):
     quad = symmpair._zonal_constant_quadrature(5, 3, 4)
     assert calls == [(6, 6)]
     assert abs(quad - zonal_projection_constant(5, 3, 4)) < 1e-10
+    # the overlap is memoized per (m, n, d): asked again, it is not integrated again
+    again = [zonal_projection_constant(5, 3, 4, "quadrature") for _ in range(3)]
+    assert calls == [(6, 6)]
+    assert all(value is quad for value in again)
+
+
+def test_each_gegenbauer_overlap_evaluates_its_zonals_once(monkeypatch, cold_caches):
+    calls = []
+    evaluate = symmpair._zonal_on_sphere
+
+    def counted(n_sphere, degree, s, rho_sq):
+        calls.append((n_sphere, degree))
+        return evaluate(n_sphere, degree, s, rho_sq)
+
+    monkeypatch.setattr(symmpair, "_zonal_on_sphere", counted)
+    first = zonal_projection_constant(4, 2, 3, "gegenbauer")
+    assert zonal_projection_constant(4, 2, 3, "gegenbauer") is first
+    assert calls == [(4, 3), (2, 3)]
+
+
+_NOT_INTS = [(3.5, 2, 1), (3.0, 2, 1), (3, 2.0, 1), (3, 2, 1.0), (3, 2, 1.5),
+             (True, True, 0), (3, 2, True), (3, True, 1), ("3", 2, 1), (3, 2, None)]
+
+
+@pytest.mark.parametrize("method", _METHODS)
+@pytest.mark.parametrize("args", _NOT_INTS, ids=repr)
+def test_every_route_rejects_a_bool_or_non_int_argument(method, args, monkeypatch):
+    # checked before any route or memo is reached
+    def no_work(*args):
+        raise AssertionError("the arguments are checked before any work")
+
+    for name in ("_zonal_constant_quadrature", "_zonal_constant_gegenbauer",
+                 "harmonic_dimension"):
+        monkeypatch.setattr(symmpair, name, no_work)
+    with pytest.raises(ValueError, match="m, n and degree must be ints"):
+        zonal_projection_constant(*args, method=method)
+    with pytest.raises(ValueError, match="m, n and degree must be ints"):
+        zonal_projection_csq(*args)
+
+
+@pytest.mark.parametrize("method", _METHODS)
+def test_a_float_argument_does_not_read_the_cached_int_value(method, cold_caches):
+    # 3.0 == 3 and hash(3.0) == hash(3): an lru key would not tell them apart
+    assert 0 < zonal_projection_constant(3, 2, 2, method) < 1
+    for args in [(3.0, 2, 2), (3, 2, 2.0), (3, 2, True)]:
+        with pytest.raises(ValueError, match="must be ints"):
+            zonal_projection_constant(*args, method=method)
 
 
 def test_poly_evaluator_matches_exact_evaluation():

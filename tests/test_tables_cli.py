@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from gelfand import charring, cli, dirlim, fock, nilpf, numerics, tables
+from gelfand import charring, cli, dirlim, fock, nilpf, numerics, symmpair, tables
 from gelfand.charring import GL, SO, U1, Construction, Factor, GroupDatum
 
 
@@ -849,6 +849,48 @@ def test_sphere_ladder_cocycle_fails_on_one_scaled_entry(monkeypatch, cold_cache
     case = _ladders_cases()["sphere-ladder-cocycle"]
     assert case.status == "fail"
     assert case.actual.startswith("worst cocycle residual 9.9")
+
+
+def test_a_wrong_quadrature_evaluator_fails_zonal_under_cold_caches(monkeypatch, cold_caches,
+                                                                    capsys):
+    # a warm memo answers for the old evaluator; cleared, every quadrature
+    # overlap is computed again and the d >= 2 cases fail.  At d = 1 both
+    # zonals are x0, so any evaluator gives the overlap 1.
+    assert cli.main(["verify", "zonal", "--format", "json"]) == 0
+    capsys.readouterr()
+    real = symmpair._poly_to_callable
+
+    def scaled(p):
+        f = real(p)
+        return lambda x: f(x) * (1 + x[0] * x[0])
+
+    monkeypatch.setattr(symmpair, "_poly_to_callable", scaled)
+    assert cli.main(["verify", "zonal", "--format", "json"]) == 0
+    capsys.readouterr()
+    cold_caches()
+    assert cli.main(["verify", "zonal", "--format", "json"]) == 1
+    status = {c["case_id"]: c["status"] for c in json.loads(capsys.readouterr().out)["cases"]}
+    constants = [k for k in status if k.startswith("zonal-constant-")]
+    assert len(constants) == 4
+    assert all(status[k] == ("pass" if k.endswith("-d1") else "fail") for k in constants)
+
+
+def test_the_shared_parser_keeps_no_state_between_calls(capsys, tmp_path):
+    assert cli._parser() is cli._parser()
+    assert cli.main(["verify", "zonal", "--rank", "4", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["rank"] == 4
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "zonal", "--format", "xml"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'xml'" in capsys.readouterr().err
+    assert cli.main(["verify", "zonal", "--format", "json"]) == 0
+    golden = Path(__file__).parent / "golden" / "zonal.json"
+    assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+    assert cli.main(["list-suites"]) == 0
+    assert "zonal" in capsys.readouterr().out
+    out = tmp_path / "ladder.json"
+    assert cli.main(["export-ladder", "--backend", "sphere", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["backend"] == "sphere"
 
 
 @pytest.mark.parametrize("comment", ["  # note\n0 1 0 1\n", "0 1 0 1 # note\n"],
