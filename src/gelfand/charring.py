@@ -128,7 +128,12 @@ def _freudenthal(rs: rootsys.RootSystemData, scale: int, lam):
     module lies in the convex hull of W lam, so |nu|^2 <= |lam|^2 (Humphreys,
     Introduction to Lie Algebras and Representation Theory, 13.4 and 21.3;
     Moody-Patera 1982): a root string stops once |mu + k alpha|^2 passes
-    |lam|^2, without the lookup that would miss.
+    |lam|^2, tested before the point mu + k alpha is built.
+
+    Roots are read through their two nonzero entries, <mu, alpha> =
+    mu_i a + mu_j b, and the search carries the levels of nu = mu - alpha
+    from mu: <nu, 2 rho> = <mu, 2 rho> - <alpha, 2 rho> and
+    |nu|^2 = |mu|^2 - 2 <mu, alpha> + |alpha|^2.
 
     Each string point nu = mu + k alpha has its dominant conjugate looked up
     once per call: a memo keeps the multiplicity, or 0 where nu is not a
@@ -145,40 +150,46 @@ def _freudenthal(rs: rootsys.RootSystemData, scale: int, lam):
     # Stembridge: every dominant weight of the module is reached from lam by
     # subtracting positive roots through dominant weights
     dominant = [lam]
-    pairings = {lam: tuple(sum(map(mul, lam, psi)) for psi in simple)}
-    zeros = {}
+    # each weight's pairings with the simple roots, <mu, 2 rho> and |mu|^2
+    seen = {lam: (tuple(sum(map(mul, lam, psi)) for psi in simple), sum(map(mul, lam, shift)),
+                  sum(a * a for a in lam))}
+    classes = {}
     for mu in dominant:
-        p = pairings[mu]
-        fixed = zeros[mu] = tuple(i for i, x in enumerate(p) if not x)
-        if (opened := open_steps.get(fixed)) is None:
-            opened = open_steps[fixed] = tuple(
-                step for step in steps if all(i not in fixed for i, _ in step[2]))
-        for alpha, row, positive in opened:
-            for i, c in positive:
-                if p[i] < c:
+        p, level, sq = seen[mu]
+        fixed = tuple(i for i, x in enumerate(p) if not x)
+        # lam reads no string: its zero set's classes wait for a weight below
+        if (entry := open_steps.get(fixed)) is None or (entry[1] is None and mu is not lam):
+            entry = open_steps[fixed] = (
+                tuple(step for step in steps if all(i not in fixed for i, _ in step[-1])),
+                None if mu is lam else
+                tuple((size, *roots[k]) for k, size in _root_classes(family, rank, fixed)))
+        classes[mu] = entry[1]
+        for alpha, i, a, j, b, alpha_sq, height, row, positive in entry[0]:
+            for k, c in positive:
+                if p[k] < c:
                     break
             else:
                 nu = tuple(map(sub, mu, alpha))
-                if nu not in pairings:
-                    pairings[nu] = tuple(map(sub, p, row))
+                if nu not in seen:
+                    seen[nu] = (tuple(map(sub, p, row)), level - height,
+                                sq - 2 * (mu[i] * a + mu[j] * b) + alpha_sq)
                     dominant.append(nu)
     # every string term mu + k alpha, and so its dominant conjugate, pairs
     # higher with 2 rho than mu does: its multiplicity is known before mu's
-    dominant.sort(key=lambda mu: sum(map(mul, mu, shift)), reverse=True)
-    lam_sq = sum(a * a for a in lam)
-    top = lam_sq + sum(map(mul, lam, shift))
+    dominant.sort(key=lambda mu: seen[mu][1], reverse=True)
+    _, top, lam_sq = seen[lam]
+    top += lam_sq
     mults = {lam: 1}
     point = {}  # string point -> multiplicity of its dominant conjugate, 0 off the module
     for mu in dominant[1:]:
-        mu_sq = sum(a * a for a in mu)
+        _, level, mu_sq = seen[mu]
         total = 0
-        for k, size in _root_classes(family, rank, zeros[mu]):
-            alpha, alpha_sq = roots[k]
-            nu = tuple(map(add, mu, alpha))
-            pair = sum(map(mul, nu, alpha))
-            gap = lam_sq - mu_sq - 2 * pair + alpha_sq  # |lam|^2 - |nu|^2
-            string = 0
+        for size, alpha, i, a, j, b, alpha_sq in classes[mu]:
+            pair = mu[i] * a + mu[j] * b + alpha_sq  # <mu + alpha, alpha>
+            gap = lam_sq - mu_sq - 2 * pair + alpha_sq  # |lam|^2 - |mu + alpha|^2
+            string, nu = 0, mu
             while gap >= 0:
+                nu = tuple(map(add, nu, alpha))
                 if (m := point.get(nu)) is None:
                     m = point[nu] = mults.get(_dominant(family, nu), 0)
                 if not m:
@@ -186,10 +197,9 @@ def _freudenthal(rs: rootsys.RootSystemData, scale: int, lam):
                 string += m * pair
                 gap -= 2 * pair + alpha_sq
                 pair += alpha_sq
-                nu = tuple(map(add, nu, alpha))
             total += size * string
         num = 2 * total
-        denom = top - mu_sq - sum(map(mul, mu, shift))
+        denom = top - mu_sq - level
         if denom <= 0 or num % denom != 0 or num <= 0:
             raise ArithmeticError(f"Freudenthal produced a bad multiplicity {num}/{denom}")
         mults[mu] = num // denom
@@ -220,20 +230,23 @@ def _root_tables(family: str, rank: int):
 @lru_cache(maxsize=None)
 def _scaled_tables(family: str, rank: int, scale: int):
     """``_freudenthal``'s tables at one lattice scale, all times ``scale``:
-    per positive root the root and |root|^2; per root a step (the root, its
-    pairings with the simple roots, the positive ones as (i, pairing));
-    2 rho; and a dict, filled by ``_freudenthal``, of the steps open at each
-    zero set of pairings."""
+    per positive root the root, its two nonzero entries (i, a, j, b) of
+    ``rootsys.sparse_positive_roots`` and |root|^2; per root a step (those
+    fields, <root, 2 rho>, the pairings with the simple roots, the positive
+    ones as (i, pairing)); 2 rho; and a dict, filled by ``_freudenthal``, of
+    the steps open at each zero set of pairings and its root classes."""
     rs = rootsys.build_root_system(family, rank)
     rows = _root_tables(family, rank)[1]
-    roots_i = tuple(tuple(scale * x for x in alpha) for alpha in rs.integral_positive_roots)
+    shift = tuple(scale * x for x in rs.two_rho)
+    roots = tuple((tuple(scale * x for x in alpha), i, scale * a, j, scale * b,
+                   scale * scale * (a * a + b * b)) for alpha, ((i, a), (j, b))
+                  in zip(rs.integral_positive_roots, rs.sparse_positive_roots))
     # mu - alpha is dominant iff mu pairs with each simple root at least as
     # alpha does, which needs checking only where alpha pairs positively
-    steps = tuple((alpha, tuple(scale * c for c in row),
+    steps = tuple((*root, sum(map(mul, root[0], shift)), tuple(scale * c for c in row),
                    tuple((i, scale * c) for i, c in enumerate(row) if c > 0))
-                  for alpha, row in zip(roots_i, rows))
-    roots = tuple((alpha, sum(x * x for x in alpha)) for alpha in roots_i)
-    return roots, steps, tuple(scale * x for x in rs.two_rho), {}
+                  for root, row in zip(roots, rows))
+    return roots, steps, shift, {}
 
 
 @lru_cache(maxsize=None)
@@ -461,7 +474,10 @@ class Factor(Record):
         # gl weights go to A_{n-1} ambient coordinates unchanged (the Weyl
         # product only sees differences, so the trace part is harmless)
         rt = self._root_type()
-        return 1 if rt is None else _weyl_dimension_cached(*rt, tuple(w))
+        if rt is None:
+            _check_torus_weight(w)
+            return 1
+        return _weyl_dimension_cached(*rt, tuple(w))
 
     def dominant_multiplicities(self, w):
         """Dominant weights {weight tuple: multiplicity} of the irreducible
@@ -469,6 +485,7 @@ class Factor(Record):
         result, the rest of the weight system being their Weyl orbits."""
         rt = self._root_type()
         if rt is None:
+            _check_torus_weight(w)
             return {w: 1}
         return _freudenthal_cached(*rt, tuple(w))
 
@@ -479,6 +496,12 @@ class Factor(Record):
         if self.kind == U1 or (self.kind == SO and self.size == 2):
             return (0,) * self.eps_rank
         return tuple(range(self.eps_rank, 0, -1))
+
+
+def _check_torus_weight(w) -> None:
+    """A circle, U(1) or SO(2) has no kernel to check its weights' length."""
+    if len(w) != 1:
+        raise ValueError(f"a torus factor's weight has one entry, not {tuple(w)}")
 
 
 @lru_cache(maxsize=None)
@@ -493,10 +516,11 @@ def _freudenthal_cached(family, rank, w):
     integer keys, behind a read-only view (the dict is shared).  ``w`` may
     hold Fractions: an integral one hashes as its int and shares the entry.
     A half-integral (spin) label is a caller bug: polynomials are integral."""
+    rs = rootsys.build_root_system(family, rank)
+    rootsys.check_eps(rs, w)
     if any(fr(x).denominator != 1 for x in w):
         raise ValueError(f"non-integral factor weight {w}")
-    return MappingProxyType(_freudenthal(rootsys.build_root_system(family, rank), 1,
-                                         tuple(map(int, w)))[1])
+    return MappingProxyType(_freudenthal(rs, 1, tuple(map(int, w)))[1])
 
 
 class Construction(Record):

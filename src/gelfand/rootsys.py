@@ -133,6 +133,13 @@ def check_weight(rs: RootSystemData, weight: DominantWeight) -> None:
                          f"the root system {rs.family}{rs.rank}")
 
 
+def check_eps(rs: RootSystemData, lam_eps) -> None:
+    """Raise unless ``lam_eps`` has ``rs.ambient_dim`` entries, none a bool."""
+    if len(lam_eps) != rs.ambient_dim or any(type(x) is bool for x in lam_eps):
+        raise ValueError(f"a weight of {rs.family}{rs.rank} has {rs.ambient_dim} "
+                         f"epsilon entries and no bool, not {tuple(lam_eps)}")
+
+
 def weight_lattice(rs: RootSystemData, weight: DominantWeight):
     """(scale, integer tuple): the epsilon coordinates of ``weight`` times
     scale, their least common denominator.  The sum of k_i times the
@@ -170,6 +177,7 @@ def weyl_dimension_eps(rs: RootSystemData, lam_eps) -> int:
     """Product over positive roots of <lam+rho, alpha>/<rho, alpha> for the
     epsilon tuple ``lam_eps``, s clearing its denominators (s = 1, and no
     Fraction is made, when every entry is an int)."""
+    check_eps(rs, lam_eps)
     if all(type(x) is int for x in lam_eps):
         return _weyl_product(rs, 1, lam_eps)
     lam = tuple(map(fr, lam_eps))

@@ -1002,6 +1002,41 @@ def test_freudenthal_cache_checks_integrality_on_every_call(cold_caches):
     assert dict(f.dominant_multiplicities((2, 0))) == {(2, 0): 1, (1, 1): 1}
 
 
+WRONG_LENGTH = [(Factor(SO, 5), (1, 0, 0)), (Factor(SP, 2), (1,)), (Factor(U1), (1, 2)),
+                (Factor(GL, 3), (1, 0, 0, 7)), (Factor(SO, 2), ()), (Factor(GL, 1), (0, 0))]
+
+
+@pytest.mark.parametrize("factor,w", WRONG_LENGTH, ids=repr)
+def test_a_weight_of_the_wrong_length_is_refused_on_every_call(factor, w, cold_caches):
+    # an lru cache keeps no exception, so each call raises again; SO(5)
+    # used to take (1, 0, 0) as (1, 0), and the tori any length
+    for _ in range(2):
+        for method in (factor.dim, factor.dominant_multiplicities):
+            with pytest.raises(ValueError, match="entr"):
+                method(w)
+    right = (0,) * factor.eps_rank
+    assert factor.dim(right) == 1 and dict(factor.dominant_multiplicities(right)) == {right: 1}
+
+
+@pytest.mark.parametrize("family,rank", KERNEL_SYSTEMS)
+def test_scaled_root_entries_give_every_pairing(family, rank):
+    # each root's two stored entries, times scale, pair it with any integer
+    # weight; its step repeats those fields and adds <root, 2 rho>
+    rs = rootsys.build_root_system(family, rank)
+    rng = random.Random(f"{family}{rank}")
+    for scale in range(1, 7):
+        roots, steps, shift, _ = charring._scaled_tables(family, rank, scale)
+        assert shift == tuple(scale * x for x in rs.two_rho)
+        nus = [tuple(rng.randint(-9, 9) for _ in range(rs.ambient_dim)) for _ in range(20)]
+        for alpha, root, step in zip(rs.integral_positive_roots, roots, steps, strict=True):
+            scaled, i, a, j, b, alpha_sq = root
+            assert scaled == tuple(scale * x for x in alpha)
+            assert alpha_sq == sum(x * x for x in scaled)
+            assert step[:6] == root and step[6] == sum(map(mul, scaled, shift))
+            for nu in nus:
+                assert nu[i] * a + nu[j] * b == scale * sum(map(mul, nu, alpha)), (alpha, nu)
+
+
 def test_scaled_tables_are_built_once_per_root_system(cold_caches):
     rs = rootsys.build_root_system("C", 2)
     for coeffs in ((1, 0), (0, 1)):

@@ -348,6 +348,18 @@ def test_int_labels_make_no_fraction(monkeypatch):
         rootsys.weyl_dimension_eps(rs, (Fraction(2), 1, 0))
 
 
+@pytest.mark.parametrize("lam", [(1, 0, 0), (1,), (), (True, False), (1, False),
+                                 (Fraction(1, 2), True)])
+def test_weyl_dimension_refuses_a_wrong_length_or_a_bool(lam, monkeypatch):
+    # zip used to drop an extra entry, so B2 read (1, 0, 0) as (1, 0); the
+    # check runs before the int route, which makes no Fraction
+    rs = rootsys.build_root_system("B", 2)
+    monkeypatch.setattr(rootsys, "fr", None)
+    with pytest.raises(ValueError, match="2 epsilon entries and no bool"):
+        rootsys.weyl_dimension_eps(rs, lam)
+    assert rootsys.weyl_dimension_eps(rs, (1, 0)) == 5
+
+
 def test_weight_lattice_is_computed_once_per_weight(cold_caches):
     rs = rootsys.build_root_system("D", 4)
     weights = [rootsys.DominantWeight("D", 4, c) for c in ((0, 0, 1, 1), (1, 0, 0, 1))]

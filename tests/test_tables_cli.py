@@ -875,6 +875,24 @@ def test_a_wrong_quadrature_evaluator_fails_zonal_under_cold_caches(monkeypatch,
     assert all(status[k] == ("pass" if k.endswith("-d1") else "fail") for k in constants)
 
 
+def test_one_multiplicity_too_large_fails_weyl(monkeypatch, cold_caches, capsys):
+    # the weight count is a verdict that can fail: one multiplicity below
+    # the highest weight, one too large, is a FAIL (exit 1), not an ERROR
+    real = charring._freudenthal
+
+    def one_too_many(rs, scale, lam):
+        mults = dict(real(rs, scale, lam)[1])
+        below = list(mults)[1:]
+        if below:
+            mults[below[0]] += 1
+        return scale, mults
+
+    monkeypatch.setattr(charring, "_freudenthal", one_too_many)
+    assert cli.main(["verify", "weyl", "--format", "json"]) == 1
+    cases = json.loads(capsys.readouterr().out)["cases"]
+    assert len(cases) == 11 and all(c["status"] == "fail" for c in cases)
+
+
 def test_the_shared_parser_keeps_no_state_between_calls(capsys, tmp_path):
     assert cli._parser() is cli._parser()
     assert cli.main(["verify", "zonal", "--rank", "4", "--format", "json"]) == 0
