@@ -394,8 +394,7 @@ def tensor_decompose(rs: rootsys.RootSystemData, lam: rootsys.DominantWeight,
     Returns {DominantWeight: multiplicity}.
     """
     rootsys.check_weight(rs, lam)
-    rootsys.check_weight(rs, mu)
-    mults = WeightSystem(rs.family, *_freudenthal(rs, *rootsys.weight_lattice(rs, mu)))
+    mults = weight_system(rs, mu)
     scale = mults.scale
     lam_scale, lam_i = rootsys.weight_lattice(rs, lam)
     s = lcm(2 * scale, lam_scale)
@@ -463,31 +462,24 @@ class Factor(Record):
         return units + [(0,) * r] if self.kind == SO and self.size % 2 else units
 
     def _root_type(self):
-        """(family, rank) of the factor's root system; None for a torus."""
+        """(family, rank) of the factor's root system, the key of its label
+        kernels; (None, 1) for a torus (a circle, U(1) or SO(2))."""
         if self.kind == GL and self.size >= 2:
             return "A", self.size - 1
         if self.kind == SO and self.size > 2:
             return "D" if self.size % 2 == 0 else "B", self.size // 2
-        return ("C", self.size) if self.kind == SP else None
+        return ("C", self.size) if self.kind == SP else (None, 1)
 
     def dim(self, w) -> int:
         # gl weights go to A_{n-1} ambient coordinates unchanged (the Weyl
         # product only sees differences, so the trace part is harmless)
-        rt = self._root_type()
-        if rt is None:
-            _check_torus_weight(w)
-            return 1
-        return _weyl_dimension_cached(*rt, tuple(w))
+        return _weyl_dimension_cached(*self._root_type(), _label(w))
 
     def dominant_multiplicities(self, w):
         """Dominant weights {weight tuple: multiplicity} of the irreducible
         with highest weight ``w``: a read-only view of the cached kernel
         result, the rest of the weight system being their Weyl orbits."""
-        rt = self._root_type()
-        if rt is None:
-            _check_torus_weight(w)
-            return {w: 1}
-        return _freudenthal_cached(*rt, tuple(w))
+        return _freudenthal_cached(*self._root_type(), _label(w))
 
     def rho_strict(self):
         """A strictly dominant integer functional, used to pick off highest
@@ -498,29 +490,41 @@ class Factor(Record):
         return tuple(range(self.eps_rank, 0, -1))
 
 
-def _check_torus_weight(w) -> None:
-    """A circle, U(1) or SO(2) has no kernel to check its weights' length."""
-    if len(w) != 1:
-        raise ValueError(f"a torus factor's weight has one entry, not {tuple(w)}")
+def _label(w) -> tuple:
+    """``w`` as a kernel cache key, a bool refused before the cache is read:
+    True == 1 and hashes alike, so a cached int twin would answer for it."""
+    if bool in map(type, w := tuple(w)):
+        raise ValueError(f"a factor weight has no bool entry, not {w}")
+    return w
+
+
+def _kernel_label(family, rank, w):
+    """(root system or None on a torus, ``w`` as ints); raises unless ``w`` has
+    one entry per epsilon coordinate (one on a torus), no bool and integral
+    entries.  Run on each cache miss, so a bad label raises on every call."""
+    rs = family and rootsys.build_root_system(family, rank)
+    if len(w) != (rs.ambient_dim if rs else 1) or bool in map(type, w):
+        raise ValueError(f"wrong number of entries, or a bool, in the factor weight {w}")
+    if not all(type(x) is int or fr(x).denominator == 1 for x in w):
+        raise ValueError(f"non-integral factor weight {w}")
+    return rs, tuple(map(int, w))
 
 
 @lru_cache(maxsize=None)
 def _weyl_dimension_cached(family, rank, w):
-    """Weyl dimension of the epsilon weight ``w``; labels repeat it often."""
-    return rootsys.weyl_dimension_eps(rootsys.build_root_system(family, rank), w)
+    """Weyl dimension of the epsilon weight ``w``, 1 on a torus (family None)."""
+    rs, w = _kernel_label(family, rank, w)
+    return rootsys.weyl_dimension_eps(rs, w) if rs else 1
 
 
 @lru_cache(maxsize=None)
 def _freudenthal_cached(family, rank, w):
-    """Dominant weight multiplicities of the integral highest weight ``w``,
-    integer keys, behind a read-only view (the dict is shared).  ``w`` may
-    hold Fractions: an integral one hashes as its int and shares the entry.
-    A half-integral (spin) label is a caller bug: polynomials are integral."""
-    rs = rootsys.build_root_system(family, rank)
-    rootsys.check_eps(rs, w)
-    if any(fr(x).denominator != 1 for x in w):
-        raise ValueError(f"non-integral factor weight {w}")
-    return MappingProxyType(_freudenthal(rs, 1, tuple(map(int, w)))[1])
+    """Dominant weight multiplicities of the integral highest weight ``w`` (on
+    a torus, family None, ``w`` alone), int keys, behind one shared read-only
+    view.  An integral Fraction hashes as its int and shares the entry; a
+    half-integral (spin) label is refused: polynomials are integral."""
+    rs, w = _kernel_label(family, rank, w)
+    return MappingProxyType(_freudenthal(rs, 1, w)[1] if rs else {w: 1})
 
 
 class Construction(Record):
@@ -626,7 +630,7 @@ def decompose_weight_multiset(factors, multiset) -> tuple:
     is subtracted from the labels after it.
     """
     rhos = [f.rho_strict() for f in factors]
-    chambers = [(i, rt[0]) for i, f in enumerate(factors) if (rt := f._root_type())]
+    chambers = [(i, fam) for i, f in enumerate(factors) if (fam := f._root_type()[0])]
     remaining = {
         lab: m for lab, m in multiset.items()
         if all(_is_dominant(fam, lab[i]) for i, fam in chambers)
@@ -691,7 +695,7 @@ def _sym_powers(factors, construction, lo, hi):
     each h_d, and only its degree lo..hi keys are read back as labels."""
     ends = list(accumulate((f.eps_rank for f in factors), initial=0))
     cuts = list(zip(ends, ends[1:]))
-    chambers = [(rt[0], a, b) for f, (a, b) in zip(factors, cuts) if (rt := f._root_type())]
+    chambers = [(fam, a, b) for f, (a, b) in zip(factors, cuts) if (fam := f._root_type()[0])]
     coords = sorted((tuple(-x for v in row for x in v)
                      for row in _construction_weights(factors, construction)),
                     key=lambda w: [max((i - a for i in range(a, b) if w[i]), default=-1)
@@ -777,8 +781,8 @@ def is_multiplicity_free_polynomial_action(datum: GroupDatum, degree_bound: int)
         raise ValueError("degree bound must be >= 1")
     sym_power_decompose(datum, degree_bound)  # fills the list up to D
     seen: dict = {}
-    for d, dec in enumerate(_SYM_POWERS[datum.factors, datum.construction][:degree_bound + 1]):
-        for label, mult in dec.entries:
+    for d in range(degree_bound + 1):
+        for label, mult in sym_power_decompose(datum, d).entries:
             key = canonical_label(datum, label)
             if mult > 1 or key in seen:
                 return False, {"degree": d, "label": key, "multiplicity": mult,

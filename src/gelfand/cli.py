@@ -36,20 +36,23 @@ from .exact import MultiPoly, Record, det, dot
 REPORT_VERSION = "2"
 
 
-class Case(Record, mutable=True):
+class Case(Record):
     def __init__(self, case_id: str, status: str, expected: str, actual: str, tolerance: str,
                  runtime_ms: float | None = None):
-        self.case_id, self.status, self.expected = case_id, status, expected
-        self.actual, self.tolerance, self.runtime_ms = actual, tolerance, runtime_ms
+        object.__setattr__(self, "case_id", case_id)
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "expected", expected)
+        object.__setattr__(self, "actual", actual)
+        object.__setattr__(self, "tolerance", tolerance)
+        object.__setattr__(self, "runtime_ms", runtime_ms)
 
 
-class VerificationReport(Record, mutable=True):
+class VerificationReport(Record):
     def __init__(self, suite: str, anchor: str, cases: list, config: dict):
-        self.suite, self.anchor, self.cases, self.config = suite, anchor, cases, config
-
-    @property
-    def seed(self) -> int:
-        return self.config["seed"]
+        object.__setattr__(self, "suite", suite)
+        object.__setattr__(self, "anchor", anchor)
+        object.__setattr__(self, "cases", cases)
+        object.__setattr__(self, "config", config)
 
 
 class _Recorder:
@@ -64,10 +67,8 @@ class _Recorder:
             status = "pass" if ok else "fail"
         except Exception as exc:  # a crash is not a verdict on the identity
             status, actual = "error", f"error: {exc}"
-        case = Case(case_id, status, str(expected), str(actual), str(tolerance))
-        if self.timing:
-            case.runtime_ms = 1000 * (time.perf_counter() - start)
-        self.cases.append(case)
+        self.cases.append(Case(case_id, status, str(expected), str(actual), str(tolerance),
+                               1000 * (time.perf_counter() - start) if self.timing else None))
 
 
 # ---------------------------------------------------------------------------
@@ -486,9 +487,10 @@ def emit_report(report: VerificationReport, fmt: str = "text") -> str:
             "version": REPORT_VERSION,
             "suite": report.suite,
             "anchor": report.anchor,
-            "cases": [{**vars(c), "anchor": report.anchor} for c in report.cases],
+            "cases": [{**dict(zip(c._fields, c._values(c))), "anchor": report.anchor}
+                      for c in report.cases],
             "config": report.config,
-            "seed": report.seed,
+            "seed": report.config["seed"],
         }
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if fmt == "csv":
@@ -502,7 +504,7 @@ def emit_report(report: VerificationReport, fmt: str = "text") -> str:
                              "" if c.runtime_ms is None else f"{c.runtime_ms:.3f}"])
         return out.getvalue()
     if fmt == "text":
-        lines = [f"suite {report.suite} [{report.anchor}] seed={report.seed}"]
+        lines = [f"suite {report.suite} [{report.anchor}] seed={report.config['seed']}"]
         for c in report.cases:
             lines.append(f"  {c.status.upper():4s} {c.case_id}: expected {c.expected},"
                          f" got {c.actual} (tol {c.tolerance})")

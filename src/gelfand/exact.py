@@ -16,19 +16,16 @@ from operator import attrgetter
 class Record:
     """Base of the record classes, written by hand so that import generates
     no code.  The fields are the parameters of ``__init__``, in order; records
-    of one class are equal and hash as their field tuples, and the repr is
-    ``Name(field=value, ...)``.  Fields cannot be assigned or deleted, so
-    ``__init__`` sets each with ``object.__setattr__``, unless the class is
-    declared with ``mutable=True``, which also makes it unhashable."""
+    of one class are equal and hash as their field tuples (once: the hash is
+    kept in ``__dict__``), and the repr is ``Name(field=value, ...)``.  Fields
+    cannot be assigned or deleted, so ``__init__`` sets each with
+    ``object.__setattr__``."""
 
-    def __init_subclass__(cls, mutable=False):
+    def __init_subclass__(cls):
         code = cls.__init__.__code__
         cls._fields = code.co_varnames[1:code.co_argcount]
         get = attrgetter(*cls._fields)
         cls._values = staticmethod(get if len(cls._fields) > 1 else lambda r: (get(r),))
-        if mutable:
-            cls.__setattr__, cls.__delattr__ = object.__setattr__, object.__delattr__
-            cls.__hash__ = None
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

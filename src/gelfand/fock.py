@@ -372,22 +372,6 @@ class RegularFunction(Record):
             _add_into(acc, key, coeffs)
         return RegularFunction(self.n, tuple(sorted(acc.items())))
 
-    def __mul__(self, other):
-        """Ring product: polynomial parts multiply, indices add."""
-        if self.n != other.n:
-            raise ValueError("dimension mismatch")
-        acc = {}
-        for (m1, p1), c1 in self.terms:
-            for (m2, p2), c2 in other.terms:
-                key = (tuple(a + b for a, b in zip(m1, m2)),
-                       tuple(a + b for a, b in zip(p1, p2)))
-                conv = [0] * (len(c1) + len(c2) - 1)
-                for i, a in enumerate(c1):
-                    for j, b in enumerate(c2):
-                        conv[i + j] = conv[i + j] + a * b
-                _add_into(acc, key, conv)
-        return RegularFunction(self.n, tuple(sorted(acc.items())))
-
     def eval(self, t: float, g: HeisenbergPoint) -> complex:
         if g.n != self.n:
             raise ValueError("dimension mismatch")

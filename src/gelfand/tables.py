@@ -8,6 +8,7 @@ import operator
 import re
 from functools import lru_cache
 from importlib import resources
+from types import MappingProxyType
 
 from . import nilpf
 from .charring import GL, SO, SP, U1, Construction, Factor, GroupDatum
@@ -22,7 +23,9 @@ class TableRow(Record):
         object.__setattr__(self, "constraints", constraints)
 
 
-def _load_rows():
+@lru_cache(maxsize=None)
+def registry():
+    """The data file's rows, {identifier: TableRow}, read once: one shared read-only view."""
     text = resources.files("gelfand.data").joinpath("table_rows.txt").read_text()
     rows = {}
     for line in text.splitlines():
@@ -32,19 +35,8 @@ def _load_rows():
         parts = [p.strip() for p in line.split("|")]
         if len(parts) != 4:
             raise ValueError(f"malformed table row: {line!r}")
-        ident, factors, construction, constraints = parts
-        rows[ident] = TableRow(ident, factors, construction, constraints)
-    return rows
-
-
-_ROWS = None
-
-
-def registry():
-    global _ROWS
-    if _ROWS is None:
-        _ROWS = _load_rows()
-    return _ROWS
+        rows[parts[0]] = TableRow(*parts)
+    return MappingProxyType(rows)
 
 
 _COMPARISONS = {">=": operator.ge, "!=": operator.ne, "==": operator.eq}
@@ -99,10 +91,16 @@ def _parse_factor(token: str, r: int, s: int | None):
     raise ValueError(f"unparseable factor {token!r}")
 
 
-@lru_cache(maxsize=None)
 def group_datum(row_id: str, rank: int, rank2: int | None = None) -> GroupDatum:
-    """Instantiate a kac/jaw row at concrete rank(s), once: asked again, it
-    returns the same datum.  A bad row or rank raises on every call."""
+    """Instantiate a kac/jaw row at concrete rank(s), once; a bad row or rank
+    raises on every call, a bool rank before the cache (True hashes as 1)."""
+    if bool in (type(rank), type(rank2)):
+        raise ValueError(f"a rank is an int, not {rank!r}, {rank2!r}")
+    return _group_datum(row_id, rank, rank2)
+
+
+@lru_cache(maxsize=None)
+def _group_datum(row_id, rank, rank2):
     row = registry().get(row_id)
     if row is None:
         raise KeyError(f"unknown table row {row_id!r}")

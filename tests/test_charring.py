@@ -876,7 +876,7 @@ def test_label_dimensions_compute_each_weyl_dimension_once(monkeypatch, cold_cac
     assert charring.is_multiplicity_free_polynomial_action(datum, 5) == (True, None)
     asked = [(*f._root_type(), w)
              for dec in charring._SYM_POWERS[datum.factors, datum.construction]
-             for lab, _ in dec.entries for f, w in zip(datum.factors, lab) if f._root_type()]
+             for lab, _ in dec.entries for f, w in zip(datum.factors, lab) if f._root_type()[0]]
     assert (len(asked), len(set(asked))) == (40, 24)
     assert sorted(calls) == sorted(set(asked))
 
@@ -922,7 +922,7 @@ def test_pruned_recursion_hands_the_peel_the_dominant_multiset(monkeypatch, cold
         charring._SYM_POWERS.clear()
         seen.clear()
         charring.sym_power_decompose(datum, 5)
-        chambers = [(i, rt[0]) for i, f in enumerate(datum.factors) if (rt := f._root_type())]
+        chambers = [(i, fam) for i, f in enumerate(datum.factors) if (fam := f._root_type()[0])]
         assert len(seen) == 6
         for d, got in enumerate(seen):
             want = {lab: m for lab, m in _enumerated_sym_power_multiset(datum, d).items()
@@ -1016,6 +1016,53 @@ def test_a_weight_of_the_wrong_length_is_refused_on_every_call(factor, w, cold_c
                 method(w)
     right = (0,) * factor.eps_rank
     assert factor.dim(right) == 1 and dict(factor.dominant_multiplicities(right)) == {right: 1}
+
+
+TORI = [Factor(U1), Factor(GL, 1), Factor(SO, 2)]
+
+
+@pytest.mark.parametrize("factor", TORI, ids=repr)
+def test_a_torus_reads_its_label_through_the_kernel_caches(factor, cold_caches):
+    # a circle takes a list label as every other factor does, and gets the
+    # same shared read-only view on each call
+    assert factor.dim([1]) == 1
+    view = factor.dominant_multiplicities([1])
+    assert dict(view) == {(1,): 1}
+    assert factor.dominant_multiplicities((1,)) is view
+    with pytest.raises(TypeError):
+        view[(2,)] = 1
+
+
+@pytest.mark.parametrize("factor", TORI, ids=repr)
+@pytest.mark.parametrize("w,match", [((0.5,), "non-integral"), ((Fraction(1, 2),), "non-integral"),
+                                     ((True,), "bool")], ids=repr)
+def test_a_torus_refuses_a_bool_or_fractional_label_on_every_call(factor, w, match, cold_caches):
+    # (1,) is cached first: True hashes as 1, so only a check ahead of the
+    # cache refuses it
+    assert factor.dim((1,)) == 1 and dict(factor.dominant_multiplicities((1,))) == {(1,): 1}
+    for _ in range(2):
+        for method in (factor.dim, factor.dominant_multiplicities):
+            with pytest.raises(ValueError, match=match):
+                method(w)
+
+
+def test_a_half_integral_label_is_refused_by_both_kernels(cold_caches):
+    # the Weyl product of the spin label is an integer (4), but no
+    # polynomial carries it, and the Freudenthal kernel never took it
+    f = Factor(SO, 5)
+    for _ in range(2):
+        for method in (f.dim, f.dominant_multiplicities):
+            with pytest.raises(ValueError, match="non-integral"):
+                method((Fraction(1, 2), Fraction(1, 2)))
+
+
+def test_a_bool_label_is_refused_with_its_int_twin_cached(cold_caches):
+    f = Factor(SO, 5)
+    assert f.dim((1, 0)) == 5
+    assert dict(f.dominant_multiplicities((1, 0))) == {(1, 0): 1, (0, 0): 1}
+    for method in (f.dim, f.dominant_multiplicities):
+        with pytest.raises(ValueError, match="bool"):
+            method((True, False))
 
 
 @pytest.mark.parametrize("family,rank", KERNEL_SYSTEMS)

@@ -485,16 +485,6 @@ def test_regular_function_eval():
     assert abs(g.eval(0.7, heis_identity(1)) - math.exp(-0.7)) < 1e-15
 
 
-def test_regular_function_product_adds_indices():
-    a = RegularFunction.from_term(1, (1,), (1,), (0,))
-    b = RegularFunction.from_term(1, (0, 1), (2,), (1,))
-    prod = a * b
-    assert len(prod.terms) == 1
-    (key, coeffs), = prod.terms
-    assert key == ((3,), (1,))
-    assert coeffs == (0, 1)
-
-
 def test_regular_function_sum_pads_shorter_coefficients():
     a = RegularFunction.from_term(1, (1, 2), (1,), (0,))
     b = RegularFunction.from_term(1, (Fraction(1, 2), 0, 3), (1,), (0,))

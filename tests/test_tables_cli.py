@@ -66,7 +66,8 @@ def test_group_datum_is_built_once_per_row_and_rank(cold_caches):
     datum = tables.group_datum("kac:10", 2, 3)
     assert tables.group_datum("kac:10", 2, 3) is datum
     assert tables.group_datum("kac:10", 3, 2) is not datum
-    info = tables.group_datum.cache_info()
+    # the cache sits behind the uncached front that refuses a bool rank
+    info = tables._group_datum.cache_info()
     assert (info.misses, info.hits) == (2, 1)
 
 
@@ -77,7 +78,25 @@ def test_a_bad_row_or_rank_raises_on_every_call(args, error, cold_caches):
     for _ in range(3):
         with pytest.raises(error):
             tables.group_datum(*args)
-    assert tables.group_datum.cache_info().currsize == 0
+    assert tables._group_datum.cache_info().currsize == 0
+
+
+def test_a_bool_rank_is_refused_with_its_int_twin_cached(cold_caches):
+    # True == 1 and hashes alike: the datum cached for rank 1 must not
+    # answer for it
+    assert tables.group_datum("kac:2", 1).factors == (Factor(GL, 1),)
+    assert tables.group_datum("kac:10", 1, 2)
+    for args in (("kac:2", True), ("kac:10", True, 2), ("kac:10", 1, True)):
+        with pytest.raises(ValueError, match="rank"):
+            tables.group_datum(*args)
+
+
+def test_the_registry_is_read_only(cold_caches):
+    rows = tables.registry()
+    with pytest.raises(TypeError):
+        rows["kac:1"] = tables.TableRow("kac:1", "U(r)", "sym2:0", "r>=2")
+    assert tables.registry() is rows
+    assert tables.group_datum("kac:1", 3).construction == Construction("standard", (0,))
 
 
 def test_symmetric_power_cache_meets_equal_table_data(monkeypatch, cold_caches):
