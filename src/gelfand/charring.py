@@ -27,8 +27,8 @@ from __future__ import annotations
 from collections.abc import ItemsView, Mapping, ValuesView
 from fractions import Fraction
 from functools import lru_cache
-from itertools import (accumulate, chain, combinations, combinations_with_replacement, groupby,
-                       product, repeat)
+from itertools import (accumulate, chain, combinations, combinations_with_replacement, count,
+                       groupby, product, repeat)
 from math import comb, factorial, lcm, prod
 from operator import add, ge, mul, sub
 from types import MappingProxyType
@@ -427,7 +427,15 @@ def tensor_decompose(rs: rootsys.RootSystemData, lam: rootsys.DominantWeight,
 
 GL, SO, SP, U1 = "gl", "so", "sp", "u1"
 _MIN_SIZE = {GL: 1, SO: 2, SP: 1, U1: 0}
-_SYM_POWERS: dict = {}  # (factors, construction) -> Decompositions of degree 0, 1, ...
+_SYM_POWERS: dict = {}  # module key -> Decompositions of degree 0, 1, ...
+_KEYS = count()  # never reset, so no key is reissued after a cache clear
+
+
+@lru_cache(maxsize=None)
+def _module_key(factors, construction) -> int:
+    """One int per distinct (factors, construction), taken once per datum:
+    the torus quotient only shifts labels afterwards, so it stays out."""
+    return next(_KEYS)
 
 
 class Factor(Record):
@@ -580,6 +588,7 @@ class GroupDatum(Record):
                 if i in seen:
                     raise ValueError(f"quotient index {i} appears twice")
                 seen.add(i)
+        object.__setattr__(self, "_key", _module_key(factors, construction))
 
 
 def _construction_weights(factors, con: Construction):
@@ -624,30 +633,41 @@ def _label_dim(factors, label) -> int:
 def decompose_weight_multiset(factors, multiset) -> tuple:
     """Peel highest weights off a Weyl-invariant weight multiset.
 
-    Only labels dominant in every factor are read.  Taken in decreasing
-    order of the strictly-dominant pairing, each label still present is the
-    highest weight of a constituent; the dominant part of its weight system
-    is subtracted from the labels after it.
+    Only labels dominant in every factor are read; ``_peel`` takes them with
+    their pairings with the strictly dominant functional.
     """
     rhos = [f.rho_strict() for f in factors]
     chambers = [(i, fam) for i, f in enumerate(factors) if (fam := f._root_type()[0])]
-    remaining = {
-        lab: m for lab, m in multiset.items()
-        if all(_is_dominant(fam, lab[i]) for i, fam in chambers)
-    }
+    return _peel(factors, [
+        (sum(a * b for w, rho in zip(lab, rhos) for a, b in zip(w, rho)), lab, m)
+        for lab, m in multiset.items()
+        if all(_is_dominant(fam, lab[i]) for i, fam in chambers)], {})
+
+
+def _peel(factors, triples, memo):
+    """Peel the dominant part of a Weyl-invariant weight multiset, given as
+    (pairing with ``rho_strict``, label, multiplicity) triples.
+
+    Taken in decreasing order of (pairing, label), each label still present
+    is the highest weight of a constituent; the dominant part of its weight
+    system, the product over the factors, is subtracted from the labels
+    after it.  ``memo`` keeps that product per label, for later calls.
+    """
+    remaining = {lab: m for _, lab, m in triples}
     entries = []
-    for best in sorted(remaining, reverse=True, key=lambda lab: (
-            sum(a * b for w, rho in zip(lab, rhos) for a, b in zip(w, rho)), lab)):
+    for _, best, _ in sorted(triples, reverse=True):
         mult = remaining[best]
         if mult < 0:
             raise ArithmeticError("negative multiplicity during extraction")
         if not mult:
             continue
         entries.append((best, mult))
-        parts = [f.dominant_multiplicities(w).items() for f, w in zip(factors, best)]
-        for combo in product(*parts):
-            key = tuple(w for w, _ in combo)
-            newv = remaining.get(key, 0) - mult * prod(m for _, m in combo)
+        if (combined := memo.get(best)) is None:
+            doms = [f.dominant_multiplicities(w) for f, w in zip(factors, best)]
+            combined = memo[best] = list(zip(
+                product(*doms), map(prod, product(*(p.values() for p in doms)))))
+        for key, c in combined:
+            newv = remaining.get(key, 0) - mult * c
             if newv < 0:
                 raise ArithmeticError("negative multiplicity during extraction")
             remaining[key] = newv
@@ -660,12 +680,12 @@ def sym_power_decompose(datum: GroupDatum, d: int) -> Decomposition:
     Polynomials transform by the d-th symmetric power of the dual module,
     whose weight multiset is the complete homogeneous h_d of the dual
     coordinate weights.  The result is checked for exact dimension
-    conservation and kept in one list per (factors, construction): the torus
-    quotient only shifts labels afterwards (``canonical_label``), so data
-    that differ only there share one ``Decomposition``."""
+    conservation and kept in one list per module key (``_module_key``): the
+    torus quotient only shifts labels afterwards (``canonical_label``), so
+    data that differ only there share one ``Decomposition``."""
     if d < 0:
         raise ValueError("degree must be >= 0")
-    done = _SYM_POWERS.setdefault((datum.factors, datum.construction), [])
+    done = _SYM_POWERS.setdefault(datum._key, [])
     if len(done) <= d:
         done.extend(_sym_powers(datum.factors, datum.construction, len(done), d))
     return done[d]
@@ -692,16 +712,23 @@ def _sym_powers(factors, construction, lo, hi):
     condition on its last slot (``_is_dominant``), every key left passed the
     earlier links, and the new chain implies the old last-slot condition.
     At the end every slot is final: what is left is the dominant part of
-    each h_d, and only its degree lo..hi keys are read back as labels."""
+    each h_d, and only its degree lo..hi keys are read back, once each, as
+    (pairing with ``rho_strict``, label, multiplicity) triples for ``_peel``."""
     ends = list(accumulate((f.eps_rank for f in factors), initial=0))
     cuts = list(zip(ends, ends[1:]))
     chambers = [(fam, a, b) for f, (a, b) in zip(factors, cuts) if (fam := f._root_type()[0])]
-    coords = sorted((tuple(-x for v in row for x in v)
-                     for row in _construction_weights(factors, construction)),
-                    key=lambda w: [max((i - a for i in range(a, b) if w[i]), default=-1)
-                                   for _, a, b in chambers])
-    # the last coordinate touching each slot
-    last = [max((k for k, w in enumerate(coords) if w[i]), default=-1) for i in range(ends[-1])]
+    coords = [tuple(-x for v in row for x in v)
+              for row in _construction_weights(factors, construction)]
+    # each coordinate's touched slots, read once: its sort key is the last
+    # one in each chamber, and each slot's last coordinate follows the sort
+    touched = {w: [i for i, x in enumerate(w) if x] for w in coords}
+    coords.sort(key=lambda w: [max((i - a for i in touched[w] if a <= i < b), default=-1)
+                               for _, a, b in chambers])
+    last = {i: k for k, w in enumerate(coords) for i in touched[w]}
+    moves: dict = {}  # k -> {chamber: end of the slots final once coordinate k is in}
+    for c, (_, a, b) in enumerate(chambers):
+        for end, k in enumerate(accumulate((last.get(i, 0) for i in range(a, b)), max), a + 1):
+            moves.setdefault(k, {})[c] = end
     width = (hi * max(map(abs, chain(*coords)), default=0)).bit_length() + 1
     zero = sum(1 << width * i + width - 1 for i in range(ends[-1]))  # every slot at its bias
     finished = [a for _, a, _ in chambers]  # each chamber's finished slots end here
@@ -712,17 +739,18 @@ def _sym_powers(factors, construction, lo, hi):
             for mu, m in lower.items():
                 key = mu + w
                 upper[key] = upper.get(key, 0) + m
-        for c, (fam, a, b) in enumerate(chambers):
-            end = next((i for i in range(a, b) if last[i] > k), b)
-            if end > finished[c]:
-                shift, mask, judge = _finished_dominant(fam, a, finished[c], end, width)
-                finished[c] = end
-                h[1:] = [{mu: m for mu, m in level.items() if judge(mu >> shift & mask)}
-                         for level in h[1:]]
+        for c, end in moves.get(k, {}).items():
+            fam, a, _ = chambers[c]
+            shift, mask, judge = _finished_dominant(fam, a, finished[c], end, width)
+            finished[c] = end
+            h[1:] = [{mu: m for mu, m in level.items() if judge(mu >> shift & mask)}
+                     for level in h[1:]]
+    rho = [x for f in factors for x in f.rho_strict()]
+    memo: dict = {}  # constituent label -> its dominant parts, for every degree
     for d in range(lo, hi + 1):
-        multiset = {tuple(v[a:b] for a, b in cuts): m for v, m in zip(
-            map(_unpack, h[d], repeat(ends[-1]), repeat(width)), h[d].values())}
-        entries = decompose_weight_multiset(factors, multiset)
+        triples = [(sum(map(mul, v, rho)), tuple([v[a:b] for a, b in cuts]), m) for v, m in zip(
+            map(_unpack, h[d], repeat(ends[-1]), repeat(width)), h[d].values())]
+        entries = _peel(factors, triples, memo)
         expected = comb(len(coords) + d - 1, d)
         total = sum(m * _label_dim(factors, lab) for lab, m in entries)
         if total != expected:
@@ -779,10 +807,11 @@ def is_multiplicity_free_polynomial_action(datum: GroupDatum, degree_bound: int)
     """
     if degree_bound < 1:
         raise ValueError("degree bound must be >= 1")
-    sym_power_decompose(datum, degree_bound)  # fills the list up to D
+    sym_power_decompose(datum, degree_bound)  # fills the list up to D, read once below
+    done = _SYM_POWERS[datum._key]
     seen: dict = {}
     for d in range(degree_bound + 1):
-        for label, mult in sym_power_decompose(datum, d).entries:
+        for label, mult in done[d].entries:
             key = canonical_label(datum, label)
             if mult > 1 or key in seen:
                 return False, {"degree": d, "label": key, "multiplicity": mult,

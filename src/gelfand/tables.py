@@ -42,80 +42,93 @@ def registry():
 _COMPARISONS = {">=": operator.ge, "!=": operator.ne, "==": operator.eq}
 
 
-def _check_constraints(constraints: str, r: int, s: int | None):
-    env = {"r": r, "s": s}
+def _parity(value, odd):
+    return value % 2 == odd
+
+
+@lru_cache(maxsize=None)
+def _constraint_clauses(constraints: str):
+    """The clauses of a constraint spec, parsed once: (clause, rank symbol,
+    test, right side), the right side a rank symbol or an int."""
+    clauses = []
     for clause in constraints.split(";"):
         clause = clause.strip()
         if not clause or clause == "-":
             continue
-        m = re.fullmatch(r"([rs])\s*(>=|!=|==)\s*([rs]|\d+)", clause)
-        if m:
-            left = env[m.group(1)]
-            right = env[m.group(3)] if m.group(3) in env else int(m.group(3))
-            if left is None or right is None:
-                raise ValueError(f"constraint {clause!r} needs a second rank")
-            if not _COMPARISONS[m.group(2)](left, right):
-                raise ValueError(f"rank constraint violated: {clause} with r={r}, s={s}")
-            continue
-        m = re.fullmatch(r"([rs])\s+(odd|even)", clause)
-        if m:
-            val = env[m.group(1)]
-            if val is None:
-                raise ValueError(f"constraint {clause!r} needs a second rank")
-            if val % 2 != (m.group(2) == "odd"):
-                raise ValueError(f"rank constraint violated: {clause}")
-            continue
-        raise ValueError(f"unparseable constraint {clause!r}")
+        if m := re.fullmatch(r"([rs])\s*(>=|!=|==)\s*([rs]|\d+)", clause):
+            clauses.append((clause, m.group(1), _COMPARISONS[m.group(2)], _size(m.group(3))))
+        elif m := re.fullmatch(r"([rs])\s+(odd|even)", clause):
+            clauses.append((clause, m.group(1), _parity, int(m.group(2) == "odd")))
+        else:
+            raise ValueError(f"unparseable constraint {clause!r}")
+    return tuple(clauses)
 
 
-def _parse_factor(token: str, r: int, s: int | None):
-    """(factors, quotiented): the factors a token names, and whether their
-    determinant characters are quotiented together (SU, S(U x U))."""
+def _check_constraints(constraints: str, r: int, s: int | None):
+    env = {"r": r, "s": s}
+    for clause, left, test, right in _constraint_clauses(constraints):
+        left, right = env[left], env.get(right, right)
+        if left is None or right is None:
+            raise ValueError(f"constraint {clause!r} needs a second rank")
+        if not test(left, right):
+            ranks = "" if test is _parity else f" with r={r}, s={s}"
+            raise ValueError(f"rank constraint violated: {clause}{ranks}")
+
+
+def _parse_factor(token: str):
+    """(kinds, quotiented): (kind, size) per factor a token names, a size
+    being a rank symbol or an int, and whether their determinant characters
+    are quotiented together (SU, S(U x U))."""
     token = token.strip()
     if token == "U1":
-        return [Factor(U1)], False
-    m = re.fullmatch(r"(SU|U|SO|Sp)\((\w+)\)", token)
-    if m:
-        name, arg = m.group(1), m.group(2)
-        size = {"r": r, "s": s}.get(arg)
-        if size is None:
-            size = int(arg)
-        return [Factor({"SU": GL, "U": GL, "SO": SO, "Sp": SP}[name], size)], name == "SU"
-    m = re.fullmatch(r"S\(U\((\w+)\)xU\((\w+)\)\)", token)
-    if m:
-        sizes = []
-        for arg in m.groups():
-            size = {"r": r, "s": s}.get(arg)
-            sizes.append(int(arg) if size is None else size)
-        return [Factor(GL, sizes[0]), Factor(GL, sizes[1])], True
+        return [(U1, 0)], False
+    if m := re.fullmatch(r"(SU|U|SO|Sp)\((\w+)\)", token):
+        return [({"SU": GL, "U": GL, "SO": SO, "Sp": SP}[m[1]], _size(m[2]))], m[1] == "SU"
+    if m := re.fullmatch(r"S\(U\((\w+)\)xU\((\w+)\)\)", token):
+        return [(GL, _size(arg)) for arg in m.groups()], True
     raise ValueError(f"unparseable factor {token!r}")
+
+
+def _size(arg: str):
+    return arg if arg in ("r", "s") else int(arg)
+
+
+@lru_cache(maxsize=None)
+def _row_spec(row_id: str):
+    """A kac/jaw row's specs, parsed once per row: (constraints, (kind,
+    size) per factor, quotient groups, construction)."""
+    row = registry().get(row_id)
+    if row is None:
+        raise KeyError(f"unknown table row {row_id!r}")
+    if row_id.startswith("vin:"):
+        raise ValueError("flat-algebra rows resolve through algebra(), not group_datum()")
+    kinds, quotient = [], []
+    for token in row.factor_spec.split(","):
+        new, quotiented = _parse_factor(token)
+        if quotiented:
+            quotient.append(tuple(range(len(kinds), len(kinds) + len(new))))
+        kinds += new
+    tag, _, idxs = row.construction_spec.partition(":")
+    args = tuple(int(x) for x in idxs.split(",")) if idxs else ()
+    return row.constraints, tuple(kinds), tuple(quotient), Construction(tag, args)
 
 
 def group_datum(row_id: str, rank: int, rank2: int | None = None) -> GroupDatum:
     """Instantiate a kac/jaw row at concrete rank(s), once; a bad row or rank
-    raises on every call, a bool rank before the cache (True hashes as 1)."""
-    if bool in (type(rank), type(rank2)):
+    raises on every call, a rank that is not an int (a second rank: nor
+    None) before the cache (True hashes as 1, "2" reaches no comparison)."""
+    if type(rank) is not int or not (rank2 is None or type(rank2) is int):
         raise ValueError(f"a rank is an int, not {rank!r}, {rank2!r}")
     return _group_datum(row_id, rank, rank2)
 
 
 @lru_cache(maxsize=None)
 def _group_datum(row_id, rank, rank2):
-    row = registry().get(row_id)
-    if row is None:
-        raise KeyError(f"unknown table row {row_id!r}")
-    if row_id.startswith("vin:"):
-        raise ValueError("flat-algebra rows resolve through algebra(), not group_datum()")
-    _check_constraints(row.constraints, rank, rank2)
-    factors, quotient = [], []
-    for token in row.factor_spec.split(","):
-        new, quotiented = _parse_factor(token, rank, rank2)
-        if quotiented:
-            quotient.append(tuple(range(len(factors), len(factors) + len(new))))
-        factors += new
-    tag, _, idxs = row.construction_spec.partition(":")
-    args = tuple(int(x) for x in idxs.split(",")) if idxs else ()
-    return GroupDatum(tuple(factors), Construction(tag, args), tuple(quotient))
+    constraints, kinds, quotient, construction = _row_spec(row_id)
+    _check_constraints(constraints, rank, rank2)
+    sizes = {"r": rank, "s": rank2}
+    factors = tuple(Factor(kind, sizes.get(size, size)) for kind, size in kinds)
+    return GroupDatum(factors, construction, quotient)
 
 
 _ALGEBRA_BUILDERS = {

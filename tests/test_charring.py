@@ -875,7 +875,7 @@ def test_label_dimensions_compute_each_weyl_dimension_once(monkeypatch, cold_cac
     datum = tables.group_datum("kac:11", 2, 2)
     assert charring.is_multiplicity_free_polynomial_action(datum, 5) == (True, None)
     asked = [(*f._root_type(), w)
-             for dec in charring._SYM_POWERS[datum.factors, datum.construction]
+             for dec in charring._SYM_POWERS[datum._key]
              for lab, _ in dec.entries for f, w in zip(datum.factors, lab) if f._root_type()[0]]
     assert (len(asked), len(set(asked))) == (40, 24)
     assert sorted(calls) == sorted(set(asked))
@@ -906,13 +906,13 @@ def test_pruned_recursion_hands_the_peel_the_dominant_multiset(monkeypatch, cold
     # h_d, key for key, on a D chamber, an odd SO with its zero weight and
     # a tensor of two chambered factors among the rest
     seen = []
-    real = charring.decompose_weight_multiset
+    real = charring._peel
 
-    def recording(factors, multiset):
-        seen.append(dict(multiset))
-        return real(factors, multiset)
+    def recording(factors, triples, memo):
+        seen.append({lab: m for _, lab, m in triples})
+        return real(factors, triples, memo)
 
-    monkeypatch.setattr(charring, "decompose_weight_multiset", recording)
+    monkeypatch.setattr(charring, "_peel", recording)
     data = _ladder_grid() + _SMALL_CONSTRUCTIONS
     keys = {(datum.factors, datum.construction) for datum in data}
     for rid, r, s in (("jaw:5a", 4, None), ("jaw:5b", 3, None), ("kac:11", 2, 2)):
@@ -928,6 +928,60 @@ def test_pruned_recursion_hands_the_peel_the_dominant_multiset(monkeypatch, cold
             want = {lab: m for lab, m in _enumerated_sym_power_multiset(datum, d).items()
                     if all(charring._dominant(fam, lab[i]) == lab[i] for i, fam in chambers)}
             assert got == want, (datum, d)
+
+
+def test_the_public_peel_on_a_full_multiset_matches_the_library_path():
+    # decompose_weight_multiset filters the full h_d multiset down to its
+    # dominant labels and peels it with the library's own peel: the entries,
+    # in order, must be those the pruned recursion hands straight to it
+    non_dominant = 0
+    for datum in _ladder_grid():
+        chambers = [(i, fam) for i, f in enumerate(datum.factors) if (fam := f._root_type()[0])]
+        for d in range(6):
+            full = _enumerated_sym_power_multiset(datum, d)
+            non_dominant += any(not charring._is_dominant(fam, lab[i])
+                                for lab in full for i, fam in chambers)
+            assert charring.decompose_weight_multiset(datum.factors, full) == \
+                charring.sym_power_decompose(datum, d).entries, (datum, d)
+    assert non_dominant > 200
+
+
+def test_equal_data_share_one_list_and_compare_no_record_when_warm(monkeypatch, cold_caches):
+    # jaw:10 and kac:10 at (2, 2) differ only in their torus quotient, and
+    # the third datum is built by hand from equal records: one module key,
+    # one list, and a warm lookup neither hashes nor compares a record
+    first, second = tables.group_datum("jaw:10", 2, 2), tables.group_datum("kac:10", 2, 2)
+    con = first.construction
+    by_hand = GroupDatum(tuple(Factor(f.kind, f.size) for f in first.factors),
+                         Construction(con.tag, con.args))
+    data = (first, second, by_hand)
+    assert len({first.quotient, second.quotient, by_hand.quotient}) == 3
+    assert len({datum._key for datum in data}) == 1
+    want = [charring.sym_power_decompose(first, d) for d in range(5)]
+    compared = []
+    real_eq = exact.Record.__eq__
+    monkeypatch.setattr(exact.Record, "__eq__",
+                        lambda self, other: compared.append(self) or real_eq(self, other))
+    for datum in data:
+        assert [charring.sym_power_decompose(datum, d) for d in range(5)] == want
+        assert all(got is dec for got, dec in zip(charring._SYM_POWERS[datum._key], want))
+        charring.is_multiplicity_free_polynomial_action(datum, 4)
+    assert compared == []
+
+
+def test_a_module_key_is_never_reissued_after_the_caches_are_cleared(cold_caches):
+    # a datum built before the clear keeps its key; a different datum built
+    # after it must take a new one, or the old datum would read its list
+    before = tables.group_datum("jaw:2", 2)
+    want = charring.sym_power_decompose(before, 3)
+    other = charring.sym_power_decompose(tables.group_datum("jaw:3", 2), 3)
+    assert want != other
+    cold_caches()
+    after = tables.group_datum("jaw:3", 2)
+    assert after._key != before._key
+    assert charring.sym_power_decompose(after, 3) == other
+    assert charring.sym_power_decompose(before, 3) == want
+    assert charring._SYM_POWERS[before._key] is not charring._SYM_POWERS[after._key]
 
 
 @pytest.mark.parametrize("family", "ABCD")
@@ -973,18 +1027,18 @@ def test_packed_slots_hold_every_weight_up_to_the_top_degree(datum, monkeypatch)
 
 
 def test_repeated_lookups_hash_each_record_once(monkeypatch):
-    # records never change, so a record's field tuple is hashed once: the
-    # symmetric-power cache, the freeness check and the label sets look the
-    # datum up again and again without rehashing its factors or construction
+    # records never change, so a record's field tuple is hashed once, when
+    # the datum takes its module key: the symmetric-power cache, the freeness
+    # check and the label sets look the datum up again and again without
+    # rehashing its factors or construction
     factors, construction = (Factor(GL, 2), Factor(SP, 1)), Construction("tensor", (0, 1))
-    datum = GroupDatum(factors, construction)
     hashed = []
     monkeypatch.setattr(exact, "hash", lambda fields: hashed.append(fields) or hash(fields),
                         raising=False)
+    datum = GroupDatum(factors, construction)
     first = charring.sym_power_decompose(datum, 3)
     for d in (3, 1, 3, 2, 3):
-        assert charring.sym_power_decompose(datum, d) is charring._SYM_POWERS[factors,
-                                                                              construction][d]
+        assert charring.sym_power_decompose(datum, d) is charring._SYM_POWERS[datum._key][d]
     assert charring.sym_power_decompose(datum, 3) is first
     assert charring.is_multiplicity_free_polynomial_action(datum, 3) == (True, None)
     assert charring.highest_weight_set(datum, 2)

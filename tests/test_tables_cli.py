@@ -91,6 +91,30 @@ def test_a_bool_rank_is_refused_with_its_int_twin_cached(cold_caches):
             tables.group_datum(*args)
 
 
+def test_a_rank_that_is_not_an_int_is_refused_with_its_int_twin_cached(cold_caches):
+    # 2.0 and True hash as their cached int twins, "2" would reach a
+    # comparison with an int, and a junk second rank would key a datum of
+    # its own: all are refused before the cache
+    for args in (("kac:2", 1), ("kac:2", 2), ("kac:10", 2, 3)):
+        assert tables.group_datum(*args)
+    for args in (("kac:2", True), ("kac:2", 2.0), ("kac:2", "2"), ("kac:2", 2, "3"),
+                 ("kac:2", 2, 3.0), ("kac:10", 2.0, 3), ("kac:10", 2, 3.0),
+                 ("kac:10", "2", 3), ("kac:10", 2, "3")):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="a rank is an int"):
+                tables.group_datum(*args)
+    assert tables._group_datum.cache_info().currsize == 3
+
+
+def test_row_specs_are_parsed_once_per_row(cold_caches):
+    # every rank of a row reads the same parsed specs: one construction
+    # record, shared by the data of all ranks
+    data = [tables.group_datum("kac:10", r, s) for r in (1, 2, 3) for s in (2, 3)]
+    assert len({id(datum.construction) for datum in data}) == 1
+    assert tables._row_spec.cache_info().misses == 1
+    assert tables._constraint_clauses.cache_info().misses == 1
+
+
 def test_the_registry_is_read_only(cold_caches):
     rows = tables.registry()
     with pytest.raises(TypeError):
