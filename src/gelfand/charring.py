@@ -27,10 +27,10 @@ from __future__ import annotations
 from collections.abc import ItemsView, Mapping, ValuesView
 from fractions import Fraction
 from functools import lru_cache
-from itertools import (accumulate, chain, combinations, combinations_with_replacement, count,
-                       groupby, product, repeat)
+from itertools import (accumulate, chain, combinations, combinations_with_replacement, compress,
+                       count, groupby, product, repeat)
 from math import comb, factorial, lcm, prod
-from operator import add, ge, mul, sub
+from operator import add, ge, mul, not_, sub
 from types import MappingProxyType
 
 from . import rootsys
@@ -124,11 +124,12 @@ def _freudenthal(rs: rootsys.RootSystemData, scale: int, lam):
     Two prunings skip only checks whose answer is already known.  Where
     <mu, alpha_i> = 0, mu - alpha is dominant only if <alpha, alpha_i> <= 0,
     so the search for dominant weights tries only the roots that pair
-    positively with no simple root of mu's zero set.  Every weight nu of the
-    module lies in the convex hull of W lam, so |nu|^2 <= |lam|^2 (Humphreys,
-    Introduction to Lie Algebras and Representation Theory, 13.4 and 21.3;
-    Moody-Patera 1982): a root string stops once |mu + k alpha|^2 passes
-    |lam|^2, tested before the point mu + k alpha is built.
+    positively with no simple root of mu's zero set (one bitmask per root,
+    ``positive_masks``).  Every weight nu of the module lies in the convex
+    hull of W lam, so |nu|^2 <= |lam|^2 (Humphreys, Introduction to Lie
+    Algebras and Representation Theory, 13.4 and 21.3; Moody-Patera 1982):
+    a root string stops once |mu + k alpha|^2 passes |lam|^2, tested before
+    the point mu + k alpha is built.
 
     Roots are read through their two nonzero entries, <mu, alpha> =
     mu_i a + mu_j b, and the search carries the levels of nu = mu - alpha
@@ -145,23 +146,21 @@ def _freudenthal(rs: rootsys.RootSystemData, scale: int, lam):
     their Weyl orbits.
     """
     family, rank = rs.family, rs.rank
-    simple = _root_tables(family, rank)[0]
     roots, steps, shift, open_steps = _scaled_tables(family, rank, scale)
     # Stembridge: every dominant weight of the module is reached from lam by
     # subtracting positive roots through dominant weights
     dominant = [lam]
     # each weight's pairings with the simple roots, <mu, 2 rho> and |mu|^2
-    seen = {lam: (tuple(sum(map(mul, lam, psi)) for psi in simple), sum(map(mul, lam, shift)),
-                  sum(a * a for a in lam))}
+    seen = {lam: (tuple(sum(map(mul, lam, psi)) for psi in rs.integral_simple_roots),
+                  sum(map(mul, lam, shift)), sum(a * a for a in lam))}
     classes = {}
     for mu in dominant:
         p, level, sq = seen[mu]
-        fixed = tuple(i for i, x in enumerate(p) if not x)
-        # lam reads no string: its zero set's classes wait for a weight below
-        if (entry := open_steps.get(fixed)) is None or (entry[1] is None and mu is not lam):
+        fixed = tuple(compress(range(rank), map(not_, p)))
+        if (entry := open_steps.get(fixed)) is None:
+            zeros = sum(1 << i for i in fixed)
             entry = open_steps[fixed] = (
-                tuple(step for step in steps if all(i not in fixed for i, _ in step[-1])),
-                None if mu is lam else
+                tuple(step for step, m in zip(steps, rs.positive_masks) if not m & zeros),
                 tuple((size, *roots[k]) for k, size in _root_classes(family, rank, fixed)))
         classes[mu] = entry[1]
         for alpha, i, a, j, b, alpha_sq, height, row, positive in entry[0]:
@@ -206,47 +205,31 @@ def _freudenthal(rs: rootsys.RootSystemData, scale: int, lam):
     return scale, mults
 
 
-@lru_cache(maxsize=None)
 def _root_tables(family: str, rank: int):
-    """Integer tables of the root system: the simple roots; per positive
-    root alpha (in ``integral_positive_roots`` order) its pairings
-    <alpha, alpha_i> with them; per simple reflection s_i the permutation
-    it makes of the positive roots taken up to sign, as root indices."""
+    """The simple roots, pairing rows and reflections of ``rootsys``."""
     rs = rootsys.build_root_system(family, rank)
-    roots = rs.integral_positive_roots
-    simple = tuple(tuple(map(int, psi)) for psi in rs.simple_roots)
-    rows = tuple(tuple(sum(map(mul, alpha, psi)) for psi in simple) for alpha in roots)
-    index = {alpha: k for k, alpha in enumerate(roots)}
-    index.update({tuple(-x for x in alpha): k for k, alpha in enumerate(roots)})
-    reflections = []
-    for i, psi in enumerate(simple):
-        norm = sum(map(mul, psi, psi))
-        images = (tuple(a - 2 * row[i] // norm * x for a, x in zip(alpha, psi))
-                  for alpha, row in zip(roots, rows))
-        reflections.append(tuple(map(index.__getitem__, images)))
-    return simple, rows, tuple(reflections)
+    return rs.integral_simple_roots, rs.pairing_rows, rs.reflections
 
 
 @lru_cache(maxsize=None)
 def _scaled_tables(family: str, rank: int, scale: int):
     """``_freudenthal``'s tables at one lattice scale, all times ``scale``:
-    per positive root the root, its two nonzero entries (i, a, j, b) of
-    ``rootsys.sparse_positive_roots`` and |root|^2; per root a step (those
-    fields, <root, 2 rho>, the pairings with the simple roots, the positive
-    ones as (i, pairing)); 2 rho; and a dict, filled by ``_freudenthal``, of
-    the steps open at each zero set of pairings and its root classes."""
+    per positive root the root, its two nonzero entries (i, a, j, b) and
+    |root|^2; per root a step (those fields, <root, 2 rho>, the pairings with
+    the simple roots, and the positive ones as (i, pairing): mu - root is
+    dominant iff mu pairs at least as high at each of those); 2 rho; and a
+    dict, filled by ``_freudenthal``, of the steps open at each zero set of
+    pairings and its root classes."""
     rs = rootsys.build_root_system(family, rank)
-    rows = _root_tables(family, rank)[1]
-    shift = tuple(scale * x for x in rs.two_rho)
-    roots = tuple((tuple(scale * x for x in alpha), i, scale * a, j, scale * b,
+    times = scale.__mul__
+    roots = tuple((tuple(map(times, alpha)), i, scale * a, j, scale * b,
                    scale * scale * (a * a + b * b)) for alpha, ((i, a), (j, b))
                   in zip(rs.integral_positive_roots, rs.sparse_positive_roots))
-    # mu - alpha is dominant iff mu pairs with each simple root at least as
-    # alpha does, which needs checking only where alpha pairs positively
-    steps = tuple((*root, sum(map(mul, root[0], shift)), tuple(scale * c for c in row),
-                   tuple((i, scale * c) for i, c in enumerate(row) if c > 0))
-                  for root, row in zip(roots, rows))
-    return roots, steps, shift, {}
+    steps = tuple((*root, scale * scale * height, tuple(map(times, row)),
+                   tuple((i, scale * c) for i, c in positive))
+                  for root, height, row, positive
+                  in zip(roots, rs.root_heights, rs.pairing_rows, rs.positive_pairings))
+    return roots, steps, tuple(map(times, rs.two_rho)), {}
 
 
 @lru_cache(maxsize=None)
@@ -401,8 +384,7 @@ def tensor_decompose(rs: rootsys.RootSystemData, lam: rootsys.DominantWeight,
     step = s // scale
     shift = tuple(s // 2 * r for r in rs.two_rho)
     base = tuple(s // lam_scale * x + r for x, r in zip(lam_i, shift))
-    simple = _root_tables(rs.family, rs.rank)[0]
-    pairings = [(alpha, s * sum(map(mul, alpha, alpha))) for alpha in simple]
+    pairings = [(alpha, s * sum(map(mul, alpha, alpha))) for alpha in rs.integral_simple_roots]
     out: dict = {}
     for nu, m in mults.lattice_items():
         res = _reflect_to_dominant(rs.family, tuple(b + step * x for b, x in zip(base, nu)))

@@ -3,19 +3,22 @@
 Roots and weights live in the usual orthonormal-coordinate realization
 (ambient R^{l+1} for A_l, R^l otherwise); the invariant form is the Euclidean
 dot product there, so coroot pairings are exact Fractions; roots and 2 rho
-are integral.  A dominant weight enters the integer kernels once, as
-``weight_lattice`` reads it: (scale, integer tuple), its epsilon coordinates
-times their least common denominator, cached per weight; Weyl dimension
-products are then taken in integers, each positive root read through its
-at most two nonzero entries.
+are integral.  Each system's integer tables are built once (``_tables``),
+and its record and every reader share them.  A dominant weight enters the
+integer kernels once, as ``weight_lattice`` reads it: (scale, integer
+tuple), its epsilon coordinates times their least common denominator,
+cached per weight; Weyl dimension products are then taken in integers,
+each positive root read through its at most two nonzero entries.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
+from itertools import chain, count, repeat
 from math import gcd, lcm, prod
-from operator import mul
+from operator import add, mul, neg
+from types import MappingProxyType
 
 from .exact import Record, fr
 
@@ -23,6 +26,8 @@ FAMILIES = ("A", "B", "C", "D")
 
 
 class RootSystemData(Record):
+    """The exact fields of a root system, and its ``_tables`` as attributes."""
+
     def __init__(self, family: str, rank: int, ambient_dim: int, simple_roots: tuple,
                  positive_roots: tuple, fundamental_weights: tuple):
         object.__setattr__(self, "family", family)
@@ -31,41 +36,7 @@ class RootSystemData(Record):
         object.__setattr__(self, "simple_roots", simple_roots)
         object.__setattr__(self, "positive_roots", positive_roots)
         object.__setattr__(self, "fundamental_weights", fundamental_weights)
-
-    @cached_property
-    def integral_positive_roots(self):
-        """The positive roots as integer tuples (every root is integral)."""
-        return tuple(tuple(int(x) for x in alpha) for alpha in self.positive_roots)
-
-    @cached_property
-    def sparse_positive_roots(self):
-        """Each positive root as its two nonzero entries ((i, a), (j, b)), so a
-        pairing with it is top[i] * a + top[j] * b: e_i -+ e_j for every
-        family; a root with one nonzero entry (e_i for B, 2 e_i for C) repeats
-        its index with b = 0."""
-        out = []
-        for alpha in self.integral_positive_roots:
-            (i, a), *rest = [(i, x) for i, x in enumerate(alpha) if x]
-            out.append(((i, a), rest[0] if rest else (i, 0)))
-        return tuple(out)
-
-    @cached_property
-    def two_rho(self):
-        """2 rho, the sum of the positive roots, as an integer tuple."""
-        return tuple(map(sum, zip(*self.integral_positive_roots)))
-
-    @cached_property
-    def weyl_denominator(self) -> int:
-        """The product over positive roots of <2 rho, alpha>."""
-        return prod(sum(map(mul, self.two_rho, alpha)) for alpha in self.integral_positive_roots)
-
-    @cached_property
-    def integral_fundamental_weights(self):
-        """(D, the fundamental weights times D as integer tuples), D the least
-        common denominator of their entries: rank + 1 for A, 2 for B and D,
-        1 for C."""
-        d = lcm(*(x.denominator for xi in self.fundamental_weights for x in xi))
-        return d, tuple(tuple(int(d * x) for x in xi) for xi in self.fundamental_weights)
+        self.__dict__.update(_tables(family, rank))
 
 
 class DominantWeight(Record):
@@ -80,49 +51,95 @@ class DominantWeight(Record):
             raise ValueError("dominant weights need nonnegative integer coefficients")
 
 
-def _vec(n, entries):
-    """The vector of Q^n with the given {index: value} entries, zero elsewhere."""
-    v = [Fraction(0)] * n
-    for i, x in entries.items():
-        v[i] = Fraction(x)
-    return tuple(v)
+def build_root_system(family: str, rank: int) -> RootSystemData:
+    """Exact simple roots, positive roots and fundamental weights, made once
+    per system from its integer tables (``_tables``).  D needs rank >= 2
+    (D_1 has no root data in this realization), A-C an int rank >= 1; the
+    rank is checked before the cache is read, so True is not filed as 1."""
+    if family not in FAMILIES:
+        raise ValueError(f"unsupported family {family!r}")
+    if type(rank) is not int or rank < 1 + (family == "D"):
+        raise ValueError(f"{family} needs an int rank >= {1 + (family == 'D')}, not {rank!r}")
+    return _root_system(family, rank)
 
 
 @lru_cache(maxsize=None)
-def build_root_system(family: str, rank: int) -> RootSystemData:
-    """Exact simple roots, positive roots and fundamental weights.
+def _root_system(family: str, rank: int) -> RootSystemData:
+    t = _tables(family, rank)
+    d, funds = t["integral_fundamental_weights"]
+    return RootSystemData(family, rank, len(t["two_rho"]), _fractions(t["integral_simple_roots"]),
+                          _fractions(t["integral_positive_roots"]), _fractions(funds, d))
 
-    D needs rank >= 2 (D_1 has no root data in this realization); A-C accept
-    any rank >= 1.  The result is immutable, so each system is built once.
-    Every family is read off one pattern: the roots e_i - e_j (i < j), each
-    followed by e_i + e_j outside A, then e_i for B or 2 e_i for C; the simple
-    chain e_i - e_(i+1) closed by one family-specific root; the fundamental
-    weights e_1 + ... + e_k (traceless for A), with the last one (B) or two
-    (D) replaced by the spin weights.
-    """
-    if family not in FAMILIES:
-        raise ValueError(f"unsupported family {family!r}")
-    if rank < 1:
-        raise ValueError("rank must be >= 1")
-    if family == "D" and rank < 2:
-        raise ValueError("family D needs rank >= 2")
 
+def _fractions(vectors, d=1):
+    """The integer ``vectors`` over ``d`` as Fractions, one made per value."""
+    value = {x: Fraction(x, d) for x in set(chain.from_iterable(vectors))}
+    return tuple(zip(*(map(value.__getitem__, col) for col in zip(*vectors))))
+
+
+@lru_cache(maxsize=None)
+def _tables(family: str, rank: int) -> MappingProxyType:
+    """The integer tables of a system ``build_root_system`` accepts, by name,
+    read off one pattern (Bourbaki, Lie Groups, ch. VI, plates I-IV).  The
+    positive roots e_i - e_j (i < j), each followed by e_i + e_j outside A,
+    then e_i (B) or 2 e_i (C): ``sparse_positive_roots`` ((i, a), (j, b)),
+    b = 0 repeating i, and ``integral_positive_roots``; then the
+    ``integral_simple_roots``, ``two_rho`` in closed form, ``root_heights``
+    <alpha, 2 rho> and their product ``weyl_denominator``;
+    ``integral_fundamental_weights`` (D, e_1 + ... + e_k times D: traceless
+    for A, D = rank + 1; the last one (B) or two (D) spin, D = 2) and its
+    ``fundamental_columns``; per root, ``pairing_rows`` <alpha, alpha_i>,
+    ``positive_pairings`` (i, pairing > 0) and ``positive_masks`` (those i
+    as bits); per s_i, ``reflections``: its permutation of the roots up to sign."""
     n = rank + 1 if family == "A" else rank
     signs = (-1,) if family == "A" else (-1, 1)
-    positive = [_vec(n, {i: 1, j: s}) for i in range(n) for j in range(i + 1, n) for s in signs]
+    sparse = [((i, 1), (j, s)) for i in range(n) for j in range(i + 1, n) for s in signs]
     if family in ("B", "C"):
-        positive += [_vec(n, {i: 1 if family == "B" else 2}) for i in range(n)]
-    last = {"A": {rank - 1: 1, rank: -1}, "B": {rank - 1: 1}, "C": {rank - 1: 2},
-            "D": {rank - 2: 1, rank - 1: 1}}[family]
-    simple = [_vec(n, {i: 1, i + 1: -1}) for i in range(rank - 1)] + [_vec(n, last)]
-    trace = Fraction(1, n) if family == "A" else 0
-    funds = [_vec(n, {i: (i < k) - k * trace for i in range(n)}) for k in range(1, rank + 1)]
-    spin = dict.fromkeys(range(n), Fraction(1, 2))
+        sparse += [((i, 1 if family == "B" else 2), (i, 0)) for i in range(n)]
+    # the last positive root closes the chain: e_l - e_(l+1), e_l, 2 e_l or e_(l-1) + e_l
+    simple = [((i, 1), (i + 1, -1)) for i in range(rank - 1)] + sparse[-1:]
+    roots = _dense(n, sparse)
+    two_rho = tuple(n - 1 - 2 * k if family == "A" else 2 * (n - k) - "CBD".index(family)
+                    for k in range(n))
+    heights = tuple(two_rho[i] * a + two_rho[j] * b for (i, a), (j, b) in sparse)
+    d = {"A": n, "C": 1}.get(family, 2)
+    funds = [tuple(d * (i < k) - (k if family == "A" else 0) for i in range(n))
+             for k in range(1, rank + 1)]
     if family == "B":
-        funds[-1] = _vec(n, spin)
+        funds[-1] = (1,) * n
     elif family == "D":
-        funds[-2:] = [_vec(n, {**spin, n - 1: Fraction(-1, 2)}), _vec(n, spin)]
-    return RootSystemData(family, rank, n, tuple(simple), tuple(positive), tuple(funds))
+        funds[-2:] = [(1,) * (n - 1) + (-1,), (1,) * n]
+    # over the root columns, per simple root psi = a e_p + b e_q: <alpha, psi>, and s_psi,
+    # which swaps coordinates p and q, negating both where ab >= 0 (just p where b = 0)
+    cols = list(zip(*roots))
+    flipped = [tuple(map(neg, col)) for col in cols]
+    index = dict(zip(roots, count()))
+    index.update(zip(zip(*flipped), count()))
+    rows = tuple(zip(*(map(add, map(mul, cols[p], repeat(a)), map(mul, cols[q], repeat(b)))
+                       for (p, a), (q, b) in simple)))
+    reflections = []
+    for (p, a), (q, b) in simple:
+        image, swap = cols.copy(), flipped if a * b >= 0 else cols
+        image[p], image[q] = swap[q], swap[p]
+        reflections.append(tuple(map(index.__getitem__, zip(*image))))
+    positive = tuple(tuple((i, x) for i, x in enumerate(row) if x > 0) for row in rows)
+    return MappingProxyType(dict(
+        sparse_positive_roots=tuple(sparse), integral_positive_roots=roots,
+        integral_simple_roots=_dense(n, simple), two_rho=two_rho, root_heights=heights,
+        weyl_denominator=prod(heights), integral_fundamental_weights=(d, tuple(funds)),
+        fundamental_columns=tuple(zip(*funds)), pairing_rows=rows, positive_pairings=positive,
+        reflections=tuple(reflections),
+        positive_masks=tuple(sum(1 << i for i, _ in pos) for pos in positive)))
+
+
+def _dense(n, sparse):
+    """The integer n-tuples written by the sparse ((i, a), (j, b)) vectors."""
+    out = []
+    for (i, a), (j, b) in sparse:
+        v = [0] * n
+        v[j], v[i] = b, a  # b = 0 where j = i
+        out.append(tuple(v))
+    return tuple(out)
 
 
 def check_weight(rs: RootSystemData, weight: DominantWeight) -> None:
@@ -152,8 +169,9 @@ def weight_lattice(rs: RootSystemData, weight: DominantWeight):
 def _lattice(family: str, rank: int, coeffs: tuple):
     """``weight_lattice`` once per weight: the Weyl dimension and the weight
     system of one weight both ask for it."""
-    d, funds = build_root_system(family, rank).integral_fundamental_weights
-    acc = [sum(map(mul, coeffs, column)) for column in zip(*funds)]
+    t = _tables(family, rank)
+    d = t["integral_fundamental_weights"][0]
+    acc = [sum(map(mul, coeffs, column)) for column in t["fundamental_columns"]]
     g = gcd(d, *acc)
     return d // g, tuple(a // g for a in acc)
 
