@@ -74,7 +74,7 @@ def _root_system(family: str, rank: int) -> RootSystemData:
 def _fractions(vectors, d=1):
     """The integer ``vectors`` over ``d`` as Fractions, one made per value."""
     value = {x: Fraction(x, d) for x in set(chain.from_iterable(vectors))}
-    return tuple(zip(*(map(value.__getitem__, col) for col in zip(*vectors))))
+    return tuple(tuple(map(value.__getitem__, v)) for v in vectors)
 
 
 @lru_cache(maxsize=None)
