@@ -205,12 +205,6 @@ def _freudenthal(rs: rootsys.RootSystemData, scale: int, lam):
     return scale, mults
 
 
-def _root_tables(family: str, rank: int):
-    """The simple roots, pairing rows and reflections of ``rootsys``."""
-    rs = rootsys.build_root_system(family, rank)
-    return rs.integral_simple_roots, rs.pairing_rows, rs.reflections
-
-
 @lru_cache(maxsize=None)
 def _scaled_tables(family: str, rank: int, scale: int):
     """``_freudenthal``'s tables at one lattice scale, all times ``scale``:
@@ -242,7 +236,7 @@ def _root_classes(family: str, rank: int, fixed: tuple):
     The string sum S(alpha) = sum_k m(mu + k alpha) <mu + k alpha, alpha>
     is W_mu-invariant, and S(-beta) = S(beta) when <mu, beta> = 0, so it is
     constant on each class."""
-    reflections = _root_tables(family, rank)[2]
+    reflections = rootsys.build_root_system(family, rank).reflections
     perms = [reflections[i] for i in fixed]
     classes, seen = [], set()
     for k in range(len(reflections[0])):
@@ -398,7 +392,7 @@ def tensor_decompose(rs: rootsys.RootSystemData, lam: rootsys.DominantWeight,
             if rem or c < 0:
                 raise ArithmeticError("Brauer-Klimyk left the dominant lattice")
             coeffs.append(c)
-        key = rootsys.DominantWeight(rs.family, rs.rank, tuple(coeffs))
+        key = rootsys.DominantWeight(rs.family, rs.rank, coeffs)
         out[key] = out.get(key, 0) + sign * m
     return {k: v for k, v in out.items() if v != 0}
 
@@ -432,8 +426,7 @@ class Factor(Record):
         if (kind not in _MIN_SIZE or type(size) is not int or size < _MIN_SIZE[kind]
                 or (kind == U1 and size)):
             raise ValueError(f"no factor of kind {kind!r} and size {size!r}")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "size", size)
+        self._store(kind, size)
 
     @property
     def eps_rank(self) -> int:
@@ -518,12 +511,11 @@ def _freudenthal_cached(family, rank, w):
 
 
 class Construction(Record):
-    """How the group acts on the module: tag plus the factor indices used."""
+    """How the group acts on the module: ``tag`` (standard | sym2 | lambda2 |
+    tensor | trivial | dsum), the factor indices ``args``, dsum ``parts``."""
 
     def __init__(self, tag: str, args: tuple = (), parts: tuple = ()):
-        object.__setattr__(self, "tag", tag)  # standard | sym2 | lambda2 | tensor | trivial | dsum
-        object.__setattr__(self, "args", args)
-        object.__setattr__(self, "parts", parts)  # for dsum: sub-constructions
+        self._store(tag, args, parts)
 
 
 def _check_construction(con: Construction, n_factors: int) -> None:
@@ -554,9 +546,7 @@ class GroupDatum(Record):
     across both.  Empty: every factor keeps its full character data."""
 
     def __init__(self, factors: tuple, construction: Construction, quotient: tuple = ()):
-        object.__setattr__(self, "factors", factors)
-        object.__setattr__(self, "construction", construction)
-        object.__setattr__(self, "quotient", quotient)
+        self._store(factors, construction, quotient)
         _check_construction(construction, len(factors))
         seen = set()
         for group in self.quotient:
@@ -570,7 +560,7 @@ class GroupDatum(Record):
                 if i in seen:
                     raise ValueError(f"quotient index {i} appears twice")
                 seen.add(i)
-        object.__setattr__(self, "_key", _module_key(factors, construction))
+        self.__dict__["_key"] = _module_key(factors, construction)
 
 
 def _construction_weights(factors, con: Construction):
@@ -604,8 +594,7 @@ class Decomposition(Record):
     a label is a tuple holding one dominant weight per factor."""
 
     def __init__(self, entries: tuple, dimension: int):
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "dimension", dimension)
+        self._store(entries, dimension)
 
 
 def _label_dim(factors, label) -> int:

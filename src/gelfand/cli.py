@@ -39,20 +39,12 @@ REPORT_VERSION = "2"
 class Case(Record):
     def __init__(self, case_id: str, status: str, expected: str, actual: str, tolerance: str,
                  runtime_ms: float | None = None):
-        object.__setattr__(self, "case_id", case_id)
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "expected", expected)
-        object.__setattr__(self, "actual", actual)
-        object.__setattr__(self, "tolerance", tolerance)
-        object.__setattr__(self, "runtime_ms", runtime_ms)
+        self._store(case_id, status, expected, actual, tolerance, runtime_ms)
 
 
 class VerificationReport(Record):
     def __init__(self, suite: str, anchor: str, cases: list, config: dict):
-        object.__setattr__(self, "suite", suite)
-        object.__setattr__(self, "anchor", anchor)
-        object.__setattr__(self, "cases", cases)
-        object.__setattr__(self, "config", config)
+        self._store(suite, anchor, cases, config)
 
 
 class _Recorder:

@@ -34,11 +34,9 @@ from .exact import Record
 
 
 class DegreeLadder(Record):
+    # csq_pairs: (m, n) with m > n -> squared constant
     def __init__(self, backend: str, levels: tuple, degrees: dict, csq_pairs: dict):
-        object.__setattr__(self, "backend", backend)
-        object.__setattr__(self, "levels", levels)
-        object.__setattr__(self, "degrees", degrees)
-        object.__setattr__(self, "csq_pairs", csq_pairs)  # (m, n) with m > n -> squared constant
+        self._store(backend, levels, degrees, csq_pairs)
         if any(a >= b for a, b in zip(levels, levels[1:])):
             raise ValueError("levels must be strictly increasing")
         for n in levels:
@@ -96,15 +94,12 @@ def _pairs(levels):
 
 
 class LadderedFunction(Record):
-    """A finite coefficient list over the invariant matrix coefficients of
-    its level plus a positive scalar prefactor, stored squared so the system
-    maps stay exact on rational ladders."""
+    """A finite coefficient list, ``coeffs``: sorted (key, value) pairs, over the
+    invariant matrix coefficients of its level plus a positive scalar prefactor,
+    stored squared so the system maps stay exact on rational ladders."""
 
     def __init__(self, backend: str, level: int, coeffs: tuple, scale_sq=Fraction(1)):
-        object.__setattr__(self, "backend", backend)
-        object.__setattr__(self, "level", level)
-        object.__setattr__(self, "coeffs", coeffs)  # sorted (key, value) pairs
-        object.__setattr__(self, "scale_sq", scale_sq)
+        self._store(backend, level, coeffs, scale_sq)
 
     @classmethod
     def make(cls, backend, level, coeffs, kind="invariant"):

@@ -18,14 +18,18 @@ class Record:
     no code.  The fields are the parameters of ``__init__``, in order; records
     of one class are equal and hash as their field tuples (once: the hash is
     kept in ``__dict__``), and the repr is ``Name(field=value, ...)``.  Fields
-    cannot be assigned or deleted, so ``__init__`` sets each with
-    ``object.__setattr__``."""
+    cannot be assigned or deleted, so ``__init__`` stores them all with one
+    ``_store`` call, straight into ``__dict__``."""
 
     def __init_subclass__(cls):
         code = cls.__init__.__code__
         cls._fields = code.co_varnames[1:code.co_argcount]
         get = attrgetter(*cls._fields)
         cls._values = staticmethod(get if len(cls._fields) > 1 else lambda r: (get(r),))
+
+    def _store(self, *values):
+        """Write ``values`` to the fields, in ``_fields`` order; a wrong count raises."""
+        self.__dict__.update(zip(self._fields, values, strict=True))
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

@@ -47,8 +47,7 @@ from .exact import Record, monomials
 
 class HeisenbergPoint(Record):
     def __init__(self, z: float, w: tuple):
-        object.__setattr__(self, "z", z)
-        object.__setattr__(self, "w", w)
+        self._store(z, w)
 
     @property
     def n(self) -> int:
@@ -79,19 +78,12 @@ def _ladder_matrices(length: int):
     """Creation matrix a^+ on the one-mode chain of the given length, sqrt(k)
     on the subdiagonal (annihilation is the transpose): the chain generator
     behind ``_chain_eigen``."""
-    return _frozen(np.diag(np.sqrt(np.arange(1.0, length)), -1))
-
-
-def _frozen(a):
-    """``a`` made read-only in place: a cached array is shared by every
-    later call, so no caller may write into it."""
-    a.flags.writeable = False
-    return a
+    return numerics._read_only(np.diag(np.sqrt(np.arange(1.0, length)), -1))
 
 
 class FockOperator(Record):
     def __init__(self, matrix: np.ndarray):
-        object.__setattr__(self, "matrix", matrix)
+        self._store(matrix)
 
 
 def check_t(t) -> None:
@@ -170,7 +162,7 @@ def _chain_eigen(length):
     # one Newton-Schulz step: eigh leaves V orthogonal to about L eps only
     v = v @ (1.5 * np.eye(length) - 0.5 * (v.T @ v))
     powers = np.array([1, 1j, -1, -1j])[np.arange(length) % 4]
-    return _frozen(lam), _frozen(powers[:, None] * v)
+    return numerics._read_only(lam), numerics._read_only(powers[:, None] * v)
 
 
 @lru_cache(maxsize=None)
@@ -202,8 +194,8 @@ def _rotation_structure(n, cutoff):
                     coef[i, c] = math.sqrt(m[i])
         modes = (coef > 0).argmax(axis=0)
         cols = np.arange(len(block))
-        parents.append(tuple(map(_frozen, (modes, src[modes, cols], coef[modes, cols],
-                                           src, coef))))
+        parents.append(tuple(map(numerics._read_only,
+                                 (modes, src[modes, cols], coef[modes, cols], src, coef))))
     chains = {}
     for m in idx:
         if m[0] == 0:
@@ -211,8 +203,9 @@ def _rotation_structure(n, cutoff):
             chains.setdefault(length, []).append(
                 [pos[(k,) + m[1:]] for k in range(length)])
     return (tuple(bounds), tuple(parents),
-            tuple((length, _frozen(np.array(rows))) for length, rows in sorted(chains.items())),
-            _frozen(np.array(idx)))
+            tuple((length, numerics._read_only(np.array(rows)))
+                  for length, rows in sorted(chains.items())),
+            numerics._read_only(np.array(idx)))
 
 
 def _first_column_unitary(v):
@@ -346,12 +339,11 @@ def _add_into(acc, key, coeffs):
 class RegularFunction(Record):
     """Finite combination of e^{-|t|} p(t) mu_m (x) conj(mu_{m'}).
 
-    terms maps (m, m') index pairs to polynomial coefficient tuples in t.
+    ``terms``: ((m, m'), coeffs) pairs, coeffs polynomial in t, exact or float.
     """
 
     def __init__(self, n: int, terms: tuple):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "terms", terms)  # ((m, m'), coeffs) pairs, exact or float
+        self._store(n, terms)
 
     @classmethod
     def zero(cls, n):

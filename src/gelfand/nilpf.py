@@ -23,10 +23,10 @@ from .exact import MultiPoly, Record, fr
 
 
 class TwoStepAlgebra(Record):
+    """``brackets``: sparse ((i, j), center vector) pairs, i < j."""
+
     def __init__(self, dim_v: int, dim_z: int, brackets: tuple):
-        object.__setattr__(self, "dim_v", dim_v)
-        object.__setattr__(self, "dim_z", dim_z)
-        object.__setattr__(self, "brackets", brackets)  # ((i, j), center vector), i < j, sparse
+        self._store(dim_v, dim_z, brackets)
 
 
 def build_two_step(dim_v: int, dim_z: int, brackets) -> TwoStepAlgebra:
@@ -239,7 +239,7 @@ def pfaffian(mat):
 
 class PfaffianPolynomial(Record):
     def __init__(self, poly: MultiPoly):
-        object.__setattr__(self, "poly", poly)
+        self._store(poly)
 
     def __call__(self, t):
         return self.poly.eval(tuple(fr(x) for x in t))

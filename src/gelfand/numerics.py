@@ -49,12 +49,8 @@ class Tolerances(Record):
     def __init__(self, quadrature_agreement: float = 1e-8, exact_identity: float = 1e-10,
                  truncated_operator: float = 1e-6, unitarity: float = 1e-8,
                  orthogonality: float = 1e-8, formal_degree: float = 1e-6):
-        object.__setattr__(self, "quadrature_agreement", quadrature_agreement)
-        object.__setattr__(self, "exact_identity", exact_identity)
-        object.__setattr__(self, "truncated_operator", truncated_operator)
-        object.__setattr__(self, "unitarity", unitarity)
-        object.__setattr__(self, "orthogonality", orthogonality)
-        object.__setattr__(self, "formal_degree", formal_degree)
+        self._store(quadrature_agreement, exact_identity, truncated_operator, unitarity,
+                    orthogonality, formal_degree)
 
 
 DEFAULT_TOLERANCES = Tolerances()
@@ -69,31 +65,29 @@ class QuadratureError(RuntimeError):
         self.residual = residual
 
 
-def _read_only(nodes, weights):
-    """The rule as float64 arrays no caller can write into the shared copy.
-    Arrays a rule builder made itself are frozen in place, not copied, so
-    they keep their memory layout."""
-    nodes, weights = np.asarray(nodes, dtype=float), np.asarray(weights, dtype=float)
-    nodes.flags.writeable = weights.flags.writeable = False
-    return nodes, weights
+def _read_only(a):
+    """``a`` frozen in place, dtype and memory layout kept: a cached array is
+    shared by every later call, so no caller may write into it."""
+    a.flags.writeable = False
+    return a
 
 
 @lru_cache(maxsize=None)
 def gauss_laguerre(order: int):
     """(nodes, weights) for integral_0^inf f(x) e^{-x} dx."""
-    return _read_only(*laggauss(order))
+    return tuple(map(_read_only, laggauss(order)))
 
 
 @lru_cache(maxsize=None)
 def gauss_hermite(order: int):
     """(nodes, weights) for integral_R f(x) e^{-x^2} dx."""
-    return _read_only(*hermgauss(order))
+    return tuple(map(_read_only, hermgauss(order)))
 
 
 @lru_cache(maxsize=None)
 def gauss_jacobi(order: int, alpha: float, beta: float):
     """(nodes, weights) for integral_{-1}^1 f(x) (1-x)^a (1+x)^b dx."""
-    return _read_only(*_golub_welsch_jacobi(order, alpha, beta))
+    return tuple(map(_read_only, _golub_welsch_jacobi(order, alpha, beta)))
 
 
 def _golub_welsch_jacobi(order, alpha, beta):
@@ -228,7 +222,7 @@ def _sphere_product_rule(n_ambient, order):
     if n_ambient == 2:
         k = max(4 * order, 8)
         ang = 2 * math.pi * np.arange(k) / k
-        return _read_only(np.stack([np.cos(ang), np.sin(ang)]).T, np.full(k, 1.0 / k))
+        return _read_only(np.stack([np.cos(ang), np.sin(ang)]).T), _read_only(np.full(k, 1.0 / k))
     # x1 = cos(theta) with density (1-x1^2)^{(N-3)/2} on [-1, 1]
     a = (n_ambient - 3) / 2.0
     nodes, weights = gauss_jacobi(order, a, a)
@@ -238,7 +232,8 @@ def _sphere_product_rule(n_ambient, order):
     coords[1:] = np.sqrt(np.maximum(0.0, 1 - nodes * nodes))[None, :, None] * sub_pts.T[:, None, :]
     # left to right, not np.sum's pairwise order: the golden residuals rest on these bits
     total = sum(weights.tolist())
-    return _read_only(coords.reshape(n_ambient, -1).T, np.outer(weights / total, sub_wts).ravel())
+    return (_read_only(coords.reshape(n_ambient, -1).T),
+            _read_only(np.outer(weights / total, sub_wts).ravel()))
 
 
 def integrate_sphere(f, n_ambient: int, order: int):

@@ -30,20 +30,18 @@ class RootSystemData(Record):
 
     def __init__(self, family: str, rank: int, ambient_dim: int, simple_roots: tuple,
                  positive_roots: tuple, fundamental_weights: tuple):
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "simple_roots", simple_roots)
-        object.__setattr__(self, "positive_roots", positive_roots)
-        object.__setattr__(self, "fundamental_weights", fundamental_weights)
+        self._store(family, rank, ambient_dim, simple_roots, positive_roots, fundamental_weights)
         self.__dict__.update(_tables(family, rank))
 
 
 class DominantWeight(Record):
+    """A dominant weight by its coefficients on the fundamental weights,
+    stored as a tuple, so that the weight is a cache key."""
+
     def __init__(self, family: str, rank: int, coeffs: tuple):
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "coeffs", coeffs)
+        if family not in FAMILIES or type(rank) is not int:
+            raise ValueError(f"no dominant weights of family {family!r} and rank {rank!r}")
+        self._store(family, rank, coeffs := tuple(coeffs))
         if len(coeffs) != rank:
             raise ValueError("coefficient count must equal the rank")
         # bool is an int subclass, but True is not a coefficient

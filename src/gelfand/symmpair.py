@@ -41,16 +41,14 @@ from .exact import MultiPoly, Record, dot, fr, monomials, nullspace, solve
 
 
 class RestrictedPairData(Record):
+    """``restricted_type``: A | B | C | D | BC; ``simple_roots``, ``class_one_weights``:
+    exact epsilon vectors; ``positive_roots``: (vector, multiplicity) pairs;
+    ``doubled_indices``: each i with 2*psi_i a restricted root."""
+
     def __init__(self, family_id: int, rank: int, restricted_type: str, simple_roots: tuple,
                  positive_roots: tuple, doubled_indices: frozenset, class_one_weights: tuple):
-        object.__setattr__(self, "family_id", family_id)
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "restricted_type", restricted_type)  # A | B | C | D | BC
-        object.__setattr__(self, "simple_roots", simple_roots)  # exact epsilon vectors
-        object.__setattr__(self, "positive_roots", positive_roots)  # (vector, multiplicity) pairs
-        # i with 2*psi_i a restricted root
-        object.__setattr__(self, "doubled_indices", doubled_indices)
-        object.__setattr__(self, "class_one_weights", class_one_weights)  # exact epsilon vectors
+        self._store(family_id, rank, restricted_type, simple_roots, positive_roots,
+                    doubled_indices, class_one_weights)
 
 
 # family rows: given (rank l, excess) return (type, multiplicity dict)
@@ -156,10 +154,10 @@ def cartan_helgason_filter(pair: RestrictedPairData, lam) -> bool:
 
 
 class HarmonicSpace(Record):
+    """``basis``: MultiPolys with rational coefficients."""
+
     def __init__(self, ambient_dim: int, degree: int, basis: tuple):
-        object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "basis", basis)  # MultiPoly, rational coefficients
+        self._store(ambient_dim, degree, basis)
 
     @property
     def dim(self) -> int:
@@ -228,11 +226,13 @@ def sphere_inner_product(p: MultiPoly, q: MultiPoly) -> Fraction:
                Fraction(0))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def harmonic_basis(n_ambient: int, degree: int) -> HarmonicSpace:
-    """Kernel of the Laplacian on degree-d forms."""
-    if n_ambient < 1 or degree < 0:
-        raise ValueError("need ambient dimension >= 1 and degree >= 0")
+    """Kernel of the Laplacian on degree-d forms.  The cache is typed, so
+    True is not filed as 1: a bool, like any non-int, raises on every call."""
+    if type(n_ambient) is not int or type(degree) is not int or n_ambient < 1 or degree < 0:
+        raise ValueError(f"need an int ambient dimension >= 1 and an int degree >= 0,"
+                         f" not {n_ambient!r} and {degree!r}")
     monos = monomials(n_ambient, degree)
     lower = monomials(n_ambient, degree - 2) if degree >= 2 else []
     lower_index = {m: i for i, m in enumerate(lower)}

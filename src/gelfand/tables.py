@@ -17,10 +17,7 @@ from .exact import Record
 
 class TableRow(Record):
     def __init__(self, identifier: str, factor_spec: str, construction_spec: str, constraints: str):
-        object.__setattr__(self, "identifier", identifier)
-        object.__setattr__(self, "factor_spec", factor_spec)
-        object.__setattr__(self, "construction_spec", construction_spec)
-        object.__setattr__(self, "constraints", constraints)
+        self._store(identifier, factor_spec, construction_spec, constraints)
 
 
 @lru_cache(maxsize=None)

@@ -1153,7 +1153,7 @@ def _string_reads(rs, scale, lam, mults, dominant):
     to and including the first point off the module.  Returns (point, on the
     module) pairs."""
     family, rank = rs.family, rs.rank
-    simple = charring._root_tables(family, rank)[0]
+    simple = rs.integral_simple_roots
     roots = charring._scaled_tables(family, rank, scale)[0]
     top = sum(a * a for a in lam)
     reads = []

@@ -2,6 +2,7 @@
 frozen dataclass over the same fields would give them, and a package import
 that generates no code."""
 
+import ast
 import pickle
 import subprocess
 import sys
@@ -130,6 +131,17 @@ def test_report_cases_serialize_by_field():
     assert all(hash(c) == hash(c._values(c)) and "_hash" in vars(c) for c in report.cases)
     golden = PACKAGE.parents[1] / "tests" / "golden" / "carcano.json"
     assert cli.emit_report(report, "json") == golden.read_text(encoding="utf-8")
+
+
+def test_no_module_but_exact_calls_object_setattr():
+    # every record writes its fields through Record._store, so how a frozen
+    # field is stored is decided in exact.py alone
+    callers = {
+        path.name for path in PACKAGE.glob("*.py") if path.name != "exact.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+        and isinstance(node.value, ast.Name) and node.value.id == "object"}
+    assert callers == set()
 
 
 def test_package_import_generates_no_code():

@@ -134,6 +134,27 @@ def test_dominant_weight_rejects_coefficients_that_are_not_ints(coeffs):
         rootsys.DominantWeight("A", 2, coeffs)
 
 
+@pytest.mark.parametrize("family,rank,coeffs", [("Q", 2, (1, 0)), ("A", True, (1,)),
+                                                ("A", 2.0, (1, 0))],
+                         ids=["family-Q", "rank-True", "rank-float"])
+def test_dominant_weight_refuses_an_unknown_family_or_a_rank_that_is_not_an_int(
+        family, rank, coeffs):
+    with pytest.raises(ValueError):
+        rootsys.DominantWeight(family, rank, coeffs)
+
+
+def test_dominant_weight_stores_a_list_as_a_tuple():
+    # a list field would make the weight unhashable, and _lattice's cache
+    # reads the weight as its key
+    rs = rootsys.build_root_system("A", 2)
+    w = rootsys.DominantWeight("A", 2, [1, 0])
+    assert w.coeffs == (1, 0) and w == rootsys.DominantWeight("A", 2, (1, 0))
+    assert rootsys.weyl_dimension(rs, w) == 3
+    assert sum(charring.weight_system(rs, w).values()) == 3
+    parts = charring.tensor_decompose(rs, w, w)
+    assert sum(m * rootsys.weyl_dimension(rs, u) for u, m in parts.items()) == 9
+
+
 def _stabilize(weight, target_rank):
     """The weight's coefficients padded with zeros up to ``target_rank``."""
     coeffs = weight.coeffs + (0,) * (target_rank - weight.rank)

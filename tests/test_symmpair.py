@@ -173,6 +173,19 @@ def test_harmonics_are_laplacian_kernel_exact(n, d):
         assert laplacian(p).is_zero()
 
 
+@pytest.mark.parametrize("args", [(True, 1), (3, True), (3.0, 1), (3, 1.0)], ids=repr)
+def test_harmonic_basis_refuses_a_bool_or_non_int_on_a_cold_and_a_warm_cache(args, cold_caches):
+    # True == 1 and hashes alike, so an untyped cache would hand the bool
+    # call the int record, or file a bool record under the int key
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            harmonic_basis(*args)
+        space = harmonic_basis(*(int(x) for x in args))
+        assert type(space.ambient_dim) is int and type(space.degree) is int
+        with pytest.raises(ValueError):
+            harmonic_basis(*args)
+
+
 def test_sphere_moments_match_quadrature():
     from gelfand import numerics
     for expo in [(2, 0, 0), (2, 2, 0), (4, 0, 2), (1, 1, 2)]:
