@@ -34,7 +34,7 @@ from operator import add, ge, mul, not_, sub
 from types import MappingProxyType
 
 from . import rootsys
-from .exact import Record, fr
+from .exact import Record, check_int, fr
 
 # ---------------------------------------------------------------------------
 # single root system: Freudenthal and Brauer-Klimyk
@@ -423,10 +423,9 @@ class Factor(Record):
     """
 
     def __init__(self, kind: str, size: int = 0):
-        if (kind not in _MIN_SIZE or type(size) is not int or size < _MIN_SIZE[kind]
-                or (kind == U1 and size)):
+        if kind not in _MIN_SIZE or (kind == U1 and size):
             raise ValueError(f"no factor of kind {kind!r} and size {size!r}")
-        self._store(kind, size)
+        self._store(kind, check_int(size, _MIN_SIZE[kind], "a factor size is an int >= its least"))
 
     @property
     def eps_rank(self) -> int:
@@ -482,12 +481,12 @@ def _label(w) -> tuple:
 
 
 def _kernel_label(family, rank, w):
-    """(root system or None on a torus, ``w`` as ints); raises unless ``w`` has
-    one entry per epsilon coordinate (one on a torus), no bool and integral
-    entries.  Run on each cache miss, so a bad label raises on every call."""
+    """(root system or None on a torus, ``w`` as ints); raises unless ``w``, a
+    ``_label``, has one integral entry per epsilon coordinate (one on a
+    torus).  Run on each cache miss, so a bad label raises on every call."""
     rs = family and rootsys.build_root_system(family, rank)
-    if len(w) != (rs.ambient_dim if rs else 1) or bool in map(type, w):
-        raise ValueError(f"wrong number of entries, or a bool, in the factor weight {w}")
+    if len(w) != (rs.ambient_dim if rs else 1):
+        raise ValueError(f"wrong number of entries in the factor weight {w}")
     if not all(type(x) is int or fr(x).denominator == 1 for x in w):
         raise ValueError(f"non-integral factor weight {w}")
     return rs, tuple(map(int, w))
@@ -520,15 +519,17 @@ class Construction(Record):
 
 def _check_construction(con: Construction, n_factors: int) -> None:
     """Raise ValueError unless ``con`` and each dsum part is a known tag with
-    its args: distinct factor indices below ``n_factors``, a dimension >= 0."""
+    its args: distinct int factor indices below ``n_factors``, an int dimension >= 0."""
     counts = {"standard": 1, "sym2": 1, "lambda2": 1, "tensor": 2, "trivial": 1, "dsum": 0}
     if con.tag not in counts:
         raise ValueError(f"unknown construction {con.tag!r}")
+    bad = f"construction {con.tag!r} cannot take args {con.args} and {len(con.parts)} parts"
+    for arg in con.args:
+        check_int(arg, 0, bad)
     indices = () if con.tag in ("trivial", "dsum") else con.args
     if (len(con.args) != counts[con.tag] or len(set(indices)) < len(indices)
-            or (con.parts and con.tag != "dsum") or min(con.args, default=0) < 0):
-        raise ValueError(f"construction {con.tag!r} cannot take args {con.args}"
-                         f" and {len(con.parts)} parts")
+            or (con.parts and con.tag != "dsum")):
+        raise ValueError(bad)
     if any(i >= n_factors for i in indices):
         raise ValueError(f"construction {con.tag!r} has a factor index out of range"
                          f" in {con.args} for {n_factors} factors")
@@ -553,7 +554,7 @@ class GroupDatum(Record):
             if not group:
                 raise ValueError("an empty quotient group")
             for i in group:
-                if not 0 <= i < len(self.factors):
+                if check_int(i, 0, "a quotient index is an int >= 0") >= len(self.factors):
                     raise ValueError(f"quotient index {i} is out of range")
                 if self.factors[i].kind != GL:
                     raise ValueError(f"quotient index {i} is not a gl factor")
@@ -654,8 +655,7 @@ def sym_power_decompose(datum: GroupDatum, d: int) -> Decomposition:
     conservation and kept in one list per module key (``_module_key``): the
     torus quotient only shifts labels afterwards (``canonical_label``), so
     data that differ only there share one ``Decomposition``."""
-    if d < 0:
-        raise ValueError("degree must be >= 0")
+    check_int(d, 0, "degree must be an int >= 0")
     done = _SYM_POWERS.setdefault(datum._key, [])
     if len(done) <= d:
         done.extend(_sym_powers(datum.factors, datum.construction, len(done), d))
@@ -776,8 +776,7 @@ def is_multiplicity_free_polynomial_action(datum: GroupDatum, degree_bound: int)
     which a label repeated and the label itself.  Degree D is decomposed
     first (one h recursion), so a failure above the first repeat raises.
     """
-    if degree_bound < 1:
-        raise ValueError("degree bound must be >= 1")
+    check_int(degree_bound, 1, "degree bound must be an int >= 1")
     sym_power_decompose(datum, degree_bound)  # fills the list up to D, read once below
     done = _SYM_POWERS[datum._key]
     seen: dict = {}

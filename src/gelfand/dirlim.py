@@ -30,7 +30,7 @@ from itertools import chain, combinations_with_replacement
 from math import comb
 
 from . import fock, numerics, symmpair
-from .exact import Record
+from .exact import Record, check_int
 
 
 class DegreeLadder(Record):
@@ -198,8 +198,7 @@ def un_polynomial_ladder(d: int, levels=(1, 2, 3, 4)) -> DegreeLadder:
     the binomial dimensions q(n) = C(n+d-1, d) and csq(m,n) = q(n)/q(m),
     confirmed against the basis-projection count in
     :func:`un_csq_by_enumeration`."""
-    if d < 0:
-        raise ValueError("degree must be >= 0")
+    check_int(d, 0, "degree must be an int >= 0")
     degrees = {n: Fraction(comb(n + d - 1, d)) for n in levels}
     csq = {(m, n): degrees[n] / degrees[m] for m, n in _pairs(levels)}
     return make_ladder("un-poly", levels, degrees, csq)
@@ -210,8 +209,9 @@ def un_csq_by_enumeration(d: int, n: int, m: int) -> Fraction:
     x_A (x) x_A* over the orthonormal monomial basis; orthogonal projection
     keeps the multi-indices supported on the first n variables, so the
     squared overlap of the unit invariant vectors is the count ratio."""
-    if m < n:
-        raise ValueError("need m >= n")
+    check_int(d, 0, "degree must be an int >= 0")
+    check_int(n, 1, "need an int level n >= 1")
+    check_int(m, n, "need m >= n")
     small = set(combinations_with_replacement(range(n), d))
     big = set(combinations_with_replacement(range(m), d))
     overlap = sum(1 for a in big if a in small)

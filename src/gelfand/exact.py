@@ -54,15 +54,35 @@ class Record:
     __delattr__ = __setattr__
 
 
+def check_int(value, least, message):
+    """``value`` if it is an int (a bool is not) >= ``least``, else ValueError
+    "message, not value", formatted only then: the one test of a rank, size,
+    degree, order, index or dimension argument."""
+    if type(value) is int and value >= least:
+        return value
+    raise ValueError(f"{message}, not {value!r}")
+
+
+def check_rows(matrix, ncols):
+    """Raise ValueError unless every row of ``matrix`` has ``ncols`` entries."""
+    if any(len(row) != ncols for row in matrix):
+        raise ValueError(f"each row needs {ncols} entries; they have {[len(r) for r in matrix]}")
+
+
 def fr(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, str):
+        raise ValueError(f"a number is needed, not the str {x!r}")
+    return Fraction(x)
 
 
 def monomials(nvars, degree):
     """Exponent tuples of the degree-``degree`` monomials in ``nvars``
-    variables, heads descending (x0^d first)."""
-    if nvars == 1:
-        return [(degree,)]
+    variables, heads descending (x0^d first); in no variables, the one
+    monomial () of degree 0."""
+    if nvars <= 1:
+        return [(degree,)] if nvars else [()] if degree == 0 else []
     out = []
     for head in range(degree, -1, -1):
         out.extend((head,) + rest for rest in monomials(nvars - 1, degree - head))
@@ -112,7 +132,7 @@ def _rref(matrix):
 
 def nullspace(matrix, ncols=None):
     """Basis of the right kernel, one list of Fractions per basis vector."""
-    ncols = ncols or (len(matrix[0]) if matrix else 0)
+    check_rows(matrix, ncols := ncols or (len(matrix[0]) if matrix else 0))
     rows, pivots = _rref(matrix)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
@@ -127,13 +147,13 @@ def nullspace(matrix, ncols=None):
 
 def solve(matrix, rhs):
     """Solve A x = b exactly; raises ValueError when there is no solution,
-    when b does not have one entry per equation, or when there are no
-    equations to read the number of unknowns from."""
+    when b does not have one entry per equation or a row is not as long as
+    the first, or when there are no equations to read the unknowns from."""
     if len(rhs) != len(matrix):
         raise ValueError(f"{len(rhs)} right-hand sides for {len(matrix)} equations")
     if not matrix:
         raise ValueError("a system with no equations has no column count")
-    ncols = len(matrix[0])
+    check_rows(matrix, ncols := len(matrix[0]))
     rows, pivots = _rref([list(row) + [b] for row, b in zip(matrix, rhs)])
     # in reduced form, a zero row with a nonzero right-hand side is a pivot
     # in the right-hand column
@@ -150,6 +170,7 @@ def det(matrix) -> Fraction:
     1968): clear each row of denominators once; then each step (a_kk a_ij -
     a_ik a_kj) / prev, an exact integer division, drops the pivot row and
     column, and the last pivot is the determinant of the scaled rows."""
+    check_rows(matrix, len(matrix))
     rows = [list(map(fr, row)) for row in matrix]
     scales = [math.lcm(*(x.denominator for x in row)) for row in rows]
     rows = [[x.numerator * (m // x.denominator) for x in row] for row, m in zip(rows, scales)]

@@ -42,7 +42,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import numerics
-from .exact import Record, monomials
+from .exact import Record, check_int, monomials
 
 
 class HeisenbergPoint(Record):
@@ -321,8 +321,8 @@ def _grid_pairing(l1, m1, l2, m2, order):
 def regular_norm_sq(n: int, k: int):
     """(quadrature, exact) values of (k+n)!/2^{k+n}, in the order of
     ``numerics.gamma_moment``."""
-    if n < 0 or k < 0:
-        raise ValueError("need n, k >= 0")
+    check_int(n, 0, "need ints n, k >= 0")
+    check_int(k, 0, "need ints n, k >= 0")
     return numerics.gamma_moment(k + n)
 
 

@@ -19,7 +19,7 @@ import math
 import random
 from fractions import Fraction
 
-from .exact import MultiPoly, Record, fr
+from .exact import MultiPoly, Record, check_int, check_rows, fr
 
 
 class TwoStepAlgebra(Record):
@@ -35,8 +35,8 @@ def build_two_step(dim_v: int, dim_z: int, brackets) -> TwoStepAlgebra:
     ``brackets`` maps (i, j) with i < j to center vectors.  Skew symmetry is
     enforced by storage; handing in both (i, j) and (j, i) is rejected.
     """
-    if dim_v < 0 or dim_z < 0:
-        raise ValueError(f"dimensions must be >= 0, got dim_v={dim_v}, dim_z={dim_z}")
+    check_int(dim_v, 0, "dimensions must be >= 0 (int dim_v)")
+    check_int(dim_z, 0, "dimensions must be >= 0 (int dim_z)")
     seen = {}
     for (i, j), vec in dict(brackets).items():
         if not (0 <= i < dim_v and 0 <= j < dim_v):
@@ -82,8 +82,7 @@ def build_heisenberg(n: int, field: str = "C") -> TwoStepAlgebra:
     The complex case uses the basis order (x_1, y_1, x_2, y_2, ...) with
     [x_a, y_a] = z, which pins the Pfaffian polynomial to exactly t^n.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
+    check_int(n, 1, "need an int n >= 1")
     if field == "C":
         brackets = {(2 * a, 2 * a + 1): (Fraction(1),) for a in range(n)}
         return build_two_step(2 * n, 1, brackets)
@@ -102,8 +101,7 @@ def build_heisenberg(n: int, field: str = "C") -> TwoStepAlgebra:
 def build_free_two_step(n: int) -> TwoStepAlgebra:
     """Free two-step algebra on n generators: center = the full exterior
     square, [v_i, v_j] = z_ij."""
-    if n < 2:
-        raise ValueError("need n >= 2")
+    check_int(n, 2, "need an int n >= 2")
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     index = {p: k for k, p in enumerate(pairs)}
     brackets = {}
@@ -126,8 +124,7 @@ def build_un_type(n: int) -> TwoStepAlgebra:
     w = u' e_r with u, u' in {1, i}, Re<A v, w> = Re(A_rc u conj(u')), so
     only the basis matrices with an entry at (r, c) contribute.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
+    check_int(n, 1, "need an int n >= 1")
     # (squared norm, {(r, c): (Re A_rc, Im A_rc)})
     basis = [(1, {(k, k): (0, 1)}) for k in range(n)]
     for a in range(n):
@@ -208,7 +205,7 @@ def pfaffian(mat):
     sign), then a_ij <- (p a_ij + a_ik a_{k+1,j} - a_{i,k+1} a_kj) / prev
     divides exactly; the last pivot is Pf(DA), and a row with no pivot gives 0.
     """
-    n = len(mat)
+    check_rows(mat, n := len(mat))
     mat = [[fr(x) for x in row] for row in mat]
     d = math.lcm(*(x.denominator for row in mat for x in row))
     a = [[x.numerator * (d // x.denominator) for x in row] for row in mat]
@@ -318,6 +315,8 @@ def load_algebra(text: str) -> TwoStepAlgebra:
     if len(head) != 2:
         raise ValueError("header must be 'dim_v dim_z'")
     dim_v, dim_z = int(head[0]), int(head[1])
+    if min(dim_v, dim_z) < 0:
+        raise ValueError(f"dimensions must be >= 0, got dim_v={dim_v}, dim_z={dim_z}")
     brackets: dict = {}
     given = set()
     for ln in lines[1:]:

@@ -19,7 +19,6 @@ BLAS dot products, so they do not depend on the BLAS thread count.
 from __future__ import annotations
 
 import math
-import numbers
 from fractions import Fraction
 from functools import lru_cache
 
@@ -27,7 +26,7 @@ import numpy as np
 from numpy.polynomial.hermite import hermgauss
 from numpy.polynomial.laguerre import laggauss
 
-from .exact import Record
+from .exact import Record, check_int
 
 
 class Tolerances(Record):
@@ -84,9 +83,10 @@ def gauss_hermite(order: int):
     return tuple(map(_read_only, hermgauss(order)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def gauss_jacobi(order: int, alpha: float, beta: float):
-    """(nodes, weights) for integral_{-1}^1 f(x) (1-x)^a (1+x)^b dx."""
+    """(nodes, weights) for integral_{-1}^1 f(x) (1-x)^a (1+x)^b dx; typed, so
+    an order 2.0 or True misses and is refused."""
     return tuple(map(_read_only, _golub_welsch_jacobi(order, alpha, beta)))
 
 
@@ -94,8 +94,7 @@ def _golub_welsch_jacobi(order, alpha, beta):
     """Gauss-Jacobi nodes and weights as the eigenvalues and first
     eigenvector components of the Jacobi matrix (Golub & Welsch, Math. Comp.
     23, 1969), from the monic Jacobi three-term recurrence."""
-    if order < 1:
-        raise ValueError(f"quadrature order must be >= 1, got {order}")
+    check_int(order, 1, "quadrature order must be an int >= 1")
     if alpha <= -1 or beta <= -1:
         raise ValueError(f"Jacobi parameters must exceed -1, got ({alpha}, {beta})")
     ab = alpha + beta
@@ -143,12 +142,11 @@ def _doubling(values_at_order, max_order=512, floor=1e-300):
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def half_line_moment(k: int):
     """integral_0^inf t^k e^{-2t} dt by Gauss-Laguerre, with exact companion
     k!/2^{k+1}."""
-    if k < 0:
-        raise ValueError("k must be a nonnegative integer")
+    check_int(k, 0, "k must be a nonnegative integer")
 
     def at_order(order):
         nodes, weights = gauss_laguerre(order)
@@ -195,6 +193,7 @@ def gaussian_plane_integral(f, scale: float):
     return _doubling(at_order, max_order=256)
 
 
+@lru_cache(maxsize=None, typed=True)
 def sphere_product_rule(n_ambient: int, order: int):
     """Product quadrature on S^{N-1} with the *normalized* measure.
 
@@ -203,22 +202,13 @@ def sphere_product_rule(n_ambient: int, order: int):
     C-contiguous (N, k) array, so ``points.T[i]``, coordinate i at every
     point, is contiguous.  Spherical coordinates with Gauss-Jacobi rules in
     each polar angle and a trapezoid-free uniform rule in the final
-    azimuthal angle (exact for trigonometric polynomials of degree < #nodes).
-    ``order`` must be an integer >= 1.
+    azimuthal angle (exact for trigonometric polynomials of degree < #nodes),
+    each polar level one broadcast: node j carries the sub-rule, coordinates
+    scaled by sqrt(1 - x_j^2) and weights by w_j / sum(w).  A typed cache:
+    N must be an int >= 2 and ``order`` one >= 1, and 2.0 or True misses.
     """
-    if n_ambient < 2:
-        raise ValueError("need ambient dimension >= 2")
-    if isinstance(order, bool) or not isinstance(order, numbers.Integral) or order < 1:
-        raise ValueError(f"quadrature order must be an integer >= 1, got {order!r}")
-    return _sphere_product_rule(n_ambient, order)
-
-
-@lru_cache(maxsize=None)
-def _sphere_product_rule(n_ambient, order):
-    """The rule of ``sphere_product_rule``, built coordinate-major.  Each
-    polar level is one broadcast: node j carries the whole sub-rule, its
-    coordinate rows scaled by sqrt(1 - x_j^2) and its weights by
-    w_j / sum(w)."""
+    check_int(n_ambient, 2, "need an int ambient dimension >= 2")
+    check_int(order, 1, "quadrature order must be an int >= 1")
     if n_ambient == 2:
         k = max(4 * order, 8)
         ang = 2 * math.pi * np.arange(k) / k

@@ -20,7 +20,7 @@ from math import gcd, lcm, prod
 from operator import add, mul, neg
 from types import MappingProxyType
 
-from .exact import Record, fr
+from .exact import Record, check_int, fr
 
 FAMILIES = ("A", "B", "C", "D")
 
@@ -39,30 +39,25 @@ class DominantWeight(Record):
     stored as a tuple, so that the weight is a cache key."""
 
     def __init__(self, family: str, rank: int, coeffs: tuple):
-        if family not in FAMILIES or type(rank) is not int:
-            raise ValueError(f"no dominant weights of family {family!r} and rank {rank!r}")
-        self._store(family, rank, coeffs := tuple(coeffs))
+        if family not in FAMILIES:
+            raise ValueError(f"no dominant weights of family {family!r}")
+        self._store(family, check_int(rank, 0, "a dominant weight has an int rank"),
+                    coeffs := tuple(coeffs))
         if len(coeffs) != rank:
             raise ValueError("coefficient count must equal the rank")
-        # bool is an int subclass, but True is not a coefficient
-        if any(isinstance(k, bool) or not isinstance(k, int) or k < 0 for k in coeffs):
-            raise ValueError("dominant weights need nonnegative integer coefficients")
+        for k in coeffs:
+            check_int(k, 0, "dominant weights need nonnegative integer coefficients")
 
 
+@lru_cache(maxsize=None, typed=True)
 def build_root_system(family: str, rank: int) -> RootSystemData:
     """Exact simple roots, positive roots and fundamental weights, made once
     per system from its integer tables (``_tables``).  D needs rank >= 2
-    (D_1 has no root data in this realization), A-C an int rank >= 1; the
-    rank is checked before the cache is read, so True is not filed as 1."""
+    (D_1 has no root data in this realization), A-C an int rank >= 1.  The
+    cache is typed, so True is not filed as 1: it misses, and is refused."""
     if family not in FAMILIES:
         raise ValueError(f"unsupported family {family!r}")
-    if type(rank) is not int or rank < 1 + (family == "D"):
-        raise ValueError(f"{family} needs an int rank >= {1 + (family == 'D')}, not {rank!r}")
-    return _root_system(family, rank)
-
-
-@lru_cache(maxsize=None)
-def _root_system(family: str, rank: int) -> RootSystemData:
+    check_int(rank, least := 1 + (family == "D"), f"{family} needs an int rank >= {least}")
     t = _tables(family, rank)
     d, funds = t["integral_fundamental_weights"]
     return RootSystemData(family, rank, len(t["two_rho"]), _fractions(t["integral_simple_roots"]),

@@ -33,7 +33,7 @@ from math import comb
 import numpy as np
 
 from . import numerics, rootsys
-from .exact import MultiPoly, Record, dot, fr, monomials, nullspace, solve
+from .exact import MultiPoly, Record, check_int, dot, fr, monomials, nullspace, solve
 
 # ---------------------------------------------------------------------------
 # restricted pair data
@@ -97,12 +97,10 @@ def build_symmetric_pair(family_id: int, rank: int, excess: int = 1) -> Restrict
     difference q - p for the two-block rows, the parity of n for row 9);
     rows without one ignore it.
     """
-    if rank < 0:
-        raise ValueError("rank must be >= 0")
-    if family_id not in range(1, 12):
+    check_int(rank, 0, "rank must be an int >= 0")
+    if check_int(family_id, 1, "a symmetric-pair family is an int 1-11") > 11:
         raise ValueError(f"unsupported symmetric-pair family {family_id}")
-    if excess < 0:
-        raise ValueError("excess must be >= 0")
+    check_int(excess, 0, "excess must be an int >= 0")
     if rank == 0:
         # fully degenerate row: no restricted roots, no class-1 generators
         return RestrictedPairData(family_id, 0, "A", (), (), frozenset(), ())
@@ -230,9 +228,8 @@ def sphere_inner_product(p: MultiPoly, q: MultiPoly) -> Fraction:
 def harmonic_basis(n_ambient: int, degree: int) -> HarmonicSpace:
     """Kernel of the Laplacian on degree-d forms.  The cache is typed, so
     True is not filed as 1: a bool, like any non-int, raises on every call."""
-    if type(n_ambient) is not int or type(degree) is not int or n_ambient < 1 or degree < 0:
-        raise ValueError(f"need an int ambient dimension >= 1 and an int degree >= 0,"
-                         f" not {n_ambient!r} and {degree!r}")
+    check_int(n_ambient, 1, "need an int ambient dimension >= 1")
+    check_int(degree, 0, "need an int degree >= 0")
     monos = monomials(n_ambient, degree)
     lower = monomials(n_ambient, degree - 2) if degree >= 2 else []
     lower_index = {m: i for i, m in enumerate(lower)}
@@ -295,12 +292,9 @@ def _embed(poly: MultiPoly, n_ambient: int) -> MultiPoly:
 
 def _check_zonal_args(m_sphere: int, n_sphere: int, degree: int) -> None:
     """Inputs every zonal-constant route accepts, checked before any memo."""
-    if any(isinstance(v, bool) or not isinstance(v, int) for v in (m_sphere, n_sphere, degree)):
-        raise ValueError(f"m, n and degree must be ints, got {(m_sphere, n_sphere, degree)}")
-    if not m_sphere >= n_sphere >= 1:
-        raise ValueError(f"need m >= n >= 1, got m = {m_sphere}, n = {n_sphere}")
-    if degree < 0:
-        raise ValueError(f"degree must be >= 0, got {degree}")
+    check_int(n_sphere, 1, message := "m, n and degree must be ints, m >= n >= 1 and degree >= 0")
+    check_int(m_sphere, n_sphere, message)
+    check_int(degree, 0, message)
     if degree >= 1 and n_sphere < 2:
         raise ValueError("S^1 has no unique zonal vector at degree >= 1; need n >= 2")
 

@@ -12,7 +12,7 @@ from types import MappingProxyType
 
 from . import nilpf
 from .charring import GL, SO, SP, U1, Construction, Factor, GroupDatum
-from .exact import Record
+from .exact import Record, check_int
 
 
 class TableRow(Record):
@@ -112,15 +112,17 @@ def _row_spec(row_id: str):
 
 def group_datum(row_id: str, rank: int, rank2: int | None = None) -> GroupDatum:
     """Instantiate a kac/jaw row at concrete rank(s), once; a bad row or rank
-    raises on every call, a rank that is not an int (a second rank: nor
-    None) before the cache (True hashes as 1, "2" reaches no comparison)."""
-    if type(rank) is not int or not (rank2 is None or type(rank2) is int):
-        raise ValueError(f"a rank is an int, not {rank!r}, {rank2!r}")
+    raises on every call.  The cache is typed, so True is not filed as 1: a
+    rank that is not an int (a second rank: nor None) misses and is refused.
+    This front passes an omitted ``rank2`` on as None, since a cache keys
+    (row, 2) and (row, 2, None) apart, and both forms are called."""
     return _group_datum(row_id, rank, rank2)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def _group_datum(row_id, rank, rank2):
+    for r in (rank,) if rank2 is None else (rank, rank2):
+        check_int(r, 0, "a rank is an int >= 0")
     constraints, kinds, quotient, construction = _row_spec(row_id)
     _check_constraints(constraints, rank, rank2)
     sizes = {"r": rank, "s": rank2}

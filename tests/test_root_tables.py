@@ -141,7 +141,7 @@ import gelfand
 from gelfand import (charring, cli, dirlim, exact, fock, nilpf, numerics, rootsys,
                      symmpair, tables)
 tables.registry()
-caches = [rootsys._tables, rootsys._root_system, rootsys._lattice,
+caches = [rootsys._tables, rootsys.build_root_system, rootsys._lattice,
           charring._scaled_tables, charring._root_classes]
 print([cache.cache_info().currsize for cache in caches])
 """
@@ -154,7 +154,7 @@ print([cache.cache_info().currsize for cache in caches])
 def test_a_rank_that_is_not_an_int_is_refused_before_the_cache(rank, cold_caches):
     with pytest.raises(ValueError, match="int rank"):
         rootsys.build_root_system("A", rank)
-    assert rootsys._root_system.cache_info().currsize == 0
+    assert rootsys.build_root_system.cache_info().currsize == 0
     # True used to build A1 and file it under the key of 1
     rs = rootsys.build_root_system("A", 1)
     assert type(rs.rank) is int and rs.rank == 1
